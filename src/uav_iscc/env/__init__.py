@@ -4,10 +4,6 @@ sensing-communication-computation world."""
 from .compute import (
     INFINITE_DELAY,
     MuSlotOutcome,
-    compute_edge_latencies,
-    compute_energies,
-    compute_latencies,
-    effective_compress_ratio,
     flight_power,
     mu_slot_outcome,
     transmitted_fraction,
@@ -15,10 +11,8 @@ from .compute import (
 from .config import ConfigError, ScenarioConfig, apply_overrides
 from .mobility import advance_kinematics, step_mobility
 from .radio import (
-    LinkState,
     RadarState,
     build_all_channels,
-    build_channel,
     build_radar_state,
     comm_rate,
     design_links,
@@ -36,7 +30,6 @@ __all__ = [
     "Allocation",
     "ConfigError",
     "INFINITE_DELAY",
-    "LinkState",
     "MuSlotOutcome",
     "MuState",
     "RadarState",
@@ -48,16 +41,11 @@ __all__ = [
     "advance_kinematics",
     "apply_overrides",
     "build_all_channels",
-    "build_channel",
     "build_radar_state",
     "comm_rate",
-    "compute_edge_latencies",
-    "compute_energies",
-    "compute_latencies",
     "design_links",
     "draw_task",
     "dvfs_frequency",
-    "effective_compress_ratio",
     "flight_power",
     "interference_covariance",
     "mmse_beamformer",

@@ -42,11 +42,6 @@ def transmitted_fraction(rho: float, eta: float, beta: float) -> float:
     return rho * (eta * beta + 1.0 - eta)
 
 
-def effective_compress_ratio(eta: float, beta: float) -> float:
-    """beta-hat = eta*beta + 1 - eta, the size multiplier of the offloaded part."""
-    return eta * beta + 1.0 - eta
-
-
 def _safe_div(num: float, den: float) -> float:
     if num <= 0.0:
         return 0.0
@@ -55,81 +50,42 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-def compute_latencies(task: TaskSpec, rho: float, eta: float, f_mu: float,
-                      f_edge: float, rate: float) -> dict:
-    """Delays of the split pipeline; a zero rate or zero edge share with
-    pending work yields an infinite-delay sentinel."""
+def mu_slot_outcome(task: TaskSpec, rho: float, eta: float, f_mu: float,
+                    f_edge: float, rate: float, power: float,
+                    decompress_density: float, cfg: ScenarioConfig) -> MuSlotOutcome:
+    """Delays and energies of one MU's split pipeline.
+
+    A zero rate or zero edge share with pending work yields the infinite-delay
+    sentinel. An infinite offload delay bills transmit energy for the slot
+    only; the latency sentinel already triggers the deadline penalty.
+    """
     d, c, j = task.data_bits, task.compute_density, task.compress_density
     t_local = _safe_div((1.0 - rho) * d * c, f_mu)
     t_compress = _safe_div(rho * eta * d * j, f_mu)
-    tau = transmitted_fraction(rho, eta, task.compress_ratio)
-    t_offload = _safe_div(tau * d, rate)
-    return {
-        "t_local": t_local,
-        "t_compress": t_compress,
-        "t_offload": t_offload,
-        "tau": tau,
-    }
-
-
-def compute_edge_latencies(task: TaskSpec, rho: float, eta: float, f_edge: float,
-                           decompress_density: float) -> dict:
-    d, c = task.data_bits, task.compute_density
+    t_offload = _safe_div(transmitted_fraction(rho, eta, task.compress_ratio) * d, rate)
     t_decompress = _safe_div(rho * eta * d * decompress_density, f_edge)
     t_edge_compute = _safe_div(rho * d * c, f_edge)
-    return {"t_decompress": t_decompress, "t_edge_compute": t_edge_compute}
-
-
-def compute_energies(task: TaskSpec, rho: float, eta: float, f_mu: float,
-                     f_edge: float, t_offload: float, power: float,
-                     decompress_density: float, cfg: ScenarioConfig) -> dict:
-    """Energy drawn by the MU (compress/local/transmit) and caused at the UAV.
-
-    An infinite offload delay bills transmit energy for the slot only; the
-    latency sentinel already triggers the deadline penalty.
-    """
-    d, c, j = task.data_bits, task.compute_density, task.compress_density
+    t_edge_total = t_offload + t_decompress + t_edge_compute
     f2 = f_mu * f_mu
     e_compress = cfg.kappa_mu * rho * eta * d * j * f2
     e_local = cfg.kappa_mu * (1.0 - rho) * d * c * f2
     tx_time = t_offload if math.isfinite(t_offload) else cfg.slot_seconds
     e_offload = tx_time * power
     fe2 = f_edge * f_edge
-    e_edge_compute = cfg.kappa_uav * fe2 * rho * d * c
-    e_decompress = cfg.kappa_uav * fe2 * rho * eta * d * decompress_density
-    return {
-        "e_compress": e_compress,
-        "e_local": e_local,
-        "e_offload": e_offload,
-        "e_mu": e_compress + e_local + e_offload,
-        "e_edge_compute": e_edge_compute,
-        "e_decompress": e_decompress,
-    }
-
-
-def mu_slot_outcome(task: TaskSpec, rho: float, eta: float, f_mu: float,
-                    f_edge: float, rate: float, power: float,
-                    decompress_density: float, cfg: ScenarioConfig) -> MuSlotOutcome:
-    lat = compute_latencies(task, rho, eta, f_mu, f_edge, rate)
-    edge = compute_edge_latencies(task, rho, eta, f_edge, decompress_density)
-    t_edge_total = lat["t_offload"] + edge["t_decompress"] + edge["t_edge_compute"]
-    latency = lat["t_compress"] + max(lat["t_local"], t_edge_total)
-    en = compute_energies(task, rho, eta, f_mu, f_edge, lat["t_offload"], power,
-                          decompress_density, cfg)
     return MuSlotOutcome(
-        t_local=lat["t_local"],
-        t_compress=lat["t_compress"],
-        t_offload=lat["t_offload"],
-        t_decompress=edge["t_decompress"],
-        t_edge_compute=edge["t_edge_compute"],
+        t_local=t_local,
+        t_compress=t_compress,
+        t_offload=t_offload,
+        t_decompress=t_decompress,
+        t_edge_compute=t_edge_compute,
         t_edge_total=t_edge_total,
-        latency=latency,
-        e_compress=en["e_compress"],
-        e_local=en["e_local"],
-        e_offload=en["e_offload"],
-        e_mu=en["e_mu"],
-        e_edge_compute=en["e_edge_compute"],
-        e_decompress=en["e_decompress"],
+        latency=t_compress + max(t_local, t_edge_total),
+        e_compress=e_compress,
+        e_local=e_local,
+        e_offload=e_offload,
+        e_mu=e_compress + e_local + e_offload,
+        e_edge_compute=cfg.kappa_uav * fe2 * rho * d * c,
+        e_decompress=cfg.kappa_uav * fe2 * rho * eta * d * decompress_density,
     )
 
 

@@ -24,7 +24,7 @@ def step_mobility(state: MuState, cfg: ScenarioConfig, rng: np.random.Generator)
                  + (1.0 - mu1) * cfg.mobility_mean_speed
                  + np.sqrt(max(0.0, 1.0 - mu1 * mu1)) * speed_noise)
     new_heading = (mu2 * state.heading
-                   + (1.0 - mu1) * cfg.mobility_mean_heading
+                   + (1.0 - mu2) * cfg.mobility_mean_heading
                    + np.sqrt(max(0.0, 1.0 - mu2 * mu2)) * heading_noise)
     new_speed = max(0.0, new_speed)
 

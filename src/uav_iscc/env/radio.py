@@ -29,35 +29,6 @@ def elevation_angle(horizontal_dist: float, altitude: float) -> float:
     return math.atan2(altitude, horizontal_dist)
 
 
-def build_channel(mu_pos: np.ndarray, uav_pos: np.ndarray, cfg: ScenarioConfig,
-                  rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One Rician channel draw between an MU and a UAV.
-
-    Returns (H [W_R, W_T], distance). The line-of-sight part is the rank-one
-    steering outer product a_r(angle) a_t(angle)^H from the link geometry; the
-    scattered part has unit-variance complex Gaussian entries. Entry power
-    averages ref_gain / distance^2; an infinite Rician factor keeps only the
-    deterministic part.
-    """
-    mu_pos = np.asarray(mu_pos, dtype=np.float64)
-    uav_pos = np.asarray(uav_pos, dtype=np.float64)
-    d2 = float(np.sum((uav_pos - mu_pos) ** 2) + cfg.altitude ** 2)
-    d = math.sqrt(d2)
-    angle = elevation_angle(math.sqrt(max(d2 - cfg.altitude ** 2, 0.0)), cfg.altitude)
-    los = np.outer(steering_vector(angle, cfg.rx_antennas),
-                   steering_vector(angle, cfg.tx_antennas).conj())
-    eps = cfg.rician_factor
-    if math.isinf(eps):
-        w_los, w_nlos = 1.0, 0.0
-    else:
-        w_los = math.sqrt(eps / (eps + 1.0))
-        w_nlos = math.sqrt(1.0 / (eps + 1.0))
-    shape = (cfg.rx_antennas, cfg.tx_antennas)
-    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    h = math.sqrt(cfg.ref_gain / d2) * (w_los * los + w_nlos * scatter)
-    return h, d
-
-
 def build_all_channels(world: WorldState, cfg: ScenarioConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """Vectorized channel draw for every MU-UAV pair: complex [K, M, W_R, W_T]."""
@@ -145,20 +116,6 @@ def radar_rate(sinr: float, cfg: ScenarioConfig) -> float:
     return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * math.log2(1.0 + gain)
 
 
-@dataclass
-class LinkState:
-    """Uplink quantities for one served MU-UAV pair."""
-
-    mu_index: int
-    uav_index: int
-    channel: np.ndarray           # [W_R, W_T]
-    distance: float
-    beamformer: np.ndarray        # receive combiner, unit norm
-    noise_cov: np.ndarray         # interference-plus-noise at the array
-    signal_power: float           # P * ||H^H w||^2
-    rate: float                   # bits/s
-
-
 def radar_leakage(radar: RadarState, n: int) -> np.ndarray:
     """Covariance of the sensing waveform as seen by the uplink receiver."""
     g = radar.target_response + radar.clutter_gain * np.eye(n)
@@ -167,16 +124,13 @@ def radar_leakage(radar: RadarState, n: int) -> np.ndarray:
 
 
 def interference_covariance(world: WorldState, alloc: Allocation, radars: list,
-                            cfg: ScenarioConfig, uav_index: int,
-                            exclude_mu: int | None = None) -> np.ndarray:
+                            cfg: ScenarioConfig, uav_index: int) -> np.ndarray:
     """Inter-MU plus radar-leakage plus noise covariance at one UAV's array."""
     n = cfg.rx_antennas
     cov = cfg.noise_power * np.eye(n, dtype=complex)
     cov = cov + radar_leakage(radars[uav_index], n)
     active = np.flatnonzero(alloc.association.sum(axis=1) > 0)
     for i in active:
-        if exclude_mu is not None and i == exclude_mu:
-            continue
         h = world.channels[i, uav_index]
         cov = cov + cfg.mu_power_max * (h @ h.conj().T)
     return 0.5 * (cov + cov.conj().T)
@@ -216,11 +170,9 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
 
 def design_links(world: WorldState, alloc: Allocation, radars: list,
                  cfg: ScenarioConfig) -> tuple[dict, bool]:
-    """MMSE combiner and rate for every associated MU. Keys are MU indices."""
-    links: dict[int, LinkState] = {}
+    """MMSE combiner rate for every associated MU: ({mu: bits/s}, loading used)."""
+    rates: dict[int, float] = {}
     loaded_any = False
-    mu_pos = world.mu_positions()
-    uav_pos = world.uav_positions()
     for m in range(world.num_uavs):
         served = alloc.served_by(m)
         if served.size == 0:
@@ -233,9 +185,5 @@ def design_links(world: WorldState, alloc: Allocation, radars: list,
             n_cov = 0.5 * (n_cov + n_cov.conj().T)
             w, loaded = mmse_beamformer(h, n_cov, cfg)
             loaded_any = loaded_any or loaded
-            rate, s = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
-            d = math.sqrt(float(np.sum((uav_pos[m] - mu_pos[k]) ** 2)) + cfg.altitude ** 2)
-            links[int(k)] = LinkState(mu_index=int(k), uav_index=m, channel=h,
-                                      distance=d, beamformer=w, noise_cov=n_cov,
-                                      signal_power=s, rate=rate)
-    return links, loaded_any
+            rates[int(k)], _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
+    return rates, loaded_any

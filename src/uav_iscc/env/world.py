@@ -92,7 +92,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         state, loaded = build_radar_state(uav, cfg)
         radars.append(state)
         loading = loading or loaded
-    links, loaded = (design_links(world, alloc, radars, cfg) if k_count else ({}, False))
+    rates, loaded = (design_links(world, alloc, radars, cfg) if k_count else ({}, False))
     loading = loading or loaded
 
     # task pipeline per MU
@@ -111,7 +111,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         rho = float(alloc.offload_ratio[k]) if serving >= 0 else 0.0
         eta = float(alloc.compress_ratio[k]) if rho > 0.0 else 0.0
         f_edge = float(alloc.edge_cpu[k, serving]) if serving >= 0 else 0.0
-        rate = links[k].rate if serving >= 0 and k in links else 0.0
+        rate = rates.get(k, 0.0)
         j_dec = world.uavs[serving].decompress_density if serving >= 0 else 0.0
         out = mu_slot_outcome(task, rho, eta, dvfs_frequency(task, cfg), f_edge,
                               rate, cfg.mu_power_max, j_dec, cfg)

@@ -10,7 +10,6 @@ from uav_iscc.env import (
     ScenarioConfig,
     TaskSpec,
     dvfs_frequency,
-    effective_compress_ratio,
     flight_power,
     mu_slot_outcome,
     transmitted_fraction,
@@ -85,7 +84,8 @@ def test_effective_ratio_bounds(cfg):
     for _ in range(200):
         beta = rng.uniform(0.2, 0.8)
         eta = rng.uniform(0.0, 1.0)
-        bh = effective_compress_ratio(eta, beta)
+        # with everything offloaded, tau is the effective ratio eta*beta + 1 - eta
+        bh = transmitted_fraction(1.0, eta, beta)
         assert beta - 1e-12 <= bh <= 1.0 + 1e-12
         rho = rng.uniform(0.0, 1.0)
         assert transmitted_fraction(rho, eta, beta) == pytest.approx(rho * bh)

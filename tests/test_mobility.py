@@ -42,6 +42,14 @@ def test_zero_memory_zero_noise_jumps_to_mean():
     assert out.speed == pytest.approx(2.0, abs=1e-12)
 
 
+def test_heading_mixes_mean_with_heading_memory():
+    # the mean heading enters with weight 1 - heading memory, not 1 - speed memory
+    cfg = make_cfg(mobility_speed_memory=0.9, mobility_heading_memory=0.0,
+                   mobility_heading_noise_std=1e-30, mobility_mean_heading=1.0)
+    out = step_mobility(make_mu(heading=0.0), cfg, np.random.default_rng(4))
+    assert out.heading == 1.0
+
+
 def test_half_memory_mixes_speed():
     # 0.5*4 + 0.5*2 = 3 with no innovation
     cfg = make_cfg(mobility_speed_memory=0.5, mobility_speed_noise_std=1e-30,

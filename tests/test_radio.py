@@ -10,10 +10,10 @@ from uav_iscc.env import (
     ScenarioConfig,
     UavState,
     build_all_channels,
-    build_channel,
     build_radar_state,
     comm_rate,
     design_links,
+    interference_covariance,
     mmse_beamformer,
     radar_rate,
     radar_rate_from_filter,
@@ -42,30 +42,41 @@ def test_steering_vector_broadside_pair():
     assert np.allclose(v, [1.0, -1.0], atol=1e-12)
 
 
+def colocated_world(mu_xy, uav_xy, num_mus, cfg):
+    """`num_mus` MUs stacked at one point under a single UAV."""
+    cfg.num_mus, cfg.num_uavs = num_mus, 1
+    world = reset_world(cfg, np.random.default_rng(0))
+    for mu in world.mus:
+        mu.position = np.array(mu_xy, dtype=float)
+    world.uavs[0].position = np.array(uav_xy, dtype=float)
+    return world
+
+
 def test_distance_under_uav_is_altitude(cfg):
-    _, d = build_channel(np.array([300.0, 400.0]), np.array([300.0, 400.0]), cfg,
-                         np.random.default_rng(0))
-    assert d * d == pytest.approx(4.0e4)
+    # with line of sight only, every entry has power ref_gain / d^2 exactly
+    cfg.rician_factor = math.inf
+    world = colocated_world([300.0, 400.0], [300.0, 400.0], 1, cfg)
+    h = build_all_channels(world, cfg, np.random.default_rng(0))
+    assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / 4.0e4, rtol=1e-12, atol=0.0)
 
 
 def test_los_only_channel_entry_power_exact(cfg):
     cfg.rician_factor = math.inf
-    rng = np.random.default_rng(1)
-    h, d = build_channel(np.array([100.0, 100.0]), np.array([160.0, 180.0]), cfg, rng)
-    assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / d ** 2, atol=1e-18)
+    world = colocated_world([100.0, 100.0], [160.0, 180.0], 1, cfg)
+    h = build_all_channels(world, cfg, np.random.default_rng(1))
+    d2 = 60.0 ** 2 + 80.0 ** 2 + cfg.altitude ** 2
+    assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / d2, atol=1e-18)
 
 
 def test_channel_monte_carlo_entry_power(cfg):
     # mean per-entry power approaches ref_gain / d^2 for the default Rician factor
     rng = np.random.default_rng(2)
-    mu = np.array([250.0, 250.0])
-    uav = np.array([250.0, 250.0])  # directly overhead: d = altitude = 200
-    total = 0.0
-    n_draws = 10_000
-    for _ in range(n_draws):
-        h, d = build_channel(mu, uav, cfg, rng)
-        total += np.mean(np.abs(h) ** 2)
-    expected = cfg.ref_gain / d ** 2
+    # directly overhead: d = altitude = 200; 100 MUs x 100 draws = 10k channels
+    world = colocated_world([250.0, 250.0], [250.0, 250.0], 100, cfg)
+    n_draws = 100
+    total = sum(np.mean(np.abs(build_all_channels(world, cfg, rng)) ** 2)
+                for _ in range(n_draws))
+    expected = cfg.ref_gain / cfg.altitude ** 2
     assert abs(total / n_draws - expected) / expected < 0.05
 
 
@@ -193,9 +204,15 @@ def test_design_links_rates_positive_and_loading_flag(cfg):
                        compress_ratio=np.full(5, 0.5),
                        edge_cpu=edge)
     radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
-    links, loaded = design_links(world, alloc, radars, cfg)
-    assert set(links) == {0, 1, 2}
-    for link in links.values():
-        assert link.rate > 0.0
-        assert np.linalg.norm(link.beamformer) == pytest.approx(1.0)
-        assert np.all(np.linalg.eigvalsh(link.noise_cov) > 0)
+    rates, loaded = design_links(world, alloc, radars, cfg)
+    assert set(rates) == {0, 1, 2}
+    assert not loaded
+    for k, rate in rates.items():
+        assert np.isfinite(rate) and rate > 0.0
+        m = int(np.argmax(association[k]))
+        h = world.channels[k, m]
+        n_cov = interference_covariance(world, alloc, radars, cfg, m) \
+            - cfg.mu_power_max * (h @ h.conj().T)
+        assert np.all(np.linalg.eigvalsh(n_cov) > 0)
+        w, _ = mmse_beamformer(h, n_cov, cfg)
+        assert np.linalg.norm(w) == pytest.approx(1.0)
