@@ -7,7 +7,6 @@ from .actions import (
     build_allocation,
     decode_mu_action,
     decode_uav_action,
-    dvfs_frequency,
 )
 from .observations import (
     MuObservation,
@@ -44,7 +43,6 @@ __all__ = [
     "collision_penalty",
     "decode_mu_action",
     "decode_uav_action",
-    "dvfs_frequency",
     "latency_penalty",
     "mu_reward",
     "penalty_P",

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..env.config import ScenarioConfig
 from ..env.types import Allocation, WorldState
-from ..env.world import dvfs_frequency  # noqa: F401  (MU-side frequency rule)
 from .observations import roster_of
 
 

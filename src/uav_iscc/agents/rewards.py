@@ -64,8 +64,8 @@ def mu_reward(k: int, report: SlotReport, alloc: Allocation,
 def collision_penalty(m: int, report: SlotReport, cfg: ScenarioConfig) -> float:
     """Mean pairwise factor over the other UAVs.
 
-    "deficit" penalizes closing below the safety distance; "literal" keeps the
-    printed orientation (grows with separation) as a documented variant.
+    Each pair is penalized by how far it closed below the safety distance,
+    scaled by that distance.
     """
     count = report.pair_distance.shape[0]
     if count <= 1:
@@ -75,22 +75,13 @@ def collision_penalty(m: int, report: SlotReport, cfg: ScenarioConfig) -> float:
     for i in range(count):
         if i == m:
             continue
-        d = float(report.pair_distance[m, i])
-        if cfg.collision_penalty_mode == "deficit":
-            total += penalty_P(d_min - d, 0.0, d_min)
-        else:
-            total += penalty_P(d, d_min, d_min)
+        total += penalty_P(d_min - float(report.pair_distance[m, i]), 0.0, d_min)
     return total / (count - 1)
 
 
 def boundary_penalty(overshoot: float, cfg: ScenarioConfig) -> float:
-    """Factor for clipped-away flight distance, scaled by the speed limit.
-
-    The bounded form stays inside [1, 2) for any overshoot; the literal form
-    1 + overshoot/v_max can exceed 2 within one slot and is kept as a variant.
-    """
-    if cfg.boundary_penalty_mode == "literal":
-        return 1.0 + overshoot / cfg.uav_v_max
+    """Factor for clipped-away flight distance, scaled by the speed limit;
+    stays inside [1, 2) for any overshoot."""
     return penalty_P(overshoot, 0.0, cfg.uav_v_max)
 
 

@@ -95,8 +95,6 @@ class ScenarioConfig:
     reward_distance_weight: float = 0.7   # k2, centroid-distance share
     distance_threshold: float = 350.0     # m, slack before the centroid term bites
     roster_capacity: int = 0              # 0 -> ceil(2K/M)
-    collision_penalty_mode: str = "deficit"   # "deficit" | "literal"
-    boundary_penalty_mode: str = "bounded"    # "bounded" | "literal"
     reward_mode: str = "weighted_energy"  # | "energy_min" | "accuracy_max"
 
     # ablation switches
@@ -159,10 +157,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.induced_power_form not in ("paper", "standard"):
             raise ConfigError("induced_power_form must be 'paper' or 'standard'")
-        if self.collision_penalty_mode not in ("deficit", "literal"):
-            raise ConfigError("collision_penalty_mode must be 'deficit' or 'literal'")
-        if self.boundary_penalty_mode not in ("bounded", "literal"):
-            raise ConfigError("boundary_penalty_mode must be 'bounded' or 'literal'")
         if self.reward_mode not in ("weighted_energy", "energy_min", "accuracy_max"):
             raise ConfigError("reward_mode must be weighted_energy|energy_min|accuracy_max")
         return self
