@@ -4,7 +4,6 @@ GAE, clipped-surrogate updates, and the training loop."""
 from .buffer import RolloutBatch, TypeRollout
 from .critics import (
     CriticParams,
-    critic_forward,
     critic_values_batch,
     encode_agents,
     state_values_batch,
@@ -41,7 +40,6 @@ __all__ = [
     "actor_loss",
     "clip",
     "compute_gae",
-    "critic_forward",
     "critic_loss",
     "critic_values_batch",
     "encode_agents",

@@ -16,11 +16,9 @@ from ..numerics import (
     AttentionBlockParams,
     MlpParams,
     Tensor,
-    attention_pool,
     concat,
     mlp_forward,
     softmax,
-    stack,
 )
 
 _MASK = -1e30  # blocks self-attention without inf arithmetic
@@ -64,22 +62,6 @@ def encode_agents(params: CriticParams, mu_inputs, uav_inputs) -> Tensor:
     if uav_inputs is not None and uav_inputs.shape[-2] > 0:
         parts.append(mlp_forward(params.encoder_uav, uav_inputs))
     return concat(parts, axis=-2) if len(parts) > 1 else parts[0]
-
-
-def critic_forward(params: CriticParams, all_obs: list, all_acts: list,
-                   num_mus: int, agent: int) -> Tensor:
-    """Reference per-sample value for one agent (the batched path must agree).
-
-    `all_obs`/`all_acts` are per-agent vectors in global order. A lone agent
-    pools an all-zero context.
-    """
-    feats = []
-    for u, (o, a) in enumerate(zip(all_obs, all_acts)):
-        enc = params.encoder_mu if u < num_mus else params.encoder_uav
-        feats.append(mlp_forward(enc, concat([Tensor(o), Tensor(a)], axis=0)))
-    others = [feats[w] for w in range(len(feats)) if w != agent]
-    context = attention_pool(params.attention, feats[agent], others)
-    return mlp_forward(params.value_head, concat([context, feats[agent]], axis=0))
 
 
 def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,

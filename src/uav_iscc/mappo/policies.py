@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from ..numerics import (
     BetaHeadParams,
@@ -23,6 +22,7 @@ from ..numerics import (
     beta_sample,
     gaussian_entropy,
     gaussian_log_prob,
+    gaussian_sample,
     mlp_forward,
 )
 
@@ -72,11 +72,6 @@ def _log_width_total(params: ActorParams) -> float:
     return float(np.sum(np.log(params.head.widths)))
 
 
-def _beta_logpdf_np(z: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return (_gammaln(z + e) - _gammaln(z) - _gammaln(e)
-            + (z - 1.0) * np.log(x) + (e - 1.0) * np.log1p(-x))
-
-
 def sample_action(params: ActorParams, obs_batch: np.ndarray,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one action per row of `obs_batch`.
@@ -85,16 +80,15 @@ def sample_action(params: ActorParams, obs_batch: np.ndarray,
     log-probability is the joint density over the native intervals.
     """
     p1, p2 = actor_forward(params, Tensor(obs_batch))
+    # plain arrays keep the density evaluation off the autodiff graph
+    p1, p2 = p1.data, p2.data
     if params.kind == "beta":
-        unit = beta_sample(p1.data, p2.data, rng)
-        logp = _beta_logpdf_np(p1.data, p2.data, unit).sum(axis=-1)
+        unit = beta_sample(p1, p2, rng)
+        logp = beta_log_prob(p1, p2, unit)
     else:
-        std = np.exp(p2.data)
-        draw = p1.data + std * rng.standard_normal(p1.data.shape)
-        unit = np.clip(draw, _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
-        z = (unit - p1.data) / std
-        logp = (-0.5 * z * z - p2.data - 0.5 * np.log(2 * np.pi)).sum(axis=-1)
-    logp = logp - _log_width_total(params)
+        unit = np.clip(gaussian_sample(p1, p2, rng), _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
+        logp = gaussian_log_prob(p1, p2, unit)
+    logp = (logp.sum(axis=-1) - _log_width_total(params)).data
     return unit, params.head.to_native(unit), logp
 
 

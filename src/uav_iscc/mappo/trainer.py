@@ -57,7 +57,6 @@ class TrainerConfig:
     attention_heads: int = 4
     policy: str = "beta"           # | "gaussian"
     critic: str = "attention"      # | "mlp"
-    critic_target: str = "standard"  # | "paper" | "gae"
     seed: int = 0
 
     def validate(self) -> "TrainerConfig":
@@ -71,8 +70,6 @@ class TrainerConfig:
             raise ValueError("policy must be 'beta' or 'gaussian'")
         if self.critic not in ("attention", "mlp"):
             raise ValueError("critic must be 'attention' or 'mlp'")
-        if self.critic_target not in ("standard", "paper", "gae"):
-            raise ValueError("critic_target must be standard|paper|gae")
         for name in ("episodes", "ppo_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -259,14 +256,9 @@ class Trainer:
                                        cfg.discount, cfg.gae_lambda)
                 roll.advantages[:, u] = adv
                 roll.returns[:, u] = ret
+            # one-step bootstrap r + gamma V(s'), with V = 0 after the last slot
             next_values = np.vstack([roll.values[1:], np.zeros((1, n))])
-            if cfg.critic_target == "paper":
-                roll.targets = (1.0 - cfg.discount) * roll.rewards \
-                    + cfg.discount * next_values
-            elif cfg.critic_target == "gae":
-                roll.targets = roll.returns
-            else:
-                roll.targets = roll.rewards + cfg.discount * next_values
+            roll.targets = roll.rewards + cfg.discount * next_values
         return batch
 
     # ------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from uav_iscc.mappo import CriticParams, critic_forward, critic_values_batch, state_values_batch
+from oracles import attention_weights, critic_forward
+from uav_iscc.mappo import CriticParams, critic_values_batch, state_values_batch
+from uav_iscc.numerics import Tensor, mlp_forward
 
 
 def make_critic(mu_in=8, uav_in=10, state_dim=30, kind="attention", seed=0):
@@ -48,8 +50,6 @@ def test_permutation_of_other_agents_leaves_value_unchanged():
 
 
 def test_identical_other_agents_share_attention_weight():
-    from uav_iscc.numerics import attention_weights, mlp_forward, Tensor, concat
-
     critic = make_critic(seed=4)
     rng = np.random.default_rng(5)
     obs = rng.uniform(0, 1, 4)

@@ -36,6 +36,21 @@ def test_ratio_identity_after_collection():
         assert np.max(np.abs(ratio - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("policy", ["beta", "gaussian"])
+def test_first_epoch_ratio_is_exactly_one(policy):
+    # sampling and the update evaluate one density, so before any step the
+    # stored and recomputed log-probs agree bit for bit
+    trainer = tiny_trainer(seed=2, policy=policy)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    for kind in ("mu", "uav"):
+        roll = batch.of(kind)
+        logp_new, _ = log_prob_entropy(trainer.actors[kind], Tensor(roll.obs), roll.actions)
+        assert np.array_equal(logp_new.data, roll.log_probs)
+        _, stats = actor_loss(trainer.actors[kind], roll.obs, roll.actions, roll.log_probs,
+                              normalize_advantages(roll.advantages), 0.2, 0.0)
+        assert stats["approx_kl"] == 0.0 and stats["clip_fraction"] == 0.0
+
+
 def test_clip_saturation_blocks_policy_gradient():
     trainer = tiny_trainer(seed=1)
     actor = trainer.actors["mu"]
@@ -118,17 +133,11 @@ def test_update_abort_on_nonfinite():
         ppo_update(trainer, batch)
 
 
-def test_critic_target_modes():
-    for mode in ("standard", "paper", "gae"):
-        trainer = tiny_trainer(seed=9, critic_target=mode)
-        batch = trainer.prepare_batch(trainer.collect_episode())
-        roll = batch.mu
+def test_critic_target_is_one_step_bootstrap():
+    trainer = tiny_trainer(seed=9)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    for kind in ("mu", "uav"):
+        roll = batch.of(kind)
         next_values = np.vstack([roll.values[1:], np.zeros((1, roll.values.shape[1]))])
-        if mode == "standard":
-            want = roll.rewards + trainer.config.discount * next_values
-        elif mode == "paper":
-            want = (1 - trainer.config.discount) * roll.rewards \
-                + trainer.config.discount * next_values
-        else:
-            want = roll.returns
-        assert np.allclose(roll.targets, want)
+        want = roll.rewards + trainer.config.discount * next_values
+        assert np.array_equal(roll.targets, want)
