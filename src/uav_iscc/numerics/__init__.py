@@ -4,9 +4,7 @@ probability kernels the actors and critics are built on."""
 from .distributions import (
     DomainError,
     beta_entropy,
-    beta_entropy_value,
     beta_log_prob,
-    beta_mean,
     beta_sample,
     gaussian_entropy,
     gaussian_log_prob,
@@ -17,12 +15,10 @@ from .nn import (
     BetaHeadParams,
     DimensionError,
     MlpParams,
-    attention_pool,
-    attention_weights,
     mlp_forward,
 )
 from .optim import AdamState, adam_step, clip_grad_norm, global_grad_norm
-from .tensor import GraphError, Tensor, concat, parameter, softmax, stack
+from .tensor import GraphError, Tensor, concat, parameter, softmax
 
 __all__ = [
     "AdamState",
@@ -34,12 +30,8 @@ __all__ = [
     "MlpParams",
     "Tensor",
     "adam_step",
-    "attention_pool",
-    "attention_weights",
     "beta_entropy",
-    "beta_entropy_value",
     "beta_log_prob",
-    "beta_mean",
     "beta_sample",
     "clip_grad_norm",
     "concat",
@@ -50,5 +42,4 @@ __all__ = [
     "mlp_forward",
     "parameter",
     "softmax",
-    "stack",
 ]

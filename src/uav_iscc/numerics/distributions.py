@@ -8,8 +8,6 @@ the recorded graph.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma as _np_digamma
-from scipy.special import gammaln as _np_gammaln
 
 from .tensor import Tensor
 
@@ -48,12 +46,6 @@ def beta_sample(zeta, eta, rng: np.random.Generator):
     return np.clip(draw, _UNIT_EPS, 1.0 - _UNIT_EPS)
 
 
-def beta_mean(zeta, eta):
-    z = zeta.data if isinstance(zeta, Tensor) else np.asarray(zeta, dtype=np.float64)
-    e = eta.data if isinstance(eta, Tensor) else np.asarray(eta, dtype=np.float64)
-    return z / (z + e)
-
-
 def beta_entropy(zeta, eta) -> Tensor:
     """Differential entropy of Beta(zeta, eta) in nats (closed form)."""
     zeta, eta = _lift(zeta), _lift(eta)
@@ -63,15 +55,6 @@ def beta_entropy(zeta, eta) -> Tensor:
             - (zeta - 1.0) * zeta.digamma()
             - (eta - 1.0) * eta.digamma()
             + (total - 2.0) * total.digamma())
-
-
-def beta_entropy_value(zeta: float, eta: float) -> float:
-    """Plain-float entropy, independent of the autodiff path."""
-    t = zeta + eta
-    return float(_np_gammaln(zeta) + _np_gammaln(eta) - _np_gammaln(t)
-                 - (zeta - 1.0) * _np_digamma(zeta)
-                 - (eta - 1.0) * _np_digamma(eta)
-                 + (t - 2.0) * _np_digamma(t))
 
 
 def gaussian_log_prob(mean, log_std, x) -> Tensor:

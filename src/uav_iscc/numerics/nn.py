@@ -1,5 +1,5 @@
 """Dense network building blocks: tanh MLPs, positive Beta-shape heads,
-and query-key-value attention pooling over variable agent sets."""
+and the per-head query-key-value maps of the critics' attention block."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, concat, parameter, softmax, stack
+from .tensor import Tensor, parameter
 
 
 class DimensionError(Exception):
@@ -35,10 +35,6 @@ class MlpParams:
     @property
     def in_width(self) -> int:
         return self.layers[0][0].shape[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.layers[-1][0].shape[1]
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
@@ -93,9 +89,6 @@ class BetaHeadParams:
     def to_native(self, unit: np.ndarray) -> np.ndarray:
         return self.lo + unit * self.widths
 
-    def to_unit(self, native: np.ndarray) -> np.ndarray:
-        return (native - self.lo) / self.widths
-
 
 @dataclass
 class AttentionBlockParams:
@@ -127,39 +120,3 @@ class AttentionBlockParams:
 
     def parameters(self):
         return [*self.w_que, *self.w_key, *self.w_val, self.w_mix]
-
-
-def attention_pool(block: AttentionBlockParams, query_feature: Tensor, other_features) -> Tensor:
-    """Pool other agents' features into a context vector of length V.
-
-    Per head, weights over `other_features` come from a softmax of scaled
-    key-query inner products (scale 1/sqrt(head_dim)); the head outputs
-    sum(weight * W_val z) and are concatenated then linearly mixed back to
-    length V. An empty `other_features` yields the zero vector.
-    """
-    query_feature = Tensor._lift(query_feature)
-    if not other_features:
-        return Tensor(np.zeros(block.feature_dim))
-    others = stack([Tensor._lift(z) for z in other_features], axis=0)  # [N, V]
-    scale = 1.0 / np.sqrt(block.head_dim)
-    head_outputs = []
-    for h in range(block.heads):
-        q = block.w_que[h] @ query_feature            # [head_dim]
-        keys = others @ block.w_key[h].transpose()    # [N, head_dim]
-        weights = softmax(keys @ q * scale, axis=0)   # [N]
-        vals = others @ block.w_val[h].transpose()    # [N, head_dim]
-        head_outputs.append(weights @ vals)           # [head_dim]
-    return concat(head_outputs, axis=0) @ block.w_mix
-
-
-def attention_weights(block: AttentionBlockParams, query_feature, other_features) -> np.ndarray:
-    """Per-head weight vectors [heads, N] for inspection and tests."""
-    q_np = np.asarray(Tensor._lift(query_feature).data)
-    others = np.stack([np.asarray(Tensor._lift(z).data) for z in other_features])
-    scale = 1.0 / np.sqrt(block.head_dim)
-    rows = []
-    for h in range(block.heads):
-        scores = (others @ block.w_key[h].data.T) @ (block.w_que[h].data @ q_np) * scale
-        e = np.exp(scores - scores.max())
-        rows.append(e / e.sum())
-    return np.stack(rows)

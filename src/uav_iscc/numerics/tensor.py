@@ -61,9 +61,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -223,14 +220,6 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def softplus(self):
         # log(1 + e^x), evaluated stably for large |x|
         out_data = np.logaddexp(0.0, self.data)
@@ -346,20 +335,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             t._accumulate(piece)
 
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    if any(t.requires_grad or t._parents for t in tensors):
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [Tensor._lift(t) for t in tensors]
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            t._accumulate(np.take(g, i, axis=axis))
-
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
     if any(t.requires_grad or t._parents for t in tensors):
         out._parents = tuple(tensors)
         out._backward = backward

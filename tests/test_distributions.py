@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import beta_entropy_value
 from uav_iscc.numerics import (
     DomainError,
     Tensor,
     beta_entropy,
-    beta_entropy_value,
     beta_log_prob,
     beta_sample,
     gaussian_entropy,

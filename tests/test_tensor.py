@@ -13,7 +13,6 @@ from uav_iscc.numerics import (
     mlp_forward,
     parameter,
     softmax,
-    stack,
 )
 
 
@@ -89,12 +88,12 @@ def test_composite_gradients_match_finite_differences(seed):
     def loss_fn():
         h = np.tanh(x @ w1.data + b1.data)
         out = h @ w2.data
-        z = 1.0 / (1.0 + np.exp(-out))
+        z = np.logaddexp(0.0, out)
         return float(np.sum(np.log1p(z * z)))
 
     h = (Tensor(x) @ w1 + b1).tanh()
     out = h @ w2
-    z = out.sigmoid()
+    z = out.softplus()
     loss = (z * z + 1.0).log().sum()
     loss.backward()
     fd = finite_diff_grad(loss_fn, [w1, b1, w2])
@@ -137,18 +136,16 @@ def test_batched_matmul_gradients():
         assert np.max(rel_err(p.grad, g)) < 1e-4
 
 
-def test_concat_stack_gradients():
+def test_concat_gradients():
     rng = np.random.default_rng(5)
     parts = [parameter(rng.normal(size=4)) for _ in range(3)]
 
     def loss_fn():
         c = np.concatenate([p.data for p in parts])
-        s = np.stack([p.data for p in parts])
-        return float((c * c).sum() + s.mean())
+        return float((c * c).sum() + c.mean())
 
     c = concat(parts)
-    s = stack(parts)
-    ((c * c).sum() + s.mean()).backward()
+    ((c * c).sum() + c.mean()).backward()
     fd = finite_diff_grad(loss_fn, parts)
     for p, g in zip(parts, fd):
         assert np.max(rel_err(p.grad, g)) < 1e-4
