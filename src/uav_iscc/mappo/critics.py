@@ -1,9 +1,10 @@
 """Centralized critics: per-type attention critic over all agents'
 observation-action features, with a plain global-state MLP as the ablation.
 
-Agents are globally ordered MUs first, then UAVs. Each critic owns one
+Agents are globally ordered MUs first, then UAVs. An attention critic owns one
 encoder per agent type, an attention block, and a value head that reads the
-pooled context concatenated with the agent's own feature.
+pooled context concatenated with the agent's own feature. The MLP ablation
+owns only a state head mapping the concatenated observations to one value.
 """
 
 from __future__ import annotations
@@ -26,32 +27,31 @@ _MASK = -1e30  # blocks self-attention without inf arithmetic
 
 @dataclass
 class CriticParams:
-    """Value network of one agent type."""
+    """Value network of one agent type; only the parts of its kind are set."""
 
-    encoder_mu: MlpParams
-    encoder_uav: MlpParams
-    attention: AttentionBlockParams
-    value_head: MlpParams
-    kind: str = "attention"       # "attention" | "mlp"
-    state_head: MlpParams = None  # used by the "mlp" ablation
+    kind: str = "attention"                     # "attention" | "mlp"
+    encoder_mu: MlpParams | None = None
+    encoder_uav: MlpParams | None = None
+    attention: AttentionBlockParams | None = None
+    value_head: MlpParams | None = None
+    state_head: MlpParams | None = None         # the "mlp" ablation
 
     @classmethod
     def create(cls, mu_in: int, uav_in: int, state_dim: int, feature_dim: int,
                heads: int, hidden: tuple, rng: np.random.Generator,
                kind: str = "attention") -> "CriticParams":
-        enc_mu = MlpParams.create([mu_in, hidden[0], feature_dim], rng)
-        enc_uav = MlpParams.create([uav_in, hidden[0], feature_dim], rng)
-        attention = AttentionBlockParams.create(feature_dim, heads, rng)
-        value_head = MlpParams.create([2 * feature_dim, *hidden, 1], rng)
-        state_head = MlpParams.create([state_dim, *hidden, 1], rng)
-        return cls(encoder_mu=enc_mu, encoder_uav=enc_uav, attention=attention,
-                   value_head=value_head, kind=kind, state_head=state_head)
+        if kind == "mlp":
+            return cls(kind=kind, state_head=MlpParams.create([state_dim, *hidden, 1], rng))
+        return cls(kind=kind,
+                   encoder_mu=MlpParams.create([mu_in, hidden[0], feature_dim], rng),
+                   encoder_uav=MlpParams.create([uav_in, hidden[0], feature_dim], rng),
+                   attention=AttentionBlockParams.create(feature_dim, heads, rng),
+                   value_head=MlpParams.create([2 * feature_dim, *hidden, 1], rng))
 
     def parameters(self):
-        if self.kind == "mlp":
-            return self.state_head.parameters()
-        return (self.encoder_mu.parameters() + self.encoder_uav.parameters()
-                + self.attention.parameters() + self.value_head.parameters())
+        parts = (self.encoder_mu, self.encoder_uav, self.attention, self.value_head,
+                 self.state_head)
+        return [p for part in parts if part is not None for p in part.parameters()]
 
 
 def encode_agents(params: CriticParams, mu_inputs, uav_inputs) -> Tensor:
