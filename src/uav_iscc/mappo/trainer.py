@@ -39,6 +39,10 @@ class TrainerFault(RuntimeError):
     """Environment failure during training; state was checkpointed if possible."""
 
 
+# numeric faults of the simulated world; ValueError covers DomainError
+_ENV_FAULTS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
 @dataclass
 class TrainerConfig:
     episodes: int = 300            # training episodes (Mte)
@@ -267,13 +271,15 @@ class Trainer:
     def train(self, progress=None, fault_checkpoint=None) -> list[dict]:
         """Full loop; returns one metric record per episode.
 
-        An environment fault checkpoints the current parameters (when a path
-        is given) and aborts with TrainerFault."""
+        A numeric or linear-algebra fault of the rollout checkpoints the
+        current parameters (when a path is given) and aborts with
+        TrainerFault; any other exception is a programming error and
+        propagates unchanged."""
         history = []
         for episode in range(self.config.episodes):
             try:
                 batch = self.prepare_batch(self.collect_episode())
-            except Exception as exc:
+            except _ENV_FAULTS as exc:
                 if fault_checkpoint is not None:
                     self.save_checkpoint(fault_checkpoint)
                 raise TrainerFault(f"environment fault in episode {episode}: {exc}") from exc

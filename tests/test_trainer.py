@@ -124,3 +124,34 @@ def test_gaussian_and_mlp_variants_train():
     trainer, history = train(tcfg, scfg)
     assert len(history) == 2
     assert np.isfinite(history[-1]["mean_reward_mu"])
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError, ValueError])
+def test_numeric_fault_checkpoints_and_raises_trainer_fault(monkeypatch, tmp_path, error):
+    import uav_iscc.mappo.trainer as trainer_module
+
+    def failing_step(*args, **kwargs):
+        raise error("singular")
+
+    monkeypatch.setattr(trainer_module, "world_step", failing_step)
+    trainer = Trainer(*smoke_configs(seed=15))
+    path = tmp_path / "fault.npz"
+    with pytest.raises(trainer_module.TrainerFault, match="episode 0") as info:
+        trainer.train(fault_checkpoint=path)
+    assert isinstance(info.value.__cause__, error)
+    assert path.exists()
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError, KeyError, IndexError])
+def test_programming_error_propagates_without_checkpoint(monkeypatch, tmp_path, error):
+    import uav_iscc.mappo.trainer as trainer_module
+
+    def failing_step(*args, **kwargs):
+        raise error("bug")
+
+    monkeypatch.setattr(trainer_module, "world_step", failing_step)
+    trainer = Trainer(*smoke_configs(seed=16))
+    path = tmp_path / "fault.npz"
+    with pytest.raises(error):
+        trainer.train(fault_checkpoint=path)
+    assert not path.exists()
