@@ -17,7 +17,6 @@ class TypeRollout:
     rewards: np.ndarray        # [T, U]
     values: np.ndarray | None = None
     advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
     targets: np.ndarray | None = None
 
 

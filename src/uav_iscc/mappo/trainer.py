@@ -254,12 +254,10 @@ class Trainer:
             roll.values = self._values(batch, kind)
             t_len, n = roll.values.shape
             roll.advantages = np.zeros((t_len, n))
-            roll.returns = np.zeros((t_len, n))
             for u in range(n):
-                adv, ret = compute_gae(roll.rewards[:, u], roll.values[:, u], 0.0,
-                                       cfg.discount, cfg.gae_lambda)
+                adv, _ = compute_gae(roll.rewards[:, u], roll.values[:, u], 0.0,
+                                     cfg.discount, cfg.gae_lambda)
                 roll.advantages[:, u] = adv
-                roll.returns[:, u] = ret
             # one-step bootstrap r + gamma V(s'), with V = 0 after the last slot
             next_values = np.vstack([roll.values[1:], np.zeros((1, n))])
             roll.targets = roll.rewards + cfg.discount * next_values
