@@ -25,30 +25,20 @@ def tiny_trainer(seed=0, **kw):
 
 
 def test_ratio_identity_after_collection():
-    trainer = tiny_trainer()
-    batch = trainer.prepare_batch(trainer.collect_episode())
-    for kind in ("mu", "uav"):
-        roll = batch.of(kind)
-        obs = roll.obs.reshape(-1, roll.obs.shape[-1])
-        act = roll.actions.reshape(-1, roll.actions.shape[-1])
-        logp_new, _ = log_prob_entropy(trainer.actors[kind], Tensor(obs), act)
-        ratio = np.exp(logp_new.data - roll.log_probs.ravel())
-        assert np.max(np.abs(ratio - 1.0)) < 1e-9
-
-
-@pytest.mark.parametrize("policy", ["beta", "gaussian"])
-def test_first_epoch_ratio_is_exactly_one(policy):
     # sampling and the update evaluate one density, so before any step the
-    # stored and recomputed log-probs agree bit for bit
-    trainer = tiny_trainer(seed=2, policy=policy)
-    batch = trainer.prepare_batch(trainer.collect_episode())
-    for kind in ("mu", "uav"):
-        roll = batch.of(kind)
-        logp_new, _ = log_prob_entropy(trainer.actors[kind], Tensor(roll.obs), roll.actions)
-        assert np.array_equal(logp_new.data, roll.log_probs)
-        _, stats = actor_loss(trainer.actors[kind], roll.obs, roll.actions, roll.log_probs,
-                              normalize_advantages(roll.advantages), 0.2, 0.0)
-        assert stats["approx_kl"] == 0.0 and stats["clip_fraction"] == 0.0
+    # stored and recomputed log-probs agree bit for bit and every ratio is 1
+    for policy in ("beta", "gaussian"):
+        trainer = tiny_trainer(policy=policy)
+        batch = trainer.prepare_batch(trainer.collect_episode())
+        for kind in ("mu", "uav"):
+            roll = batch.of(kind)
+            logp_new, _ = log_prob_entropy(trainer.actors[kind], Tensor(roll.obs),
+                                           roll.actions)
+            assert np.array_equal(logp_new.data, roll.log_probs)
+            _, stats = actor_loss(trainer.actors[kind], roll.obs, roll.actions,
+                                  roll.log_probs, normalize_advantages(roll.advantages),
+                                  0.2, 0.0)
+            assert stats["approx_kl"] == 0.0 and stats["clip_fraction"] == 0.0
 
 
 def test_clip_saturation_blocks_policy_gradient():
