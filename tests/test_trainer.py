@@ -126,32 +126,24 @@ def test_gaussian_and_mlp_variants_train():
     assert np.isfinite(history[-1]["mean_reward_mu"])
 
 
-@pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError, ValueError])
-def test_numeric_fault_checkpoints_and_raises_trainer_fault(monkeypatch, tmp_path, error):
+
+@pytest.mark.parametrize("error, wrapped", [
+    (np.linalg.LinAlgError, True), (FloatingPointError, True), (ValueError, True),
+    (TypeError, False), (AttributeError, False), (KeyError, False), (IndexError, False),
+])
+def test_only_numeric_faults_become_trainer_faults(monkeypatch, tmp_path, error, wrapped):
+    # a numeric fault checkpoints and is wrapped; a programming error
+    # propagates as itself and writes nothing
     import uav_iscc.mappo.trainer as trainer_module
 
     def failing_step(*args, **kwargs):
-        raise error("singular")
+        raise error("injected")
 
     monkeypatch.setattr(trainer_module, "world_step", failing_step)
     trainer = Trainer(*smoke_configs(seed=15))
     path = tmp_path / "fault.npz"
-    with pytest.raises(trainer_module.TrainerFault, match="episode 0") as info:
+    with pytest.raises(trainer_module.TrainerFault if wrapped else error) as info:
         trainer.train(fault_checkpoint=path)
-    assert isinstance(info.value.__cause__, error)
-    assert path.exists()
-
-
-@pytest.mark.parametrize("error", [TypeError, AttributeError, KeyError, IndexError])
-def test_programming_error_propagates_without_checkpoint(monkeypatch, tmp_path, error):
-    import uav_iscc.mappo.trainer as trainer_module
-
-    def failing_step(*args, **kwargs):
-        raise error("bug")
-
-    monkeypatch.setattr(trainer_module, "world_step", failing_step)
-    trainer = Trainer(*smoke_configs(seed=16))
-    path = tmp_path / "fault.npz"
-    with pytest.raises(error):
-        trainer.train(fault_checkpoint=path)
-    assert not path.exists()
+    if wrapped:
+        assert isinstance(info.value.__cause__, error)
+    assert path.exists() == wrapped
