@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uav_iscc.mappo.trainer as trainer_module
 from uav_iscc.env import ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, ppo_update
 
@@ -55,19 +56,17 @@ def golden_trace() -> dict:
         "penalty_rates": {k: _hex(v) for k, v in sorted(ev.penalty_rates.items())},
     }
 
-    slots = []
-    allocations = []
-
-    import uav_iscc.mappo.trainer as trainer_module
+    rollout = []
     world_step = trainer_module.world_step
 
     def recording_step(world, alloc, *args, **kwargs):
         out = world_step(world, alloc, *args, **kwargs)
-        allocations.append({name: _hex_array(getattr(alloc, name)) for name in (
-            "association", "offload_ratio", "compress_ratio", "edge_cpu")})
         report = out[1]
-        slots.append({f.name: _hex(np.sum(getattr(report, f.name)))
-                      for f in fields(report)})
+        rollout.append({
+            "allocation": {name: _hex_array(getattr(alloc, name)) for name in (
+                "association", "offload_ratio", "compress_ratio", "edge_cpu")},
+            "report": {f.name: _hex(np.sum(getattr(report, f.name))) for f in fields(report)},
+        })
         return out
 
     trainer_module.world_step = recording_step
@@ -75,7 +74,6 @@ def golden_trace() -> dict:
         batch = trainer.collect_episode()
     finally:
         trainer_module.world_step = world_step
-    rollout = [{"report": s, "allocation": a} for s, a in zip(slots, allocations)]
 
     stats = ppo_update(trainer, trainer.prepare_batch(batch))
     next_batch = trainer.collect_episode()
