@@ -24,6 +24,7 @@ from ..numerics import (
     gaussian_log_prob,
     gaussian_sample,
     mlp_forward,
+    no_grad,
 )
 
 # Gaussian draws are clamped into the open unit interval before decoding;
@@ -79,9 +80,8 @@ def sample_action(params: ActorParams, obs_batch: np.ndarray,
     Returns (unit actions [B, A], native actions [B, A], log-probs [B]); the
     log-probability is the joint density over the native intervals.
     """
-    p1, p2 = actor_forward(params, Tensor(obs_batch))
-    # plain arrays keep the density evaluation off the autodiff graph
-    p1, p2 = p1.data, p2.data
+    with no_grad():  # the forward records no graph; the density runs on plain arrays
+        p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
     if params.kind == "beta":
         unit = beta_sample(p1, p2, rng)
         logp = beta_log_prob(p1, p2, unit)
@@ -94,11 +94,12 @@ def sample_action(params: ActorParams, obs_batch: np.ndarray,
 
 def greedy_action(params: ActorParams, obs_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic action: Beta mean z/(z+e), or the clamped Gaussian mean."""
-    p1, p2 = actor_forward(params, Tensor(obs_batch))
+    with no_grad():
+        p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
     if params.kind == "beta":
-        unit = p1.data / (p1.data + p2.data)
+        unit = p1 / (p1 + p2)
     else:
-        unit = np.clip(p1.data, _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
+        unit = np.clip(p1, _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
     return unit, params.head.to_native(unit)
 
 

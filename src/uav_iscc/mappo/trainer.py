@@ -27,7 +27,7 @@ from ..agents import (
 )
 from ..agents.observations import MuObservation, UavObservation
 from ..env import ScenarioConfig, reset_world, world_step
-from ..numerics import AdamState
+from ..numerics import AdamState, no_grad
 from .buffer import RolloutBatch, TypeRollout
 from .critics import CriticParams, critic_values_batch, state_values_batch
 from .gae import compute_gae
@@ -241,11 +241,12 @@ class Trainer:
     # ------------------------------------------------------------------
     def _values(self, batch: RolloutBatch, kind: str) -> np.ndarray:
         critic = self.critics[kind]
-        if critic.kind == "mlp":
-            n = batch.of(kind).obs.shape[1]
-            return state_values_batch(critic, batch.global_state, n).data
-        return critic_values_batch(critic, batch.mu.obs, batch.mu.actions,
-                                   batch.uav.obs, batch.uav.actions, kind).data
+        with no_grad():
+            if critic.kind == "mlp":
+                n = batch.of(kind).obs.shape[1]
+                return state_values_batch(critic, batch.global_state, n).data
+            return critic_values_batch(critic, batch.mu.obs, batch.mu.actions,
+                                       batch.uav.obs, batch.uav.actions, kind).data
 
     def prepare_batch(self, batch: RolloutBatch) -> RolloutBatch:
         cfg = self.config

@@ -18,7 +18,7 @@ from .nn import (
     mlp_forward,
 )
 from .optim import AdamState, adam_step, clip_grad_norm, global_grad_norm
-from .tensor import GraphError, Tensor, concat, parameter, softmax
+from .tensor import GraphError, Tensor, concat, no_grad, parameter, softmax
 
 __all__ = [
     "AdamState",
@@ -40,6 +40,7 @@ __all__ = [
     "gaussian_sample",
     "global_grad_norm",
     "mlp_forward",
+    "no_grad",
     "parameter",
     "softmax",
 ]

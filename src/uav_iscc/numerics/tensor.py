@@ -1,13 +1,16 @@
 """Reverse-mode automatic differentiation over a dynamically recorded graph.
 
 A Tensor wraps a float64 numpy array plus an optional gradient accumulator.
-Operations record closures on a tape; calling ``backward()`` on a scalar loss
-walks the tape in reverse topological order and accumulates gradients into
-every reachable tensor with ``requires_grad=True``. Plain numpy arrays and
-Python scalars are promoted to constant tensors on the fly.
+Operations record closures on a tape (none inside ``no_grad()``); calling
+``backward()`` on a scalar loss walks the tape in reverse topological order and
+accumulates gradients into every reachable tensor with ``requires_grad=True``.
+Plain numpy arrays and Python scalars are promoted to constant tensors on the
+fly; a constant (neither ``requires_grad`` nor recorded parents) gets no gradient.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import digamma as _digamma
@@ -17,6 +20,20 @@ from scipy.special import polygamma as _polygamma
 
 class GraphError(Exception):
     """Raised on contract violations of the recorded computation graph."""
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; outputs are constants."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -65,9 +82,11 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
+        if not (self.requires_grad or self._parents):
+            return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad  # no copy: nothing writes a .grad in place
         else:
             self.grad = self.grad + grad
 
@@ -101,12 +120,12 @@ class Tensor:
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _make(self, data, parents, backward) -> "Tensor":
+    @staticmethod
+    def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad or p._parents for p in parents):
+        if _recording and any(p.requires_grad or p._parents for p in parents):
             out._parents = tuple(parents)
             out._backward = backward
-            out.requires_grad = False
         return out
 
     # ------------------------------------------------------------------
@@ -180,10 +199,10 @@ class Tensor:
                 g2 = np.expand_dims(g2, -2)
             if b.ndim == 1:
                 g2 = np.expand_dims(g2, -1)
-            ga = _unbroadcast(g2 @ np.swapaxes(b2, -1, -2), a2.shape).reshape(a.shape)
-            gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b2.shape).reshape(b.shape)
-            self._accumulate(ga)
-            other._accumulate(gb)
+            if self.requires_grad or self._parents:  # constants skip their product
+                self._accumulate(_unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape))
+            if other.requires_grad or other._parents:
+                other._accumulate(_unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape).reshape(b.shape))
 
         return self._make(a @ b, (self, other), backward)
 
@@ -334,11 +353,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             t._accumulate(piece)
 
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    if any(t.requires_grad or t._parents for t in tensors):
-        out._parents = tuple(tensors)
-        out._backward = backward
-    return out
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import attention_weights, critic_forward
 from uav_iscc.mappo import CriticParams, critic_values_batch, state_values_batch
-from uav_iscc.numerics import Tensor, mlp_forward
+from uav_iscc.numerics import Tensor, mlp_forward, no_grad
 
 
 def make_critic(mu_in=8, uav_in=10, state_dim=30, kind="attention", seed=0):
@@ -32,6 +32,16 @@ def test_batched_matches_reference_forward():
         for u in range(2):
             ref = critic_forward(critic, all_obs, all_act, num_mus=2, agent=u).item()
             assert values[t, u] == pytest.approx(ref, abs=1e-10)
+
+
+def test_values_without_recording_equal_recorded_values():
+    critic = make_critic(seed=12)
+    inputs = random_instance(critic, k=3, m=2, t=4, seed=13)
+    recorded = critic_values_batch(critic, *inputs, "uav")
+    with no_grad():
+        plain = critic_values_batch(critic, *inputs, "uav")
+    assert recorded._parents and not plain._parents
+    assert np.array_equal(plain.data, recorded.data)
 
 
 def test_permutation_of_other_agents_leaves_value_unchanged():

@@ -11,6 +11,7 @@ from uav_iscc.numerics import (
     adam_step,
     concat,
     mlp_forward,
+    no_grad,
     parameter,
     softmax,
 )
@@ -149,6 +150,48 @@ def test_concat_gradients():
     fd = finite_diff_grad(loss_fn, parts)
     for p, g in zip(parts, fd):
         assert np.max(rel_err(p.grad, g)) < 1e-4
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(5, 3)))
+    mask = Tensor(rng.uniform(size=(5, 4)) > 0.3)
+    target = Tensor(rng.normal(size=(5, 4)))
+    w = parameter(rng.normal(size=(3, 4)))
+    b = parameter(rng.normal(size=4))
+
+    def loss_fn():
+        d = np.tanh(x.data @ w.data + b.data) * mask.data - target.data
+        return float((d * d).mean())
+
+    d = (x @ w + b).tanh() * mask - target
+    (d * d).mean().backward()
+    assert x.grad is None and mask.grad is None and target.grad is None
+    fd = finite_diff_grad(loss_fn, [w, b])
+    for p, g in zip([w, b], fd):
+        assert np.max(rel_err(p.grad, g)) < 1e-4
+
+
+def test_no_grad_outputs_record_no_parents():
+    w = parameter(np.ones((3, 2)))
+    with no_grad():
+        outs = [Tensor(np.ones((4, 3))) @ w, (w * 2.0).tanh(), concat([w, w]), w.sum()]
+    for out in outs:
+        assert out._parents == () and out._backward is None
+    assert (Tensor(np.ones((4, 3))) @ w)._parents
+
+
+def test_nested_no_grad_restores_recording_on_exit_and_on_raise():
+    w = parameter(np.ones(2))
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (w * 1.0)._parents
+    assert (w * 1.0)._parents
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (w * 1.0)._parents
 
 
 def test_softmax_properties():
