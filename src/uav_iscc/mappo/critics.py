@@ -79,18 +79,17 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
     feats = encode_agents(params, mu_in, uav_in)          # [T, U, V]
     total = k + m
     block = params.attention
-    scale = 1.0 / np.sqrt(block.head_dim)
-    mask = np.zeros((total, total))
-    np.fill_diagonal(mask, _MASK)
-    head_ctx = []
-    for h in range(block.heads):
-        q = feats @ block.w_que[h].transpose()            # [T, U, Vh]
-        key = feats @ block.w_key[h].transpose()
-        val = feats @ block.w_val[h].transpose()
-        scores = (q @ key.swapaxes(-1, -2)) * scale + mask
-        weights = softmax(scores, axis=-1)                # [T, U, U]
-        head_ctx.append(weights @ val)                    # [T, U, Vh]
-    context = concat(head_ctx, axis=-1) @ block.w_mix      # [T, U, V]
+    heads, head_dim = block.heads, block.head_dim
+    mask = np.diag(np.full(total, _MASK))
+
+    def split_heads(w):                                   # -> [T, H, U, Vh]
+        return (feats @ w.transpose()).reshape(t_len, total, heads, head_dim).swapaxes(1, 2)
+
+    q, key, val = split_heads(block.w_que), split_heads(block.w_key), split_heads(block.w_val)
+    scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim)) + mask
+    weights = softmax(scores, axis=-1)                    # [T, H, U, U]
+    pooled = (weights @ val).swapaxes(1, 2).reshape(t_len, total, heads * head_dim)
+    context = pooled @ block.w_mix                         # [T, U, V]
     joined = concat([context, feats], axis=-1)             # [T, U, 2V]
     values = mlp_forward(params.value_head, joined)        # [T, U, 1]
     values = values.reshape(t_len, total)

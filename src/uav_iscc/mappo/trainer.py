@@ -42,6 +42,9 @@ class TrainerFault(RuntimeError):
 # numeric faults of the simulated world; ValueError covers DomainError
 _ENV_FAULTS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
+# 2: the attention query/key/value maps are one stacked tensor each
+CHECKPOINT_VERSION = 2
+
 
 @dataclass
 class TrainerConfig:
@@ -369,11 +372,15 @@ class Trainer:
 
     def save_checkpoint(self, path) -> None:
         arrays = {name: p.data for name, p in self.named_parameters().items()}
-        np.savez(path, __version__=np.array(1),
+        np.savez(path, __version__=np.array(CHECKPOINT_VERSION),
                  __config_hash__=np.array(self.config_hash()), **arrays)
 
     def load_checkpoint(self, path) -> None:
         blob = np.load(path, allow_pickle=False)
+        version = int(blob["__version__"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint version {version} is not supported, "
+                             f"expected version {CHECKPOINT_VERSION}")
         stored = str(blob["__config_hash__"])
         if stored != self.config_hash():
             raise ValueError(

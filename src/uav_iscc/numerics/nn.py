@@ -1,9 +1,9 @@
 """Dense network building blocks: tanh MLPs, positive Beta-shape heads,
-and the per-head query-key-value maps of the critics' attention block."""
+and the stacked query-key-value maps of the critics' attention block."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,13 +92,14 @@ class BetaHeadParams:
 
 @dataclass
 class AttentionBlockParams:
-    """Per-head query/key/value maps plus a linear mix back to feature width."""
+    """Query/key/value maps plus a linear mix back to feature width. `w_que`, `w_key`
+    and `w_val` stack the heads' [Vh, V] maps: head h owns rows h*Vh:(h+1)*Vh."""
 
     heads: int
     feature_dim: int
-    w_que: list = field(default_factory=list)  # per head [head_dim, V]
-    w_key: list = field(default_factory=list)
-    w_val: list = field(default_factory=list)
+    w_que: Tensor = None  # [heads*head_dim, V]
+    w_key: Tensor = None
+    w_val: Tensor = None
     w_mix: Tensor = None  # [heads*head_dim, V]
 
     @classmethod
@@ -106,17 +107,16 @@ class AttentionBlockParams:
         if heads < 1 or feature_dim % heads != 0:
             raise ValueError("head count must be >= 1 and divide the feature width")
         head_dim = feature_dim // heads
-        blk = cls(heads=heads, feature_dim=feature_dim)
-        for _ in range(heads):
-            blk.w_que.append(parameter((head_dim, feature_dim), rng))
-            blk.w_key.append(parameter((head_dim, feature_dim), rng))
-            blk.w_val.append(parameter((head_dim, feature_dim), rng))
-        blk.w_mix = parameter((heads * head_dim, feature_dim), rng)
-        return blk
+        # drawn head by head (query, key, value) and stacked by rows
+        draws = [[parameter((head_dim, feature_dim), rng).data for _ in range(3)]
+                 for _ in range(heads)]
+        w_que, w_key, w_val = (parameter(np.vstack(rows)) for rows in zip(*draws))
+        return cls(heads=heads, feature_dim=feature_dim, w_que=w_que, w_key=w_key,
+                   w_val=w_val, w_mix=parameter((heads * head_dim, feature_dim), rng))
 
     @property
     def head_dim(self) -> int:
         return self.feature_dim // self.heads
 
     def parameters(self):
-        return [*self.w_que, *self.w_key, *self.w_val, self.w_mix]
+        return [self.w_que, self.w_key, self.w_val, self.w_mix]

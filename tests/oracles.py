@@ -13,6 +13,11 @@ from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward, softmax
 
 
+def head_rows(block: AttentionBlockParams, h: int) -> slice:
+    """Rows of head `h` in the stacked query/key/value weights."""
+    return slice(h * block.head_dim, (h + 1) * block.head_dim)
+
+
 def attention_pool(block: AttentionBlockParams, query_feature, other_features) -> Tensor:
     """Pool other agents' features into a context vector of length V.
 
@@ -28,11 +33,12 @@ def attention_pool(block: AttentionBlockParams, query_feature, other_features) -
     scale = 1.0 / np.sqrt(block.head_dim)
     head_outputs = []
     for h in range(block.heads):
-        q = block.w_que[h] @ query_feature            # [head_dim]
-        keys = others @ block.w_key[h].transpose()    # [N, head_dim]
-        weights = softmax(keys @ q * scale, axis=0)   # [N]
-        vals = others @ block.w_val[h].transpose()    # [N, head_dim]
-        head_outputs.append(weights @ vals)           # [head_dim]
+        rows = head_rows(block, h)
+        q = block.w_que[rows] @ query_feature            # [head_dim]
+        keys = others @ block.w_key[rows].transpose()    # [N, head_dim]
+        weights = softmax(keys @ q * scale, axis=0)      # [N]
+        vals = others @ block.w_val[rows].transpose()    # [N, head_dim]
+        head_outputs.append(weights @ vals)              # [head_dim]
     return concat(head_outputs, axis=0) @ block.w_mix
 
 
@@ -43,7 +49,8 @@ def attention_weights(block: AttentionBlockParams, query_feature, other_features
     scale = 1.0 / np.sqrt(block.head_dim)
     rows = []
     for h in range(block.heads):
-        scores = (others @ block.w_key[h].data.T) @ (block.w_que[h].data @ q_np) * scale
+        hr = head_rows(block, h)
+        scores = (others @ block.w_key.data[hr].T) @ (block.w_que.data[hr] @ q_np) * scale
         e = np.exp(scores - scores.max())
         rows.append(e / e.sum())
     return np.stack(rows)

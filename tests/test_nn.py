@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import attention_pool, attention_weights
+from oracles import attention_pool, attention_weights, head_rows
 from uav_iscc.numerics import AttentionBlockParams, BetaHeadParams, Tensor, parameter
 
 
@@ -32,12 +32,14 @@ def test_weights_match_hand_rolled_softmax(block):
     others = [rng.normal(size=16) for _ in range(3)]
     got = attention_weights(block, query, others)
     for h in range(block.heads):
+        hr = head_rows(block, h)
+        w_key, w_que = block.w_key.data[hr], block.w_que.data[hr]
         scores = []
         for z in others:
             s = 0.0
             for i in range(block.head_dim):
-                ki = sum(block.w_key[h].data[i, j] * z[j] for j in range(16))
-                qi = sum(block.w_que[h].data[i, j] * query[j] for j in range(16))
+                ki = sum(w_key[i, j] * z[j] for j in range(16))
+                qi = sum(w_que[i, j] * query[j] for j in range(16))
                 s += ki * qi
             scores.append(s / np.sqrt(block.head_dim))
         ex = [np.exp(s) for s in scores]
@@ -66,7 +68,7 @@ def test_pool_output_matches_manual_composition(block):
     w = attention_weights(block, query, others)
     heads = []
     for h in range(block.heads):
-        vals = np.stack([block.w_val[h].data @ z for z in others])
+        vals = np.stack([block.w_val.data[head_rows(block, h)] @ z for z in others])
         heads.append(w[h] @ vals)
     expected = np.concatenate(heads) @ block.w_mix.data
     assert np.max(np.abs(out - expected)) < 1e-10
@@ -78,7 +80,7 @@ def test_pool_gradient_matches_finite_differences(block):
     others = [parameter(rng.normal(size=16)) for _ in range(3)]
     attention_pool(block, query, others).sum().backward()
     h = 1e-6
-    for p in [query, *others, block.w_que[0], block.w_val[2], block.w_mix]:
+    for p in [query, *others, block.w_que, block.w_val, block.w_mix]:
         flat = p.data.ravel()
         idxs = [0, flat.size // 2, flat.size - 1]
         for i in idxs:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import head_rows
 from uav_iscc.env import ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, train
 
@@ -105,6 +106,31 @@ def test_checkpoint_config_mismatch_rejected(tmp_path):
     other = Trainer(*smoke_configs(seed=11))
     with pytest.raises(ValueError, match="hash"):
         other.load_checkpoint(path)
+
+
+def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
+    trainer = Trainer(*smoke_configs(seed=13))
+    arrays = {}
+    for kind in ("mu", "uav"):
+        for i, p in enumerate(trainer.actors[kind].parameters()):
+            arrays[f"actor_{kind}/{i}"] = p.data
+        critic = trainer.critics[kind]
+        blk = critic.attention
+        # version 1 kept one [head_dim, V] tensor per head
+        per_head = [w.data[head_rows(blk, h)] for w in (blk.w_que, blk.w_key, blk.w_val)
+                    for h in range(blk.heads)]
+        tensors = [p.data for p in critic.encoder_mu.parameters() + critic.encoder_uav.parameters()]
+        tensors += per_head + [blk.w_mix.data] + [p.data for p in critic.value_head.parameters()]
+        for i, data in enumerate(tensors):
+            arrays[f"critic_{kind}/{i}"] = data
+    path = tmp_path / "v1.npz"
+    np.savez(path, __version__=np.array(1),
+             __config_hash__=np.array(trainer.config_hash()), **arrays)
+    clone = Trainer(*smoke_configs(seed=13))
+    before = {name: p.data for name, p in clone.named_parameters().items()}
+    with pytest.raises(ValueError, match="checkpoint version 1 is not supported, expected version 2"):
+        clone.load_checkpoint(path)
+    assert all(p.data is before[name] for name, p in clone.named_parameters().items())
 
 
 def test_actor_outputs_stay_above_one_through_training():
