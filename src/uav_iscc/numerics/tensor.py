@@ -15,7 +15,6 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import digamma as _digamma
 from scipy.special import gammaln as _gammaln
-from scipy.special import polygamma as _polygamma
 
 
 class GraphError(Exception):
@@ -34,6 +33,20 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x), x > 0: ten steps of psi'(x) = 1/x^2 + psi'(x+1), then the series through B12."""
+    acc = np.zeros_like(x)
+    for _ in range(10):
+        acc += 1.0 / (x * x)
+        x = x + 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    series = -691 / 2730
+    for b in (5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
+        series = series * inv2 + b
+    return acc + inv + inv2 * (0.5 + inv * series)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -256,7 +269,7 @@ class Tensor:
 
     def digamma(self):
         def backward(g):
-            self._accumulate(g * _polygamma(1, self.data))
+            self._accumulate(g * _trigamma(self.data))
 
         return self._make(_digamma(self.data), (self,), backward)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import polygamma
 
 from uav_iscc.numerics import (
     AdamState,
@@ -15,6 +16,7 @@ from uav_iscc.numerics import (
     parameter,
     softmax,
 )
+from uav_iscc.numerics.tensor import _trigamma
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -192,6 +194,12 @@ def test_nested_no_grad_restores_recording_on_exit_and_on_raise():
         with no_grad():
             raise RuntimeError("inside")
     assert (w * 1.0)._parents
+
+
+def test_trigamma_matches_scipy():
+    x = np.concatenate([np.linspace(1.0, 20.0, 2001), np.geomspace(1.0, 1e6, 2001)])
+    ref = polygamma(1, x)
+    assert np.max(np.abs(_trigamma(x) - ref) / ref) < 1e-13
 
 
 def test_softmax_properties():
