@@ -15,7 +15,6 @@ from .observations import (
     build_observations,
     build_uav_observations,
     roster_of,
-    scale_task,
 )
 from .rewards import (
     RewardBreakdown,
@@ -48,6 +47,5 @@ __all__ = [
     "penalty_P",
     "radar_penalty",
     "roster_of",
-    "scale_task",
     "uav_reward",
 ]

@@ -10,27 +10,29 @@ padded and flagged in the mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from ..env.config import ScenarioConfig
-from ..env.types import Allocation, TaskSpec, WorldState
+from ..env.types import Allocation, WorldState
 
 
-def _unit(value: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
+_TASK_FIELDS = ("data_bits", "compute_density", "compress_density", "compress_ratio", "deadline")
+_task_values = attrgetter(*_TASK_FIELDS)
 
 
-def scale_task(task: TaskSpec, cfg: ScenarioConfig) -> np.ndarray:
-    return np.array([
-        _unit(task.data_bits, cfg.data_bits_min, cfg.data_bits_max),
-        _unit(task.compute_density, cfg.compute_density_min, cfg.compute_density_max),
-        _unit(task.compress_density, cfg.compress_density_min, cfg.compress_density_max),
-        _unit(task.compress_ratio, cfg.compress_ratio_min, cfg.compress_ratio_max),
-        _unit(task.deadline, cfg.deadline_min, cfg.deadline_max),
-    ])
+def _scaled_tasks(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
+    """Every MU's task min-max scaled into [0, 1]: [K, 5].
+
+    A field whose range has max <= min scales to 0.
+    """
+    tasks = np.array([_task_values(mu.task) for mu in world.mus]).reshape(-1, 5)
+    lo = np.array([getattr(cfg, f"{name}_min") for name in _TASK_FIELDS])
+    hi = np.array([getattr(cfg, f"{name}_max") for name in _TASK_FIELDS])
+    ranged = hi > lo
+    unit = np.clip((tasks - lo) / np.where(ranged, hi - lo, 1.0), 0.0, 1.0)
+    return np.where(ranged, unit, 0.0)
 
 
 @dataclass
@@ -56,18 +58,16 @@ class UavObservation:
 
 
 def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> list[MuObservation]:
+    k_count = world.num_mus
     width = cfg.region_width
-    uav_xy = (world.uav_positions() / width).ravel() if world.num_uavs else np.zeros(0)
-    out = []
-    for k, mu in enumerate(world.mus):
-        vec = np.concatenate([
-            [k / max(cfg.num_mus, 1)],
-            scale_task(mu.task, cfg),
-            uav_xy,
-            mu.position / width,
-        ])
-        out.append(MuObservation(index=k, vector=vec))
-    return out
+    uav_xy = (world.uav_positions() / width).ravel()
+    vectors = np.concatenate([
+        (np.arange(k_count) / max(cfg.num_mus, 1))[:, None],
+        _scaled_tasks(world, cfg),
+        np.broadcast_to(uav_xy, (k_count, uav_xy.size)),
+        world.mu_positions() / width,
+    ], axis=1)                                                    # [K, L]
+    return [MuObservation(index=k, vector=vec) for k, vec in enumerate(vectors)]
 
 
 def roster_of(alloc: Allocation, m: int, cfg: ScenarioConfig) -> np.ndarray:
@@ -81,31 +81,28 @@ def roster_of(alloc: Allocation, m: int, cfg: ScenarioConfig) -> np.ndarray:
 def build_uav_observations(world: WorldState, alloc: Allocation,
                            cfg: ScenarioConfig) -> list[UavObservation]:
     width = cfg.region_width
-    out = []
-    for m in range(world.num_uavs):
-        roster = roster_of(alloc, m, cfg)
-        mask = (roster >= 0).astype(np.float64)
-        slots = []
-        for k in roster:
-            if k < 0:
-                slots.append(np.zeros(9))
-                continue
-            mu = world.mus[k]
-            slots.append(np.concatenate([
-                mu.position / width,
-                scale_task(mu.task, cfg),
-                [alloc.offload_ratio[k], alloc.compress_ratio[k]],
-            ]))
-        others = [world.uavs[i].position / width
-                  for i in range(world.num_uavs) if i != m]
-        vec = np.concatenate([
-            [m / max(cfg.num_uavs, 1)],
-            *slots,
-            world.uavs[m].position / width,
-            *(others if others else [np.zeros(0)]),
-        ])
-        out.append(UavObservation(index=m, vector=vec, roster=roster, roster_mask=mask))
-    return out
+    m_count = world.num_uavs
+    # roster slot features per MU: position, task, offload and compression
+    # choices; the appended zero row is the slot that roster index -1 picks
+    slot_table = np.pad(np.concatenate([
+        world.mu_positions() / width,
+        _scaled_tasks(world, cfg),
+        alloc.offload_ratio[:, None],
+        alloc.compress_ratio[:, None],
+    ], axis=1), ((0, 1), (0, 0)))                                 # [K+1, 9]
+    rosters = np.stack([roster_of(alloc, m, cfg) for m in range(m_count)])   # [M, cap]
+    masks = (rosters >= 0).astype(np.float64)
+    uav_xy = world.uav_positions() / width                                    # [M, 2]
+    # row block m: every other UAV's position, in index order
+    others = np.broadcast_to(uav_xy, (m_count, m_count, 2))[~np.eye(m_count, dtype=bool)]
+    vectors = np.concatenate([
+        (np.arange(m_count) / max(cfg.num_uavs, 1))[:, None],
+        slot_table[rosters].reshape(m_count, -1),
+        uav_xy,
+        others.reshape(m_count, -1),
+    ], axis=1)                                                    # [M, L]
+    return [UavObservation(index=m, vector=vectors[m], roster=rosters[m], roster_mask=masks[m])
+            for m in range(m_count)]
 
 
 def build_observations(world: WorldState, alloc: Allocation,

@@ -16,7 +16,6 @@ from .radio import (
     build_radar_state,
     comm_rate,
     design_links,
-    interference_covariance,
     mmse_beamformer,
     radar_leakage,
     radar_rate,
@@ -47,7 +46,6 @@ __all__ = [
     "draw_task",
     "dvfs_frequency",
     "flight_power",
-    "interference_covariance",
     "mmse_beamformer",
     "mu_slot_outcome",
     "radar_leakage",

@@ -68,12 +68,22 @@ class RadarState:
 
 
 def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Solve against a Hermitian positive definite matrix with a loading fallback."""
+    """Solve against Hermitian positive definite matrices with a loading fallback.
+
+    `mat` is [..., n, n] and `rhs` [..., n] with the same leading axes; the
+    solution is [..., n]. When a stacked solve fails, the stack is solved
+    again matrix by matrix, so diagonal loading reaches only the singular ones.
+    """
     try:
-        return np.linalg.solve(mat, rhs), False
+        return np.linalg.solve(mat, rhs[..., None])[..., 0], False
     except np.linalg.LinAlgError:
-        loaded = mat + cfg.noise_power * 1e-6 * np.eye(mat.shape[0])
-        return np.linalg.solve(loaded, rhs), True
+        n = mat.shape[-1]
+        if mat.ndim > 2:
+            parts = [_solve_hpd(a, b, cfg)[0]
+                     for a, b in zip(mat.reshape(-1, n, n), rhs.reshape(-1, n))]
+            return np.stack(parts).reshape(rhs.shape), True
+        loaded = mat + cfg.noise_power * 1e-6 * np.eye(n)
+        return np.linalg.solve(loaded, rhs[..., None])[..., 0], True
 
 
 def radar_geometry(uav: UavState, cfg: ScenarioConfig) -> float:
@@ -123,67 +133,80 @@ def radar_leakage(radar: RadarState, n: int) -> np.ndarray:
     return np.outer(leaked, leaked.conj())
 
 
-def interference_covariance(world: WorldState, alloc: Allocation, radars: list,
-                            cfg: ScenarioConfig, uav_index: int) -> np.ndarray:
-    """Inter-MU plus radar-leakage plus noise covariance at one UAV's array."""
-    n = cfg.rx_antennas
-    cov = cfg.noise_power * np.eye(n, dtype=complex)
-    cov = cov + radar_leakage(radars[uav_index], n)
-    active = np.flatnonzero(alloc.association.sum(axis=1) > 0)
-    for i in active:
-        h = world.channels[i, uav_index]
-        cov = cov + cfg.mu_power_max * (h @ h.conj().T)
-    return 0.5 * (cov + cov.conj().T)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of a complex [..., n] array.
+
+    Summed like `np.linalg.norm` of one vector, as BLAS dot products of the
+    real and imaginary parts, so a stacked norm equals the per-vector one bit
+    for bit (`einsum` or `np.sum(abs(x)**2)` would not).
+    """
+    re, im = x.real, x.imag
+    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(sq[..., 0, 0])
 
 
 def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
                     cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Unit-norm combiner: noise_cov^-1 H u1 along the channel's principal direction."""
+    """Unit-norm combiner: noise_cov^-1 H u1 along the channel's principal direction.
+
+    `channel` is [..., W_R, W_T] and `noise_cov` [..., W_R, W_R]; the
+    combiners are [..., W_R]. A combiner whose solve comes out zero falls back
+    to the normalized principal direction.
+    """
     _, _, vh = np.linalg.svd(channel)
-    principal = channel @ vh[0].conj()
+    principal = (channel @ vh[..., 0, :, None].conj())[..., 0]
     w, loaded = _solve_hpd(noise_cov, principal, cfg)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        w = principal / np.linalg.norm(principal)
-    else:
-        w = w / norm
-    return w, loaded
+    norm = _norm(w)
+    zero = norm == 0
+    if zero.any():
+        w = np.where(zero[..., None], principal, w)
+        norm = np.where(zero, _norm(principal), norm)
+    return w / norm[..., None], loaded
 
 
 def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray,
-              power: float, cfg: ScenarioConfig) -> tuple[float, float]:
-    """Achievable uplink rate in bits/s.
+              power: float, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Achievable uplink rate in bits/s and received signal power.
 
     The scalar received signal power P ||H^H w||^2 rides on the inverse of the
     interference-plus-noise covariance: rate = B * sum_i log2(1 + s / lambda_i)
     over the covariance eigenvalues, which is log2 det(I + s N^-1).
+    `channel` is [..., W_R, W_T], `beamformer` [..., W_R] and `noise_cov`
+    [..., W_R, W_R]; rate and power have the leading shape [...].
     """
     if not np.all(np.isfinite(channel)):
         raise ValueError("channel contains non-finite entries")
-    s = power * float(np.real(np.vdot(channel.conj().T @ beamformer,
-                                      channel.conj().T @ beamformer)))
+    g = (channel.conj().swapaxes(-1, -2) @ beamformer[..., None])[..., 0]
+    s = power * np.real(g.conj()[..., None, :] @ g[..., :, None])[..., 0, 0]
     lam = np.linalg.eigvalsh(noise_cov)
     lam = np.maximum(lam, np.finfo(float).tiny)
-    rate = cfg.bandwidth_hz * float(np.sum(np.log2(1.0 + s / lam)))
-    return max(rate, 0.0), s
+    rate = cfg.bandwidth_hz * np.sum(np.log2(1.0 + s[..., None] / lam), axis=-1)
+    return np.maximum(rate, 0.0), s
 
 
 def design_links(world: WorldState, alloc: Allocation, radars: list,
                  cfg: ScenarioConfig) -> tuple[dict, bool]:
-    """MMSE combiner rate for every associated MU: ({mu: bits/s}, loading used)."""
-    rates: dict[int, float] = {}
-    loaded_any = False
-    for m in range(world.num_uavs):
-        served = alloc.served_by(m)
-        if served.size == 0:
-            continue
-        total = interference_covariance(world, alloc, radars, cfg, m)
-        for k in served:
-            h = world.channels[k, m]
-            own = cfg.mu_power_max * (h @ h.conj().T)
-            n_cov = total - own
-            n_cov = 0.5 * (n_cov + n_cov.conj().T)
-            w, loaded = mmse_beamformer(h, n_cov, cfg)
-            loaded_any = loaded_any or loaded
-            rates[int(k)], _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
-    return rates, loaded_any
+    """MMSE combiner rate for every associated MU: ({mu: bits/s}, loading used).
+
+    Each UAV's covariance holds noise, its radar leakage and every associated
+    MU's P h h^H; a link's noise covariance drops its own MU's term. All
+    served links are designed in one stacked pass.
+    """
+    k, m = np.nonzero(alloc.association > 0)
+    if k.size == 0:
+        return {}, False
+    n = cfg.rx_antennas
+    chans = world.channels[k]                                        # [S, M, W_R, W_T]
+    grams = cfg.mu_power_max * (chans @ chans.conj().swapaxes(-1, -2))  # [S, M, W_R, W_R]
+    total = cfg.noise_power * np.eye(n, dtype=complex) + np.stack(
+        [radar_leakage(r, n) for r in radars])                      # [M, W_R, W_R]
+    for gram in grams:  # one add per MU in ascending order: a fixed rounding order
+        total = total + gram
+    total = 0.5 * (total + total.conj().swapaxes(-1, -2))
+    own = np.arange(k.size), m                  # each link's entry of the [S, M] stacks
+    n_cov = total[m] - grams[own]                                   # [S, W_R, W_R]
+    n_cov = 0.5 * (n_cov + n_cov.conj().swapaxes(-1, -2))
+    h = chans[own]
+    w, loaded = mmse_beamformer(h, n_cov, cfg)
+    rates, _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
+    return dict(zip(k.tolist(), rates.tolist())), loaded

@@ -113,7 +113,8 @@ class WorldState:
         return len(self.uavs)
 
     def mu_positions(self) -> np.ndarray:
-        return np.stack([mu.position for mu in self.mus])
+        """[K, 2], also for K = 0."""
+        return np.array([mu.position for mu in self.mus]).reshape(-1, 2)
 
     def uav_positions(self) -> np.ndarray:
         return np.stack([u.position for u in self.uavs])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from uav_iscc.agents import (
     MuAction,
     MuObservation,
@@ -12,14 +13,16 @@ from uav_iscc.agents import (
     UavObservation,
     apply_uav_actions,
     build_allocation,
+    build_mu_observations,
     build_observations,
+    build_uav_observations,
     decode_mu_action,
     decode_uav_action,
     mu_reward,
     penalty_P,
     uav_reward,
 )
-from uav_iscc.env import ScenarioConfig, reset_world, world_step
+from uav_iscc.env import Allocation, ScenarioConfig, reset_world, world_step
 
 
 def cfg_of(**kw):
@@ -187,6 +190,48 @@ def test_uav_roster_padding():
     # padded slots carry zero features
     slot_feats = uav_obs[0].vector[1:1 + 9 * cfg.k_cap].reshape(cfg.k_cap, 9)
     assert np.all(slot_feats[3:] == 0.0)
+
+
+OBSERVATION_CASES = {
+    "no-mus": ([], 2, {}),
+    "empty-association": ([-1] * 6, 3, {}),
+    "uav-serving-nobody": ([0, 1, 0, 1, -1, 0], 3, {}),
+    "all-on-one-uav-roster-truncated": ([2] * 6, 3, {}),
+    "k1-m1": ([0], 1, {}),
+    "task-range-min-eq-max": ([0, 1, 2, -1, 0, 2], 3,
+                              {"deadline_min": 0.4, "deadline_max": 0.4}),
+    "100x10": (np.random.default_rng(2).integers(-1, 10, 100).tolist(), 10, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(OBSERVATION_CASES))
+def test_array_observations_match_per_agent_builders(case):
+    serving, num_uavs, overrides = OBSERVATION_CASES[case]
+    cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
+    rng = np.random.default_rng(12)
+    world = reset_world(cfg, rng)
+    association = np.zeros((cfg.num_mus, num_uavs))
+    for k, m in enumerate(serving):
+        if m >= 0:
+            association[k, m] = 1.0
+    alloc = Allocation(association=association,
+                       offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
+                       compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
+                       edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
+    mu_obs = build_mu_observations(world, cfg)
+    mu_ref = oracles.build_mu_observations(world, cfg)
+    assert [o.index for o in mu_obs] == [o.index for o in mu_ref] == list(range(cfg.num_mus))
+    for o, r in zip(mu_obs, mu_ref):
+        assert o.vector.shape == r.vector.shape and o.vector.tobytes() == r.vector.tobytes()
+    uav_obs = build_uav_observations(world, alloc, cfg)
+    uav_ref = oracles.build_uav_observations(world, alloc, cfg)
+    assert [o.index for o in uav_obs] == [o.index for o in uav_ref] == list(range(num_uavs))
+    for o, r in zip(uav_obs, uav_ref):
+        assert o.vector.shape == r.vector.shape and o.vector.tobytes() == r.vector.tobytes()
+        assert np.array_equal(o.roster, r.roster)
+        assert o.roster_mask.tobytes() == r.roster_mask.tobytes()
+    if "deadline_min" in overrides:
+        assert all(o.vector[5] == 0.0 for o in mu_obs)
 
 
 # ----------------------------------------------------------------------

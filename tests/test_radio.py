@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import interference_covariance
 from uav_iscc.env import (
     Allocation,
     ScenarioConfig,
@@ -13,13 +15,13 @@ from uav_iscc.env import (
     build_radar_state,
     comm_rate,
     design_links,
-    interference_covariance,
     mmse_beamformer,
     radar_rate,
     radar_rate_from_filter,
     reset_world,
     steering_vector,
 )
+from uav_iscc.env.radio import _solve_hpd
 
 
 @pytest.fixture
@@ -216,3 +218,106 @@ def test_design_links_rates_positive_and_loading_flag(cfg):
         assert np.all(np.linalg.eigvalsh(n_cov) > 0)
         w, _ = mmse_beamformer(h, n_cov, cfg)
         assert np.linalg.norm(w) == pytest.approx(1.0)
+
+
+def served_world(serving, num_uavs, seed, **overrides):
+    """World with fresh channels and radars, and MU k associated with UAV serving[k] (-1: none)."""
+    cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
+    rng = np.random.default_rng(seed)
+    world = reset_world(cfg, rng)
+    world.channels = build_all_channels(world, cfg, rng)
+    association = np.zeros((cfg.num_mus, num_uavs))
+    for k, m in enumerate(serving):
+        if m >= 0:
+            association[k, m] = 1.0
+    alloc = Allocation(association=association,
+                       offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
+                       compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
+                       edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
+    radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
+    return cfg, world, alloc, radars
+
+
+def random_serving(k_count, m_count, seed):
+    return np.random.default_rng(seed).integers(-1, m_count, k_count).tolist()
+
+
+LINK_CASES = {
+    "empty-association": ([-1] * 6, 3, {}),
+    "uav-serving-nobody": ([0, 1, 0, 1, -1, 0], 3, {}),
+    "all-on-one-uav": ([1] * 6, 3, {}),
+    "k1-m1": ([0], 1, {}),
+    "rx1-tx1": ([0, 1, 2, -1, 0, 2], 3, {"rx_antennas": 1, "tx_antennas": 1}),
+    "rx2-tx6": ([0, 1, 2, -1, 0, 2], 3, {"rx_antennas": 2, "tx_antennas": 6}),
+    "rx6-tx2": ([0, 1, 2, -1, 0, 2], 3, {"rx_antennas": 6, "tx_antennas": 2}),
+    "25x5": (random_serving(25, 5, 1), 5, {}),
+    "100x10": (random_serving(100, 10, 2), 10, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(LINK_CASES))
+def test_stacked_link_design_matches_per_link_loop(case):
+    serving, num_uavs, overrides = LINK_CASES[case]
+    for seed in (0, 1):
+        cfg, world, alloc, radars = served_world(serving, num_uavs, seed, **overrides)
+        rates, loaded = design_links(world, alloc, radars, cfg)
+        ref, ref_loaded = oracles.design_links(world, alloc, radars, cfg)
+        assert rates.keys() == ref.keys() == {k for k, m in enumerate(serving) if m >= 0}
+        assert {k: float.hex(v) for k, v in rates.items()} == \
+            {k: float.hex(v) for k, v in ref.items()}
+        assert loaded == ref_loaded
+
+
+def test_stacked_combiner_and_rate_match_single_links(cfg):
+    rng = np.random.default_rng(10)
+    h = (rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))) * 1e-4
+    g = (rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))) * 1e-5
+    noise = cfg.noise_power * np.eye(4) + g @ g.conj().swapaxes(-1, -2)
+    w, loaded = mmse_beamformer(h, noise, cfg)
+    rate, s = comm_rate(h, w, noise, cfg.mu_power_max, cfg)
+    assert w.shape == (5, 4) and rate.shape == s.shape == (5,) and not loaded
+    for i in range(5):
+        w_i, _ = oracles.mmse_beamformer(h[i], noise[i], cfg)
+        assert w[i].tobytes() == w_i.tobytes()
+        assert float.hex(float(rate[i])) == \
+            float.hex(oracles.comm_rate(h[i], w_i, noise[i], cfg.mu_power_max, cfg))
+
+
+def test_non_finite_channel_rejected(cfg):
+    h = np.ones((3, 4, 4), dtype=complex)
+    h[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        comm_rate(h, np.ones((3, 4), dtype=complex), np.eye(4), cfg.mu_power_max, cfg)
+
+
+def test_stacked_solve_loads_only_the_singular_matrix(cfg):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    mats = a @ a.conj().swapaxes(-1, -2) + np.eye(3)
+    mats[2, -1, :] = mats[2, :, -1] = 0.0          # exactly singular, still Hermitian
+    rhs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(mats[2], rhs[2])
+    sol, loaded = _solve_hpd(mats, rhs, cfg)
+    assert loaded and sol.shape == (4, 3)
+    for i in range(4):
+        mat = mats[i] + cfg.noise_power * 1e-6 * np.eye(3) if i == 2 else mats[i]
+        assert sol[i].tobytes() == np.linalg.solve(mat, rhs[i]).tobytes()
+    clean, loaded = _solve_hpd(np.delete(mats, 2, axis=0), np.delete(rhs, 2, axis=0), cfg)
+    assert not loaded
+    assert clean.tobytes() == np.delete(sol, 2, axis=0).tobytes()
+
+
+def test_zero_combiner_falls_back_to_principal_direction(cfg):
+    rng = np.random.default_rng(12)
+    h = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    h[1] *= 1e-100
+    noise = np.stack([cfg.noise_power * np.eye(4), 1e300 * np.eye(4)]).astype(complex)
+    w, loaded = mmse_beamformer(h, noise, cfg)
+    assert not loaded
+    principal = h[1] @ np.linalg.svd(h[1])[2][0].conj()
+    assert np.all(np.linalg.solve(noise[1], principal) == 0)    # the solve underflows
+    for i in range(2):
+        w_i, _ = oracles.mmse_beamformer(h[i], noise[i], cfg)
+        assert w[i].tobytes() == w_i.tobytes()
+        assert np.linalg.norm(w[i]) == pytest.approx(1.0)
