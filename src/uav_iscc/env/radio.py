@@ -151,8 +151,13 @@ def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
 
     `channel` is [..., W_R, W_T] and `noise_cov` [..., W_R, W_R]; the
     combiners are [..., W_R]. A combiner whose solve comes out zero falls back
-    to the normalized principal direction.
+    to the normalized principal direction. A non-finite channel or noise
+    covariance (a non-finite interfering channel) raises ValueError before the SVD.
     """
+    if not np.all(np.isfinite(channel)):
+        raise ValueError("channel contains non-finite entries")
+    if not np.all(np.isfinite(noise_cov)):
+        raise ValueError("noise covariance contains non-finite entries")
     _, _, vh = np.linalg.svd(channel)
     principal = (channel @ vh[..., 0, :, None].conj())[..., 0]
     w, loaded = _solve_hpd(noise_cov, principal, cfg)
@@ -174,8 +179,6 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
     `channel` is [..., W_R, W_T], `beamformer` [..., W_R] and `noise_cov`
     [..., W_R, W_R]; rate and power have the leading shape [...].
     """
-    if not np.all(np.isfinite(channel)):
-        raise ValueError("channel contains non-finite entries")
     g = (channel.conj().swapaxes(-1, -2) @ beamformer[..., None])[..., 0]
     s = power * np.real(g.conj()[..., None, :] @ g[..., :, None])[..., 0, 0]
     lam = np.linalg.eigvalsh(noise_cov)

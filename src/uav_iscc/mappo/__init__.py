@@ -5,7 +5,6 @@ from .buffer import RolloutBatch, TypeRollout
 from .critics import (
     CriticParams,
     critic_values_batch,
-    encode_agents,
     state_values_batch,
 )
 from .gae import compute_gae
@@ -42,7 +41,6 @@ __all__ = [
     "compute_gae",
     "critic_loss",
     "critic_values_batch",
-    "encode_agents",
     "greedy_action",
     "log_prob_entropy",
     "normalize_advantages",

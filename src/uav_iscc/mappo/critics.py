@@ -54,46 +54,40 @@ class CriticParams:
         return [p for part in parts if part is not None for p in part.parameters()]
 
 
-def encode_agents(params: CriticParams, mu_inputs, uav_inputs) -> Tensor:
-    """Per-agent features [.., U, V] from the type-matched encoders."""
-    parts = []
-    if mu_inputs is not None and mu_inputs.shape[-2] > 0:
-        parts.append(mlp_forward(params.encoder_mu, mu_inputs))
-    if uav_inputs is not None and uav_inputs.shape[-2] > 0:
-        parts.append(mlp_forward(params.encoder_uav, uav_inputs))
-    return concat(parts, axis=-2) if len(parts) > 1 else parts[0]
-
-
 def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
                         want: str) -> Tensor:
     """Values for every agent of one type across a batch of time steps.
 
     Inputs: mu_obs [T, K, d_mu_obs], mu_act [T, K, A_mu], uav_obs [T, M, ...],
-    uav_act [T, M, ...]; `want` selects "mu" or "uav" columns of the output.
-    Returns a Tensor [T, U_want].
+    uav_act [T, M, ...]. Every agent is encoded and supplies attention keys and
+    values; queries, attention and the value head run only for the Q agents of
+    type `want` ("mu": Q = K, "uav": Q = M), as in the MAAC critic.
+    Returns a Tensor [T, Q].
     """
+    if want not in ("mu", "uav"):
+        raise ValueError(f"want must be 'mu' or 'uav', got {want!r}")
     t_len, k = mu_obs.shape[0], mu_obs.shape[1]
     m = uav_obs.shape[1]
-    mu_in = Tensor(np.concatenate([mu_obs, mu_act], axis=-1)) if k else None
-    uav_in = Tensor(np.concatenate([uav_obs, uav_act], axis=-1)) if m else None
-    feats = encode_agents(params, mu_in, uav_in)          # [T, U, V]
-    total = k + m
+    mu_feats = mlp_forward(params.encoder_mu, np.concatenate([mu_obs, mu_act], axis=-1))
+    uav_feats = mlp_forward(params.encoder_uav, np.concatenate([uav_obs, uav_act], axis=-1))
+    feats = concat([mu_feats, uav_feats], axis=-2)        # [T, U, V]
+    own, rows = (mu_feats, slice(0, k)) if want == "mu" else (uav_feats, slice(k, k + m))
+    n_own = own.shape[1]
     block = params.attention
     heads, head_dim = block.heads, block.head_dim
-    mask = np.diag(np.full(total, _MASK))
+    mask = np.diag(np.full(k + m, _MASK))[rows]           # [Q, U]
 
-    def split_heads(w):                                   # -> [T, H, U, Vh]
-        return (feats @ w.transpose()).reshape(t_len, total, heads, head_dim).swapaxes(1, 2)
+    def split_heads(x, w):                                # [T, N, V] -> [T, H, N, Vh]
+        return (x @ w.transpose()).reshape(t_len, x.shape[1], heads, head_dim).swapaxes(1, 2)
 
-    q, key, val = split_heads(block.w_que), split_heads(block.w_key), split_heads(block.w_val)
+    q = split_heads(own, block.w_que)
+    key, val = split_heads(feats, block.w_key), split_heads(feats, block.w_val)
     scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim)) + mask
-    weights = softmax(scores, axis=-1)                    # [T, H, U, U]
-    pooled = (weights @ val).swapaxes(1, 2).reshape(t_len, total, heads * head_dim)
-    context = pooled @ block.w_mix                         # [T, U, V]
-    joined = concat([context, feats], axis=-1)             # [T, U, 2V]
-    values = mlp_forward(params.value_head, joined)        # [T, U, 1]
-    values = values.reshape(t_len, total)
-    return values[:, :k] if want == "mu" else values[:, k:]
+    weights = softmax(scores, axis=-1)                    # [T, H, Q, U]
+    pooled = (weights @ val).swapaxes(1, 2).reshape(t_len, n_own, heads * head_dim)
+    context = pooled @ block.w_mix                         # [T, Q, V]
+    joined = concat([context, own], axis=-1)               # [T, Q, 2V]
+    return mlp_forward(params.value_head, joined).reshape(t_len, n_own)
 
 
 def state_values_batch(params: CriticParams, global_state: np.ndarray,

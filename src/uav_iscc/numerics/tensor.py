@@ -370,11 +370,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax; outputs are positive and sum to one on `axis`."""
+    """Shift-invariant softmax; outputs are positive and sum to one on `axis`.
+
+    One recorded node: the backward is g*y - y * sum(g*y) on `axis`.
+    """
     logits = Tensor._lift(logits)
-    shifted = logits - logits.data.max(axis=axis, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(logits.data - logits.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        gy = g * y
+        gy -= y * gy.sum(axis=axis, keepdims=True)
+        logits._accumulate(gy)
+
+    return Tensor._make(y, (logits,), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:

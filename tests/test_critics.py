@@ -24,14 +24,47 @@ def random_instance(critic, k=2, m=2, t=3, seed=1):
 
 def test_batched_matches_reference_forward():
     critic = make_critic()
-    mu_obs, mu_act, uav_obs, uav_act = random_instance(critic)
-    values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, "mu").data
-    for t in range(mu_obs.shape[0]):
-        all_obs = [mu_obs[t, 0], mu_obs[t, 1], uav_obs[t, 0], uav_obs[t, 1]]
-        all_act = [mu_act[t, 0], mu_act[t, 1], uav_act[t, 0], uav_act[t, 1]]
-        for u in range(2):
-            ref = critic_forward(critic, all_obs, all_act, num_mus=2, agent=u).item()
-            assert values[t, u] == pytest.approx(ref, abs=1e-10)
+    for k, m in [(2, 2), (3, 2), (1, 3), (4, 1)]:
+        mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, k=k, m=m, seed=k + 10 * m)
+        for want, agents in (("mu", range(k)), ("uav", range(k, k + m))):
+            values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, want).data
+            assert values.shape == (mu_obs.shape[0], len(agents))
+            for t in range(mu_obs.shape[0]):
+                all_obs = [*mu_obs[t], *uav_obs[t]]
+                all_act = [*mu_act[t], *uav_act[t]]
+                for col, u in enumerate(agents):
+                    ref = critic_forward(critic, all_obs, all_act, num_mus=k, agent=u).item()
+                    assert values[t, col] == pytest.approx(ref, abs=1e-10)
+
+
+def test_unknown_agent_type_rejected():
+    critic = make_critic()
+    with pytest.raises(ValueError, match="'uavs'"):
+        critic_values_batch(critic, *random_instance(critic), "uavs")
+
+
+def test_uav_critic_loss_gradient_matches_finite_differences():
+    critic = make_critic(seed=14)
+    inputs = random_instance(critic, k=3, m=2, t=2, seed=15)
+    targets = np.random.default_rng(16).normal(size=(2, 2))
+
+    def loss():
+        diff = critic_values_batch(critic, *inputs, "uav") - Tensor(targets)
+        return (diff * diff).mean()
+
+    loss().backward()
+    h = 1e-6
+    for p in (critic.attention.w_que, critic.attention.w_key):
+        flat = p.data.ravel()
+        for i in range(flat.size):
+            old = flat[i]
+            with no_grad():
+                flat[i] = old + h
+                up = loss().item()
+                flat[i] = old - h
+                down = loss().item()
+            flat[i] = old
+            assert p.grad.ravel()[i] == pytest.approx((up - down) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 def test_values_without_recording_equal_recorded_values():

@@ -287,7 +287,16 @@ def test_non_finite_channel_rejected(cfg):
     h = np.ones((3, 4, 4), dtype=complex)
     h[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        comm_rate(h, np.ones((3, 4), dtype=complex), np.eye(4), cfg.mu_power_max, cfg)
+        mmse_beamformer(h, np.eye(4), cfg)
+
+
+# MU 2 is served by UAV 0; MU 1 is served by UAV 1 and interferes at UAV 0
+@pytest.mark.parametrize("entry", [(2, 0, 1, 3), (1, 0, 1, 3)], ids=["own-link", "interferer"])
+def test_design_links_rejects_non_finite_channel(entry):
+    cfg, world, alloc, radars = served_world([0, 1, 0, -1], 2, seed=3)
+    world.channels[entry] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        design_links(world, alloc, radars, cfg)
 
 
 def test_stacked_solve_loads_only_the_singular_matrix(cfg):

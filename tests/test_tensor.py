@@ -220,6 +220,32 @@ def test_softmax_properties():
     assert np.allclose(shifted, p, atol=1e-12)
 
 
+@pytest.mark.parametrize("axis", [0, -1])
+def test_softmax_gradient_matches_finite_differences(axis):
+    rng = np.random.default_rng(7)
+    x = parameter(rng.normal(size=(3, 4, 5)))
+    masked = rng.uniform(size=x.shape) < 0.3
+    np.moveaxis(masked, axis, 0)[0] = False          # every lane keeps one live entry
+    mask = np.where(masked, -1e30, 0.0)
+    c = rng.normal(size=x.shape)
+
+    def loss_fn():
+        z = x.data + mask
+        e = np.exp(z - z.max(axis=axis, keepdims=True))
+        y = e / e.sum(axis=axis, keepdims=True)
+        return float((y * c + y * y).sum())
+
+    y = softmax(x + mask, axis=axis)
+    shifted = (x + mask) - (x.data + mask).max(axis=axis, keepdims=True)
+    e = shifted.exp()
+    assert np.array_equal(y.data, (e / e.sum(axis=axis, keepdims=True)).data)
+    (y * c + y * y).sum().backward()
+    assert np.all(np.isfinite(x.grad))
+    assert np.all(x.grad[masked] == 0.0)
+    fd = finite_diff_grad(loss_fn, [x])[0]
+    assert np.max(rel_err(x.grad, fd)) < 1e-4
+
+
 def test_mlp_zero_weights_returns_bias():
     rng = np.random.default_rng(7)
     mlp = MlpParams.create([3, 4], rng)
