@@ -9,12 +9,11 @@ from .actions import (
     decode_uav_action,
 )
 from .observations import (
-    MuObservation,
-    UavObservation,
     build_mu_observations,
-    build_observations,
     build_uav_observations,
+    mu_obs_dim,
     roster_of,
+    uav_obs_dim,
 )
 from .rewards import (
     RewardBreakdown,
@@ -29,23 +28,22 @@ from .rewards import (
 
 __all__ = [
     "MuAction",
-    "MuObservation",
     "RewardBreakdown",
     "UavAction",
-    "UavObservation",
     "apply_uav_actions",
     "boundary_penalty",
     "build_allocation",
     "build_mu_observations",
-    "build_observations",
     "build_uav_observations",
     "collision_penalty",
     "decode_mu_action",
     "decode_uav_action",
     "latency_penalty",
+    "mu_obs_dim",
     "mu_reward",
     "penalty_P",
     "radar_penalty",
     "roster_of",
+    "uav_obs_dim",
     "uav_reward",
 ]

@@ -41,10 +41,6 @@ class RewardBreakdown:
     def penalty_product(self) -> float:
         return self.p_latency * self.p_collision * self.p_boundary * self.p_radar
 
-    def factors(self) -> dict:
-        return {"latency": self.p_latency, "collision": self.p_collision,
-                "boundary": self.p_boundary, "radar": self.p_radar}
-
 
 def latency_penalty(latency: float, deadline: float) -> float:
     return penalty_P(latency if math.isfinite(latency) else 1e30, deadline, deadline)
@@ -121,18 +117,7 @@ def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
     p_bound = boundary_penalty(float(report.boundary_overshoot[m]), cfg)
     p_rad = radar_penalty(float(report.radar_rate[m]), cfg)
 
-    mode = cfg.reward_mode
-    if mode == "accuracy_max":
-        # sensing-rate objective: penalties divide the positive payoff
-        base = float(report.radar_rate[m]) / cfg.radar_rate_min
-        breakdown = RewardBreakdown(base=base, p_latency=p_lat, p_collision=p_col,
-                                    p_boundary=p_bound, p_radar=p_rad)
-        breakdown.reward = base / breakdown.penalty_product
-        return breakdown
-    if mode == "energy_min":
-        base = e_bar
-    else:
-        base = cfg.reward_energy_weight * e_bar + cfg.reward_distance_weight * p_centroid
+    base = cfg.reward_energy_weight * e_bar + cfg.reward_distance_weight * p_centroid
     breakdown = RewardBreakdown(base=base, p_latency=p_lat, p_collision=p_col,
                                 p_boundary=p_bound, p_radar=p_rad)
     breakdown.reward = -base * breakdown.penalty_product

@@ -8,7 +8,7 @@ from .compute import (
     mu_slot_outcome,
     transmitted_fraction,
 )
-from .config import ConfigError, ScenarioConfig, apply_overrides
+from .config import ConfigError, ScenarioConfig
 from .mobility import advance_kinematics, step_mobility
 from .radio import (
     RadarState,
@@ -38,7 +38,6 @@ __all__ = [
     "UavState",
     "WorldState",
     "advance_kinematics",
-    "apply_overrides",
     "build_all_channels",
     "build_radar_state",
     "comm_rate",

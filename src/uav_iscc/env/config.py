@@ -8,11 +8,11 @@ linear units through properties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
-    """Unknown key or out-of-range value in a scenario description."""
+    """Out-of-range value in a scenario configuration."""
 
 
 @dataclass
@@ -21,7 +21,6 @@ class ScenarioConfig:
     region_width: float = 1000.0          # m, square service area side
     altitude: float = 200.0               # m, fixed UAV flight height
     slot_seconds: float = 1.0             # s per decision slot
-    horizon_slots: int = 200              # slots per flight period
 
     # population
     num_uavs: int = 5
@@ -95,7 +94,6 @@ class ScenarioConfig:
     reward_distance_weight: float = 0.7   # k2, centroid-distance share
     distance_threshold: float = 350.0     # m, slack before the centroid term bites
     roster_capacity: int = 0              # 0 -> ceil(2K/M)
-    reward_mode: str = "weighted_energy"  # | "energy_min" | "accuracy_max"
 
     # ablation switches
     compression_enabled: bool = True
@@ -120,10 +118,13 @@ class ScenarioConfig:
         return max(1, math.ceil(2 * self.num_mus / self.num_uavs))
 
     def validate(self) -> "ScenarioConfig":
-        if self.num_mus < 0:
-            raise ConfigError("num_mus must be >= 0")
+        non_negative = ["num_mus", "roster_capacity",
+                        "mobility_speed_noise_std", "mobility_heading_noise_std"]
+        for name in non_negative:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         positive = [
-            "region_width", "altitude", "slot_seconds", "horizon_slots",
+            "region_width", "altitude", "slot_seconds",
             "num_uavs", "tx_antennas", "rx_antennas",
             "bandwidth_hz", "rician_factor", "radar_duty", "radar_pulse_s",
             "radar_gain_product", "radar_rate_min", "uav_power_max",
@@ -157,53 +158,4 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.induced_power_form not in ("paper", "standard"):
             raise ConfigError("induced_power_form must be 'paper' or 'standard'")
-        if self.reward_mode not in ("weighted_energy", "energy_min", "accuracy_max"):
-            raise ConfigError("reward_mode must be weighted_energy|energy_min|accuracy_max")
         return self
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def field_names(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "ScenarioConfig":
-        """Build from string or native values; unknown keys are an error."""
-        cfg = cls()
-        apply_overrides(cfg, mapping)
-        return cfg.validate()
-
-
-def _coerce(current, raw):
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if isinstance(current, bool):
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"expected boolean, got {raw!r}")
-        if isinstance(current, int):
-            return int(float(raw))
-        if isinstance(current, float):
-            return float(raw)
-        return raw
-    if isinstance(current, bool):
-        return bool(raw)
-    if isinstance(current, int) and not isinstance(raw, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
-
-
-def apply_overrides(cfg: ScenarioConfig, mapping: dict) -> ScenarioConfig:
-    valid = set(ScenarioConfig.field_names())
-    for key, raw in mapping.items():
-        if key not in valid:
-            raise ConfigError(
-                f"unknown scenario key {key!r}; valid keys: {', '.join(sorted(valid))}"
-            )
-        setattr(cfg, key, _coerce(getattr(cfg, key), raw))
-    return cfg

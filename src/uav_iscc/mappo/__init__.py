@@ -15,7 +15,7 @@ from .policies import (
     log_prob_entropy,
     sample_action,
 )
-from .ppo import UpdateAborted, actor_loss, clip, critic_loss, normalize_advantages, ppo_update
+from .ppo import UpdateAborted, actor_loss, critic_loss, normalize_advantages, ppo_update
 from .trainer import (
     EvalResult,
     Trainer,
@@ -37,7 +37,6 @@ __all__ = [
     "UpdateAborted",
     "actor_forward",
     "actor_loss",
-    "clip",
     "compute_gae",
     "critic_loss",
     "critic_values_batch",

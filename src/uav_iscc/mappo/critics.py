@@ -62,12 +62,15 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
     uav_act [T, M, ...]. Every agent is encoded and supplies attention keys and
     values; queries, attention and the value head run only for the Q agents of
     type `want` ("mu": Q = K, "uav": Q = M), as in the MAAC critic.
-    Returns a Tensor [T, Q].
+    Returns a Tensor [T, Q]. A batch of fewer than two agents is rejected:
+    an agent attends only to the others.
     """
     if want not in ("mu", "uav"):
         raise ValueError(f"want must be 'mu' or 'uav', got {want!r}")
     t_len, k = mu_obs.shape[0], mu_obs.shape[1]
     m = uav_obs.shape[1]
+    if k + m < 2:
+        raise ValueError(f"the critic needs at least two agents, got K + M = {k + m}")
     mu_feats = mlp_forward(params.encoder_mu, np.concatenate([mu_obs, mu_act], axis=-1))
     uav_feats = mlp_forward(params.encoder_uav, np.concatenate([uav_obs, uav_act], axis=-1))
     feats = concat([mu_feats, uav_feats], axis=-2)        # [T, U, V]

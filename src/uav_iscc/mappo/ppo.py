@@ -18,13 +18,6 @@ class UpdateAborted(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def clip(x, lo: float, hi: float):
-    """Piecewise identity limited to [lo, hi]; works on tensors and floats."""
-    if isinstance(x, Tensor):
-        return x.clip(lo, hi)
-    return float(np.clip(x, lo, hi))
-
-
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     std = adv.std()
     return (adv - adv.mean()) / (std + 1e-8)

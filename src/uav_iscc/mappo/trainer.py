@@ -22,10 +22,11 @@ from ..agents import (
     build_allocation,
     build_mu_observations,
     build_uav_observations,
+    mu_obs_dim,
     mu_reward,
+    uav_obs_dim,
     uav_reward,
 )
-from ..agents.observations import MuObservation, UavObservation
 from ..env import ScenarioConfig, reset_world, world_step
 from ..numerics import AdamState, no_grad
 from .buffer import RolloutBatch, TypeRollout
@@ -119,8 +120,8 @@ class Trainer:
         self.update_rng = np.random.default_rng(seeds[3])
 
         cfg = scenario
-        self.mu_obs_dim = MuObservation.length(cfg)
-        self.uav_obs_dim = UavObservation.length(cfg)
+        self.mu_obs_dim = mu_obs_dim(cfg)
+        self.uav_obs_dim = uav_obs_dim(cfg)
         self.mu_act_dim = MuAction.dim(cfg)
         self.uav_act_dim = UavAction.dim(cfg)
         mu_lo = np.zeros(self.mu_act_dim)
@@ -172,7 +173,7 @@ class Trainer:
         trajectory = [] if record_trajectory else None
 
         for t in range(t_len):
-            mu_obs = np.stack([o.vector for o in build_mu_observations(world, cfg)])
+            mu_obs = build_mu_observations(world, cfg)
             if greedy:
                 mu_unit, _ = greedy_action(self.actors["mu"], mu_obs)
                 mu_logp = np.zeros(k)
@@ -182,8 +183,7 @@ class Trainer:
             mu_actions = [MuAction.from_vector(mu_unit[i], cfg) for i in range(k)]
             alloc = build_allocation(mu_actions, cfg)
 
-            uav_obs = np.stack([o.vector for o in
-                                build_uav_observations(world, alloc, cfg)])
+            uav_obs = build_uav_observations(world, alloc, cfg)
             if greedy:
                 uav_unit, _ = greedy_action(self.actors["uav"], uav_obs)
                 uav_logp = np.zeros(m)
@@ -256,14 +256,10 @@ class Trainer:
         for kind in ("mu", "uav"):
             roll = batch.of(kind)
             roll.values = self._values(batch, kind)
-            t_len, n = roll.values.shape
-            roll.advantages = np.zeros((t_len, n))
-            for u in range(n):
-                adv, _ = compute_gae(roll.rewards[:, u], roll.values[:, u], 0.0,
-                                     cfg.discount, cfg.gae_lambda)
-                roll.advantages[:, u] = adv
+            roll.advantages = compute_gae(roll.rewards, roll.values, 0.0,
+                                          cfg.discount, cfg.gae_lambda)
             # one-step bootstrap r + gamma V(s'), with V = 0 after the last slot
-            next_values = np.vstack([roll.values[1:], np.zeros((1, n))])
+            next_values = np.vstack([roll.values[1:], np.zeros_like(roll.values[:1])])
             roll.targets = roll.rewards + cfg.discount * next_values
         return batch
 
@@ -313,42 +309,38 @@ class Trainer:
 
     def evaluate(self, episodes: int = 1, seed: int | None = None) -> EvalResult:
         """Deterministic greedy rollouts on a dedicated environment stream."""
+        if episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {episodes}")
         env_rng = np.random.default_rng(
             self.config.seed + 10_000 if seed is None else seed)
-        objectives, mu_e, uav_e, fly_e = [], [], [], []
-        mu_r, uav_r, violations, slots = [], [], 0, 0
-        first_batch = None
-        rate_acc: dict[str, list] = {}
+        records, violations, slots = [], 0, 0
         for ep in range(episodes):
             batch = self.collect_episode(greedy=True, env_rng=env_rng,
                                          record_trajectory=(ep == 0))
             if ep == 0:
                 first_batch = batch
-            objectives.append(sum(r.objective(self.scenario.weight_factor)
-                                  for r in batch.reports))
-            mu_e.append(sum(r.e_mu.sum() for r in batch.reports))
-            uav_e.append(sum(r.e_uav.sum() for r in batch.reports))
-            fly_e.append(sum(r.e_flight.sum() for r in batch.reports))
-            mu_r.append(batch.mu.rewards.mean())
-            uav_r.append(batch.uav.rewards.mean())
+            records.append(self.episode_metrics(ep, batch))
             for r in batch.reports:
                 violations += int(np.sum(~r.deadline_met)) + int(np.sum(~r.radar_met))
                 violations += int(np.sum(r.safety_violated))
                 violations += int(np.sum(r.boundary_overshoot > 0))
                 slots += r.deadline_met.size + 3 * r.radar_met.size
-            for name, value in penalty_rates(batch).items():
-                rate_acc.setdefault(name, []).append(value)
+
+        def mean(name):
+            return float(np.mean([rec[name] for rec in records]))
+
         return EvalResult(
-            episode_objectives=[float(v) for v in objectives],
-            objective=float(np.mean(objectives)),
-            mu_energy=float(np.mean(mu_e)),
-            uav_energy=float(np.mean(uav_e)),
-            flight_energy=float(np.mean(fly_e)),
-            mean_mu_reward=float(np.mean(mu_r)),
-            mean_uav_reward=float(np.mean(uav_r)),
-            violation_rate=float(violations / max(slots, 1)),
-            penalty_rates={k: float(np.mean(v)) for k, v in rate_acc.items()},
-            trajectory_rows=first_batch.trajectory or [],
+            episode_objectives=[rec["objective"] for rec in records],
+            objective=mean("objective"),
+            mu_energy=mean("mu_energy"),
+            uav_energy=mean("uav_energy"),
+            flight_energy=mean("flight_energy"),
+            mean_mu_reward=mean("mean_reward_mu"),
+            mean_uav_reward=mean("mean_reward_uav"),
+            violation_rate=violations / slots,
+            penalty_rates={name.removeprefix("penalty_rate_"): mean(name)
+                           for name in records[0] if name.startswith("penalty_rate_")},
+            trajectory_rows=first_batch.trajectory,
             reports=first_batch.reports,
         )
 

@@ -32,10 +32,6 @@ class MlpParams:
     def parameters(self):
         return [t for pair in self.layers for t in pair]
 
-    @property
-    def in_width(self) -> int:
-        return self.layers[0][0].shape[0]
-
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
     """Run the MLP; `x` may carry arbitrary leading batch dimensions."""

@@ -91,9 +91,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, grad: np.ndarray):
         if not (self.requires_grad or self._parents):
             return
@@ -164,9 +161,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-Tensor._lift(other))
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._lift(other)
 
@@ -177,27 +171,6 @@ class Tensor:
         return self._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-
-        def backward(g):
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
-
-        return self._make(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise GraphError("pow supports scalar exponents only")
-
-        def backward(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return self._make(self.data ** exponent, (self,), backward)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
@@ -227,20 +200,6 @@ class Tensor:
 
         def backward(g):
             self._accumulate(g * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.data)
-
-        return self._make(np.log(self.data), (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / out_data)
 
         return self._make(out_data, (self,), backward)
 
@@ -293,16 +252,6 @@ class Tensor:
             other._accumulate(g * ~take_self)
 
         return self._make(np.minimum(self.data, other.data), (self, other), backward)
-
-    def maximum(self, other):
-        other = Tensor._lift(other)
-        take_self = self.data >= other.data
-
-        def backward(g):
-            self._accumulate(g * take_self)
-            other._accumulate(g * ~take_self)
-
-        return self._make(np.maximum(self.data, other.data), (self, other), backward)
 
     # ------------------------------------------------------------------
     # shape / reduction

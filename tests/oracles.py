@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from uav_iscc.agents import MuObservation, UavObservation, roster_of
+from uav_iscc.agents import mu_obs_dim, roster_of, uav_obs_dim
 from uav_iscc.env import Allocation, ScenarioConfig, TaskSpec, WorldState, radar_leakage
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward, softmax
@@ -62,9 +62,11 @@ def critic_forward(params: CriticParams, all_obs: list, all_acts: list,
                    num_mus: int, agent: int) -> Tensor:
     """Value of one agent for one time step (`critic_values_batch` must agree).
 
-    `all_obs`/`all_acts` are per-agent vectors in global order, MUs first. A
-    lone agent pools an all-zero context.
+    `all_obs`/`all_acts` are per-agent vectors in global order, MUs first.
+    Fewer than two agents is rejected, as in `critic_values_batch`.
     """
+    if len(all_obs) < 2:
+        raise ValueError(f"the critic needs at least two agents, got {len(all_obs)}")
     feats = []
     for u, (o, a) in enumerate(zip(all_obs, all_acts)):
         enc = params.encoder_mu if u < num_mus else params.encoder_uav
@@ -172,7 +174,7 @@ def scale_task(task: TaskSpec, cfg: ScenarioConfig) -> np.ndarray:
     ])
 
 
-def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> list[MuObservation]:
+def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     width = cfg.region_width
     uav_xy = (world.uav_positions() / width).ravel()
     out = []
@@ -183,17 +185,16 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> list[MuObse
             uav_xy,
             mu.position / width,
         ])
-        out.append(MuObservation(index=k, vector=vec))
-    return out
+        out.append(vec)
+    return np.array(out).reshape(world.num_mus, mu_obs_dim(cfg))
 
 
 def build_uav_observations(world: WorldState, alloc: Allocation,
-                           cfg: ScenarioConfig) -> list[UavObservation]:
+                           cfg: ScenarioConfig) -> np.ndarray:
     width = cfg.region_width
     out = []
     for m in range(world.num_uavs):
         roster = roster_of(alloc, m, cfg)
-        mask = (roster >= 0).astype(np.float64)
         slots = []
         for k in roster:
             if k < 0:
@@ -213,5 +214,5 @@ def build_uav_observations(world: WorldState, alloc: Allocation,
             world.uavs[m].position / width,
             *others,
         ])
-        out.append(UavObservation(index=m, vector=vec, roster=roster, roster_mask=mask))
-    return out
+        out.append(vec)
+    return np.array(out).reshape(world.num_uavs, uav_obs_dim(cfg))

@@ -8,18 +8,18 @@ import pytest
 import oracles
 from uav_iscc.agents import (
     MuAction,
-    MuObservation,
     UavAction,
-    UavObservation,
     apply_uav_actions,
     build_allocation,
     build_mu_observations,
-    build_observations,
     build_uav_observations,
     decode_mu_action,
     decode_uav_action,
+    mu_obs_dim,
     mu_reward,
     penalty_P,
+    roster_of,
+    uav_obs_dim,
     uav_reward,
 )
 from uav_iscc.env import Allocation, ScenarioConfig, reset_world, world_step
@@ -146,15 +146,15 @@ def test_observation_lengths_and_unit_range():
     actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
                for _ in range(cfg.num_mus)]
     alloc = build_allocation(actions, cfg)
-    mu_obs, uav_obs = build_observations(world, alloc, cfg)
-    assert len(mu_obs) == cfg.num_mus and len(uav_obs) == cfg.num_uavs
-    for o in mu_obs:
-        assert o.vector.shape == (MuObservation.length(cfg),)
-        assert np.all(o.vector >= 0.0) and np.all(o.vector <= 1.0)
-    for o in uav_obs:
-        assert o.vector.shape == (UavObservation.length(cfg),)
-        assert np.all(o.vector >= 0.0) and np.all(o.vector <= 1.0)
-        assert o.roster_mask.sum() == alloc.served_by(o.index)[: cfg.k_cap].size
+    mu_obs = build_mu_observations(world, cfg)
+    uav_obs = build_uav_observations(world, alloc, cfg)
+    assert mu_obs.shape == (cfg.num_mus, mu_obs_dim(cfg))
+    assert uav_obs.shape == (cfg.num_uavs, uav_obs_dim(cfg))
+    for obs in (mu_obs, uav_obs):
+        assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
+    for m in range(cfg.num_uavs):
+        roster = roster_of(alloc, m, cfg)
+        assert np.sum(roster >= 0) == alloc.served_by(m)[: cfg.k_cap].size
 
 
 def test_corner_mu_scales_to_zero():
@@ -164,8 +164,7 @@ def test_corner_mu_scales_to_zero():
     world.mus[0].task.data_bits = cfg.data_bits_max
     alloc = build_allocation(
         [MuAction.from_vector(np.full(MuAction.dim(cfg), 0.5), cfg)] * cfg.num_mus, cfg)
-    mu_obs, _ = build_observations(world, alloc, cfg)
-    vec = mu_obs[0].vector
+    vec = build_mu_observations(world, cfg)[0]
     assert vec[1] == pytest.approx(1.0)          # task size at the top of its range
     assert np.allclose(vec[-2:], 0.0)            # own position at the corner
 
@@ -183,12 +182,12 @@ def test_uav_roster_padding():
         v[-2:] = 0.4
         vecs.append(MuAction.from_vector(v, cfg))
     alloc = build_allocation(vecs, cfg)
-    _, uav_obs = build_observations(world, alloc, cfg)
-    mask = uav_obs[0].roster_mask
-    assert mask.sum() == 3
-    assert np.all(mask[3:] == 0)
+    roster = roster_of(alloc, 0, cfg)
+    assert np.sum(roster >= 0) == 3
+    assert np.all(roster[3:] == -1)
     # padded slots carry zero features
-    slot_feats = uav_obs[0].vector[1:1 + 9 * cfg.k_cap].reshape(cfg.k_cap, 9)
+    vec = build_uav_observations(world, alloc, cfg)[0]
+    slot_feats = vec[1:1 + 9 * cfg.k_cap].reshape(cfg.k_cap, 9)
     assert np.all(slot_feats[3:] == 0.0)
 
 
@@ -220,18 +219,14 @@ def test_array_observations_match_per_agent_builders(case):
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
     mu_obs = build_mu_observations(world, cfg)
     mu_ref = oracles.build_mu_observations(world, cfg)
-    assert [o.index for o in mu_obs] == [o.index for o in mu_ref] == list(range(cfg.num_mus))
-    for o, r in zip(mu_obs, mu_ref):
-        assert o.vector.shape == r.vector.shape and o.vector.tobytes() == r.vector.tobytes()
+    assert mu_obs.shape == mu_ref.shape == (cfg.num_mus, mu_obs_dim(cfg))
+    assert mu_obs.tobytes() == mu_ref.tobytes()
     uav_obs = build_uav_observations(world, alloc, cfg)
     uav_ref = oracles.build_uav_observations(world, alloc, cfg)
-    assert [o.index for o in uav_obs] == [o.index for o in uav_ref] == list(range(num_uavs))
-    for o, r in zip(uav_obs, uav_ref):
-        assert o.vector.shape == r.vector.shape and o.vector.tobytes() == r.vector.tobytes()
-        assert np.array_equal(o.roster, r.roster)
-        assert o.roster_mask.tobytes() == r.roster_mask.tobytes()
+    assert uav_obs.shape == uav_ref.shape == (num_uavs, uav_obs_dim(cfg))
+    assert uav_obs.tobytes() == uav_ref.tobytes()
     if "deadline_min" in overrides:
-        assert all(o.vector[5] == 0.0 for o in mu_obs)
+        assert np.all(mu_obs[:, 5] == 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +272,7 @@ def test_uav_reward_penalties_in_range_and_collision_factor():
     world, alloc, nxt, report = episode_slot(cfg, 8)
     for m in range(cfg.num_uavs):
         bd = uav_reward(m, report, nxt, alloc, cfg)
-        for f in bd.factors().values():
+        for f in (bd.p_latency, bd.p_collision, bd.p_boundary, bd.p_radar):
             assert 1.0 <= f < 2.0
         assert bd.reward <= 0.0
     # force two UAVs within half the safety distance
@@ -315,16 +310,3 @@ def test_uav_reward_hovering_at_centroid_all_satisfied():
     expected = cfg.reward_energy_weight * (e_served + cfg.weight_factor * report.e_uav[m]) \
         + cfg.reward_distance_weight * 1.0
     assert bd.reward == pytest.approx(-expected)
-
-
-def test_reward_modes():
-    cfg = cfg_of(reward_mode="energy_min")
-    world, alloc, nxt, report = episode_slot(cfg, 10)
-    bd = uav_reward(0, report, nxt, alloc, cfg)
-    served = alloc.served_by(0)
-    e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0
-    assert bd.base == pytest.approx(e_served + cfg.weight_factor * report.e_uav[0])
-    cfg2 = cfg_of(reward_mode="accuracy_max")
-    bd2 = uav_reward(0, report, nxt, alloc, cfg2)
-    assert bd2.reward > 0.0
-    assert bd2.reward == pytest.approx(bd2.base / bd2.penalty_product)

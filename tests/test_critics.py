@@ -15,9 +15,9 @@ def make_critic(mu_in=8, uav_in=10, state_dim=30, kind="attention", seed=0):
 
 def random_instance(critic, k=2, m=2, t=3, seed=1):
     rng = np.random.default_rng(seed)
-    mu_obs = rng.uniform(0, 1, size=(t, k, critic.encoder_mu.in_width - 4))
+    mu_obs = rng.uniform(0, 1, size=(t, k, critic.encoder_mu.layers[0][0].shape[0] - 4))
     mu_act = rng.uniform(0, 1, size=(t, k, 4))
-    uav_obs = rng.uniform(0, 1, size=(t, m, critic.encoder_uav.in_width - 5))
+    uav_obs = rng.uniform(0, 1, size=(t, m, critic.encoder_uav.layers[0][0].shape[0] - 5))
     uav_act = rng.uniform(0, 1, size=(t, m, 5))
     return mu_obs, mu_act, uav_obs, uav_act
 
@@ -103,12 +103,16 @@ def test_identical_other_agents_share_attention_weight():
     assert np.allclose(w, 0.5, atol=1e-12)
 
 
-def test_lone_agent_value_is_finite_zero_context():
+@pytest.mark.parametrize("k, m", [(1, 0), (0, 1)])
+def test_fewer_than_two_agents_rejected(k, m):
     critic = make_critic(seed=6)
-    rng = np.random.default_rng(7)
-    value = critic_forward(critic, [rng.uniform(0, 1, 4)], [rng.uniform(0, 1, 4)],
-                           num_mus=1, agent=0)
-    assert np.isfinite(value.item())
+    mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, k=k, m=m, t=2, seed=7)
+    want = "mu" if k else "uav"
+    with pytest.raises(ValueError, match="at least two agents"):
+        critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, want)
+    with pytest.raises(ValueError, match="at least two agents"):
+        critic_forward(critic, [*mu_obs[0], *uav_obs[0]], [*mu_act[0], *uav_act[0]],
+                       num_mus=k, agent=0)
 
 
 def test_mlp_state_values_shared_across_agents():
@@ -122,7 +126,8 @@ def test_mlp_state_values_shared_across_agents():
 def test_critic_gradients_flow_to_all_components():
     critic = make_critic(seed=10)
     mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, seed=11)
-    loss = (critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, "uav") ** 2).mean()
+    values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, "uav")
+    loss = (values * values).mean()
     loss.backward()
     for p in critic.parameters():
         assert p.grad is not None

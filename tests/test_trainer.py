@@ -27,6 +27,12 @@ def test_zero_episodes_returns_initial_parameters():
         assert np.array_equal(p1.data, p2.data)
 
 
+def test_evaluate_rejects_fewer_than_one_episode():
+    trainer = Trainer(*smoke_configs())
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        trainer.evaluate(episodes=0)
+
+
 def test_fixed_seed_reproduces_history():
     tcfg, scfg = smoke_configs(seed=5)
     _, h1 = train(tcfg, scfg)
@@ -76,7 +82,7 @@ def test_untrained_policy_produces_bounded_penalties():
             assert np.isfinite(bd.reward)
     for bds in batch.uav_breakdowns:
         for bd in bds:
-            for f in bd.factors().values():
+            for f in (bd.p_latency, bd.p_collision, bd.p_boundary, bd.p_radar):
                 assert 1.0 <= f < 2.0
 
 

@@ -11,7 +11,7 @@ from uav_iscc.agents import (
     mu_reward,
     uav_reward,
 )
-from uav_iscc.env import Allocation, ScenarioConfig, reset_world, world_step
+from uav_iscc.env import Allocation, ConfigError, ScenarioConfig, reset_world, world_step
 
 
 def tiny_cfg(**kw):
@@ -19,6 +19,14 @@ def tiny_cfg(**kw):
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg.validate()
+
+
+@pytest.mark.parametrize("name", ["roster_capacity", "mobility_speed_noise_std",
+                                  "mobility_heading_noise_std"])
+def test_negative_capacity_or_noise_std_rejected(name):
+    tiny_cfg(**{name: 0})
+    with pytest.raises(ConfigError, match=name):
+        tiny_cfg(**{name: -1})
 
 
 def random_actions(cfg, rng):
