@@ -12,8 +12,8 @@ from .observations import (
     build_mu_observations,
     build_uav_observations,
     mu_obs_dim,
-    roster_of,
     uav_obs_dim,
+    uav_rosters,
 )
 from .rewards import (
     RewardBreakdown,
@@ -43,7 +43,7 @@ __all__ = [
     "mu_reward",
     "penalty_P",
     "radar_penalty",
-    "roster_of",
     "uav_obs_dim",
     "uav_reward",
+    "uav_rosters",
 ]

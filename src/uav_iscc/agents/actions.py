@@ -14,7 +14,6 @@ import numpy as np
 
 from ..env.config import ScenarioConfig
 from ..env.types import Allocation, WorldState
-from .observations import roster_of
 
 
 @dataclass
@@ -105,12 +104,13 @@ def decode_uav_action(raw: UavAction, roster: np.ndarray,
     return shares, accel
 
 
-def apply_uav_actions(alloc: Allocation, uav_actions: list[UavAction],
+def apply_uav_actions(alloc: Allocation, rosters: np.ndarray, uav_actions: list[UavAction],
                       cfg: ScenarioConfig) -> tuple[Allocation, np.ndarray]:
-    """Fill the allocation's edge CPU matrix and collect acceleration commands."""
+    """Fill the allocation's edge CPU matrix and collect acceleration commands.
+
+    `rosters` is `uav_rosters(alloc, cfg)`."""
     accels = np.zeros((cfg.num_uavs, 2))
-    for m, raw in enumerate(uav_actions):
-        roster = roster_of(alloc, m, cfg)
+    for m, (raw, roster) in enumerate(zip(uav_actions, rosters)):
         shares, accel = decode_uav_action(raw, roster, cfg)
         accels[m] = accel
         for slot, k in enumerate(roster):

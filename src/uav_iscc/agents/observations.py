@@ -5,7 +5,9 @@ agents see their index, a fixed-capacity roster of currently associated MUs
 (position, task, offload and compression choices), their own position, and
 the other UAVs' positions. Roster slots beyond the served count are zero
 padded. Each builder returns one array with a row per agent: [K, mu_obs_dim]
-for the MUs and [M, uav_obs_dim] for the UAVs.
+for the MUs and [M, uav_obs_dim] for the UAVs. The UAV builder reads the
+scaled tasks from the MU observations and takes the rosters as an argument, so
+a slot computes each once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ..env.types import Allocation, WorldState
 
 _TASK_FIELDS = ("data_bits", "compute_density", "compress_density", "compress_ratio", "deadline")
 _task_values = attrgetter(*_TASK_FIELDS)
+_MU_TASK_COLUMNS = slice(1, 6)     # an MU observation's scaled task
 
 
 def _scaled_tasks(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
@@ -57,27 +60,30 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     ], axis=1)                                                    # [K, L]
 
 
-def roster_of(alloc: Allocation, m: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Served MU indices in ascending order, padded with -1 to the capacity."""
-    served = alloc.served_by(m)[: cfg.k_cap]
-    roster = np.full(cfg.k_cap, -1, dtype=int)
-    roster[: served.size] = served
-    return roster
+def uav_rosters(alloc: Allocation, cfg: ScenarioConfig) -> np.ndarray:
+    """Each UAV's first k_cap served MU indices in ascending order, padded with
+    -1 to the capacity: [M, k_cap]."""
+    served = alloc.association.T > 0                                 # [M, K]
+    first = np.argsort(~served, axis=1, kind="stable")[:, : cfg.k_cap]
+    rosters = np.where(np.arange(first.shape[1]) < served.sum(axis=1, keepdims=True),
+                       first, -1)
+    return np.pad(rosters, ((0, 0), (0, cfg.k_cap - first.shape[1])), constant_values=-1)
 
 
-def build_uav_observations(world: WorldState, alloc: Allocation,
-                           cfg: ScenarioConfig) -> np.ndarray:
+def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndarray,
+                           rosters: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """`mu_obs` is `build_mu_observations(world, cfg)` and `rosters` is
+    `uav_rosters(alloc, cfg)`."""
     width = cfg.region_width
     m_count = world.num_uavs
     # roster slot features per MU: position, task, offload and compression
     # choices; the appended zero row is the slot that roster index -1 picks
     slot_table = np.pad(np.concatenate([
         world.mu_positions() / width,
-        _scaled_tasks(world, cfg),
+        mu_obs[:, _MU_TASK_COLUMNS],
         alloc.offload_ratio[:, None],
         alloc.compress_ratio[:, None],
     ], axis=1), ((0, 1), (0, 0)))                                 # [K+1, 9]
-    rosters = np.stack([roster_of(alloc, m, cfg) for m in range(m_count)])   # [M, cap]
     uav_xy = world.uav_positions() / width                                    # [M, 2]
     # row block m: every other UAV's position, in index order
     others = np.broadcast_to(uav_xy, (m_count, m_count, 2))[~np.eye(m_count, dtype=bool)]

@@ -19,10 +19,8 @@ from ..numerics import (
     Tensor,
     concat,
     mlp_forward,
-    softmax,
+    self_masked_attention,
 )
-
-_MASK = -1e30  # blocks self-attention without inf arithmetic
 
 
 @dataclass
@@ -74,20 +72,18 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
     mu_feats = mlp_forward(params.encoder_mu, np.concatenate([mu_obs, mu_act], axis=-1))
     uav_feats = mlp_forward(params.encoder_uav, np.concatenate([uav_obs, uav_act], axis=-1))
     feats = concat([mu_feats, uav_feats], axis=-2)        # [T, U, V]
-    own, rows = (mu_feats, slice(0, k)) if want == "mu" else (uav_feats, slice(k, k + m))
+    own, offset = (mu_feats, 0) if want == "mu" else (uav_feats, k)
     n_own = own.shape[1]
     block = params.attention
     heads, head_dim = block.heads, block.head_dim
-    mask = np.diag(np.full(k + m, _MASK))[rows]           # [Q, U]
 
     def split_heads(x, w):                                # [T, N, V] -> [T, H, N, Vh]
         return (x @ w.transpose()).reshape(t_len, x.shape[1], heads, head_dim).swapaxes(1, 2)
 
     q = split_heads(own, block.w_que)
     key, val = split_heads(feats, block.w_key), split_heads(feats, block.w_val)
-    scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(head_dim)) + mask
-    weights = softmax(scores, axis=-1)                    # [T, H, Q, U]
-    pooled = (weights @ val).swapaxes(1, 2).reshape(t_len, n_own, heads * head_dim)
+    pooled = self_masked_attention(q, key, val, offset)   # [T, H, Q, Vh]
+    pooled = pooled.swapaxes(1, 2).reshape(t_len, n_own, heads * head_dim)
     context = pooled @ block.w_mix                         # [T, Q, V]
     joined = concat([context, own], axis=-1)               # [T, Q, 2V]
     return mlp_forward(params.value_head, joined).reshape(t_len, n_own)

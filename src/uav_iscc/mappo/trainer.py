@@ -26,6 +26,7 @@ from ..agents import (
     mu_reward,
     uav_obs_dim,
     uav_reward,
+    uav_rosters,
 )
 from ..env import ScenarioConfig, reset_world, world_step
 from ..numerics import AdamState, no_grad
@@ -182,8 +183,9 @@ class Trainer:
                                                     self.action_rng)
             mu_actions = [MuAction.from_vector(mu_unit[i], cfg) for i in range(k)]
             alloc = build_allocation(mu_actions, cfg)
+            rosters = uav_rosters(alloc, cfg)
 
-            uav_obs = build_uav_observations(world, alloc, cfg)
+            uav_obs = build_uav_observations(world, alloc, mu_obs, rosters, cfg)
             if greedy:
                 uav_unit, _ = greedy_action(self.actors["uav"], uav_obs)
                 uav_logp = np.zeros(m)
@@ -191,7 +193,7 @@ class Trainer:
                 uav_unit, _, uav_logp = sample_action(self.actors["uav"], uav_obs,
                                                       self.action_rng)
             uav_actions = [UavAction.from_vector(uav_unit[i], cfg) for i in range(m)]
-            alloc, accels = apply_uav_actions(alloc, uav_actions, cfg)
+            alloc, accels = apply_uav_actions(alloc, rosters, uav_actions, cfg)
 
             if record_trajectory:
                 self._record_rows(trajectory, world, alloc, accels, t)

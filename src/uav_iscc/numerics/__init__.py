@@ -18,7 +18,7 @@ from .nn import (
     mlp_forward,
 )
 from .optim import AdamState, adam_step, clip_grad_norm, global_grad_norm
-from .tensor import GraphError, Tensor, concat, no_grad, parameter, softmax
+from .tensor import GraphError, Tensor, concat, no_grad, parameter, self_masked_attention
 
 __all__ = [
     "AdamState",
@@ -42,5 +42,5 @@ __all__ = [
     "mlp_forward",
     "no_grad",
     "parameter",
-    "softmax",
+    "self_masked_attention",
 ]

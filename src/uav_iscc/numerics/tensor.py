@@ -10,6 +10,7 @@ fly; a constant (neither ``requires_grad`` nor recorded parents) gets no gradien
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,6 +23,9 @@ class GraphError(Exception):
 
 
 _recording = True
+
+_MASK = -1e30                # a query's own score: exp gives exactly 0, no inf arithmetic
+_CHUNK_ELEMENTS = 1 << 18    # scores per self_masked_attention chunk: 2 MiB, an L2 cache
 
 
 @contextmanager
@@ -91,8 +95,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
+    @property
+    def _tracked(self) -> bool:
+        """Whether gradients flow into this tensor; a constant gets none."""
+        return self.requires_grad or bool(self._parents)
+
     def _accumulate(self, grad: np.ndarray):
-        if not (self.requires_grad or self._parents):
+        if not self._tracked:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
@@ -131,9 +140,14 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     @staticmethod
+    def _records(parents) -> bool:
+        """Whether an op on `parents` is recorded for backward."""
+        return _recording and any(p._tracked for p in parents)
+
+    @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _recording and any(p.requires_grad or p._parents for p in parents):
+        if Tensor._records(parents):
             out._parents = tuple(parents)
             out._backward = backward
         return out
@@ -164,9 +178,11 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor._lift(other)
 
-        def backward(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+        def backward(g):  # constants skip their product
+            if self._tracked:
+                self._accumulate(g * other.data)
+            if other._tracked:
+                other._accumulate(g * self.data)
 
         return self._make(self.data * other.data, (self, other), backward)
 
@@ -185,9 +201,9 @@ class Tensor:
                 g2 = np.expand_dims(g2, -2)
             if b.ndim == 1:
                 g2 = np.expand_dims(g2, -1)
-            if self.requires_grad or self._parents:  # constants skip their product
+            if self._tracked:  # constants skip their product
                 self._accumulate(_unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape))
-            if other.requires_grad or other._parents:
+            if other._tracked:
                 other._accumulate(_unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape).reshape(b.shape))
 
         return self._make(a @ b, (self, other), backward)
@@ -248,8 +264,10 @@ class Tensor:
         take_self = self.data <= other.data
 
         def backward(g):
-            self._accumulate(g * take_self)
-            other._accumulate(g * ~take_self)
+            if self._tracked:
+                self._accumulate(g * take_self)
+            if other._tracked:
+                other._accumulate(g * ~take_self)
 
         return self._make(np.minimum(self.data, other.data), (self, other), backward)
 
@@ -318,21 +336,64 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax; outputs are positive and sum to one on `axis`.
+def self_masked_attention(q, key, val, offset: int) -> Tensor:
+    """softmax(q @ keyᵀ / sqrt(d)) @ val, with query i blind to key `offset + i`.
 
-    One recorded node: the backward is g*y - y * sum(g*y) on `axis`.
+    q [..., Q, d], key [..., U, d], val [..., U, dv] -> [..., Q, dv]; the
+    leading axes are a stack of independent attentions. One recorded node:
+    the scores of each chunk of the stack (at most _CHUNK_ELEMENTS entries,
+    or one [Q, U] block) go into one buffer that the scale, the mask, the
+    row-max shift, the exp and the normalisation overwrite in place, so a
+    chunk stays in cache. A stack that fits one chunk is read as given; a
+    larger one is flattened first, which copies a strided input. The
+    backward keeps only the weights and repeats the unfused chain's
+    arithmetic (matmul, scale, mask add, softmax, matmul) in the same order,
+    so values and gradients equal that chain's bit for bit.
     """
-    logits = Tensor._lift(logits)
-    e = np.exp(logits.data - logits.data.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    q, key, val = Tensor._lift(q), Tensor._lift(key), Tensor._lift(val)
+    n_q, d = q.shape[-2:]
+    n_u = key.shape[-2]
+    if offset < 0 or offset + n_q > n_u:
+        raise ValueError(f"queries {offset}..{offset + n_q - 1} have no key among {n_u}")
+    n = math.prod(q.shape[:-2])
+    step = max(1, _CHUNK_ELEMENTS // max(1, n_q * n_u))
+    if n <= step:               # one chunk: the stack as given, no copy
+        qs, ks, vs, chunks = q.data, key.data, val.data, [...]
+    else:                       # chunks of the flattened stack
+        qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, key, val))
+        chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    stack = qs.shape[:-2]
+    scale = 1.0 / np.sqrt(d)
+    own = np.arange(n_q)
+    # the backward needs every chunk's weights; without it each chunk is scratch
+    weights = np.empty((*stack, n_q, n_u)) if Tensor._records((q, key, val)) else None
+    out = np.empty((*stack, n_q, vs.shape[-1]))
+    for c in chunks:
+        w = np.matmul(qs[c], ks[c].swapaxes(-1, -2), out=None if weights is None else weights[c])
+        w *= scale
+        w[..., own, offset + own] += _MASK
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, vs[c], out=out[c])
 
     def backward(g):
-        gy = g * y
-        gy -= y * gy.sum(axis=axis, keepdims=True)
-        logits._accumulate(gy)
+        g = g.reshape(out.shape)
+        gq, gkey_t, gval = np.empty(qs.shape), np.empty((*stack, d, n_u)), np.empty(vs.shape)
+        for c in chunks:
+            w = weights[c]
+            np.matmul(w.swapaxes(-1, -2), g[c], out=gval[c])
+            gw = g[c] @ vs[c].swapaxes(-1, -2)
+            gw *= w
+            gw -= w * gw.sum(axis=-1, keepdims=True)
+            gw *= scale
+            np.matmul(gw, ks[c], out=gq[c])
+            np.matmul(qs[c].swapaxes(-1, -2), gw, out=gkey_t[c])
+        q._accumulate(gq.reshape(q.shape))
+        key._accumulate(gkey_t.swapaxes(-1, -2).reshape(key.shape))
+        val._accumulate(gval.reshape(val.shape))
 
-    return Tensor._make(y, (logits,), backward)
+    return Tensor._make(out.reshape(*q.shape[:-1], vs.shape[-1]), (q, key, val), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:

@@ -9,10 +9,39 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from uav_iscc.agents import mu_obs_dim, roster_of, uav_obs_dim
+from uav_iscc.agents import mu_obs_dim, uav_obs_dim
 from uav_iscc.env import Allocation, ScenarioConfig, TaskSpec, WorldState, radar_leakage
 from uav_iscc.mappo import CriticParams
-from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward, softmax
+from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
+
+_MASK = -1e30
+
+
+def softmax(logits: Tensor, axis: int = -1) -> Tensor:
+    """Shift-invariant softmax; outputs are positive and sum to one on `axis`.
+
+    One recorded node: the backward is g*y - y * sum(g*y) on `axis`.
+    """
+    logits = Tensor._lift(logits)
+    e = np.exp(logits.data - logits.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        gy = g * y
+        gy -= y * gy.sum(axis=axis, keepdims=True)
+        logits._accumulate(gy)
+
+    return Tensor._make(y, (logits,), backward)
+
+
+def masked_attention_chain(q, key, val, offset: int) -> Tensor:
+    """Unfused `self_masked_attention`: scale, dense diagonal mask, softmax and
+    pool, each a recorded node of its own."""
+    q, key = Tensor._lift(q), Tensor._lift(key)
+    n_q, n_u = q.shape[-2], key.shape[-2]
+    mask = np.diag(np.full(n_u, _MASK))[offset:offset + n_q]     # [Q, U]
+    scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    return softmax(scores, axis=-1) @ val
 
 
 def head_rows(block: AttentionBlockParams, h: int) -> slice:
@@ -187,6 +216,14 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
         ])
         out.append(vec)
     return np.array(out).reshape(world.num_mus, mu_obs_dim(cfg))
+
+
+def roster_of(alloc: Allocation, m: int, cfg: ScenarioConfig) -> np.ndarray:
+    """One UAV's served MU indices in ascending order, padded with -1 to the capacity."""
+    served = alloc.served_by(m)[: cfg.k_cap]
+    roster = np.full(cfg.k_cap, -1, dtype=int)
+    roster[: served.size] = served
+    return roster
 
 
 def build_uav_observations(world: WorldState, alloc: Allocation,

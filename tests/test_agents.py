@@ -18,9 +18,9 @@ from uav_iscc.agents import (
     mu_obs_dim,
     mu_reward,
     penalty_P,
-    roster_of,
     uav_obs_dim,
     uav_reward,
+    uav_rosters,
 )
 from uav_iscc.env import Allocation, ScenarioConfig, reset_world, world_step
 
@@ -30,6 +30,12 @@ def cfg_of(**kw):
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg.validate()
+
+
+def observe(world, alloc, cfg):
+    """MU and UAV observations of one slot, as `collect_episode` builds them."""
+    mu_obs = build_mu_observations(world, cfg)
+    return mu_obs, build_uav_observations(world, alloc, mu_obs, uav_rosters(alloc, cfg), cfg)
 
 
 # ----------------------------------------------------------------------
@@ -146,14 +152,12 @@ def test_observation_lengths_and_unit_range():
     actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
                for _ in range(cfg.num_mus)]
     alloc = build_allocation(actions, cfg)
-    mu_obs = build_mu_observations(world, cfg)
-    uav_obs = build_uav_observations(world, alloc, cfg)
+    mu_obs, uav_obs = observe(world, alloc, cfg)
     assert mu_obs.shape == (cfg.num_mus, mu_obs_dim(cfg))
     assert uav_obs.shape == (cfg.num_uavs, uav_obs_dim(cfg))
     for obs in (mu_obs, uav_obs):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
-    for m in range(cfg.num_uavs):
-        roster = roster_of(alloc, m, cfg)
+    for m, roster in enumerate(uav_rosters(alloc, cfg)):
         assert np.sum(roster >= 0) == alloc.served_by(m)[: cfg.k_cap].size
 
 
@@ -182,11 +186,11 @@ def test_uav_roster_padding():
         v[-2:] = 0.4
         vecs.append(MuAction.from_vector(v, cfg))
     alloc = build_allocation(vecs, cfg)
-    roster = roster_of(alloc, 0, cfg)
+    roster = uav_rosters(alloc, cfg)[0]
     assert np.sum(roster >= 0) == 3
     assert np.all(roster[3:] == -1)
     # padded slots carry zero features
-    vec = build_uav_observations(world, alloc, cfg)[0]
+    vec = observe(world, alloc, cfg)[1][0]
     slot_feats = vec[1:1 + 9 * cfg.k_cap].reshape(cfg.k_cap, 9)
     assert np.all(slot_feats[3:] == 0.0)
 
@@ -217,11 +221,14 @@ def test_array_observations_match_per_agent_builders(case):
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
-    mu_obs = build_mu_observations(world, cfg)
+    mu_obs, uav_obs = observe(world, alloc, cfg)
     mu_ref = oracles.build_mu_observations(world, cfg)
     assert mu_obs.shape == mu_ref.shape == (cfg.num_mus, mu_obs_dim(cfg))
     assert mu_obs.tobytes() == mu_ref.tobytes()
-    uav_obs = build_uav_observations(world, alloc, cfg)
+    rosters = uav_rosters(alloc, cfg)
+    assert rosters.shape == (num_uavs, cfg.k_cap)
+    for m, roster in enumerate(rosters):
+        assert np.array_equal(roster, oracles.roster_of(alloc, m, cfg))
     uav_ref = oracles.build_uav_observations(world, alloc, cfg)
     assert uav_obs.shape == uav_ref.shape == (num_uavs, uav_obs_dim(cfg))
     assert uav_obs.tobytes() == uav_ref.tobytes()
@@ -240,7 +247,7 @@ def episode_slot(cfg, seed):
     alloc = build_allocation(actions, cfg)
     uav_actions = [UavAction.from_vector(rng.uniform(0.01, 0.99, UavAction.dim(cfg)), cfg)
                    for _ in range(cfg.num_uavs)]
-    alloc, accels = apply_uav_actions(alloc, uav_actions, cfg)
+    alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
     nxt, report = world_step(world, alloc, accels, cfg, rng)
     return world, alloc, nxt, report
 

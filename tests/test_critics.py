@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import attention_weights, critic_forward
+from oracles import attention_weights, critic_forward, masked_attention_chain
 from uav_iscc.mappo import CriticParams, critic_values_batch, state_values_batch
+from uav_iscc.mappo import critics as critics_module
 from uav_iscc.numerics import Tensor, mlp_forward, no_grad
+from uav_iscc.numerics import tensor as tensor_module
 
 
 def make_critic(mu_in=8, uav_in=10, state_dim=30, kind="attention", seed=0):
@@ -35,6 +37,26 @@ def test_batched_matches_reference_forward():
                 for col, u in enumerate(agents):
                     ref = critic_forward(critic, all_obs, all_act, num_mus=k, agent=u).item()
                     assert values[t, col] == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("want", ["mu", "uav"])
+@pytest.mark.parametrize("k, m, chunk", [(3, 2, None), (30, 6, 2 * 30 * 36)])
+def test_values_and_gradients_equal_unfused_attention(want, k, m, chunk, monkeypatch):
+    if chunk is not None:                              # several chunks of the [T*H] stack
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", chunk)
+    targets = np.random.default_rng(18).normal(size=(4, k if want == "mu" else m))
+    runs = []
+    for attention in (None, masked_attention_chain):
+        if attention is not None:
+            monkeypatch.setattr(critics_module, "self_masked_attention", attention)
+        critic = make_critic(seed=17)
+        values = critic_values_batch(critic, *random_instance(critic, k=k, m=m, t=4, seed=19),
+                                     want)
+        diff = values - Tensor(targets)
+        (diff * diff).mean().backward()
+        runs.append([values.data] + [p.grad for p in critic.parameters()])
+    for fused, chain in zip(*runs):
+        assert fused.tobytes() == chain.tobytes()
 
 
 def test_unknown_agent_type_rejected():

@@ -15,7 +15,7 @@ SUBPACKAGES = ("uav_iscc.env", "uav_iscc.agents", "uav_iscc.mappo", "uav_iscc.nu
 
 # module-level names and class attributes that were deleted as unused
 DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation",
-                 "build_observations", "clip")
+                 "build_observations", "clip", "softmax", "roster_of")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names"),

@@ -14,9 +14,12 @@ from uav_iscc.numerics import (
     mlp_forward,
     no_grad,
     parameter,
-    softmax,
+    self_masked_attention,
 )
+from uav_iscc.numerics import tensor as tensor_module
 from uav_iscc.numerics.tensor import _trigamma
+
+from oracles import masked_attention_chain, softmax
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -176,6 +179,19 @@ def test_constant_operands_get_no_gradient():
         assert np.max(rel_err(p.grad, g)) < 1e-4
 
 
+@pytest.mark.parametrize("op", ["mul", "minimum"])
+def test_constant_on_either_side_leaves_the_other_operands_gradient(op):
+    rng = np.random.default_rng(12)
+    c = Tensor(rng.normal(size=6))
+    w = parameter(rng.normal(size=6))
+    expected = c.data if op == "mul" else (w.data < c.data).astype(float)
+    for a, b in ((c, w), (w, c)):
+        w.grad = None
+        (a * b if op == "mul" else a.minimum(b)).sum().backward()
+        assert np.array_equal(w.grad, expected)
+        assert c.grad is None
+
+
 def test_no_grad_outputs_record_no_parents():
     w = parameter(np.ones((3, 2)))
     with no_grad():
@@ -246,6 +262,96 @@ def test_softmax_gradient_matches_finite_differences(axis):
     assert np.all(x.grad[masked] == 0.0)
     fd = finite_diff_grad(loss_fn, [x])[0]
     assert np.max(rel_err(x.grad, fd)) < 1e-4
+
+
+# (leading axes, Q, U, offset, score budget per chunk in [Q, U] blocks; None: the default)
+ATTENTION_CASES = {
+    "one-chunk": ((2, 3), 4, 7, 0, None),
+    "several-chunks": ((3, 2), 4, 7, 0, 2),
+    "ragged-last-chunk": ((7,), 4, 7, 0, 3),
+    "offset-k": ((2, 3), 3, 7, 4, 4),
+    "one-query": ((5,), 1, 5, 2, 2),
+    "400x420": ((2, 4), 400, 420, 0, None),
+}
+
+
+def attention_inputs(lead, n_q, n_u, seed, dv=3):
+    rng = np.random.default_rng(seed)
+    return (parameter(rng.normal(size=(*lead, n_q, 5))),
+            parameter(rng.normal(size=(*lead, n_u, 5))),
+            parameter(rng.normal(size=(*lead, n_u, dv))),
+            rng.normal(size=(*lead, n_q, dv)))
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_self_masked_attention_equals_unfused_chain(case, monkeypatch):
+    lead, n_q, n_u, offset, blocks = ATTENTION_CASES[case]
+    if blocks is not None:
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * n_q * n_u)
+    if case == "400x420":
+        assert np.prod(lead) * n_q * n_u > tensor_module._CHUNK_ELEMENTS   # several chunks
+    fused_in = attention_inputs(lead, n_q, n_u, seed=20)
+    chain_in = attention_inputs(lead, n_q, n_u, seed=20)
+    outs = []
+    for fn, (q, key, val, c) in ((self_masked_attention, fused_in),
+                                 (masked_attention_chain, chain_in)):
+        out = fn(q, key, val, offset)
+        (out * c).sum().backward()
+        outs.append(out.data)
+    assert outs[0].shape == (*lead, n_q, 3)
+    assert outs[0].tobytes() == outs[1].tobytes()
+    for fused, chain in zip(fused_in[:3], chain_in[:3]):
+        assert fused.grad.tobytes() == chain.grad.tobytes()
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_self_masked_attention_gradient_matches_finite_differences(offset, monkeypatch):
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", 2 * 3 * 5)   # chunks of 2, 2, 1
+    q, key, val, c = attention_inputs((5,), 3, 5, seed=21)
+
+    def loss_fn():
+        with no_grad():
+            out = self_masked_attention(q, key, val, offset).data
+        return float((out * c + out * out).sum())
+
+    out = self_masked_attention(q, key, val, offset)
+    (out * c + out * out).sum().backward()
+    fd = finite_diff_grad(loss_fn, [q, key, val])
+    for p, g in zip([q, key, val], fd):
+        assert np.max(rel_err(p.grad, g)) < 1e-4
+
+
+@pytest.mark.parametrize("blocks", [5, 2])
+def test_self_masked_attention_backward_leaves_inputs_unmodified(blocks, monkeypatch):
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 4 * 7)
+    q, key, val, g = attention_inputs((5,), 4, 7, seed=23)
+    before = [t.data.copy() for t in (q, key, val)]
+    g_before = g.copy()
+    out = self_masked_attention(q, key, val, 1)
+    out._backward(g)
+    assert np.array_equal(g, g_before)
+    for t, data in zip((q, key, val), before):
+        assert np.array_equal(t.data, data)
+        assert t.grad is not None and not np.shares_memory(t.grad, g)
+
+
+@pytest.mark.parametrize("blocks", [5, 2])
+def test_self_masked_attention_without_recording_keeps_no_closure(blocks, monkeypatch):
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 4 * 7)
+    q, key, val, _ = attention_inputs((5,), 4, 7, seed=24)
+    recorded = self_masked_attention(q, key, val, 3)
+    with no_grad():
+        plain = self_masked_attention(q, key, val, 3)
+    assert recorded._backward is not None
+    assert plain._backward is None and plain._parents == ()
+    assert plain.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("offset", [-1, 4])
+def test_self_masked_attention_rejects_queries_without_own_key(offset):
+    q, key, val, _ = attention_inputs((2,), 3, 6, seed=25)
+    with pytest.raises(ValueError, match="no key"):
+        self_masked_attention(q, key, val, offset)
 
 
 def test_mlp_zero_weights_returns_bias():

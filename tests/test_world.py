@@ -10,6 +10,7 @@ from uav_iscc.agents import (
     build_allocation,
     mu_reward,
     uav_reward,
+    uav_rosters,
 )
 from uav_iscc.env import Allocation, ConfigError, ScenarioConfig, reset_world, world_step
 
@@ -42,7 +43,7 @@ def run_slot(cfg, seed=0):
     world = reset_world(cfg, rng)
     mu_actions, uav_actions = random_actions(cfg, rng)
     alloc = build_allocation(mu_actions, cfg)
-    alloc, accels = apply_uav_actions(alloc, uav_actions, cfg)
+    alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
     nxt, report = world_step(world, alloc, accels, cfg, rng)
     return world, alloc, accels, nxt, report
 
@@ -82,7 +83,7 @@ def test_report_nonnegative_and_latency_identity():
     for _ in range(50):
         mu_actions, uav_actions = random_actions(cfg, rng)
         alloc = build_allocation(mu_actions, cfg)
-        alloc, accels = apply_uav_actions(alloc, uav_actions, cfg)
+        alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
         world, report = world_step(world, alloc, accels, cfg, rng)
         for name in ("t_local", "t_compress", "t_offload", "t_decompress",
                      "t_edge_compute", "t_edge_total", "latency", "e_compress",
@@ -102,7 +103,7 @@ def test_edge_capacity_and_share_sums():
     for _ in range(30):
         mu_actions, uav_actions = random_actions(cfg, rng)
         alloc = build_allocation(mu_actions, cfg)
-        alloc, _ = apply_uav_actions(alloc, uav_actions, cfg)
+        alloc, _ = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
         assert np.all(alloc.association.sum(axis=1) <= 1)
         per_uav = (alloc.association * alloc.edge_cpu).sum(axis=0)
         assert np.all(per_uav <= cfg.uav_cpu_max + 1e-9)
