@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..env.config import ScenarioConfig
-from ..env.types import Allocation, WorldState
+from ..env.types import Allocation
 
 
 @dataclass
@@ -51,10 +51,11 @@ class UavAction:
 
 def decode_mu_action(raw: MuAction, cfg: ScenarioConfig) -> tuple[int, float, float]:
     """Pick the association (argmax, lowest index on ties; -1 = stay local)
-    and pass the ratios through, honoring the ablation switches."""
+    and pass the ratios through, clamped to [0, 1], honoring the ablation
+    switches."""
     choice = int(np.argmax(raw.scores)) - 1
-    rho = float(np.clip(raw.offload_ratio, 0.0, 1.0)) if cfg.computation_enabled else 0.0
-    eta = float(np.clip(raw.compress_ratio, 0.0, 1.0)) if cfg.compression_enabled else 0.0
+    rho = min(max(raw.offload_ratio, 0.0), 1.0) if cfg.computation_enabled else 0.0
+    eta = min(max(raw.compress_ratio, 0.0), 1.0) if cfg.compression_enabled else 0.0
     return choice, rho, eta
 
 
@@ -66,20 +67,20 @@ def build_allocation(mu_actions: list[MuAction], cfg: ScenarioConfig) -> Allocat
     """
     k = len(mu_actions)
     m = cfg.num_uavs
-    association = np.zeros((k, m))
-    rho = np.zeros(k)
-    eta = np.zeros(k)
-    counts = np.zeros(m, dtype=int)
+    cap = cfg.k_cap
+    counts = [0] * m
+    serving, rho, eta = [-1] * k, [0.0] * k, [0.0] * k
     for i, raw in enumerate(mu_actions):
         choice, r, e = decode_mu_action(raw, cfg)
-        if choice >= 0 and counts[choice] < cfg.k_cap:
-            association[i, choice] = 1.0
+        if choice >= 0 and counts[choice] < cap:
             counts[choice] += 1
-            rho[i], eta[i] = r, e
-        else:
-            rho[i], eta[i] = 0.0, 0.0
-    return Allocation(association=association, offload_ratio=rho,
-                      compress_ratio=eta, edge_cpu=np.zeros((k, m)))
+            serving[i], rho[i], eta[i] = choice, r, e
+    serving = np.array(serving, dtype=int)
+    association = np.zeros((k, m))
+    rows = np.flatnonzero(serving >= 0)
+    association[rows, serving[rows]] = 1.0
+    return Allocation(association=association, serving=serving, offload_ratio=np.array(rho),
+                      compress_ratio=np.array(eta), edge_cpu=np.zeros((k, m)))
 
 
 def decode_uav_action(raw: UavAction, roster: np.ndarray,

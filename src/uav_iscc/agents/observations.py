@@ -12,16 +12,12 @@ a slot computes each once.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 import numpy as np
 
 from ..env.config import ScenarioConfig
 from ..env.types import Allocation, WorldState
+from ..env.world import task_bounds
 
-
-_TASK_FIELDS = ("data_bits", "compute_density", "compress_density", "compress_ratio", "deadline")
-_task_values = attrgetter(*_TASK_FIELDS)
 _MU_TASK_COLUMNS = slice(1, 6)     # an MU observation's scaled task
 
 
@@ -30,11 +26,9 @@ def _scaled_tasks(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
 
     A field whose range has max <= min scales to 0.
     """
-    tasks = np.array([_task_values(mu.task) for mu in world.mus]).reshape(-1, 5)
-    lo = np.array([getattr(cfg, f"{name}_min") for name in _TASK_FIELDS])
-    hi = np.array([getattr(cfg, f"{name}_max") for name in _TASK_FIELDS])
+    lo, hi = task_bounds(cfg)
     ranged = hi > lo
-    unit = np.clip((tasks - lo) / np.where(ranged, hi - lo, 1.0), 0.0, 1.0)
+    unit = np.clip((world.tasks - lo) / np.where(ranged, hi - lo, 1.0), 0.0, 1.0)
     return np.where(ranged, unit, 0.0)
 
 
@@ -56,7 +50,7 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
         (np.arange(k_count) / max(cfg.num_mus, 1))[:, None],
         _scaled_tasks(world, cfg),
         np.broadcast_to(uav_xy, (k_count, uav_xy.size)),
-        world.mu_positions() / width,
+        world.mu_positions / width,
     ], axis=1)                                                    # [K, L]
 
 
@@ -79,7 +73,7 @@ def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndar
     # roster slot features per MU: position, task, offload and compression
     # choices; the appended zero row is the slot that roster index -1 picks
     slot_table = np.pad(np.concatenate([
-        world.mu_positions() / width,
+        world.mu_positions / width,
         mu_obs[:, _MU_TASK_COLUMNS],
         alloc.offload_ratio[:, None],
         alloc.compress_ratio[:, None],

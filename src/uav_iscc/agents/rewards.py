@@ -49,7 +49,7 @@ def latency_penalty(latency: float, deadline: float) -> float:
 def mu_reward(k: int, report: SlotReport, alloc: Allocation,
               cfg: ScenarioConfig) -> RewardBreakdown:
     """-(own energy + weighted serving-UAV energy) times the latency factor."""
-    serving = alloc.serving_uav(k)
+    serving = int(alloc.serving[k])
     base = float(report.e_mu[k])
     if serving >= 0:
         base += cfg.weight_factor * float(report.e_uav[serving])
@@ -95,13 +95,13 @@ def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
     and a distance factor pushing the UAV toward the centroid of its served
     MUs; geometric terms use the post-move world the action produced.
     """
-    served = alloc.served_by(m)
+    served = np.flatnonzero(alloc.serving == m)
     e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0
     e_bar = e_served + cfg.weight_factor * float(report.e_uav[m])
 
     own = world.uavs[m].position
     if served.size:
-        centroid = np.mean([world.mus[k].position for k in served], axis=0)
+        centroid = np.mean(world.mu_positions[served], axis=0)
         dist = float(np.linalg.norm(own - centroid))
     else:
         dist = 0.0

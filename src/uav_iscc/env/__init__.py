@@ -22,7 +22,7 @@ from .radio import (
     radar_rate_from_filter,
     steering_vector,
 )
-from .types import Allocation, MuState, SlotReport, TaskSpec, UavState, WorldState
+from .types import TASK_FIELDS, Allocation, SlotReport, UavState, WorldState
 from .world import draw_task, dvfs_frequency, reset_world, world_step
 
 __all__ = [
@@ -30,11 +30,10 @@ __all__ = [
     "ConfigError",
     "INFINITE_DELAY",
     "MuSlotOutcome",
-    "MuState",
     "RadarState",
     "ScenarioConfig",
     "SlotReport",
-    "TaskSpec",
+    "TASK_FIELDS",
     "UavState",
     "WorldState",
     "advance_kinematics",

@@ -9,17 +9,18 @@ work is decompressed and executed on the serving UAV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .config import ScenarioConfig
-from .types import TaskSpec
 
 INFINITE_DELAY = math.inf
 
 
-@dataclass
-class MuSlotOutcome:
-    """Latency and energy components of one MU's task in one slot."""
+class MuSlotOutcome(NamedTuple):
+    """Latency and energy components of one MU's task in one slot.
+
+    A tuple, so that a list of outcomes converts to a [K, 13] array at once."""
 
     t_local: float
     t_compress: float
@@ -50,19 +51,20 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-def mu_slot_outcome(task: TaskSpec, rho: float, eta: float, f_mu: float,
+def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
                     f_edge: float, rate: float, power: float,
                     decompress_density: float, cfg: ScenarioConfig) -> MuSlotOutcome:
     """Delays and energies of one MU's split pipeline.
 
-    A zero rate or zero edge share with pending work yields the infinite-delay
-    sentinel. An infinite offload delay bills transmit energy for the slot
-    only; the latency sentinel already triggers the deadline penalty.
+    `task` holds one task's five values in `TASK_FIELDS` order. A zero rate
+    or zero edge share with pending work yields the infinite-delay sentinel.
+    An infinite offload delay bills transmit energy for the slot only; the
+    latency sentinel already triggers the deadline penalty.
     """
-    d, c, j = task.data_bits, task.compute_density, task.compress_density
+    d, c, j, beta, _ = task
     t_local = _safe_div((1.0 - rho) * d * c, f_mu)
     t_compress = _safe_div(rho * eta * d * j, f_mu)
-    t_offload = _safe_div(transmitted_fraction(rho, eta, task.compress_ratio) * d, rate)
+    t_offload = _safe_div(transmitted_fraction(rho, eta, beta) * d, rate)
     t_decompress = _safe_div(rho * eta * d * decompress_density, f_edge)
     t_edge_compute = _safe_div(rho * d * c, f_edge)
     t_edge_total = t_offload + t_decompress + t_edge_compute

@@ -5,43 +5,45 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig
-from .types import MuState, UavState
+from .types import UavState
 
 
-def step_mobility(state: MuState, cfg: ScenarioConfig, rng: np.random.Generator) -> MuState:
-    """Advance one MU by the Gauss-Markov recursion.
+def step_mobility(positions: np.ndarray, speeds: np.ndarray, headings: np.ndarray,
+                  cfg: ScenarioConfig, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance MUs by the Gauss-Markov recursion: positions [K, 2], speeds and
+    headings [K] in; new arrays of the same shapes out.
 
     Speed and heading mix the previous value, a long-run mean, and a Gaussian
-    innovation scaled by sqrt(1 - memory^2); the position advances along the
+    innovation scaled by sqrt(1 - memory^2); the innovations are one [K, 2]
+    draw, speed then heading in each row. The position advances along the
     previous heading at the previous speed and reflects off the region walls.
     """
     mu1 = cfg.mobility_speed_memory
     mu2 = cfg.mobility_heading_memory
-    speed_noise = rng.normal(cfg.mobility_speed_noise_mean, cfg.mobility_speed_noise_std)
-    heading_noise = rng.normal(cfg.mobility_heading_noise_mean, cfg.mobility_heading_noise_std)
+    noise = rng.normal([cfg.mobility_speed_noise_mean, cfg.mobility_heading_noise_mean],
+                       [cfg.mobility_speed_noise_std, cfg.mobility_heading_noise_std],
+                       size=(speeds.shape[0], 2))
 
-    new_speed = (mu1 * state.speed
+    new_speed = (mu1 * speeds
                  + (1.0 - mu1) * cfg.mobility_mean_speed
-                 + np.sqrt(max(0.0, 1.0 - mu1 * mu1)) * speed_noise)
-    new_heading = (mu2 * state.heading
+                 + np.sqrt(max(0.0, 1.0 - mu1 * mu1)) * noise[:, 0])
+    new_heading = (mu2 * headings
                    + (1.0 - mu2) * cfg.mobility_mean_heading
-                   + np.sqrt(max(0.0, 1.0 - mu2 * mu2)) * heading_noise)
-    new_speed = max(0.0, new_speed)
+                   + np.sqrt(max(0.0, 1.0 - mu2 * mu2)) * noise[:, 1])
+    new_speed = np.maximum(0.0, new_speed)
 
-    step = state.speed * cfg.slot_seconds
-    pos = state.position + step * np.array([np.cos(state.heading), np.sin(state.heading)])
+    step = speeds * cfg.slot_seconds
+    pos = positions + step[:, None] * np.stack([np.cos(headings), np.sin(headings)], axis=1)
 
     # reflect at the walls: clamp position, mirror the heading component
     width = cfg.region_width
-    if pos[0] < 0.0 or pos[0] > width:
-        pos[0] = np.clip(pos[0], 0.0, width)
-        new_heading = np.pi - new_heading
-    if pos[1] < 0.0 or pos[1] > width:
-        pos[1] = np.clip(pos[1], 0.0, width)
-        new_heading = -new_heading
-    new_heading = float(np.arctan2(np.sin(new_heading), np.cos(new_heading)))
-
-    return MuState(position=pos, speed=float(new_speed), heading=new_heading, task=state.task)
+    outside = (pos < 0.0) | (pos > width)
+    pos = np.clip(pos, 0.0, width)
+    new_heading = np.where(outside[:, 0], np.pi - new_heading, new_heading)
+    new_heading = np.where(outside[:, 1], -new_heading, new_heading)
+    new_heading = np.arctan2(np.sin(new_heading), np.cos(new_heading))
+    return pos, new_speed, new_heading
 
 
 def advance_kinematics(uav: UavState, a_cmd: np.ndarray, cfg: ScenarioConfig) -> tuple[UavState, float]:

@@ -32,26 +32,33 @@ def elevation_angle(horizontal_dist: float, altitude: float) -> float:
 def build_all_channels(world: WorldState, cfg: ScenarioConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """Vectorized channel draw for every MU-UAV pair: complex [K, M, W_R, W_T]."""
-    mu_pos = world.mu_positions()            # [K, 2]
+    mu_pos = world.mu_positions              # [K, 2]
     uav_pos = world.uav_positions()          # [M, 2]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)                    # [K, M]
     d2 = horiz2 + cfg.altitude ** 2
     angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))        # [K, M]
     sin_a = np.sin(angle)
-    a_r = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.rx_antennas))
-    a_t = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.tx_antennas))
-    los = a_r[..., :, None] * a_t[..., None, :].conj()       # [K, M, W_R, W_T]
+    # one steering exponential for the larger array; each array takes a prefix
+    n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
+    steer = np.exp(1j * np.pi * sin_a[..., None] * np.arange(max(n_r, n_t)))
+    channel = steer[..., :n_r, None] * steer[..., None, :n_t].conj()   # LOS, [K, M, W_R, W_T]
     eps = cfg.rician_factor
     if math.isinf(eps):
         w_los, w_nlos = 1.0, 0.0
     else:
         w_los = math.sqrt(eps / (eps + 1.0))
         w_nlos = math.sqrt(1.0 / (eps + 1.0))
-    shape = los.shape
-    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-    scale = np.sqrt(cfg.ref_gain / d2)[..., None, None]
-    return scale * (w_los * los + w_nlos * scatter)
+    shape = channel.shape
+    draws = rng.standard_normal((2, *shape))        # all real parts, then all imaginary
+    scatter = np.empty(shape, dtype=complex)
+    scatter.real, scatter.imag = draws
+    scatter /= math.sqrt(2.0)
+    channel *= w_los
+    scatter *= w_nlos
+    channel += scatter
+    channel *= np.sqrt(cfg.ref_gain / d2)[..., None, None]
+    return channel
 
 
 @dataclass

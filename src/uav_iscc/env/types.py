@@ -7,23 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class TaskSpec:
-    """One computational task: size, densities, pre-compression ratio, deadline."""
-
-    data_bits: float          # D, task size
-    compute_density: float    # C, cycles per bit to execute
-    compress_density: float   # J, cycles per bit to compress
-    compress_ratio: float     # beta in (0, 1], size multiplier after compression
-    deadline: float           # s, completion bound within the slot
-
-
-@dataclass
-class MuState:
-    position: np.ndarray      # m, 2-vector in the service square
-    speed: float              # m/s
-    heading: float            # rad
-    task: TaskSpec | None = None
+# Columns of `WorldState.tasks`, one computational task per MU:
+# D, task size (bits); C, cycles per bit to execute; J, cycles per bit to
+# compress; beta in (0, 1], size multiplier after compression; deadline (s),
+# the completion bound within the slot.
+TASK_FIELDS = ("data_bits", "compute_density", "compress_density", "compress_ratio",
+               "deadline")
 
 
 @dataclass
@@ -42,16 +31,10 @@ class Allocation:
     """Joint per-slot decision variables after decoding all agent actions."""
 
     association: np.ndarray   # {0,1}, [K, M], at most one 1 per row
+    serving: np.ndarray           # int [K], the associated UAV, -1 for a local MU
     offload_ratio: np.ndarray     # rho in [0,1], [K]
     compress_ratio: np.ndarray    # eta in [0,1], [K]
     edge_cpu: np.ndarray          # f^e in Hz, [K, M], nonzero only where associated
-
-    def served_by(self, m: int) -> np.ndarray:
-        return np.flatnonzero(self.association[:, m] > 0)
-
-    def serving_uav(self, k: int) -> int:
-        row = np.flatnonzero(self.association[k] > 0)
-        return int(row[0]) if row.size else -1
 
 
 @dataclass
@@ -97,24 +80,25 @@ class SlotReport:
 
 @dataclass
 class WorldState:
-    """Everything that defines the network at the start of one slot."""
+    """Everything that defines the network at the start of one slot.
+
+    The MUs are stored as arrays with one row per MU."""
 
     slot: int
-    mus: list                      # list[MuState]
+    mu_positions: np.ndarray       # m, [K, 2] in the service square
+    mu_speeds: np.ndarray          # m/s, [K]
+    mu_headings: np.ndarray        # rad, [K]
+    tasks: np.ndarray              # [K, 5], columns in TASK_FIELDS order
     uavs: list                     # list[UavState]
     channels: np.ndarray | None = None   # complex [K, M, W_R, W_T], built per slot
 
     @property
     def num_mus(self) -> int:
-        return len(self.mus)
+        return self.mu_positions.shape[0]
 
     @property
     def num_uavs(self) -> int:
         return len(self.uavs)
-
-    def mu_positions(self) -> np.ndarray:
-        """[K, 2], also for K = 0."""
-        return np.array([mu.position for mu in self.mus]).reshape(-1, 2)
 
     def uav_positions(self) -> np.ndarray:
         return np.stack([u.position for u in self.uavs])

@@ -6,49 +6,47 @@ import math
 
 import numpy as np
 
-from .compute import flight_power, mu_slot_outcome
+from .compute import MuSlotOutcome, flight_power, mu_slot_outcome
 from .config import ScenarioConfig
 from .mobility import advance_kinematics, step_mobility
 from .radio import build_all_channels, build_radar_state, design_links
-from .types import Allocation, MuState, SlotReport, TaskSpec, UavState, WorldState
+from .types import TASK_FIELDS, Allocation, SlotReport, UavState, WorldState
 
 
-def dvfs_frequency(task: TaskSpec, cfg: ScenarioConfig) -> float:
-    """CPU frequency the MU runs at: the least meeting the deadline, capped.
+def dvfs_frequency(tasks: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """CPU frequency each MU runs at: the least meeting the deadline, capped.
 
     min(f_max, D*C / T_max) keeps computation energy minimal under dynamic
-    voltage-frequency scaling.
+    voltage-frequency scaling. `tasks` is [K, 5] in TASK_FIELDS order.
     """
-    demand = task.data_bits * task.compute_density / task.deadline
-    return min(cfg.mu_cpu_max, demand)
+    demand = tasks[:, 0] * tasks[:, 1] / tasks[:, 4]
+    return np.minimum(cfg.mu_cpu_max, demand)
 
 
-def draw_task(cfg: ScenarioConfig, rng: np.random.Generator) -> TaskSpec:
-    return TaskSpec(
-        data_bits=rng.uniform(cfg.data_bits_min, cfg.data_bits_max),
-        compute_density=rng.uniform(cfg.compute_density_min, cfg.compute_density_max),
-        compress_density=rng.uniform(cfg.compress_density_min, cfg.compress_density_max),
-        compress_ratio=rng.uniform(cfg.compress_ratio_min, cfg.compress_ratio_max),
-        deadline=rng.uniform(cfg.deadline_min, cfg.deadline_max),
-    )
+def task_bounds(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper ends of the task fields' uniform ranges, in TASK_FIELDS order."""
+    return (np.array([getattr(cfg, f"{name}_min") for name in TASK_FIELDS]),
+            np.array([getattr(cfg, f"{name}_max") for name in TASK_FIELDS]))
 
 
-def reset_world(cfg: ScenarioConfig, rng: np.random.Generator,
-                uav_positions: np.ndarray | None = None) -> WorldState:
-    """Fresh episode: random placements, targets, couplings, and first tasks."""
+def draw_task(cfg: ScenarioConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Fresh tasks for `count` MUs: [count, 5] in TASK_FIELDS order, drawn row by row."""
+    lo, hi = task_bounds(cfg)
+    return rng.uniform(lo, hi, size=(count, len(TASK_FIELDS)))
+
+
+def reset_world(cfg: ScenarioConfig, rng: np.random.Generator) -> WorldState:
+    """Fresh episode: random placements, targets, couplings, and first tasks.
+
+    Each MU draws its position, heading and task as one row of uniforms.
+    """
     width = cfg.region_width
-    mus = []
-    for _ in range(cfg.num_mus):
-        mus.append(MuState(
-            position=rng.uniform(0.0, width, size=2),
-            speed=cfg.mobility_mean_speed,
-            heading=rng.uniform(-np.pi, np.pi),
-            task=draw_task(cfg, rng),
-        ))
-    if uav_positions is None:
-        uav_positions = rng.uniform(0.0, width, size=(cfg.num_uavs, 2))
-    else:
-        uav_positions = np.asarray(uav_positions, dtype=np.float64)
+    k_count = cfg.num_mus
+    task_lo, task_hi = task_bounds(cfg)
+    mu_draws = rng.uniform(np.concatenate([[0.0, 0.0, -np.pi], task_lo]),
+                           np.concatenate([[width, width, np.pi], task_hi]),
+                           size=(k_count, 3 + len(TASK_FIELDS)))
+    uav_positions = rng.uniform(0.0, width, size=(cfg.num_uavs, 2))
     targets = rng.uniform(0.0, width, size=(cfg.num_uavs, 2))
     doppler = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cfg.num_uavs))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.num_uavs, cfg.num_uavs))
@@ -72,7 +70,10 @@ def reset_world(cfg: ScenarioConfig, rng: np.random.Generator,
             clutter_gain=complex(clutter),
             decompress_density=float(decomp[m]),
         ))
-    return WorldState(slot=0, mus=mus, uavs=uavs)
+    return WorldState(slot=0, mu_positions=mu_draws[:, :2].copy(),
+                      mu_speeds=np.full(k_count, cfg.mobility_mean_speed),
+                      mu_headings=mu_draws[:, 2].copy(), tasks=mu_draws[:, 3:].copy(),
+                      uavs=uavs)
 
 
 def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
@@ -95,34 +96,29 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     rates, loaded = (design_links(world, alloc, radars, cfg) if k_count else ({}, False))
     loading = loading or loaded
 
-    # task pipeline per MU
-    zeros = np.zeros(k_count)
-    rep = {name: zeros.copy() for name in (
-        "t_local", "t_compress", "t_offload", "t_decompress", "t_edge_compute",
-        "t_edge_total", "latency", "e_compress", "e_local", "e_offload", "e_mu",
-        "rate")}
-    deadlines = zeros.copy()
+    # task pipeline: one call per MU on Python floats, then one array per field
+    serving = alloc.serving
+    served = serving >= 0
+    rho = np.where(served, alloc.offload_ratio, 0.0)
+    eta = np.where(rho > 0.0, alloc.compress_ratio, 0.0)
+    f_edge = np.where(served, alloc.edge_cpu[np.arange(k_count), serving], 0.0)
+    rate = np.zeros(k_count)
+    rate[list(rates)] = list(rates.values())
+    decomp = np.array([u.decompress_density for u in world.uavs])
+    j_dec = np.where(served, decomp[serving], 0.0)
+    rows = np.column_stack([world.tasks, rho, eta, dvfs_frequency(world.tasks, cfg),
+                            f_edge, rate, j_dec]).tolist()
+    outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, cfg.mu_power_max,
+                            j_dec_k, cfg)
+            for *task, rho_k, eta_k, f_mu, f_edge_k, rate_k, j_dec_k in rows]
+    rep = dict(zip(MuSlotOutcome._fields,
+                   np.array(outs).reshape(k_count, len(MuSlotOutcome._fields)).T.copy()))
+    # per-UAV sums accumulate in MU order
     e_edge_compute = np.zeros(m_count)
     e_decompress = np.zeros(m_count)
-    for k in range(k_count):
-        task = world.mus[k].task
-        deadlines[k] = task.deadline
-        serving = alloc.serving_uav(k)
-        rho = float(alloc.offload_ratio[k]) if serving >= 0 else 0.0
-        eta = float(alloc.compress_ratio[k]) if rho > 0.0 else 0.0
-        f_edge = float(alloc.edge_cpu[k, serving]) if serving >= 0 else 0.0
-        rate = rates.get(k, 0.0)
-        j_dec = world.uavs[serving].decompress_density if serving >= 0 else 0.0
-        out = mu_slot_outcome(task, rho, eta, dvfs_frequency(task, cfg), f_edge,
-                              rate, cfg.mu_power_max, j_dec, cfg)
-        for name in ("t_local", "t_compress", "t_offload", "t_decompress",
-                     "t_edge_compute", "t_edge_total", "latency", "e_compress",
-                     "e_local", "e_offload", "e_mu"):
-            rep[name][k] = getattr(out, name)
-        rep["rate"][k] = rate
-        if serving >= 0:
-            e_edge_compute[serving] += out.e_edge_compute
-            e_decompress[serving] += out.e_decompress
+    np.add.at(e_edge_compute, serving[served], rep["e_edge_compute"][served])
+    np.add.at(e_decompress, serving[served], rep["e_decompress"][served])
+    deadlines = world.tasks[:, 4].copy()
 
     # flight energy at the speed flown during this slot, then move
     p_fly = np.array([flight_power(float(np.linalg.norm(u.velocity)), cfg)
@@ -137,11 +133,16 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         new_uavs.append(moved)
         overshoot[m] = over
 
-    new_mus = []
-    for mu in world.mus:
-        stepped = step_mobility(mu, cfg, rng)
-        stepped.task = draw_task(cfg, rng)
-        new_mus.append(stepped)
+    # each MU draws its mobility innovations, then its next task
+    positions = np.empty_like(world.mu_positions)
+    speeds = np.empty_like(world.mu_speeds)
+    headings = np.empty_like(world.mu_headings)
+    tasks = np.empty_like(world.tasks)
+    for k in range(k_count):
+        row = slice(k, k + 1)
+        positions[row], speeds[row], headings[row] = step_mobility(
+            world.mu_positions[row], world.mu_speeds[row], world.mu_headings[row], cfg, rng)
+        tasks[row] = draw_task(cfg, rng, 1)
 
     pos = np.stack([u.position for u in new_uavs]) if m_count else np.zeros((0, 2))
     diff = pos[:, None, :] - pos[None, :, :]
@@ -160,7 +161,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         e_edge_compute=e_edge_compute, e_decompress=e_decompress,
         e_flight=e_flight, e_uav=e_flight + e_edge_compute + e_decompress,
         p_flight=p_fly,
-        rate=rep["rate"],
+        rate=rate,
         radar_sinr=np.array([r.sinr for r in radars]),
         radar_rate=radar_rates,
         deadline=deadlines,
@@ -171,6 +172,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         safety_violated=safety,
         loading_applied=loading,
     )
-    next_world = WorldState(slot=world.slot + 1, mus=new_mus, uavs=new_uavs,
+    next_world = WorldState(slot=world.slot + 1, mu_positions=positions, mu_speeds=speeds,
+                            mu_headings=headings, tasks=tasks, uavs=new_uavs,
                             channels=world.channels)
     return next_world, report

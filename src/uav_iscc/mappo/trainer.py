@@ -221,14 +221,14 @@ class Trainer:
         return batch
 
     def _record_rows(self, rows: list, world, alloc, accels, t: int) -> None:
-        for i, state in enumerate(world.mus):
+        mu_columns = zip(world.mu_positions.tolist(), alloc.serving.tolist(),
+                         alloc.offload_ratio.tolist(), alloc.compress_ratio.tolist())
+        for i, ((x, y), serving, rho, eta) in enumerate(mu_columns):
             rows.append({
                 "slot": t, "entity": f"mu{i}", "kind": "mu",
-                "x": float(state.position[0]), "y": float(state.position[1]),
+                "x": x, "y": y,
                 "vx": 0.0, "vy": 0.0, "ax": 0.0, "ay": 0.0,
-                "association": alloc.serving_uav(i),
-                "rho": float(alloc.offload_ratio[i]),
-                "eta": float(alloc.compress_ratio[i]),
+                "association": serving, "rho": rho, "eta": eta,
                 "reward": 0.0,
             })
         for i, state in enumerate(world.uavs):

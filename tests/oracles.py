@@ -6,11 +6,13 @@ batching logic with the path it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import digamma, gammaln
 
 from uav_iscc.agents import mu_obs_dim, uav_obs_dim
-from uav_iscc.env import Allocation, ScenarioConfig, TaskSpec, WorldState, radar_leakage
+from uav_iscc.env import Allocation, ScenarioConfig, WorldState, mu_slot_outcome, radar_leakage
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
 
@@ -115,6 +117,136 @@ def beta_entropy_value(zeta: float, eta: float) -> float:
 
 
 # ----------------------------------------------------------------------
+# association lookups, one MU or one UAV at a time
+# ----------------------------------------------------------------------
+def serving_uav(alloc: Allocation, k: int) -> int:
+    """The UAV that MU `k` is associated with, -1 if none."""
+    row = np.flatnonzero(alloc.association[k] > 0)
+    return int(row[0]) if row.size else -1
+
+
+def served_by(alloc: Allocation, m: int) -> np.ndarray:
+    """Indices of the MUs associated with UAV `m`, ascending."""
+    return np.flatnonzero(alloc.association[:, m] > 0)
+
+
+# ----------------------------------------------------------------------
+# episode start and task pipeline, one MU at a time
+# ----------------------------------------------------------------------
+def reset_mus(cfg: ScenarioConfig, rng: np.random.Generator):
+    """Each MU's position, heading and task drawn by separate calls:
+    (positions [K, 2], headings [K], tasks [K, 5])."""
+    positions, headings, tasks = [], [], []
+    for _ in range(cfg.num_mus):
+        positions.append(rng.uniform(0.0, cfg.region_width, size=2))
+        headings.append(rng.uniform(-np.pi, np.pi))
+        tasks.append(draw_task(cfg, rng))
+    return (np.array(positions).reshape(-1, 2), np.array(headings),
+            np.array(tasks).reshape(-1, 5))
+
+
+def draw_task(cfg: ScenarioConfig, rng: np.random.Generator) -> list:
+    """One task, one uniform call per field in `TASK_FIELDS` order."""
+    return [rng.uniform(cfg.data_bits_min, cfg.data_bits_max),
+            rng.uniform(cfg.compute_density_min, cfg.compute_density_max),
+            rng.uniform(cfg.compress_density_min, cfg.compress_density_max),
+            rng.uniform(cfg.compress_ratio_min, cfg.compress_ratio_max),
+            rng.uniform(cfg.deadline_min, cfg.deadline_max)]
+
+
+_PIPELINE_FIELDS = ("t_local", "t_compress", "t_offload", "t_decompress", "t_edge_compute",
+                    "t_edge_total", "latency", "e_compress", "e_local", "e_offload", "e_mu")
+
+
+def task_pipeline(world: WorldState, alloc: Allocation, rates: dict,
+                  cfg: ScenarioConfig) -> dict:
+    """The slot's per-MU report fields plus rate and deadline, and the per-UAV
+    e_edge_compute and e_decompress sums, written entry by entry."""
+    k_count, m_count = world.num_mus, world.num_uavs
+    rep = {name: np.zeros(k_count) for name in _PIPELINE_FIELDS + ("rate", "deadline")}
+    rep["e_edge_compute"] = np.zeros(m_count)
+    rep["e_decompress"] = np.zeros(m_count)
+    for k in range(k_count):
+        task = world.tasks[k].tolist()
+        serving = serving_uav(alloc, k)
+        rho = float(alloc.offload_ratio[k]) if serving >= 0 else 0.0
+        eta = float(alloc.compress_ratio[k]) if rho > 0.0 else 0.0
+        f_edge = float(alloc.edge_cpu[k, serving]) if serving >= 0 else 0.0
+        rate = rates.get(k, 0.0)
+        j_dec = world.uavs[serving].decompress_density if serving >= 0 else 0.0
+        f_mu = min(cfg.mu_cpu_max, task[0] * task[1] / task[4])
+        out = mu_slot_outcome(task, rho, eta, f_mu, f_edge, rate, cfg.mu_power_max, j_dec, cfg)
+        for name in _PIPELINE_FIELDS:
+            rep[name][k] = getattr(out, name)
+        rep["rate"][k] = rate
+        rep["deadline"][k] = task[4]
+        if serving >= 0:
+            rep["e_edge_compute"][serving] += out.e_edge_compute
+            rep["e_decompress"][serving] += out.e_decompress
+    return rep
+
+
+# ----------------------------------------------------------------------
+# action decode with np.clip, one MU at a time
+# ----------------------------------------------------------------------
+def decode_mu_action(raw, cfg: ScenarioConfig) -> tuple[int, float, float]:
+    choice = int(np.argmax(raw.scores)) - 1
+    rho = float(np.clip(raw.offload_ratio, 0.0, 1.0)) if cfg.computation_enabled else 0.0
+    eta = float(np.clip(raw.compress_ratio, 0.0, 1.0)) if cfg.compression_enabled else 0.0
+    return choice, rho, eta
+
+
+def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
+    """Capacity-enforced association written into preallocated arrays per MU."""
+    k = len(mu_actions)
+    m = cfg.num_uavs
+    association = np.zeros((k, m))
+    serving = np.full(k, -1)
+    rho = np.zeros(k)
+    eta = np.zeros(k)
+    counts = np.zeros(m, dtype=int)
+    for i, raw in enumerate(mu_actions):
+        choice, r, e = decode_mu_action(raw, cfg)
+        if choice >= 0 and counts[choice] < cfg.k_cap:
+            association[i, choice] = 1.0
+            serving[i] = choice
+            counts[choice] += 1
+            rho[i], eta[i] = r, e
+    return Allocation(association=association, serving=serving, offload_ratio=rho,
+                      compress_ratio=eta, edge_cpu=np.zeros((k, m)))
+
+
+# ----------------------------------------------------------------------
+# channel draw as one expression
+# ----------------------------------------------------------------------
+def build_all_channels(world: WorldState, cfg: ScenarioConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Rician channels with a steering exponential per array, two complex
+    draws and out-of-place arithmetic; `uav_iscc.env.build_all_channels`
+    must match it bit for bit."""
+    mu_pos = world.mu_positions
+    uav_pos = world.uav_positions()
+    diff = uav_pos[None, :, :] - mu_pos[:, None, :]
+    horiz2 = np.sum(diff * diff, axis=-1)
+    d2 = horiz2 + cfg.altitude ** 2
+    angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))
+    sin_a = np.sin(angle)
+    a_r = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.rx_antennas))
+    a_t = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.tx_antennas))
+    los = a_r[..., :, None] * a_t[..., None, :].conj()
+    eps = cfg.rician_factor
+    if math.isinf(eps):
+        w_los, w_nlos = 1.0, 0.0
+    else:
+        w_los = math.sqrt(eps / (eps + 1.0))
+        w_nlos = math.sqrt(1.0 / (eps + 1.0))
+    shape = los.shape
+    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    scale = np.sqrt(cfg.ref_gain / d2)[..., None, None]
+    return scale * (w_los * los + w_nlos * scatter)
+
+
+# ----------------------------------------------------------------------
 # link design, one (MU, UAV) link at a time
 # ----------------------------------------------------------------------
 def interference_covariance(world: WorldState, alloc: Allocation, radars: list,
@@ -169,7 +301,7 @@ def design_links(world: WorldState, alloc: Allocation, radars: list,
     rates: dict[int, float] = {}
     loaded_any = False
     for m in range(world.num_uavs):
-        served = alloc.served_by(m)
+        served = served_by(alloc, m)
         if served.size == 0:
             continue
         total = interference_covariance(world, alloc, radars, cfg, m)
@@ -193,13 +325,15 @@ def _unit(value: float, lo: float, hi: float) -> float:
     return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
 
 
-def scale_task(task: TaskSpec, cfg: ScenarioConfig) -> np.ndarray:
+def scale_task(task, cfg: ScenarioConfig) -> np.ndarray:
+    """One task's five values, in `TASK_FIELDS` order, scaled into [0, 1]."""
+    d, c, j, beta, deadline = task
     return np.array([
-        _unit(task.data_bits, cfg.data_bits_min, cfg.data_bits_max),
-        _unit(task.compute_density, cfg.compute_density_min, cfg.compute_density_max),
-        _unit(task.compress_density, cfg.compress_density_min, cfg.compress_density_max),
-        _unit(task.compress_ratio, cfg.compress_ratio_min, cfg.compress_ratio_max),
-        _unit(task.deadline, cfg.deadline_min, cfg.deadline_max),
+        _unit(d, cfg.data_bits_min, cfg.data_bits_max),
+        _unit(c, cfg.compute_density_min, cfg.compute_density_max),
+        _unit(j, cfg.compress_density_min, cfg.compress_density_max),
+        _unit(beta, cfg.compress_ratio_min, cfg.compress_ratio_max),
+        _unit(deadline, cfg.deadline_min, cfg.deadline_max),
     ])
 
 
@@ -207,12 +341,12 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     width = cfg.region_width
     uav_xy = (world.uav_positions() / width).ravel()
     out = []
-    for k, mu in enumerate(world.mus):
+    for k in range(world.num_mus):
         vec = np.concatenate([
             [k / max(cfg.num_mus, 1)],
-            scale_task(mu.task, cfg),
+            scale_task(world.tasks[k], cfg),
             uav_xy,
-            mu.position / width,
+            world.mu_positions[k] / width,
         ])
         out.append(vec)
     return np.array(out).reshape(world.num_mus, mu_obs_dim(cfg))
@@ -220,7 +354,7 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
 
 def roster_of(alloc: Allocation, m: int, cfg: ScenarioConfig) -> np.ndarray:
     """One UAV's served MU indices in ascending order, padded with -1 to the capacity."""
-    served = alloc.served_by(m)[: cfg.k_cap]
+    served = served_by(alloc, m)[: cfg.k_cap]
     roster = np.full(cfg.k_cap, -1, dtype=int)
     roster[: served.size] = served
     return roster
@@ -237,10 +371,9 @@ def build_uav_observations(world: WorldState, alloc: Allocation,
             if k < 0:
                 slots.append(np.zeros(9))
                 continue
-            mu = world.mus[k]
             slots.append(np.concatenate([
-                mu.position / width,
-                scale_task(mu.task, cfg),
+                world.mu_positions[k] / width,
+                scale_task(world.tasks[k], cfg),
                 [alloc.offload_ratio[k], alloc.compress_ratio[k]],
             ]))
         others = [world.uavs[i].position / width

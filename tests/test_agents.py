@@ -32,6 +32,27 @@ def cfg_of(**kw):
     return cfg.validate()
 
 
+def association_of(serving, num_uavs):
+    """[K, M] association with MU k on UAV serving[k] (-1: none)."""
+    association = np.zeros((len(serving), num_uavs))
+    for k, m in enumerate(serving):
+        if m >= 0:
+            association[k, m] = 1.0
+    return association
+
+
+def actions_choosing(serving, cfg, rng):
+    """MU actions whose association scores peak at UAV serving[k] (-1: local),
+    with ratios drawn on both sides of the unit interval."""
+    actions = []
+    for choice in serving:
+        vec = rng.uniform(0.01, 0.5, MuAction.dim(cfg))
+        vec[choice + 1] = 0.9
+        vec[-2:] = rng.uniform(-0.5, 1.5, 2)
+        actions.append(MuAction.from_vector(vec, cfg))
+    return actions
+
+
 def observe(world, alloc, cfg):
     """MU and UAV observations of one slot, as `collect_episode` builds them."""
     mu_obs = build_mu_observations(world, cfg)
@@ -142,6 +163,35 @@ def test_ablation_switches_zero_the_ratios():
     assert rho2 == 0.0
 
 
+ALLOCATION_CASES = {
+    "no-mus": ([], 2, 0),
+    "empty-association": ([-1] * 6, 3, 0),
+    "uav-serving-nobody": ([0, 1, 0, 1, -1, 0], 3, 0),
+    "all-on-one-uav": ([2] * 6, 3, 6),
+    "all-on-one-uav-over-capacity": ([1] * 6, 3, 4),
+    "100x10": (np.random.default_rng(2).integers(-1, 10, 100).tolist(), 10, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(ALLOCATION_CASES))
+def test_allocation_matches_per_mu_decode(case):
+    serving, num_uavs, capacity = ALLOCATION_CASES[case]
+    cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs,
+                         roster_capacity=capacity).validate()
+    actions = actions_choosing(serving, cfg, np.random.default_rng(13))
+    alloc = build_allocation(actions, cfg)
+    ref = oracles.build_allocation(actions, cfg)
+    for name in ("association", "offload_ratio", "compress_ratio", "edge_cpu"):
+        got, want = getattr(alloc, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert alloc.serving.dtype.kind == "i" and alloc.serving.shape == (cfg.num_mus,)
+    assert alloc.serving.tolist() == [oracles.serving_uav(alloc, k)
+                                      for k in range(cfg.num_mus)]
+    for m in range(num_uavs):
+        assert np.array_equal(np.flatnonzero(alloc.serving == m),
+                              oracles.served_by(alloc, m))
+
+
 # ----------------------------------------------------------------------
 # observations
 # ----------------------------------------------------------------------
@@ -158,14 +208,14 @@ def test_observation_lengths_and_unit_range():
     for obs in (mu_obs, uav_obs):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
     for m, roster in enumerate(uav_rosters(alloc, cfg)):
-        assert np.sum(roster >= 0) == alloc.served_by(m)[: cfg.k_cap].size
+        assert np.sum(roster >= 0) == oracles.served_by(alloc, m)[: cfg.k_cap].size
 
 
 def test_corner_mu_scales_to_zero():
     cfg = cfg_of()
     world = reset_world(cfg, np.random.default_rng(4))
-    world.mus[0].position = np.zeros(2)
-    world.mus[0].task.data_bits = cfg.data_bits_max
+    world.mu_positions[0] = 0.0
+    world.tasks[0, 0] = cfg.data_bits_max
     alloc = build_allocation(
         [MuAction.from_vector(np.full(MuAction.dim(cfg), 0.5), cfg)] * cfg.num_mus, cfg)
     vec = build_mu_observations(world, cfg)[0]
@@ -213,11 +263,8 @@ def test_array_observations_match_per_agent_builders(case):
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(12)
     world = reset_world(cfg, rng)
-    association = np.zeros((cfg.num_mus, num_uavs))
-    for k, m in enumerate(serving):
-        if m >= 0:
-            association[k, m] = 1.0
-    alloc = Allocation(association=association,
+    alloc = Allocation(association=association_of(serving, num_uavs),
+                       serving=np.array(serving, dtype=int),
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
@@ -268,6 +315,7 @@ def test_mu_reward_unassociated_has_no_uav_term():
     cfg = cfg_of()
     _, alloc, _, report = episode_slot(cfg, 7)
     alloc.association[:] = 0  # force everyone local
+    alloc.serving[:] = -1
     report.e_mu[0] = 1.0
     bd = mu_reward(0, report, alloc, cfg)
     assert bd.base == pytest.approx(1.0)
@@ -303,14 +351,13 @@ def test_uav_reward_hovering_at_centroid_all_satisfied():
     cfg = cfg_of(radar_rate_min=1e-6)
     world, alloc, nxt, report = episode_slot(cfg, 9)
     m = 0
-    served = alloc.served_by(m)
+    served = oracles.served_by(alloc, m)
     report.pair_distance[:] = 100.0
     report.boundary_overshoot[:] = 0.0
     report.latency[:] = 0.0
     report.radar_rate[:] = 1.0
     if served.size:
-        centroid = np.mean([nxt.mus[k].position for k in served], axis=0)
-        nxt.uavs[m].position = centroid
+        nxt.uavs[m].position = np.mean(nxt.mu_positions[served], axis=0)
     bd = uav_reward(m, report, nxt, alloc, cfg)
     assert bd.penalty_product == pytest.approx(1.0)
     e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0

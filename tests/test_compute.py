@@ -8,7 +8,6 @@ import pytest
 
 from uav_iscc.env import (
     ScenarioConfig,
-    TaskSpec,
     dvfs_frequency,
     flight_power,
     mu_slot_outcome,
@@ -22,14 +21,16 @@ def cfg():
 
 
 def make_task(d=1e6, c=1000.0, j=200.0, beta=0.5, deadline=1.0):
-    return TaskSpec(data_bits=d, compute_density=c, compress_density=j,
-                    compress_ratio=beta, deadline=deadline)
+    """One task's values in `TASK_FIELDS` order."""
+    return (d, c, j, beta, deadline)
 
 
 def test_dvfs_examples(cfg):
-    assert dvfs_frequency(make_task(d=5e5, c=1000.0, deadline=1.0), cfg) == pytest.approx(5e8)
-    assert dvfs_frequency(make_task(d=1.5e6, c=1500.0, deadline=0.7), cfg) == pytest.approx(1e9)
-    assert dvfs_frequency(make_task(d=5e5, c=1000.0, deadline=1e9), cfg) == pytest.approx(5e-1)
+    tasks = np.array([make_task(d=5e5, c=1000.0, deadline=1.0),
+                      make_task(d=1.5e6, c=1500.0, deadline=0.7),
+                      make_task(d=5e5, c=1000.0, deadline=1e9)])
+    assert dvfs_frequency(tasks, cfg) == pytest.approx([5e8, 1e9, 5e-1])
+    assert dvfs_frequency(tasks[:0], cfg).shape == (0,)
 
 
 def test_pure_local_latency(cfg):
@@ -93,7 +94,7 @@ def test_effective_ratio_bounds(cfg):
 
 def oracle_outcome(task, rho, eta, f_mu, f_edge, rate, power, j_dec, cfg):
     """Independent desk evaluation of the latency/energy closed forms."""
-    d, c, j, beta = task.data_bits, task.compute_density, task.compress_density, task.compress_ratio
+    d, c, j, beta, _ = task
     t_loc = (1 - rho) * d * c / f_mu if (1 - rho) * d * c > 0 else 0.0
     t_dc = rho * eta * d * j / f_mu if rho * eta * d * j > 0 else 0.0
     tau = rho * (eta * beta + 1 - eta)
@@ -113,13 +114,9 @@ def oracle_outcome(task, rho, eta, f_mu, f_edge, rate, power, j_dec, cfg):
 def test_pipeline_matches_oracle_on_random_tuples(cfg):
     rng = np.random.default_rng(1)
     for _ in range(1000):
-        task = TaskSpec(
-            data_bits=rng.uniform(0.5e6, 1.5e6),
-            compute_density=rng.uniform(500, 1500),
-            compress_density=rng.uniform(100, 300),
-            compress_ratio=rng.uniform(0.2, 0.8),
-            deadline=rng.uniform(0.7, 1.0),
-        )
+        task = make_task(d=rng.uniform(0.5e6, 1.5e6), c=rng.uniform(500, 1500),
+                         j=rng.uniform(100, 300), beta=rng.uniform(0.2, 0.8),
+                         deadline=rng.uniform(0.7, 1.0))
         rho = rng.uniform(0.05, 1.0)
         eta = rng.uniform(0.0, 1.0)
         f_mu = rng.uniform(1e8, 1e9)

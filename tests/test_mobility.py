@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uav_iscc.env import MuState, ScenarioConfig, UavState, advance_kinematics, step_mobility
+from uav_iscc.env import ScenarioConfig, UavState, advance_kinematics, step_mobility
 
 
 def make_cfg(**kw):
@@ -14,7 +14,14 @@ def make_cfg(**kw):
 
 
 def make_mu(pos=(500.0, 500.0), speed=1.0, heading=0.0):
-    return MuState(position=np.array(pos, dtype=float), speed=speed, heading=heading)
+    """One MU as the (positions, speeds, headings) arrays `step_mobility` takes."""
+    return np.array([pos], dtype=float), np.array([speed]), np.array([heading])
+
+
+def step_one(mu, cfg, rng):
+    """Step one MU; returns its (position, speed, heading)."""
+    pos, speed, heading = step_mobility(*mu, cfg, rng)
+    return pos[0], float(speed[0]), float(heading[0])
 
 
 def make_uav(pos=(500.0, 500.0), vel=(0.0, 0.0)):
@@ -29,49 +36,49 @@ def make_uav(pos=(500.0, 500.0), vel=(0.0, 0.0)):
 def test_full_memory_keeps_speed_and_heading():
     cfg = make_cfg(mobility_speed_memory=1.0, mobility_heading_memory=1.0)
     mu = make_mu(speed=4.0, heading=0.7)
-    out = step_mobility(mu, cfg, np.random.default_rng(0))
-    assert out.speed == pytest.approx(4.0)
-    assert out.heading == pytest.approx(0.7)
+    out = step_one(mu, cfg, np.random.default_rng(0))
+    assert out[1] == pytest.approx(4.0)
+    assert out[2] == pytest.approx(0.7)
 
 
 def test_zero_memory_zero_noise_jumps_to_mean():
     cfg = make_cfg(mobility_speed_memory=0.0, mobility_speed_noise_std=1e-30,
                    mobility_mean_speed=2.0)
     mu = make_mu(speed=9.0)
-    out = step_mobility(mu, cfg, np.random.default_rng(1))
-    assert out.speed == pytest.approx(2.0, abs=1e-12)
+    out = step_one(mu, cfg, np.random.default_rng(1))
+    assert out[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_heading_mixes_mean_with_heading_memory():
     # the mean heading enters with weight 1 - heading memory, not 1 - speed memory
     cfg = make_cfg(mobility_speed_memory=0.9, mobility_heading_memory=0.0,
                    mobility_heading_noise_std=1e-30, mobility_mean_heading=1.0)
-    out = step_mobility(make_mu(heading=0.0), cfg, np.random.default_rng(4))
-    assert out.heading == 1.0
+    out = step_one(make_mu(heading=0.0), cfg, np.random.default_rng(4))
+    assert out[2] == 1.0
 
 
 def test_half_memory_mixes_speed():
     # 0.5*4 + 0.5*2 = 3 with no innovation
     cfg = make_cfg(mobility_speed_memory=0.5, mobility_speed_noise_std=1e-30,
                    mobility_mean_speed=2.0)
-    out = step_mobility(make_mu(speed=4.0), cfg, np.random.default_rng(2))
-    assert out.speed == pytest.approx(3.0, abs=1e-10)
+    out = step_one(make_mu(speed=4.0), cfg, np.random.default_rng(2))
+    assert out[1] == pytest.approx(3.0, abs=1e-10)
 
 
 def test_position_advances_along_previous_heading():
     cfg = make_cfg()
     mu = make_mu(pos=(100.0, 100.0), speed=2.0, heading=np.pi / 2)
-    out = step_mobility(mu, cfg, np.random.default_rng(3))
-    assert np.allclose(out.position, [100.0, 102.0])
+    out = step_one(mu, cfg, np.random.default_rng(3))
+    assert np.allclose(out[0], [100.0, 102.0])
 
 
 def test_walls_reflect_and_clamp():
     cfg = make_cfg(mobility_speed_memory=1.0, mobility_heading_memory=1.0)
     mu = make_mu(pos=(999.5, 500.0), speed=3.0, heading=0.0)
-    out = step_mobility(mu, cfg, np.random.default_rng(4))
-    assert out.position[0] == pytest.approx(1000.0)
-    assert abs(out.heading) == pytest.approx(np.pi)
-    assert 0.0 <= out.position[0] <= cfg.region_width
+    out = step_one(mu, cfg, np.random.default_rng(4))
+    assert out[0][0] == pytest.approx(1000.0)
+    assert abs(out[2]) == pytest.approx(np.pi)
+    assert 0.0 <= out[0][0] <= cfg.region_width
 
 
 def test_positions_stay_in_region_long_run():
@@ -79,10 +86,11 @@ def test_positions_stay_in_region_long_run():
     rng = np.random.default_rng(5)
     mu = make_mu(pos=(10.0, 990.0), speed=5.0, heading=2.0)
     for _ in range(500):
-        mu = step_mobility(mu, cfg, rng)
-        assert 0.0 <= mu.position[0] <= cfg.region_width
-        assert 0.0 <= mu.position[1] <= cfg.region_width
-        assert mu.speed >= 0.0
+        mu = step_mobility(*mu, cfg, rng)
+        pos, speed, _ = mu
+        assert 0.0 <= pos[0, 0] <= cfg.region_width
+        assert 0.0 <= pos[0, 1] <= cfg.region_width
+        assert speed[0] >= 0.0
 
 
 def test_kinematics_pure_drift():

@@ -1,21 +1,30 @@
 """Every console script that pyproject.toml declares must import, every name a
-subpackage exports must resolve, and names taken out of the API stay out."""
+subpackage exports must resolve, names taken out of the API stay out, and the
+functions the benchmark wraps keep the names and return types it reads."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uav_iscc
+from uav_iscc.agents import MuAction, decode_mu_action
+from uav_iscc.env import ScenarioConfig, mu_slot_outcome
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 SUBPACKAGES = ("uav_iscc.env", "uav_iscc.agents", "uav_iscc.mappo", "uav_iscc.numerics")
 
 # module-level names and class attributes that were deleted as unused
 DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation",
-                 "build_observations", "clip", "softmax", "roster_of")
+                 "build_observations", "clip", "softmax", "roster_of", "MuState", "TaskSpec",
+                 "serving_uav", "served_by")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names"),
@@ -51,3 +60,28 @@ def test_deleted_names_stay_deleted():
         owner = getattr(importlib.import_module(module), cls)
         for attr in attrs:
             assert not hasattr(owner, attr), f"{module}.{cls}.{attr}"
+
+
+def test_benchmark_wrapped_functions_resolve(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)   # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for wrap in spans.LAYER_WRAPS:
+        owner = importlib.import_module(wrap.module)
+        for part in wrap.attr.split("."):
+            assert hasattr(owner, part), f"{wrap.module}.{wrap.attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{wrap.module}.{wrap.attr}"
+
+
+def test_benchmark_hooks_read_per_mu_scalars():
+    # the decode hook collects one int choice per MU, the delay hook one float latency
+    cfg = ScenarioConfig(num_mus=2, num_uavs=2).validate()
+    vec = np.array([0.1, 0.8, 0.2, 0.5, 0.5])
+    choice = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)[0]
+    assert type(choice) is int and choice == 0
+    task = (1e6, 1000.0, 200.0, 0.5, 1.0)
+    for rate in (1e7, 0.0):
+        out = mu_slot_outcome(task, 0.5, 0.5, 1e9, 1e10, rate, 0.5, 200.0, cfg)
+        assert type(out.latency) is float

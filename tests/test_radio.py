@@ -48,8 +48,7 @@ def colocated_world(mu_xy, uav_xy, num_mus, cfg):
     """`num_mus` MUs stacked at one point under a single UAV."""
     cfg.num_mus, cfg.num_uavs = num_mus, 1
     world = reset_world(cfg, np.random.default_rng(0))
-    for mu in world.mus:
-        mu.position = np.array(mu_xy, dtype=float)
+    world.mu_positions[:] = mu_xy
     world.uavs[0].position = np.array(uav_xy, dtype=float)
     return world
 
@@ -92,11 +91,24 @@ def test_batched_channels_match_statistics(cfg):
         h = build_all_channels(world, cfg, rng)
         mean_power += np.mean(np.abs(h) ** 2, axis=(2, 3))
     mean_power /= n_draws
-    mu_pos, uav_pos = world.mu_positions(), world.uav_positions()
+    mu_pos, uav_pos = world.mu_positions, world.uav_positions()
     for k in range(6):
         for m in range(3):
             d2 = np.sum((uav_pos[m] - mu_pos[k]) ** 2) + cfg.altitude ** 2
             assert abs(mean_power[k, m] - cfg.ref_gain / d2) / (cfg.ref_gain / d2) < 0.1
+
+
+@pytest.mark.parametrize("rx,tx,rician,num_mus", [
+    (4, 4, 10.0, 30), (2, 5, 10.0, 30), (5, 2, 10.0, 30), (4, 4, math.inf, 30),
+    (3, 1, 0.5, 1), (4, 4, 10.0, 0)])
+def test_channels_match_out_of_place_expression(rx, tx, rician, num_mus):
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
+                         rician_factor=rician).validate()
+    world = reset_world(cfg, np.random.default_rng(6))
+    got = build_all_channels(world, cfg, np.random.default_rng(7))
+    want = oracles.build_all_channels(world, cfg, np.random.default_rng(7))
+    assert got.shape == want.shape == (num_mus, 3, rx, tx)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_mmse_reduces_to_matched_filter_in_white_noise(cfg):
@@ -201,7 +213,7 @@ def test_design_links_rates_positive_and_loading_flag(cfg):
     edge = np.zeros((5, 2))
     edge[0, 0] = edge[1, 0] = 5e9
     edge[2, 1] = 1e10
-    alloc = Allocation(association=association,
+    alloc = Allocation(association=association, serving=np.array([0, 0, 1, -1, -1]),
                        offload_ratio=np.full(5, 0.5),
                        compress_ratio=np.full(5, 0.5),
                        edge_cpu=edge)
@@ -230,7 +242,7 @@ def served_world(serving, num_uavs, seed, **overrides):
     for k, m in enumerate(serving):
         if m >= 0:
             association[k, m] = 1.0
-    alloc = Allocation(association=association,
+    alloc = Allocation(association=association, serving=np.array(serving, dtype=int),
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))

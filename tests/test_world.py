@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from uav_iscc.agents import (
     MuAction,
     UavAction,
@@ -12,7 +13,14 @@ from uav_iscc.agents import (
     uav_reward,
     uav_rosters,
 )
-from uav_iscc.env import Allocation, ConfigError, ScenarioConfig, reset_world, world_step
+from uav_iscc.env import (
+    Allocation,
+    ConfigError,
+    ScenarioConfig,
+    build_radar_state,
+    reset_world,
+    world_step,
+)
 
 
 def tiny_cfg(**kw):
@@ -68,7 +76,8 @@ def test_zero_mus_leaves_only_flight_energy():
     cfg = ScenarioConfig(num_mus=0, num_uavs=2).validate()
     rng = np.random.default_rng(3)
     world = reset_world(cfg, rng)
-    alloc = Allocation(association=np.zeros((0, 2)), offload_ratio=np.zeros(0),
+    alloc = Allocation(association=np.zeros((0, 2)), serving=np.zeros(0, dtype=int),
+                       offload_ratio=np.zeros(0),
                        compress_ratio=np.zeros(0), edge_cpu=np.zeros((0, 2)))
     nxt, report = world_step(world, alloc, np.zeros((2, 2)), cfg, rng)
     assert report.e_mu.size == 0
@@ -109,7 +118,7 @@ def test_edge_capacity_and_share_sums():
         assert np.all(per_uav <= cfg.uav_cpu_max + 1e-9)
         # shares exhaust the budget whenever someone is served
         for m in range(cfg.num_uavs):
-            if alloc.served_by(m).size:
+            if np.any(alloc.serving == m):
                 assert per_uav[m] == pytest.approx(cfg.uav_cpu_max)
         # shares only where associated
         assert np.all((alloc.edge_cpu > 0) <= (alloc.association > 0))
@@ -124,12 +133,11 @@ def test_objective_matches_reward_side_aggregate():
     direct = cfg.weight_factor * report.e_uav.sum() + report.e_mu.sum()
     assert objective == pytest.approx(direct, abs=1e-12)
     mu_total = sum(mu_reward(k, report, alloc, cfg).base for k in range(cfg.num_mus))
-    served_uavs = {alloc.serving_uav(k) for k in range(cfg.num_mus)} - {-1}
+    served_uavs = set(alloc.serving.tolist()) - {-1}
     unserved = cfg.weight_factor * sum(
         report.e_uav[m] for m in range(cfg.num_uavs) if m not in served_uavs)
     counted_multiple = sum(
-        cfg.weight_factor * report.e_uav[alloc.serving_uav(k)]
-        for k in range(cfg.num_mus) if alloc.serving_uav(k) >= 0)
+        cfg.weight_factor * report.e_uav[m] for m in alloc.serving if m >= 0)
     assert mu_total - counted_multiple + cfg.weight_factor * sum(
         report.e_uav[m] for m in served_uavs) + unserved == pytest.approx(objective, rel=1e-12)
 
@@ -143,3 +151,38 @@ def test_rewards_are_pure_functions():
     ua = uav_reward(0, report, nxt, alloc, cfg)
     ub = uav_reward(0, report, nxt, alloc, cfg)
     assert ua.reward == ub.reward
+
+
+@pytest.mark.parametrize("num_mus,num_uavs", [(0, 2), (1, 1), (6, 3), (100, 10)])
+def test_reset_draws_match_per_mu_calls(num_mus, num_uavs):
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
+    world = reset_world(cfg, np.random.default_rng(21))
+    positions, headings, tasks = oracles.reset_mus(cfg, np.random.default_rng(21))
+    assert world.mu_positions.tobytes() == positions.tobytes()
+    assert world.mu_headings.tobytes() == headings.tobytes()
+    assert world.tasks.tobytes() == tasks.tobytes()
+    assert world.mu_positions.shape == (num_mus, 2) and world.tasks.shape == (num_mus, 5)
+    assert np.all(world.mu_speeds == cfg.mobility_mean_speed)
+
+
+@pytest.mark.parametrize("num_mus,num_uavs,seed", [(0, 2, 1), (1, 1, 2), (4, 2, 3), (40, 5, 4)])
+def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
+    rng = np.random.default_rng(seed)
+    world = reset_world(cfg, rng)
+    for _ in range(3):
+        mu_actions, uav_actions = random_actions(cfg, rng)
+        alloc = build_allocation(mu_actions, cfg)
+        alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
+        nxt, report = world_step(world, alloc, accels, cfg, rng)
+        if num_mus:
+            # world_step stored the slot's channels on `world`
+            radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
+            rates, _ = oracles.design_links(world, alloc, radars, cfg)
+        else:
+            rates = {}
+        want = oracles.task_pipeline(world, alloc, rates, cfg)
+        for name, value in want.items():
+            got = getattr(report, name)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+        world = nxt
