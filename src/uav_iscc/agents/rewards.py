@@ -3,7 +3,8 @@
 Every penalty factor lives in [1, 2): the family 2 - exp(-[(x - slack)/scale]+)
 equals one while the quantity stays within its slack and saturates toward two
 as the violation grows. Rewards are the negated base cost times the product
-of applicable factors.
+of applicable factors. The MU rewards of a slot are computed together as [K]
+arrays; each UAV's reward is computed on its own.
 """
 
 from __future__ import annotations
@@ -30,30 +31,34 @@ def penalty_P(x: float, zeta: float, eta: float) -> float:
 
 @dataclass
 class RewardBreakdown:
-    base: float
-    p_latency: float = 1.0
+    """One agent's reward and its factors, or every MU's as [K] arrays."""
+
+    base: float | np.ndarray
+    p_latency: float | np.ndarray = 1.0
     p_collision: float = 1.0
     p_boundary: float = 1.0
     p_radar: float = 1.0
-    reward: float = 0.0
+    reward: float | np.ndarray = 0.0
 
     @property
     def penalty_product(self) -> float:
         return self.p_latency * self.p_collision * self.p_boundary * self.p_radar
 
 
-def latency_penalty(latency: float, deadline: float) -> float:
-    return penalty_P(latency if math.isfinite(latency) else 1e30, deadline, deadline)
+def latency_penalty(latency: np.ndarray, deadline: np.ndarray) -> np.ndarray:
+    """Elementwise penalty_P(latency, deadline, deadline); an infinite latency
+    counts as 1e30 s."""
+    excess = (np.where(np.isfinite(latency), latency, 1e30) - deadline) / deadline
+    return 2.0 - np.exp(-np.minimum(np.maximum(excess, 0.0), _EXP_CAP))
 
 
-def mu_reward(k: int, report: SlotReport, alloc: Allocation,
-              cfg: ScenarioConfig) -> RewardBreakdown:
-    """-(own energy + weighted serving-UAV energy) times the latency factor."""
-    serving = int(alloc.serving[k])
-    base = float(report.e_mu[k])
-    if serving >= 0:
-        base += cfg.weight_factor * float(report.e_uav[serving])
-    p_lat = latency_penalty(float(report.latency[k]), float(report.deadline[k]))
+def mu_reward(report: SlotReport, alloc: Allocation, cfg: ScenarioConfig) -> RewardBreakdown:
+    """Every MU's -(own energy + weighted serving-UAV energy) times its latency
+    factor, as [K] arrays."""
+    served = alloc.serving >= 0
+    base = report.e_mu.copy()
+    base[served] += cfg.weight_factor * report.e_uav[alloc.serving[served]]
+    p_lat = latency_penalty(report.latency, report.deadline)
     return RewardBreakdown(base=base, p_latency=p_lat, reward=-base * p_lat)
 
 
@@ -108,9 +113,7 @@ def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
     p_centroid = penalty_P(dist, cfg.distance_threshold, cfg.region_width)
 
     if served.size:
-        p_lat = float(np.mean([
-            latency_penalty(float(report.latency[k]), float(report.deadline[k]))
-            for k in served]))
+        p_lat = float(np.mean(latency_penalty(report.latency[served], report.deadline[served])))
     else:
         p_lat = 1.0
     p_col = collision_penalty(m, report, cfg)

@@ -133,16 +133,10 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         new_uavs.append(moved)
         overshoot[m] = over
 
-    # each MU draws its mobility innovations, then its next task
-    positions = np.empty_like(world.mu_positions)
-    speeds = np.empty_like(world.mu_speeds)
-    headings = np.empty_like(world.mu_headings)
-    tasks = np.empty_like(world.tasks)
-    for k in range(k_count):
-        row = slice(k, k + 1)
-        positions[row], speeds[row], headings[row] = step_mobility(
-            world.mu_positions[row], world.mu_speeds[row], world.mu_headings[row], cfg, rng)
-        tasks[row] = draw_task(cfg, rng, 1)
+    # every MU's mobility innovations, then every MU's next task
+    positions, speeds, headings = step_mobility(world.mu_positions, world.mu_speeds,
+                                                world.mu_headings, cfg, rng)
+    tasks = draw_task(cfg, rng, k_count)
 
     pos = np.stack([u.position for u in new_uavs]) if m_count else np.zeros((0, 2))
     diff = pos[:, None, :] - pos[None, :, :]

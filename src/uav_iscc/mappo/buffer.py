@@ -28,7 +28,7 @@ class RolloutBatch:
     uav: TypeRollout
     global_state: np.ndarray           # [T, S], concatenated observations
     reports: list = field(default_factory=list)
-    mu_breakdowns: list = field(default_factory=list)   # [T][K] RewardBreakdown
+    mu_breakdowns: list = field(default_factory=list)   # [T] RewardBreakdown of [K] arrays
     uav_breakdowns: list = field(default_factory=list)  # [T][M]
     trajectory: list | None = None     # per-entity rows when recording is on
 

@@ -199,12 +199,12 @@ class Trainer:
                 self._record_rows(trajectory, world, alloc, accels, t)
 
             next_world, report = world_step(world, alloc, accels, cfg, env_rng)
-            mu_bd = [mu_reward(i, report, alloc, cfg) for i in range(k)]
+            mu_bd = mu_reward(report, alloc, cfg)
             uav_bd = [uav_reward(i, report, next_world, alloc, cfg) for i in range(m)]
 
             mu.obs[t], mu.actions[t], mu.log_probs[t] = mu_obs, mu_unit, mu_logp
             uav.obs[t], uav.actions[t], uav.log_probs[t] = uav_obs, uav_unit, uav_logp
-            mu.rewards[t] = [bd.reward for bd in mu_bd]
+            mu.rewards[t] = mu_bd.reward
             uav.rewards[t] = [bd.reward for bd in uav_bd]
             state[t] = np.concatenate([mu_obs.ravel(), uav_obs.ravel()])
             batch.reports.append(report)
@@ -212,7 +212,7 @@ class Trainer:
             batch.uav_breakdowns.append(uav_bd)
             if record_trajectory:
                 for row, reward in zip(trajectory[-(k + m):],
-                                       [bd.reward for bd in mu_bd]
+                                       mu_bd.reward.tolist()
                                        + [bd.reward for bd in uav_bd]):
                     row["reward"] = reward
             world = next_world
@@ -390,18 +390,24 @@ class Trainer:
 
 def penalty_rates(batch: RolloutBatch) -> dict:
     """Fraction of agent-slots where each penalty family was active."""
-    lat, col, bound, rad = [], [], [], []
+    lat = col = bound = rad = mu_slots = uav_slots = 0
     for mu_bd, uav_bd in zip(batch.mu_breakdowns, batch.uav_breakdowns):
-        lat.extend(bd.p_latency > 1.0 for bd in mu_bd)
-        lat.extend(bd.p_latency > 1.0 for bd in uav_bd)
-        col.extend(bd.p_collision > 1.0 for bd in uav_bd)
-        bound.extend(bd.p_boundary > 1.0 for bd in uav_bd)
-        rad.extend(bd.p_radar > 1.0 for bd in uav_bd)
+        lat += int(np.count_nonzero(mu_bd.p_latency > 1.0))
+        lat += sum(bd.p_latency > 1.0 for bd in uav_bd)
+        col += sum(bd.p_collision > 1.0 for bd in uav_bd)
+        bound += sum(bd.p_boundary > 1.0 for bd in uav_bd)
+        rad += sum(bd.p_radar > 1.0 for bd in uav_bd)
+        mu_slots += mu_bd.p_latency.size
+        uav_slots += len(uav_bd)
+
+    def share(count, slots):
+        return count / slots if slots else 0.0
+
     return {
-        "latency": float(np.mean(lat)) if lat else 0.0,
-        "collision": float(np.mean(col)) if col else 0.0,
-        "boundary": float(np.mean(bound)) if bound else 0.0,
-        "radar": float(np.mean(rad)) if rad else 0.0,
+        "latency": share(lat, mu_slots + uav_slots),
+        "collision": share(col, uav_slots),
+        "boundary": share(bound, uav_slots),
+        "radar": share(rad, uav_slots),
     }
 
 

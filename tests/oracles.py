@@ -11,8 +11,15 @@ import math
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from uav_iscc.agents import mu_obs_dim, uav_obs_dim
-from uav_iscc.env import Allocation, ScenarioConfig, WorldState, mu_slot_outcome, radar_leakage
+from uav_iscc.agents import mu_obs_dim, penalty_P, uav_obs_dim
+from uav_iscc.env import (
+    Allocation,
+    ScenarioConfig,
+    SlotReport,
+    WorldState,
+    mu_slot_outcome,
+    radar_leakage,
+)
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
 
@@ -154,6 +161,36 @@ def draw_task(cfg: ScenarioConfig, rng: np.random.Generator) -> list:
             rng.uniform(cfg.deadline_min, cfg.deadline_max)]
 
 
+def step_mobility(position: np.ndarray, speed: float, heading: float, cfg: ScenarioConfig,
+                  rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
+    """One MU's Gauss-Markov step, drawing its speed then heading innovation:
+    (position, speed, heading)."""
+    mu1 = cfg.mobility_speed_memory
+    mu2 = cfg.mobility_heading_memory
+    speed_noise = rng.normal(cfg.mobility_speed_noise_mean, cfg.mobility_speed_noise_std)
+    heading_noise = rng.normal(cfg.mobility_heading_noise_mean, cfg.mobility_heading_noise_std)
+
+    new_speed = (mu1 * speed
+                 + (1.0 - mu1) * cfg.mobility_mean_speed
+                 + np.sqrt(max(0.0, 1.0 - mu1 * mu1)) * speed_noise)
+    new_heading = (mu2 * heading
+                   + (1.0 - mu2) * cfg.mobility_mean_heading
+                   + np.sqrt(max(0.0, 1.0 - mu2 * mu2)) * heading_noise)
+    new_speed = max(0.0, new_speed)
+
+    step = speed * cfg.slot_seconds
+    pos = position + step * np.array([np.cos(heading), np.sin(heading)])
+    width = cfg.region_width
+    if pos[0] < 0.0 or pos[0] > width:
+        pos[0] = np.clip(pos[0], 0.0, width)
+        new_heading = np.pi - new_heading
+    if pos[1] < 0.0 or pos[1] > width:
+        pos[1] = np.clip(pos[1], 0.0, width)
+        new_heading = -new_heading
+    new_heading = float(np.arctan2(np.sin(new_heading), np.cos(new_heading)))
+    return pos, float(new_speed), new_heading
+
+
 _PIPELINE_FIELDS = ("t_local", "t_compress", "t_offload", "t_decompress", "t_edge_compute",
                     "t_edge_total", "latency", "e_compress", "e_local", "e_offload", "e_mu")
 
@@ -184,6 +221,18 @@ def task_pipeline(world: WorldState, alloc: Allocation, rates: dict,
             rep["e_edge_compute"][serving] += out.e_edge_compute
             rep["e_decompress"][serving] += out.e_decompress
     return rep
+
+
+def mu_reward(k: int, report: SlotReport, alloc: Allocation,
+              cfg: ScenarioConfig) -> tuple[float, float, float]:
+    """One MU's (base, latency factor, reward), with `math.exp` in the factor."""
+    serving = serving_uav(alloc, k)
+    base = float(report.e_mu[k])
+    if serving >= 0:
+        base += cfg.weight_factor * float(report.e_uav[serving])
+    latency, deadline = float(report.latency[k]), float(report.deadline[k])
+    p_lat = penalty_P(latency if math.isfinite(latency) else 1e30, deadline, deadline)
+    return base, p_lat, -base * p_lat
 
 
 # ----------------------------------------------------------------------

@@ -302,13 +302,12 @@ def episode_slot(cfg, seed):
 def test_mu_reward_deadline_met_is_negative_base():
     cfg = cfg_of()
     _, alloc, _, report = episode_slot(cfg, 6)
-    for k in range(cfg.num_mus):
-        bd = mu_reward(k, report, alloc, cfg)
-        if report.deadline_met[k]:
-            assert bd.p_latency == 1.0
-            assert bd.reward == pytest.approx(-bd.base)
-        assert bd.reward <= 0.0
-        assert 1.0 <= bd.p_latency < 2.0
+    bd = mu_reward(report, alloc, cfg)
+    met = report.deadline_met
+    assert np.all(bd.p_latency[met] == 1.0)
+    assert np.array_equal(bd.reward[met], -bd.base[met])
+    assert np.all(bd.reward <= 0.0)
+    assert np.all((1.0 <= bd.p_latency) & (bd.p_latency < 2.0))
 
 
 def test_mu_reward_unassociated_has_no_uav_term():
@@ -317,9 +316,28 @@ def test_mu_reward_unassociated_has_no_uav_term():
     alloc.association[:] = 0  # force everyone local
     alloc.serving[:] = -1
     report.e_mu[0] = 1.0
-    bd = mu_reward(0, report, alloc, cfg)
-    assert bd.base == pytest.approx(1.0)
-    assert bd.reward == pytest.approx(-1.0 * bd.p_latency)
+    bd = mu_reward(report, alloc, cfg)
+    assert bd.base[0] == 1.0
+    assert bd.reward[0] == -bd.p_latency[0]
+    assert np.array_equal(bd.base, report.e_mu)
+
+
+@pytest.mark.parametrize("num_mus,seed", [(0, 1), (1, 2), (6, 3), (60, 4)])
+def test_mu_reward_matches_per_mu_oracle(num_mus, seed):
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=3).validate()
+    _, alloc, _, report = episode_slot(cfg, seed)
+    # an infinite delay, a latency far past the cap and one exactly at the deadline
+    edge_cases = np.array([np.inf, 1e6, report.deadline[2] if num_mus > 2 else 0.0])
+    report.latency[:3] = edge_cases[:num_mus]
+    bd = mu_reward(report, alloc, cfg)
+    assert bd.base.shape == bd.p_latency.shape == bd.reward.shape == (num_mus,)
+    assert np.array_equal(bd.reward, -bd.base * bd.p_latency)
+    for k in range(num_mus):
+        base, p_lat, reward = oracles.mu_reward(k, report, alloc, cfg)
+        assert bd.base[k] == base
+        # np.exp and math.exp may round the factor's last bit differently
+        assert abs(bd.p_latency[k] - p_lat) <= np.spacing(p_lat)
+        assert bd.reward[k] == pytest.approx(reward, rel=4 * np.finfo(float).eps)
 
 
 def test_uav_reward_penalties_in_range_and_collision_factor():

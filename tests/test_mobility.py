@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from uav_iscc.env import ScenarioConfig, UavState, advance_kinematics, step_mobility
+import oracles
+from uav_iscc.env import ScenarioConfig, UavState, advance_kinematics, draw_task, step_mobility
 
 
 def make_cfg(**kw):
@@ -91,6 +92,37 @@ def test_positions_stay_in_region_long_run():
         assert 0.0 <= pos[0, 0] <= cfg.region_width
         assert 0.0 <= pos[0, 1] <= cfg.region_width
         assert speed[0] >= 0.0
+
+
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_batched_step_matches_per_mu_steps(count):
+    # fast MUs spread over the region, so many cross a wall or a corner
+    cfg = make_cfg()
+    rng = np.random.default_rng(7)
+    positions = rng.uniform(0.0, cfg.region_width, size=(count, 2))
+    positions[: count // 3] = rng.choice([0.5, cfg.region_width - 0.5], size=(count // 3, 2))
+    speeds = rng.uniform(0.0, 30.0, count)
+    headings = rng.uniform(-np.pi, np.pi, count)
+    got = step_mobility(positions, speeds, headings, cfg, np.random.default_rng(8))
+    # normals only, so the per-MU calls read the same stream in the same order
+    ref_rng = np.random.default_rng(8)
+    want = [oracles.step_mobility(positions[k], speeds[k], headings[k], cfg, ref_rng)
+            for k in range(count)]
+    want_pos = np.array([w[0] for w in want]).reshape(count, 2)
+    assert got[0].shape == (count, 2) and got[0].tobytes() == want_pos.tobytes()
+    assert got[1].tobytes() == np.array([w[1] for w in want]).tobytes()
+    assert got[2].tobytes() == np.array([w[2] for w in want]).tobytes()
+    if count > 3:
+        assert np.any(got[0] == 0.0) and np.any(got[0] == cfg.region_width)
+
+
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_batched_tasks_match_per_mu_draws(count):
+    cfg = make_cfg()
+    got = draw_task(cfg, np.random.default_rng(9), count)
+    ref_rng = np.random.default_rng(9)
+    want = np.array([oracles.draw_task(cfg, ref_rng) for _ in range(count)]).reshape(count, 5)
+    assert got.shape == (count, 5) and got.tobytes() == want.tobytes()
 
 
 def test_kinematics_pure_drift():

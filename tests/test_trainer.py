@@ -76,10 +76,9 @@ def test_untrained_policy_produces_bounded_penalties():
     tcfg, scfg = smoke_configs(seed=8)
     trainer = Trainer(tcfg, scfg)
     batch = trainer.collect_episode()
-    for bds in batch.mu_breakdowns:
-        for bd in bds:
-            assert 1.0 <= bd.p_latency < 2.0
-            assert np.isfinite(bd.reward)
+    for bd in batch.mu_breakdowns:
+        assert np.all((1.0 <= bd.p_latency) & (bd.p_latency < 2.0))
+        assert np.all(np.isfinite(bd.reward))
     for bds in batch.uav_breakdowns:
         for bd in bds:
             for f in (bd.p_latency, bd.p_collision, bd.p_boundary, bd.p_radar):

@@ -9,7 +9,11 @@ from uav_iscc.agents import (
     UavAction,
     apply_uav_actions,
     build_allocation,
+    build_mu_observations,
+    build_uav_observations,
+    mu_obs_dim,
     mu_reward,
+    uav_obs_dim,
     uav_reward,
     uav_rosters,
 )
@@ -18,7 +22,9 @@ from uav_iscc.env import (
     ConfigError,
     ScenarioConfig,
     build_radar_state,
+    draw_task,
     reset_world,
+    step_mobility,
     world_step,
 )
 
@@ -132,7 +138,7 @@ def test_objective_matches_reward_side_aggregate():
     objective = report.objective(cfg.weight_factor)
     direct = cfg.weight_factor * report.e_uav.sum() + report.e_mu.sum()
     assert objective == pytest.approx(direct, abs=1e-12)
-    mu_total = sum(mu_reward(k, report, alloc, cfg).base for k in range(cfg.num_mus))
+    mu_total = mu_reward(report, alloc, cfg).base.sum()
     served_uavs = set(alloc.serving.tolist()) - {-1}
     unserved = cfg.weight_factor * sum(
         report.e_uav[m] for m in range(cfg.num_uavs) if m not in served_uavs)
@@ -145,9 +151,9 @@ def test_objective_matches_reward_side_aggregate():
 def test_rewards_are_pure_functions():
     cfg = tiny_cfg()
     world, alloc, accels, nxt, report = run_slot(cfg, seed=7)
-    a = mu_reward(0, report, alloc, cfg)
-    b = mu_reward(0, report, alloc, cfg)
-    assert a.reward == b.reward and a.base == b.base
+    a = mu_reward(report, alloc, cfg)
+    b = mu_reward(report, alloc, cfg)
+    assert np.array_equal(a.reward, b.reward) and np.array_equal(a.base, b.base)
     ua = uav_reward(0, report, nxt, alloc, cfg)
     ub = uav_reward(0, report, nxt, alloc, cfg)
     assert ua.reward == ub.reward
@@ -186,3 +192,34 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
             got = getattr(report, name)
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
         world = nxt
+
+
+@pytest.mark.parametrize("num_mus", [0, 1])
+def test_zero_and_one_mu_through_a_slot(num_mus):
+    # pyproject turns RuntimeWarnings into errors, so an empty reduction fails here
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=2).validate()
+    rng = np.random.default_rng(15)
+    world = reset_world(cfg, rng)
+    assert world.num_mus == num_mus
+    assert world.mu_positions.shape == (num_mus, 2) and world.tasks.shape == (num_mus, 5)
+    assert world.mu_speeds.shape == world.mu_headings.shape == (num_mus,)
+    mu_actions, uav_actions = random_actions(cfg, rng)
+    alloc = build_allocation(mu_actions, cfg)
+    assert alloc.association.shape == (num_mus, 2) and alloc.serving.shape == (num_mus,)
+    rosters = uav_rosters(alloc, cfg)
+    mu_obs = build_mu_observations(world, cfg)
+    assert mu_obs.shape == (num_mus, mu_obs_dim(cfg))
+    uav_obs = build_uav_observations(world, alloc, mu_obs, rosters, cfg)
+    assert uav_obs.shape == (2, uav_obs_dim(cfg))
+    alloc, accels = apply_uav_actions(alloc, rosters, uav_actions, cfg)
+    nxt, report = world_step(world, alloc, accels, cfg, rng)
+    assert nxt.mu_positions.shape == (num_mus, 2) and nxt.tasks.shape == (num_mus, 5)
+    for name in ("latency", "e_mu", "rate", "deadline", "deadline_met"):
+        assert getattr(report, name).shape == (num_mus,), name
+    bd = mu_reward(report, alloc, cfg)
+    assert bd.base.shape == bd.p_latency.shape == bd.reward.shape == (num_mus,)
+    for m in range(2):
+        assert np.isfinite(uav_reward(m, report, nxt, alloc, cfg).reward)
+    moved = step_mobility(world.mu_positions, world.mu_speeds, world.mu_headings, cfg, rng)
+    assert [a.shape for a in moved] == [(num_mus, 2), (num_mus,), (num_mus,)]
+    assert draw_task(cfg, rng, num_mus).shape == (num_mus, 5)
