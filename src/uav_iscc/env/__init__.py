@@ -22,7 +22,7 @@ from .radio import (
     radar_rate_from_filter,
     steering_vector,
 )
-from .types import TASK_FIELDS, Allocation, SlotReport, UavState, WorldState
+from .types import Allocation, SlotReport, UavState, WorldState
 from .world import draw_task, dvfs_frequency, reset_world, world_step
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "RadarState",
     "ScenarioConfig",
     "SlotReport",
-    "TASK_FIELDS",
     "UavState",
     "WorldState",
     "advance_kinematics",

@@ -37,49 +37,49 @@ def make_uav(pos=(500.0, 500.0), vel=(0.0, 0.0)):
 def test_full_memory_keeps_speed_and_heading():
     cfg = make_cfg(mobility_speed_memory=1.0, mobility_heading_memory=1.0)
     mu = make_mu(speed=4.0, heading=0.7)
-    out = step_one(mu, cfg, np.random.default_rng(0))
-    assert out[1] == pytest.approx(4.0)
-    assert out[2] == pytest.approx(0.7)
+    _, speed, heading = step_one(mu, cfg, np.random.default_rng(0))
+    assert speed == pytest.approx(4.0)
+    assert heading == pytest.approx(0.7)
 
 
 def test_zero_memory_zero_noise_jumps_to_mean():
     cfg = make_cfg(mobility_speed_memory=0.0, mobility_speed_noise_std=1e-30,
                    mobility_mean_speed=2.0)
     mu = make_mu(speed=9.0)
-    out = step_one(mu, cfg, np.random.default_rng(1))
-    assert out[1] == pytest.approx(2.0, abs=1e-12)
+    _, speed, _ = step_one(mu, cfg, np.random.default_rng(1))
+    assert speed == pytest.approx(2.0, abs=1e-12)
 
 
 def test_heading_mixes_mean_with_heading_memory():
     # the mean heading enters with weight 1 - heading memory, not 1 - speed memory
     cfg = make_cfg(mobility_speed_memory=0.9, mobility_heading_memory=0.0,
                    mobility_heading_noise_std=1e-30, mobility_mean_heading=1.0)
-    out = step_one(make_mu(heading=0.0), cfg, np.random.default_rng(4))
-    assert out[2] == 1.0
+    _, _, heading = step_one(make_mu(heading=0.0), cfg, np.random.default_rng(4))
+    assert heading == 1.0
 
 
 def test_half_memory_mixes_speed():
     # 0.5*4 + 0.5*2 = 3 with no innovation
     cfg = make_cfg(mobility_speed_memory=0.5, mobility_speed_noise_std=1e-30,
                    mobility_mean_speed=2.0)
-    out = step_one(make_mu(speed=4.0), cfg, np.random.default_rng(2))
-    assert out[1] == pytest.approx(3.0, abs=1e-10)
+    _, speed, _ = step_one(make_mu(speed=4.0), cfg, np.random.default_rng(2))
+    assert speed == pytest.approx(3.0, abs=1e-10)
 
 
 def test_position_advances_along_previous_heading():
     cfg = make_cfg()
     mu = make_mu(pos=(100.0, 100.0), speed=2.0, heading=np.pi / 2)
-    out = step_one(mu, cfg, np.random.default_rng(3))
-    assert np.allclose(out[0], [100.0, 102.0])
+    pos, _, _ = step_one(mu, cfg, np.random.default_rng(3))
+    assert np.allclose(pos, [100.0, 102.0])
 
 
 def test_walls_reflect_and_clamp():
     cfg = make_cfg(mobility_speed_memory=1.0, mobility_heading_memory=1.0)
     mu = make_mu(pos=(999.5, 500.0), speed=3.0, heading=0.0)
-    out = step_one(mu, cfg, np.random.default_rng(4))
-    assert out[0][0] == pytest.approx(1000.0)
-    assert abs(out[2]) == pytest.approx(np.pi)
-    assert 0.0 <= out[0][0] <= cfg.region_width
+    pos, _, heading = step_one(mu, cfg, np.random.default_rng(4))
+    assert pos[0] == pytest.approx(1000.0)
+    assert abs(heading) == pytest.approx(np.pi)
+    assert 0.0 <= pos[0] <= cfg.region_width
 
 
 def test_positions_stay_in_region_long_run():
