@@ -6,7 +6,6 @@ from .actions import (
     apply_uav_actions,
     build_allocation,
     decode_mu_action,
-    decode_uav_action,
 )
 from .observations import (
     build_mu_observations,
@@ -37,7 +36,6 @@ __all__ = [
     "build_uav_observations",
     "collision_penalty",
     "decode_mu_action",
-    "decode_uav_action",
     "latency_penalty",
     "mu_obs_dim",
     "mu_reward",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..env.config import ScenarioConfig
+from ..env.mobility import clip_norm
 from ..env.types import Allocation
 
 
@@ -35,18 +36,21 @@ class MuAction:
 
 @dataclass
 class UavAction:
-    share_logits: np.ndarray  # k_cap values in (0, 1)
-    acceleration: np.ndarray  # 2 values in (0, 1) before the affine map
+    """Every UAV's raw action, one row per UAV."""
+
+    share_logits: np.ndarray  # [M, k_cap] values in (0, 1)
+    acceleration: np.ndarray  # [M, 2] values in (0, 1) before the affine map
 
     @staticmethod
     def dim(cfg: ScenarioConfig) -> int:
         return cfg.k_cap + 2
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, cfg: ScenarioConfig) -> "UavAction":
+    def from_vector(cls, vecs: np.ndarray, cfg: ScenarioConfig) -> "UavAction":
+        """Split the [M, dim] raw actions into the two fields."""
         cap = cfg.k_cap
-        return cls(share_logits=np.asarray(vec[:cap], dtype=np.float64),
-                   acceleration=np.asarray(vec[cap:cap + 2], dtype=np.float64))
+        vecs = np.asarray(vecs, dtype=np.float64)
+        return cls(share_logits=vecs[:, :cap], acceleration=vecs[:, cap:cap + 2])
 
 
 def decode_mu_action(raw: MuAction, cfg: ScenarioConfig) -> tuple[int, float, float]:
@@ -75,46 +79,30 @@ def build_allocation(mu_actions: list[MuAction], cfg: ScenarioConfig) -> Allocat
         if choice >= 0 and counts[choice] < cap:
             counts[choice] += 1
             serving[i], rho[i], eta[i] = choice, r, e
-    serving = np.array(serving, dtype=int)
-    association = np.zeros((k, m))
-    rows = np.flatnonzero(serving >= 0)
-    association[rows, serving[rows]] = 1.0
-    return Allocation(association=association, serving=serving, offload_ratio=np.array(rho),
+    return Allocation(serving=np.array(serving, dtype=int), offload_ratio=np.array(rho),
                       compress_ratio=np.array(eta), edge_cpu=np.zeros((k, m)))
 
 
-def decode_uav_action(raw: UavAction, roster: np.ndarray,
-                      cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """CPU shares over the occupied roster slots and the acceleration command.
-
-    Shares are the softmax of the occupied slots' logits times the UAV's CPU
-    budget, so the capacity constraint holds with equality whenever the
-    roster is non-empty. The acceleration maps (0,1)^2 affinely onto the
-    +-a_max square, then norm-projects onto the a_max disc.
-    """
-    occupied = roster >= 0
-    shares = np.zeros(len(roster))
-    if np.any(occupied):
-        logits = raw.share_logits[occupied]
-        e = np.exp(logits - logits.max())
-        shares[occupied] = cfg.uav_cpu_max * e / e.sum()
-    accel = (2.0 * np.clip(raw.acceleration, 0.0, 1.0) - 1.0) * cfg.uav_a_max
-    norm = float(np.linalg.norm(accel))
-    if norm > cfg.uav_a_max:
-        accel = accel * (cfg.uav_a_max / norm)
-    return shares, accel
-
-
-def apply_uav_actions(alloc: Allocation, rosters: np.ndarray, uav_actions: list[UavAction],
+def apply_uav_actions(alloc: Allocation, rosters: np.ndarray, raw: UavAction,
                       cfg: ScenarioConfig) -> tuple[Allocation, np.ndarray]:
-    """Fill the allocation's edge CPU matrix and collect acceleration commands.
+    """Fill the allocation's edge CPU matrix and return the [M, 2] acceleration
+    commands. `rosters` is `uav_rosters(alloc, cfg)`.
 
-    `rosters` is `uav_rosters(alloc, cfg)`."""
-    accels = np.zeros((cfg.num_uavs, 2))
-    for m, (raw, roster) in enumerate(zip(uav_actions, rosters)):
-        shares, accel = decode_uav_action(raw, roster, cfg)
-        accels[m] = accel
-        for slot, k in enumerate(roster):
-            if k >= 0:
-                alloc.edge_cpu[k, m] = shares[slot]
-    return alloc, accels
+    Each UAV's CPU shares are the softmax of its occupied roster slots' logits
+    times its CPU budget, so the capacity constraint holds with equality
+    whenever the roster is non-empty; its denominator sums the occupied slots
+    in roster order. The acceleration maps (0,1)^2 affinely onto the +-a_max
+    square, then norm-projects onto the a_max disc.
+    """
+    occupied = rosters >= 0                                       # [M, k_cap]
+    count = occupied.sum(axis=1)
+    logits = np.where(occupied, raw.share_logits, -np.inf)
+    peak = np.where(count > 0, logits.max(axis=1), 0.0)
+    e = np.where(occupied, np.exp(logits - peak[:, None]), 0.0)
+    # the occupied slots are a prefix of each roster
+    total = np.cumsum(e, axis=1)[np.arange(len(count)), np.maximum(count - 1, 0)]
+    shares = cfg.uav_cpu_max * e / np.where(count > 0, total, 1.0)[:, None]
+    uav_index = np.broadcast_to(np.arange(len(count))[:, None], rosters.shape)
+    alloc.edge_cpu[rosters[occupied], uav_index[occupied]] = shares[occupied]
+    accel = (2.0 * np.clip(raw.acceleration, 0.0, 1.0) - 1.0) * cfg.uav_a_max
+    return alloc, clip_norm(accel, cfg.uav_a_max)

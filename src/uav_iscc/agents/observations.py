@@ -45,7 +45,7 @@ def uav_obs_dim(cfg: ScenarioConfig) -> int:
 def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     k_count = world.num_mus
     width = cfg.region_width
-    uav_xy = (world.uav_positions() / width).ravel()
+    uav_xy = (world.uav_positions / width).ravel()
     return np.concatenate([
         (np.arange(k_count) / max(cfg.num_mus, 1))[:, None],
         _scaled_tasks(world, cfg),
@@ -57,7 +57,7 @@ def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
 def uav_rosters(alloc: Allocation, cfg: ScenarioConfig) -> np.ndarray:
     """Each UAV's first k_cap served MU indices in ascending order, padded with
     -1 to the capacity: [M, k_cap]."""
-    served = alloc.association.T > 0                                 # [M, K]
+    served = alloc.serving == np.arange(alloc.edge_cpu.shape[1])[:, None]   # [M, K]
     first = np.argsort(~served, axis=1, kind="stable")[:, : cfg.k_cap]
     rosters = np.where(np.arange(first.shape[1]) < served.sum(axis=1, keepdims=True),
                        first, -1)
@@ -78,7 +78,7 @@ def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndar
         alloc.offload_ratio[:, None],
         alloc.compress_ratio[:, None],
     ], axis=1), ((0, 1), (0, 0)))                                 # [K+1, 9]
-    uav_xy = world.uav_positions() / width                                    # [M, 2]
+    uav_xy = world.uav_positions / width                                    # [M, 2]
     # row block m: every other UAV's position, in index order
     others = np.broadcast_to(uav_xy, (m_count, m_count, 2))[~np.eye(m_count, dtype=bool)]
     return np.concatenate([

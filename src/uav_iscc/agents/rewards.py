@@ -104,7 +104,7 @@ def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
     e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0
     e_bar = e_served + cfg.weight_factor * float(report.e_uav[m])
 
-    own = world.uavs[m].position
+    own = world.uav_positions[m]
     if served.size:
         centroid = np.mean(world.mu_positions[served], axis=0)
         dist = float(np.linalg.norm(own - centroid))

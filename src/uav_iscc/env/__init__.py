@@ -11,29 +11,24 @@ from .compute import (
 from .config import ConfigError, ScenarioConfig
 from .mobility import advance_kinematics, step_mobility
 from .radio import (
-    RadarState,
     build_all_channels,
     build_radar_state,
     comm_rate,
     design_links,
     mmse_beamformer,
-    radar_leakage,
     radar_rate,
-    radar_rate_from_filter,
-    steering_vector,
+    steering,
 )
-from .types import Allocation, SlotReport, UavState, WorldState
-from .world import draw_task, dvfs_frequency, reset_world, world_step
+from .types import Allocation, SlotReport, WorldState
+from .world import draw_task, dvfs_frequency, reset_world, uav_clutter, world_step
 
 __all__ = [
     "Allocation",
     "ConfigError",
     "INFINITE_DELAY",
     "MuSlotOutcome",
-    "RadarState",
     "ScenarioConfig",
     "SlotReport",
-    "UavState",
     "WorldState",
     "advance_kinematics",
     "build_all_channels",
@@ -45,12 +40,11 @@ __all__ = [
     "flight_power",
     "mmse_beamformer",
     "mu_slot_outcome",
-    "radar_leakage",
     "radar_rate",
-    "radar_rate_from_filter",
     "reset_world",
     "step_mobility",
-    "steering_vector",
+    "steering",
     "transmitted_fraction",
+    "uav_clutter",
     "world_step",
 ]

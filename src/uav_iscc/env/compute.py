@@ -12,6 +12,8 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
+import numpy as np
+
 from .config import ScenarioConfig
 
 INFINITE_DELAY = math.inf
@@ -91,8 +93,9 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
     )
 
 
-def flight_power(speed: float, cfg: ScenarioConfig) -> float:
-    """Rotary-wing propulsion power: blade profile + parasite + induced terms.
+def flight_power(speed: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Rotary-wing propulsion power at each speed: blade profile + parasite +
+    induced terms.
 
     The induced term's inner expression follows the configured form: "paper"
     divides v^4 by 4*v0^2, "standard" by 4*v0^4; both subtract v^2 / (2*v0^2).
@@ -100,9 +103,9 @@ def flight_power(speed: float, cfg: ScenarioConfig) -> float:
     v2 = speed * speed
     blade = cfg.blade_power * (1.0 + 3.0 * v2 / (cfg.tip_speed ** 2))
     parasite = 0.5 * cfg.fuselage_drag * cfg.air_density * cfg.rotor_solidity \
-        * cfg.rotor_area * speed ** 3
+        * cfg.rotor_area * np.array([v ** 3 for v in np.ravel(speed).tolist()]).reshape(np.shape(speed))
     v0_2 = cfg.rotor_velocity ** 2
     quart = 4.0 * v0_2 if cfg.induced_power_form == "paper" else 4.0 * v0_2 * v0_2
-    inner = math.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)
-    induced = cfg.induced_power * math.sqrt(max(inner, 0.0))
+    inner = np.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)
+    induced = cfg.induced_power * np.sqrt(np.maximum(inner, 0.0))
     return blade + parasite + induced

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ScenarioConfig
-from .types import UavState
+from .radio import row_norm
 
 
 def step_mobility(positions: np.ndarray, speeds: np.ndarray, headings: np.ndarray,
@@ -46,38 +46,27 @@ def step_mobility(positions: np.ndarray, speeds: np.ndarray, headings: np.ndarra
     return pos, new_speed, new_heading
 
 
-def advance_kinematics(uav: UavState, a_cmd: np.ndarray, cfg: ScenarioConfig) -> tuple[UavState, float]:
-    """Apply one acceleration command; returns (new state, boundary overshoot).
+def clip_norm(x: np.ndarray, limit: float) -> np.ndarray:
+    """Rows of `x` [..., 2] longer than `limit` scaled back onto that length;
+    shorter rows are returned unchanged."""
+    return x * (limit / np.maximum(row_norm(x), limit))[..., None]
+
+
+def advance_kinematics(positions: np.ndarray, velocities: np.ndarray, a_cmd: np.ndarray,
+                       cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply every UAV's acceleration command: positions, velocities and
+    commands [M, 2] in; (new positions, new velocities, boundary overshoot [M]) out.
 
     Acceleration is norm-projected to the limit, the position integrates
     q + v*dt + a*dt^2/2, the velocity integrates then norm-clips to v_max.
     Leaving the region clamps the position and zeroes the outward velocity
     component; the clipped-away distance is reported, not forbidden.
     """
-    a = np.asarray(a_cmd, dtype=np.float64)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a > cfg.uav_a_max:
-        a = a * (cfg.uav_a_max / norm_a)
-
+    a = clip_norm(np.asarray(a_cmd, dtype=np.float64), cfg.uav_a_max)
     dt = cfg.slot_seconds
-    raw_pos = uav.position + uav.velocity * dt + 0.5 * a * dt * dt
-    vel = uav.velocity + a * dt
-    speed = float(np.linalg.norm(vel))
-    if speed > cfg.uav_v_max:
-        vel = vel * (cfg.uav_v_max / speed)
-
+    raw_pos = positions + velocities * dt + 0.5 * a * dt * dt
+    vel = clip_norm(velocities + a * dt, cfg.uav_v_max)
     width = cfg.region_width
     pos = np.clip(raw_pos, 0.0, width)
-    overshoot = float(np.linalg.norm(raw_pos - pos))
-    for axis in range(2):
-        if raw_pos[axis] < 0.0 and vel[axis] < 0.0:
-            vel[axis] = 0.0
-        if raw_pos[axis] > width and vel[axis] > 0.0:
-            vel[axis] = 0.0
-
-    new = UavState(position=pos, velocity=vel, acceleration=a,
-                   target_position=uav.target_position,
-                   doppler_phase=uav.doppler_phase,
-                   clutter_gain=uav.clutter_gain,
-                   decompress_density=uav.decompress_density)
-    return new, overshoot
+    outward = ((raw_pos < 0.0) & (vel < 0.0)) | ((raw_pos > width) & (vel > 0.0))
+    return pos, np.where(outward, 0.0, vel), row_norm(raw_pos - pos)

@@ -9,31 +9,40 @@ ground target and filters the echo for maximum sensing SINR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ScenarioConfig
-from .types import Allocation, UavState, WorldState
+from .types import Allocation, WorldState
 
 
-def steering_vector(angle: float, n: int) -> np.ndarray:
-    """Uniform linear array response at half-wavelength spacing."""
-    if n < 1:
-        raise ValueError("antenna count must be >= 1")
-    idx = np.arange(n)
-    return np.exp(1j * np.pi * math.sin(angle) * idx)
+def steering(sin_angle: np.ndarray, n: int) -> np.ndarray:
+    """Uniform linear array responses at half-wavelength spacing: [..., n] for
+    the sines of the angles [...]."""
+    return np.exp(1j * np.pi * sin_angle[..., None] * np.arange(n))
 
 
-def elevation_angle(horizontal_dist: float, altitude: float) -> float:
-    return math.atan2(altitude, horizontal_dist)
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of a real or complex [..., n] array.
+
+    Summed like `np.linalg.norm` of one vector, as BLAS dot products of the
+    real (and imaginary) parts, so a stacked norm equals the per-vector one bit
+    for bit (`einsum` or `np.sum(abs(x)**2)` would not).
+    """
+    sq = _dot(x.real, x.real) + _dot(x.imag, x.imag) if np.iscomplexobj(x) else _dot(x, x)
+    return np.sqrt(sq)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum(x * y) over the last axis, one BLAS dot product per row, like `np.vdot`
+    of conj(x) and y."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def build_all_channels(world: WorldState, cfg: ScenarioConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """Vectorized channel draw for every MU-UAV pair: complex [K, M, W_R, W_T]."""
     mu_pos = world.mu_positions              # [K, 2]
-    uav_pos = world.uav_positions()          # [M, 2]
+    uav_pos = world.uav_positions            # [M, 2]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)                    # [K, M]
     d2 = horiz2 + cfg.altitude ** 2
@@ -41,7 +50,7 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
     sin_a = np.sin(angle)
     # one steering exponential for the larger array; each array takes a prefix
     n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
-    steer = np.exp(1j * np.pi * sin_a[..., None] * np.arange(max(n_r, n_t)))
+    steer = steering(sin_a, max(n_r, n_t))
     channel = steer[..., :n_r, None] * steer[..., None, :n_t].conj()   # LOS, [K, M, W_R, W_T]
     eps = cfg.rician_factor
     if math.isinf(eps):
@@ -59,19 +68,6 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
     channel += scatter
     channel *= np.sqrt(cfg.ref_gain / d2)[..., None, None]
     return channel
-
-
-@dataclass
-class RadarState:
-    """Sensing-side quantities of one UAV for one slot."""
-
-    beamformer: np.ndarray        # W_m, transmit beam with ||W||^2 = P
-    receive_filter: np.ndarray    # c_m, unit norm
-    target_response: np.ndarray   # doppler_phase * a(angle) a(angle)^H
-    clutter_gain: complex         # summed coupling from other UAVs
-    covariance: np.ndarray        # clutter-plus-noise R_m
-    sinr: float
-    rate: float                   # estimation information rate, bps
 
 
 def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
@@ -93,63 +89,53 @@ def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[n
         return np.linalg.solve(loaded, rhs[..., None])[..., 0], True
 
 
-def radar_geometry(uav: UavState, cfg: ScenarioConfig) -> float:
-    """Elevation angle from the UAV down to its sensing target."""
-    horiz = float(np.linalg.norm(uav.position - uav.target_position))
-    return elevation_angle(horiz, cfg.altitude)
+def build_radar_state(world: WorldState, cfg: ScenarioConfig
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Every UAV's sensing in one slot: (SINR [M], estimation rate [M] in bps,
+    uplink leakage [M, W_R, W_R], diagonal loading used).
 
-
-def build_radar_state(uav: UavState, cfg: ScenarioConfig) -> tuple[RadarState, bool]:
-    """Steer the sensing beam, derive the max-SINR filter, and score the echo."""
+    Each UAV steers a full-power beam down at its target, filters the echo with
+    the max-SINR filter against its clutter plus noise, and leaks the waveform
+    G w, with G the target response plus the clutter gain, into its own uplink
+    receiver as the covariance (G w)(G w)^H.
+    """
     n = cfg.rx_antennas
-    angle = radar_geometry(uav, cfg)
-    a = steering_vector(angle, n)
-    w = math.sqrt(cfg.uav_power_max) * a / np.linalg.norm(a)
-    response = uav.doppler_phase * np.outer(a, a.conj())
-    clutter = uav.clutter_gain
-    cov = (abs(clutter) ** 2) * np.outer(w, w.conj()) + cfg.noise_power * np.eye(n)
-    cov = 0.5 * (cov + cov.conj().T)
-    steer = response @ w
+    horiz = row_norm(world.uav_positions - world.uav_targets)
+    a = steering(np.sin(_atan2(cfg.altitude, horiz)), n)                   # [M, n]
+    w = math.sqrt(cfg.uav_power_max) * a / row_norm(a)[:, None]
+    response = world.uav_doppler[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
+    cov = (_square(np.abs(world.uav_clutter))[:, None, None]
+           * (w[:, :, None] * w.conj()[:, None, :]) + cfg.noise_power * np.eye(n))
+    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
+    steer = (response @ w[..., None])[..., 0]
     filt, loaded = _solve_hpd(cov, steer, cfg)
-    norm = np.linalg.norm(filt)
-    filt = filt / norm if norm > 0 else np.ones(n, dtype=complex) / math.sqrt(n)
-    sinr, rate = radar_rate_from_filter(filt, response, w, cov, cfg)
-    state = RadarState(beamformer=w, receive_filter=filt, target_response=response,
-                       clutter_gain=clutter, covariance=cov, sinr=sinr, rate=rate)
-    return state, loaded
+    norm = row_norm(filt)
+    filt = np.where((norm > 0)[:, None], filt / np.where(norm > 0, norm, 1.0)[:, None],
+                    np.ones(n, dtype=complex) / math.sqrt(n))
+    signal = _square(np.abs(_dot(filt.conj(), steer)))
+    noise = np.real(_dot(filt.conj(), (cov @ filt[..., None])[..., 0]))
+    sinr = np.where(noise > 0, signal / np.where(noise > 0, noise, 1.0), 0.0)
+    g = response + world.uav_clutter[:, None, None] * np.eye(n)
+    leaked = (g @ w[..., None])[..., 0]
+    return sinr, radar_rate(sinr, cfg), leaked[:, :, None] * leaked.conj()[:, None, :], loaded
 
 
-def radar_rate_from_filter(filt: np.ndarray, response: np.ndarray, beam: np.ndarray,
-                           cov: np.ndarray, cfg: ScenarioConfig) -> tuple[float, float]:
-    signal = abs(np.vdot(filt, response @ beam)) ** 2
-    noise = float(np.real(np.vdot(filt, cov @ filt)))
-    sinr = signal / noise if noise > 0 else 0.0
-    return sinr, radar_rate(sinr, cfg)
+def _atan2(y, x):
+    return np.array([math.atan2(y, v) for v in x.tolist()])
 
 
-def radar_rate(sinr: float, cfg: ScenarioConfig) -> float:
+def _square(x):
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _log2(x):
+    return np.array([math.log2(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Estimation information rate: duty/(2*pulse) * log2(1 + 2*B*mu*gamma)."""
     gain = 2.0 * cfg.bandwidth_hz * cfg.radar_gain_product * sinr
-    return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * math.log2(1.0 + gain)
-
-
-def radar_leakage(radar: RadarState, n: int) -> np.ndarray:
-    """Covariance of the sensing waveform as seen by the uplink receiver."""
-    g = radar.target_response + radar.clutter_gain * np.eye(n)
-    leaked = g @ radar.beamformer
-    return np.outer(leaked, leaked.conj())
-
-
-def _norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of a complex [..., n] array.
-
-    Summed like `np.linalg.norm` of one vector, as BLAS dot products of the
-    real and imaginary parts, so a stacked norm equals the per-vector one bit
-    for bit (`einsum` or `np.sum(abs(x)**2)` would not).
-    """
-    re, im = x.real, x.imag
-    sq = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
-    return np.sqrt(sq[..., 0, 0])
+    return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * _log2(1.0 + gain)
 
 
 def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
@@ -168,11 +154,11 @@ def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
     _, _, vh = np.linalg.svd(channel)
     principal = (channel @ vh[..., 0, :, None].conj())[..., 0]
     w, loaded = _solve_hpd(noise_cov, principal, cfg)
-    norm = _norm(w)
+    norm = row_norm(w)
     zero = norm == 0
     if zero.any():
         w = np.where(zero[..., None], principal, w)
-        norm = np.where(zero, _norm(principal), norm)
+        norm = np.where(zero, row_norm(principal), norm)
     return w / norm[..., None], loaded
 
 
@@ -194,22 +180,24 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
     return np.maximum(rate, 0.0), s
 
 
-def design_links(world: WorldState, alloc: Allocation, radars: list,
+def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> tuple[dict, bool]:
     """MMSE combiner rate for every associated MU: ({mu: bits/s}, loading used).
 
-    Each UAV's covariance holds noise, its radar leakage and every associated
-    MU's P h h^H; a link's noise covariance drops its own MU's term. All
-    served links are designed in one stacked pass.
+    `channels` is the slot's [K, M, W_R, W_T] draw and `leakage` the [M, W_R, W_R]
+    radar leakage from `build_radar_state`. Each UAV's covariance holds noise,
+    its radar leakage and every associated MU's P h h^H; a link's noise
+    covariance drops its own MU's term. All served links are designed in one
+    stacked pass.
     """
-    k, m = np.nonzero(alloc.association > 0)
+    k = np.flatnonzero(alloc.serving >= 0)
     if k.size == 0:
         return {}, False
+    m = alloc.serving[k]
     n = cfg.rx_antennas
-    chans = world.channels[k]                                        # [S, M, W_R, W_T]
+    chans = channels[k]                                              # [S, M, W_R, W_T]
     grams = cfg.mu_power_max * (chans @ chans.conj().swapaxes(-1, -2))  # [S, M, W_R, W_R]
-    total = cfg.noise_power * np.eye(n, dtype=complex) + np.stack(
-        [radar_leakage(r, n) for r in radars])                      # [M, W_R, W_R]
+    total = cfg.noise_power * np.eye(n, dtype=complex) + leakage    # [M, W_R, W_R]
     for gram in grams:  # one add per MU in ascending order: a fixed rounding order
         total = total + gram
     total = 0.5 * (total + total.conj().swapaxes(-1, -2))

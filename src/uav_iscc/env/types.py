@@ -16,25 +16,18 @@ TASK_FIELDS = ("data_bits", "compute_density", "compress_density", "compress_rat
 
 
 @dataclass
-class UavState:
-    position: np.ndarray      # m, 2-vector (flight height is global)
-    velocity: np.ndarray      # m/s, 2-vector
-    acceleration: np.ndarray  # m/s^2, last applied command
-    target_position: np.ndarray        # m, sensed ground target
-    doppler_phase: complex             # unit-modulus residual Doppler gain
-    clutter_gain: complex              # summed coupling from other UAVs
-    decompress_density: float          # cycles/bit to decompress at the server
-
-
-@dataclass
 class Allocation:
     """Joint per-slot decision variables after decoding all agent actions."""
 
-    association: np.ndarray   # {0,1}, [K, M], at most one 1 per row
     serving: np.ndarray           # int [K], the associated UAV, -1 for a local MU
     offload_ratio: np.ndarray     # rho in [0,1], [K]
     compress_ratio: np.ndarray    # eta in [0,1], [K]
     edge_cpu: np.ndarray          # f^e in Hz, [K, M], nonzero only where associated
+
+    @property
+    def association(self) -> np.ndarray:
+        """{0,1} [K, M]: row k is one-hot at `serving[k]`, all zero for a local MU."""
+        return (self.serving[:, None] == np.arange(self.edge_cpu.shape[1])).astype(float)
 
 
 @dataclass
@@ -82,15 +75,19 @@ class SlotReport:
 class WorldState:
     """Everything that defines the network at the start of one slot.
 
-    The MUs are stored as arrays with one row per MU."""
+    The MUs and the UAVs are stored as arrays with one row per agent."""
 
     slot: int
     mu_positions: np.ndarray       # m, [K, 2] in the service square
     mu_speeds: np.ndarray          # m/s, [K]
     mu_headings: np.ndarray        # rad, [K]
     tasks: np.ndarray              # [K, 5], columns in TASK_FIELDS order
-    uavs: list                     # list[UavState]
-    channels: np.ndarray | None = None   # complex [K, M, W_R, W_T], built per slot
+    uav_positions: np.ndarray      # m, [M, 2] (flight height is global)
+    uav_velocities: np.ndarray     # m/s, [M, 2]
+    uav_targets: np.ndarray        # m, [M, 2], each UAV's sensed ground target
+    uav_doppler: np.ndarray        # complex [M], unit-modulus residual Doppler gain
+    uav_clutter: np.ndarray        # complex [M], summed coupling from the other UAVs
+    uav_decompress: np.ndarray     # cycles/bit [M] to decompress at the server
 
     @property
     def num_mus(self) -> int:
@@ -98,7 +95,4 @@ class WorldState:
 
     @property
     def num_uavs(self) -> int:
-        return len(self.uavs)
-
-    def uav_positions(self) -> np.ndarray:
-        return np.stack([u.position for u in self.uavs])
+        return self.uav_positions.shape[0]

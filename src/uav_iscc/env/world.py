@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .compute import MuSlotOutcome, flight_power, mu_slot_outcome
 from .config import ScenarioConfig
 from .mobility import advance_kinematics, step_mobility
-from .radio import build_all_channels, build_radar_state, design_links
-from .types import TASK_FIELDS, Allocation, SlotReport, UavState, WorldState
+from .radio import build_all_channels, build_radar_state, design_links, row_norm
+from .types import TASK_FIELDS, Allocation, SlotReport, WorldState
 
 
 def dvfs_frequency(tasks: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -46,34 +44,34 @@ def reset_world(cfg: ScenarioConfig, rng: np.random.Generator) -> WorldState:
     mu_draws = rng.uniform(np.concatenate([[0.0, 0.0, -np.pi], task_lo]),
                            np.concatenate([[width, width, np.pi], task_hi]),
                            size=(k_count, 3 + len(TASK_FIELDS)))
-    uav_positions = rng.uniform(0.0, width, size=(cfg.num_uavs, 2))
-    targets = rng.uniform(0.0, width, size=(cfg.num_uavs, 2))
-    doppler = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cfg.num_uavs))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.num_uavs, cfg.num_uavs))
+    m_count = cfg.num_uavs
+    uav_positions = rng.uniform(0.0, width, size=(m_count, 2))
+    targets = rng.uniform(0.0, width, size=(m_count, 2))
+    doppler = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m_count))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(m_count, m_count))
     decomp = rng.uniform(cfg.decompress_density_min, cfg.decompress_density_max,
-                         size=cfg.num_uavs)
-    uavs = []
-    for m in range(cfg.num_uavs):
-        clutter = 0.0 + 0.0j
-        for i in range(cfg.num_uavs):
-            if i == m:
-                continue
-            d2 = float(np.sum((uav_positions[m] - uav_positions[i]) ** 2))
-            d2 = max(d2, cfg.safety_distance ** 2)  # co-located spawn guard
-            clutter += math.sqrt(cfg.ref_gain / d2) * np.exp(1j * phases[m, i])
-        uavs.append(UavState(
-            position=uav_positions[m].copy(),
-            velocity=np.zeros(2),
-            acceleration=np.zeros(2),
-            target_position=targets[m],
-            doppler_phase=complex(doppler[m]),
-            clutter_gain=complex(clutter),
-            decompress_density=float(decomp[m]),
-        ))
+                         size=m_count)
     return WorldState(slot=0, mu_positions=mu_draws[:, :2].copy(),
                       mu_speeds=np.full(k_count, cfg.mobility_mean_speed),
                       mu_headings=mu_draws[:, 2].copy(), tasks=mu_draws[:, 3:].copy(),
-                      uavs=uavs)
+                      uav_positions=uav_positions, uav_velocities=np.zeros((m_count, 2)),
+                      uav_targets=targets, uav_doppler=doppler,
+                      uav_clutter=uav_clutter(uav_positions, phases, cfg),
+                      uav_decompress=decomp)
+
+
+def uav_clutter(positions: np.ndarray, phases: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Summed coupling at each UAV from all the others: complex [M].
+
+    UAV i adds sqrt(ref_gain / d^2) e^(j phases[m, i]) at UAV m, with the
+    distance d floored at the safety distance (the co-located spawn guard).
+    Each UAV's terms are summed in ascending index order.
+    """
+    diff = positions[:, None, :] - positions[None, :, :]
+    d2 = np.maximum(np.sum(diff * diff, axis=-1), cfg.safety_distance ** 2)
+    terms = np.sqrt(cfg.ref_gain / d2) * np.exp(1j * phases)
+    np.fill_diagonal(terms, 0.0)
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
@@ -85,15 +83,9 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     world, and the report's geometric fields describe the post-move layout.
     """
     k_count, m_count = world.num_mus, world.num_uavs
-    world.channels = build_all_channels(world, cfg, rng) if k_count else None
-
-    radars = []
-    loading = False
-    for uav in world.uavs:
-        state, loaded = build_radar_state(uav, cfg)
-        radars.append(state)
-        loading = loading or loaded
-    rates, loaded = (design_links(world, alloc, radars, cfg) if k_count else ({}, False))
+    channels = build_all_channels(world, cfg, rng) if k_count else None
+    radar_sinr, radar_rates, leakage, loading = build_radar_state(world, cfg)
+    rates, loaded = (design_links(channels, alloc, leakage, cfg) if k_count else ({}, False))
     loading = loading or loaded
 
     # task pipeline: one call per MU on Python floats, then one array per field
@@ -104,8 +96,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     f_edge = np.where(served, alloc.edge_cpu[np.arange(k_count), serving], 0.0)
     rate = np.zeros(k_count)
     rate[list(rates)] = list(rates.values())
-    decomp = np.array([u.decompress_density for u in world.uavs])
-    j_dec = np.where(served, decomp[serving], 0.0)
+    j_dec = np.where(served, world.uav_decompress[serving], 0.0)
     rows = np.column_stack([world.tasks, rho, eta, dvfs_frequency(world.tasks, cfg),
                             f_edge, rate, j_dec]).tolist()
     outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, cfg.mu_power_max,
@@ -121,30 +112,20 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     deadlines = world.tasks[:, 4].copy()
 
     # flight energy at the speed flown during this slot, then move
-    p_fly = np.array([flight_power(float(np.linalg.norm(u.velocity)), cfg)
-                      for u in world.uavs])
+    p_fly = flight_power(row_norm(world.uav_velocities), cfg)
     e_flight = p_fly * cfg.slot_seconds
-
-    new_uavs = []
-    overshoot = np.zeros(m_count)
-    accel_cmds = np.asarray(accel_cmds, dtype=np.float64).reshape(m_count, 2)
-    for m, uav in enumerate(world.uavs):
-        moved, over = advance_kinematics(uav, accel_cmds[m], cfg)
-        new_uavs.append(moved)
-        overshoot[m] = over
+    uav_positions, uav_velocities, overshoot = advance_kinematics(
+        world.uav_positions, world.uav_velocities,
+        np.asarray(accel_cmds, dtype=np.float64).reshape(m_count, 2), cfg)
 
     # every MU's mobility innovations, then every MU's next task
     positions, speeds, headings = step_mobility(world.mu_positions, world.mu_speeds,
                                                 world.mu_headings, cfg, rng)
     tasks = draw_task(cfg, rng, k_count)
 
-    pos = np.stack([u.position for u in new_uavs]) if m_count else np.zeros((0, 2))
-    diff = pos[:, None, :] - pos[None, :, :]
+    diff = uav_positions[:, None, :] - uav_positions[None, :, :]
     pair = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(pair, np.inf)
-    safety = pair.min(axis=1) < cfg.safety_distance if m_count else np.zeros(0, bool)
-
-    radar_rates = np.array([r.rate for r in radars])
     report = SlotReport(
         t_local=rep["t_local"], t_compress=rep["t_compress"],
         t_offload=rep["t_offload"], t_decompress=rep["t_decompress"],
@@ -156,17 +137,19 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         e_flight=e_flight, e_uav=e_flight + e_edge_compute + e_decompress,
         p_flight=p_fly,
         rate=rate,
-        radar_sinr=np.array([r.sinr for r in radars]),
+        radar_sinr=radar_sinr,
         radar_rate=radar_rates,
         deadline=deadlines,
         deadline_met=rep["latency"] <= deadlines,
         radar_met=radar_rates >= cfg.radar_rate_min,
         boundary_overshoot=overshoot,
         pair_distance=pair,
-        safety_violated=safety,
+        safety_violated=pair.min(axis=1) < cfg.safety_distance,
         loading_applied=loading,
     )
     next_world = WorldState(slot=world.slot + 1, mu_positions=positions, mu_speeds=speeds,
-                            mu_headings=headings, tasks=tasks, uavs=new_uavs,
-                            channels=world.channels)
+                            mu_headings=headings, tasks=tasks, uav_positions=uav_positions,
+                            uav_velocities=uav_velocities, uav_targets=world.uav_targets,
+                            uav_doppler=world.uav_doppler, uav_clutter=world.uav_clutter,
+                            uav_decompress=world.uav_decompress)
     return next_world, report

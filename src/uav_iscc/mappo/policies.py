@@ -74,11 +74,11 @@ def _log_width_total(params: ActorParams) -> float:
 
 
 def sample_action(params: ActorParams, obs_batch: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one action per row of `obs_batch`.
 
-    Returns (unit actions [B, A], native actions [B, A], log-probs [B]); the
-    log-probability is the joint density over the native intervals.
+    Returns (unit actions [B, A], log-probs [B]); the log-probability is the
+    joint density over the native intervals.
     """
     with no_grad():  # the forward records no graph; the density runs on plain arrays
         p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
@@ -89,18 +89,18 @@ def sample_action(params: ActorParams, obs_batch: np.ndarray,
         unit = np.clip(gaussian_sample(p1, p2, rng), _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
         logp = gaussian_log_prob(p1, p2, unit)
     logp = (logp.sum(axis=-1) - _log_width_total(params)).data
-    return unit, params.head.to_native(unit), logp
+    return unit, logp
 
 
-def greedy_action(params: ActorParams, obs_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic action: Beta mean z/(z+e), or the clamped Gaussian mean."""
+def greedy_action(params: ActorParams, obs_batch: np.ndarray) -> np.ndarray:
+    """Deterministic unit action [B, A]: Beta mean z/(z+e), or the clamped Gaussian mean."""
     with no_grad():
         p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
     if params.kind == "beta":
         unit = p1 / (p1 + p2)
     else:
         unit = np.clip(p1, _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
-    return unit, params.head.to_native(unit)
+    return unit
 
 
 def log_prob_entropy(params: ActorParams, obs_batch, unit_actions) -> tuple[Tensor, Tensor]:

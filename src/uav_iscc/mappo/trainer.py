@@ -176,24 +176,23 @@ class Trainer:
         for t in range(t_len):
             mu_obs = build_mu_observations(world, cfg)
             if greedy:
-                mu_unit, _ = greedy_action(self.actors["mu"], mu_obs)
+                mu_unit = greedy_action(self.actors["mu"], mu_obs)
                 mu_logp = np.zeros(k)
             else:
-                mu_unit, _, mu_logp = sample_action(self.actors["mu"], mu_obs,
-                                                    self.action_rng)
+                mu_unit, mu_logp = sample_action(self.actors["mu"], mu_obs, self.action_rng)
             mu_actions = [MuAction.from_vector(mu_unit[i], cfg) for i in range(k)]
             alloc = build_allocation(mu_actions, cfg)
             rosters = uav_rosters(alloc, cfg)
 
             uav_obs = build_uav_observations(world, alloc, mu_obs, rosters, cfg)
             if greedy:
-                uav_unit, _ = greedy_action(self.actors["uav"], uav_obs)
+                uav_unit = greedy_action(self.actors["uav"], uav_obs)
                 uav_logp = np.zeros(m)
             else:
-                uav_unit, _, uav_logp = sample_action(self.actors["uav"], uav_obs,
-                                                      self.action_rng)
-            uav_actions = [UavAction.from_vector(uav_unit[i], cfg) for i in range(m)]
-            alloc, accels = apply_uav_actions(alloc, rosters, uav_actions, cfg)
+                uav_unit, uav_logp = sample_action(self.actors["uav"], uav_obs,
+                                                   self.action_rng)
+            alloc, accels = apply_uav_actions(alloc, rosters,
+                                              UavAction.from_vector(uav_unit, cfg), cfg)
 
             if record_trajectory:
                 self._record_rows(trajectory, world, alloc, accels, t)
@@ -231,12 +230,12 @@ class Trainer:
                 "association": serving, "rho": rho, "eta": eta,
                 "reward": 0.0,
             })
-        for i, state in enumerate(world.uavs):
+        uav_columns = zip(world.uav_positions.tolist(), world.uav_velocities.tolist(),
+                          accels.tolist())
+        for i, ((x, y), (vx, vy), (ax, ay)) in enumerate(uav_columns):
             rows.append({
                 "slot": t, "entity": f"uav{i}", "kind": "uav",
-                "x": float(state.position[0]), "y": float(state.position[1]),
-                "vx": float(state.velocity[0]), "vy": float(state.velocity[1]),
-                "ax": float(accels[i][0]), "ay": float(accels[i][1]),
+                "x": x, "y": y, "vx": vx, "vy": vy, "ax": ax, "ay": ay,
                 "association": -1, "rho": 0.0, "eta": 0.0,
                 "reward": 0.0,
             })

@@ -82,9 +82,6 @@ class BetaHeadParams:
         one = 1.0
         return one + a_raw.softplus(), one + b_raw.softplus()
 
-    def to_native(self, unit: np.ndarray) -> np.ndarray:
-        return self.lo + unit * self.widths
-
 
 @dataclass
 class AttentionBlockParams:

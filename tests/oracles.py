@@ -11,14 +11,13 @@ import math
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from uav_iscc.agents import mu_obs_dim, penalty_P, uav_obs_dim
+from uav_iscc.agents import mu_obs_dim, uav_obs_dim
 from uav_iscc.env import (
     Allocation,
     ScenarioConfig,
     SlotReport,
     WorldState,
     mu_slot_outcome,
-    radar_leakage,
 )
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
@@ -210,7 +209,7 @@ def task_pipeline(world: WorldState, alloc: Allocation, rates: dict,
         eta = float(alloc.compress_ratio[k]) if rho > 0.0 else 0.0
         f_edge = float(alloc.edge_cpu[k, serving]) if serving >= 0 else 0.0
         rate = rates.get(k, 0.0)
-        j_dec = world.uavs[serving].decompress_density if serving >= 0 else 0.0
+        j_dec = float(world.uav_decompress[serving]) if serving >= 0 else 0.0
         f_mu = min(cfg.mu_cpu_max, task[0] * task[1] / task[4])
         out = mu_slot_outcome(task, rho, eta, f_mu, f_edge, rate, cfg.mu_power_max, j_dec, cfg)
         for name in _PIPELINE_FIELDS:
@@ -221,6 +220,12 @@ def task_pipeline(world: WorldState, alloc: Allocation, rates: dict,
             rep["e_edge_compute"][serving] += out.e_edge_compute
             rep["e_decompress"][serving] += out.e_decompress
     return rep
+
+
+def penalty_P(x: float, zeta: float, eta: float) -> float:
+    """2 - exp(-[(x - zeta)/eta]+) with `math.exp`: 1 at or below the slack, capped under 2."""
+    excess = max((x - zeta) / eta, 0.0)
+    return 2.0 - math.exp(-min(excess, 30.0))
 
 
 def mu_reward(k: int, report: SlotReport, alloc: Allocation,
@@ -249,7 +254,6 @@ def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
     """Capacity-enforced association written into preallocated arrays per MU."""
     k = len(mu_actions)
     m = cfg.num_uavs
-    association = np.zeros((k, m))
     serving = np.full(k, -1)
     rho = np.zeros(k)
     eta = np.zeros(k)
@@ -257,12 +261,11 @@ def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
     for i, raw in enumerate(mu_actions):
         choice, r, e = decode_mu_action(raw, cfg)
         if choice >= 0 and counts[choice] < cfg.k_cap:
-            association[i, choice] = 1.0
             serving[i] = choice
             counts[choice] += 1
             rho[i], eta[i] = r, e
-    return Allocation(association=association, serving=serving, offload_ratio=rho,
-                      compress_ratio=eta, edge_cpu=np.zeros((k, m)))
+    return Allocation(serving=serving, offload_ratio=rho, compress_ratio=eta,
+                      edge_cpu=np.zeros((k, m)))
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +277,7 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
     draws and out-of-place arithmetic; `uav_iscc.env.build_all_channels`
     must match it bit for bit."""
     mu_pos = world.mu_positions
-    uav_pos = world.uav_positions()
+    uav_pos = world.uav_positions
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)
     d2 = horiz2 + cfg.altitude ** 2
@@ -298,15 +301,15 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
 # ----------------------------------------------------------------------
 # link design, one (MU, UAV) link at a time
 # ----------------------------------------------------------------------
-def interference_covariance(world: WorldState, alloc: Allocation, radars: list,
+def interference_covariance(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                             cfg: ScenarioConfig, uav_index: int) -> np.ndarray:
     """Inter-MU plus radar-leakage plus noise covariance at one UAV's array."""
     n = cfg.rx_antennas
     cov = cfg.noise_power * np.eye(n, dtype=complex)
-    cov = cov + radar_leakage(radars[uav_index], n)
+    cov = cov + leakage[uav_index]
     active = np.flatnonzero(alloc.association.sum(axis=1) > 0)
     for i in active:
-        h = world.channels[i, uav_index]
+        h = channels[i, uav_index]
         cov = cov + cfg.mu_power_max * (h @ h.conj().T)
     return 0.5 * (cov + cov.conj().T)
 
@@ -344,18 +347,18 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
     return max(rate, 0.0)
 
 
-def design_links(world: WorldState, alloc: Allocation, radars: list,
+def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> tuple[dict, bool]:
     """Per-UAV, per-MU loop that `uav_iscc.env.design_links` must match bit for bit."""
     rates: dict[int, float] = {}
     loaded_any = False
-    for m in range(world.num_uavs):
+    for m in range(alloc.edge_cpu.shape[1]):
         served = served_by(alloc, m)
         if served.size == 0:
             continue
-        total = interference_covariance(world, alloc, radars, cfg, m)
+        total = interference_covariance(channels, alloc, leakage, cfg, m)
         for k in served:
-            h = world.channels[k, m]
+            h = channels[k, m]
             own = cfg.mu_power_max * (h @ h.conj().T)
             n_cov = total - own
             n_cov = 0.5 * (n_cov + n_cov.conj().T)
@@ -388,7 +391,7 @@ def scale_task(task, cfg: ScenarioConfig) -> np.ndarray:
 
 def build_mu_observations(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     width = cfg.region_width
-    uav_xy = (world.uav_positions() / width).ravel()
+    uav_xy = (world.uav_positions / width).ravel()
     out = []
     for k in range(world.num_mus):
         vec = np.concatenate([
@@ -425,13 +428,159 @@ def build_uav_observations(world: WorldState, alloc: Allocation,
                 scale_task(world.tasks[k], cfg),
                 [alloc.offload_ratio[k], alloc.compress_ratio[k]],
             ]))
-        others = [world.uavs[i].position / width
+        others = [world.uav_positions[i] / width
                   for i in range(world.num_uavs) if i != m]
         vec = np.concatenate([
             [m / max(cfg.num_uavs, 1)],
             *slots,
-            world.uavs[m].position / width,
+            world.uav_positions[m] / width,
             *others,
         ])
         out.append(vec)
     return np.array(out).reshape(world.num_uavs, uav_obs_dim(cfg))
+
+
+# ----------------------------------------------------------------------
+# UAV side, one UAV at a time
+# ----------------------------------------------------------------------
+def uav_clutter(positions: np.ndarray, phases: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Each UAV's summed coupling, accumulated pair by pair in ascending index order."""
+    out = []
+    for m in range(positions.shape[0]):
+        clutter = 0.0 + 0.0j
+        for i in range(positions.shape[0]):
+            if i == m:
+                continue
+            d2 = float(np.sum((positions[m] - positions[i]) ** 2))
+            d2 = max(d2, cfg.safety_distance ** 2)  # co-located spawn guard
+            clutter += math.sqrt(cfg.ref_gain / d2) * np.exp(1j * phases[m, i])
+        out.append(complex(clutter))
+    return np.array(out, dtype=complex)
+
+
+def advance_kinematics(position: np.ndarray, velocity: np.ndarray, a_cmd: np.ndarray,
+                       cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """One UAV's (position, velocity, overshoot) after one command."""
+    a = np.asarray(a_cmd, dtype=np.float64)
+    norm_a = float(np.linalg.norm(a))
+    if norm_a > cfg.uav_a_max:
+        a = a * (cfg.uav_a_max / norm_a)
+    dt = cfg.slot_seconds
+    raw_pos = position + velocity * dt + 0.5 * a * dt * dt
+    vel = velocity + a * dt
+    speed = float(np.linalg.norm(vel))
+    if speed > cfg.uav_v_max:
+        vel = vel * (cfg.uav_v_max / speed)
+    width = cfg.region_width
+    pos = np.clip(raw_pos, 0.0, width)
+    overshoot = float(np.linalg.norm(raw_pos - pos))
+    for axis in range(2):
+        if raw_pos[axis] < 0.0 and vel[axis] < 0.0:
+            vel[axis] = 0.0
+        if raw_pos[axis] > width and vel[axis] > 0.0:
+            vel[axis] = 0.0
+    return pos, vel, overshoot
+
+
+def flight_power(speed: float, cfg: ScenarioConfig) -> float:
+    """Rotary-wing propulsion power at one speed, on Python floats."""
+    v2 = speed * speed
+    blade = cfg.blade_power * (1.0 + 3.0 * v2 / (cfg.tip_speed ** 2))
+    parasite = 0.5 * cfg.fuselage_drag * cfg.air_density * cfg.rotor_solidity \
+        * cfg.rotor_area * speed ** 3
+    v0_2 = cfg.rotor_velocity ** 2
+    quart = 4.0 * v0_2 if cfg.induced_power_form == "paper" else 4.0 * v0_2 * v0_2
+    inner = math.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)
+    induced = cfg.induced_power * math.sqrt(max(inner, 0.0))
+    return blade + parasite + induced
+
+
+def steering_vector(angle: float, n: int) -> np.ndarray:
+    """Uniform linear array response at half-wavelength spacing."""
+    return np.exp(1j * np.pi * math.sin(angle) * np.arange(n))
+
+
+def _solve_hpd_one(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig):
+    try:
+        return np.linalg.solve(mat, rhs), False
+    except np.linalg.LinAlgError:
+        loaded = mat + cfg.noise_power * 1e-6 * np.eye(mat.shape[0])
+        return np.linalg.solve(loaded, rhs), True
+
+
+def build_radar_state(world: WorldState, m: int, cfg: ScenarioConfig) -> dict:
+    """One UAV's sensing, with `math.atan2` and `math.log2`: a dict of sinr,
+    rate, leakage, loaded and the clutter-plus-noise covariance."""
+    n = cfg.rx_antennas
+    horiz = float(np.linalg.norm(world.uav_positions[m] - world.uav_targets[m]))
+    a = steering_vector(math.atan2(cfg.altitude, horiz), n)
+    w = math.sqrt(cfg.uav_power_max) * a / np.linalg.norm(a)
+    response = complex(world.uav_doppler[m]) * np.outer(a, a.conj())
+    clutter = complex(world.uav_clutter[m])
+    cov = (abs(clutter) ** 2) * np.outer(w, w.conj()) + cfg.noise_power * np.eye(n)
+    cov = 0.5 * (cov + cov.conj().T)
+    filt, loaded = _solve_hpd_one(cov, response @ w, cfg)
+    norm = np.linalg.norm(filt)
+    filt = filt / norm if norm > 0 else np.ones(n, dtype=complex) / math.sqrt(n)
+    signal = abs(np.vdot(filt, response @ w)) ** 2
+    noise = float(np.real(np.vdot(filt, cov @ filt)))
+    sinr = signal / noise if noise > 0 else 0.0
+    gain = 2.0 * cfg.bandwidth_hz * cfg.radar_gain_product * sinr
+    rate = cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * math.log2(1.0 + gain)
+    leaked = (response + clutter * np.eye(n)) @ w
+    return {"sinr": float(sinr), "rate": rate, "leakage": np.outer(leaked, leaked.conj()),
+            "loaded": loaded, "covariance": cov}
+
+
+def decode_uav_action(share_logits: np.ndarray, acceleration: np.ndarray, roster: np.ndarray,
+                      cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One UAV's CPU shares over its roster slots and its acceleration command."""
+    occupied = roster >= 0
+    shares = np.zeros(len(roster))
+    if np.any(occupied):
+        logits = share_logits[occupied]
+        e = np.exp(logits - logits.max())
+        shares[occupied] = cfg.uav_cpu_max * e / e.sum()
+    accel = (2.0 * np.clip(acceleration, 0.0, 1.0) - 1.0) * cfg.uav_a_max
+    norm = float(np.linalg.norm(accel))
+    if norm > cfg.uav_a_max:
+        accel = accel * (cfg.uav_a_max / norm)
+    return shares, accel
+
+
+def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
+               cfg: ScenarioConfig) -> dict:
+    """One UAV's base, factors and reward, with `math.exp` in the factors and
+    `np.mean` over its served MUs."""
+    served = np.flatnonzero(alloc.serving == m)
+    e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0
+    e_bar = e_served + cfg.weight_factor * float(report.e_uav[m])
+    if served.size:
+        centroid = np.mean(world.mu_positions[served], axis=0)
+        dist = float(np.linalg.norm(world.uav_positions[m] - centroid))
+    else:
+        dist = 0.0
+    p_centroid = penalty_P(dist, cfg.distance_threshold, cfg.region_width)
+    if served.size:
+        p_lat = float(np.mean([penalty_P(float(lat) if math.isfinite(lat) else 1e30,
+                                         float(dl), float(dl))
+                               for lat, dl in zip(report.latency[served],
+                                                  report.deadline[served])]))
+    else:
+        p_lat = 1.0
+    count = report.pair_distance.shape[0]
+    p_col = 1.0
+    if count > 1:
+        d_min = cfg.safety_distance
+        total = 0.0
+        for i in range(count):
+            if i != m:
+                total += penalty_P(d_min - float(report.pair_distance[m, i]), 0.0, d_min)
+        p_col = total / (count - 1)
+    p_bound = penalty_P(float(report.boundary_overshoot[m]), 0.0, cfg.uav_v_max)
+    deficit = max(cfg.radar_rate_min - float(report.radar_rate[m]), 0.0)
+    p_rad = 1.0 + deficit / cfg.radar_rate_min
+    base = cfg.reward_energy_weight * e_bar + cfg.reward_distance_weight * p_centroid
+    reward = -base * (p_lat * p_col * p_bound * p_rad)
+    return {"base": base, "p_latency": p_lat, "p_collision": p_col, "p_boundary": p_bound,
+            "p_radar": p_rad, "reward": reward}

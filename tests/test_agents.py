@@ -14,7 +14,6 @@ from uav_iscc.agents import (
     build_mu_observations,
     build_uav_observations,
     decode_mu_action,
-    decode_uav_action,
     mu_obs_dim,
     mu_reward,
     penalty_P,
@@ -30,15 +29,6 @@ def cfg_of(**kw):
     for k, v in kw.items():
         setattr(cfg, k, v)
     return cfg.validate()
-
-
-def association_of(serving, num_uavs):
-    """[K, M] association with MU k on UAV serving[k] (-1: none)."""
-    association = np.zeros((len(serving), num_uavs))
-    for k, m in enumerate(serving):
-        if m >= 0:
-            association[k, m] = 1.0
-    return association
 
 
 def actions_choosing(serving, cfg, rng):
@@ -113,31 +103,91 @@ def test_mu_decode_scale_invariant():
         assert a == b
 
 
+def decode_uavs(vecs, rosters, cfg):
+    """(edge CPU [K, M], accelerations [M, 2]) of raw UAV actions `vecs` [M, dim]
+    over `rosters` [M, k_cap], for K = cfg.num_mus MUs."""
+    alloc = Allocation(serving=np.full(cfg.num_mus, -1), offload_ratio=np.zeros(cfg.num_mus),
+                       compress_ratio=np.zeros(cfg.num_mus),
+                       edge_cpu=np.zeros((cfg.num_mus, cfg.num_uavs)))
+    alloc, accels = apply_uav_actions(alloc, np.array(rosters),
+                                      UavAction.from_vector(np.array(vecs), cfg), cfg)
+    return alloc.edge_cpu, accels
+
+
 def test_uav_decode_single_and_equal_shares():
     cfg = cfg_of()
-    raw = UavAction.from_vector(np.full(UavAction.dim(cfg), 0.5), cfg)
-    roster = np.full(cfg.k_cap, -1)
-    roster[0] = 3
-    shares, accel = decode_uav_action(raw, roster, cfg)
-    assert shares[0] == pytest.approx(cfg.uav_cpu_max)
+    vecs = np.full((cfg.num_uavs, UavAction.dim(cfg)), 0.5)
+    rosters = np.full((cfg.num_uavs, cfg.k_cap), -1)
+    rosters[0, 0] = 3
+    cpu, accel = decode_uavs(vecs, rosters, cfg)
+    assert cpu[3, 0] == pytest.approx(cfg.uav_cpu_max)
+    assert np.count_nonzero(cpu) == 1
     assert np.allclose(accel, 0.0)  # midpoint maps to zero acceleration
-    roster[1] = 5
-    shares, _ = decode_uav_action(raw, roster, cfg)
-    assert shares[0] == pytest.approx(5e9) and shares[1] == pytest.approx(5e9)
+    rosters[0, 1] = 5
+    cpu, _ = decode_uavs(vecs, rosters, cfg)
+    assert cpu[3, 0] == pytest.approx(5e9) and cpu[5, 0] == pytest.approx(5e9)
 
 
 def test_uav_decode_permutation_equivariant():
     cfg = cfg_of()
     rng = np.random.default_rng(2)
     vec = rng.uniform(0.01, 0.99, UavAction.dim(cfg))
-    roster = np.array([0, 1, 2, -1])[: cfg.k_cap]
-    base, _ = decode_uav_action(UavAction.from_vector(vec, cfg), roster, cfg)
-    perm = np.array([1, 0, 2, -1])[: cfg.k_cap]
+    rosters = np.full((cfg.num_uavs, cfg.k_cap), -1)
+    rosters[0, :3] = [0, 1, 2]
+    base, _ = decode_uavs(np.tile(vec, (cfg.num_uavs, 1)), rosters, cfg)
     vec2 = vec.copy()
     vec2[[0, 1]] = vec2[[1, 0]]
-    swapped, _ = decode_uav_action(UavAction.from_vector(vec2, cfg), perm, cfg)
-    assert swapped[0] == pytest.approx(base[1])
-    assert swapped[1] == pytest.approx(base[0])
+    rosters[0, :2] = [1, 0]
+    swapped, _ = decode_uavs(np.tile(vec2, (cfg.num_uavs, 1)), rosters, cfg)
+    assert swapped[:, 0] == pytest.approx(base[:, 0])
+
+
+# UAV 0 serves nobody, UAV 1 one MU, UAV 2 a full roster
+UAV_DECODE_CASES = {
+    "m1-empty": (1, 4, [[-1] * 4]),
+    "m1-full": (1, 4, [[0, 1, 2, 3]]),
+    "mixed": (3, 4, [[-1] * 4, [5, -1, -1, -1], [0, 1, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("case", list(UAV_DECODE_CASES) + ["full-rosters-of-12",
+                                                           "random-400x20"])
+def test_batched_uav_decode_matches_per_uav_decode(case):
+    if case == "random-400x20":
+        cfg = ScenarioConfig(num_mus=400, num_uavs=20).validate()
+        rng = np.random.default_rng(4)
+        alloc = build_allocation(actions_choosing(rng.integers(-1, 20, 400).tolist(), cfg, rng),
+                                 cfg)
+        rosters = uav_rosters(alloc, cfg)
+    elif case == "full-rosters-of-12":
+        cfg = ScenarioConfig(num_mus=24, num_uavs=2, roster_capacity=12).validate()
+        rosters = np.arange(24).reshape(2, 12)
+    else:
+        num_uavs, cap, rosters = UAV_DECODE_CASES[case]
+        cfg = ScenarioConfig(num_mus=6, num_uavs=num_uavs, roster_capacity=cap).validate()
+        rosters = np.array(rosters)
+    rng = np.random.default_rng(3)
+    # acceleration entries on both sides of the unit interval, so the clip and
+    # the disc projection both act
+    vecs = np.concatenate([rng.uniform(0.01, 0.99, (cfg.num_uavs, cfg.k_cap)),
+                           rng.uniform(-0.5, 1.5, (cfg.num_uavs, 2))], axis=1)
+    cpu, accel = decode_uavs(vecs, rosters, cfg)
+    assert cpu.shape == (cfg.num_mus, cfg.num_uavs) and accel.shape == (cfg.num_uavs, 2)
+    for m in range(cfg.num_uavs):
+        shares, want_accel = oracles.decode_uav_action(vecs[m, :cfg.k_cap], vecs[m, cfg.k_cap:],
+                                                       rosters[m], cfg)
+        assert accel[m].tobytes() == want_accel.tobytes()
+        occupied = rosters[m] >= 0
+        assert np.count_nonzero(cpu[:, m]) == occupied.sum()
+        got = cpu[rosters[m][occupied], m]
+        if occupied.sum() < 8:
+            # both sum the softmax denominator one slot after another
+            assert got.tobytes() == shares[occupied].tobytes()
+        else:
+            # np.sum adds 8 or more terms pairwise, the batched code in roster order
+            assert np.all(np.abs(got - shares[occupied]) <= 4 * np.spacing(shares[occupied]))
+        if occupied.any():
+            assert got.sum() == pytest.approx(cfg.uav_cpu_max, rel=1e-12)
 
 
 def test_roster_capacity_demotes_surplus():
@@ -263,8 +313,7 @@ def test_array_observations_match_per_agent_builders(case):
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(12)
     world = reset_world(cfg, rng)
-    alloc = Allocation(association=association_of(serving, num_uavs),
-                       serving=np.array(serving, dtype=int),
+    alloc = Allocation(serving=np.array(serving, dtype=int),
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
@@ -292,8 +341,8 @@ def episode_slot(cfg, seed):
     actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
                for _ in range(cfg.num_mus)]
     alloc = build_allocation(actions, cfg)
-    uav_actions = [UavAction.from_vector(rng.uniform(0.01, 0.99, UavAction.dim(cfg)), cfg)
-                   for _ in range(cfg.num_uavs)]
+    uav_actions = UavAction.from_vector(
+        rng.uniform(0.01, 0.99, (cfg.num_uavs, UavAction.dim(cfg))), cfg)
     alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
     nxt, report = world_step(world, alloc, accels, cfg, rng)
     return world, alloc, nxt, report
@@ -313,8 +362,7 @@ def test_mu_reward_deadline_met_is_negative_base():
 def test_mu_reward_unassociated_has_no_uav_term():
     cfg = cfg_of()
     _, alloc, _, report = episode_slot(cfg, 7)
-    alloc.association[:] = 0  # force everyone local
-    alloc.serving[:] = -1
+    alloc.serving[:] = -1  # force everyone local
     report.e_mu[0] = 1.0
     bd = mu_reward(report, alloc, cfg)
     assert bd.base[0] == 1.0
@@ -375,7 +423,7 @@ def test_uav_reward_hovering_at_centroid_all_satisfied():
     report.latency[:] = 0.0
     report.radar_rate[:] = 1.0
     if served.size:
-        nxt.uavs[m].position = np.mean(nxt.mu_positions[served], axis=0)
+        nxt.uav_positions[m] = np.mean(nxt.mu_positions[served], axis=0)
     bd = uav_reward(m, report, nxt, alloc, cfg)
     assert bd.penalty_product == pytest.approx(1.0)
     e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0

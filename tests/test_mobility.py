@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uav_iscc.env import ScenarioConfig, UavState, advance_kinematics, draw_task, step_mobility
+from uav_iscc.env import ScenarioConfig, advance_kinematics, draw_task, step_mobility
 
 
 def make_cfg(**kw):
@@ -25,13 +25,12 @@ def step_one(mu, cfg, rng):
     return pos[0], float(speed[0]), float(heading[0])
 
 
-def make_uav(pos=(500.0, 500.0), vel=(0.0, 0.0)):
-    return UavState(position=np.array(pos, dtype=float),
-                    velocity=np.array(vel, dtype=float),
-                    acceleration=np.zeros(2),
-                    target_position=np.array([100.0, 100.0]),
-                    doppler_phase=1.0 + 0j, clutter_gain=0.0 + 0j,
-                    decompress_density=200.0)
+def fly_one(cmd, cfg, pos=(500.0, 500.0), vel=(0.0, 0.0)):
+    """Advance one UAV by one command; returns its (position, velocity, overshoot)."""
+    pos, vel, over = advance_kinematics(np.array([pos], dtype=float),
+                                        np.array([vel], dtype=float),
+                                        np.array([cmd], dtype=float), cfg)
+    return pos[0], vel[0], float(over[0])
 
 
 def test_full_memory_keeps_speed_and_heading():
@@ -127,35 +126,81 @@ def test_batched_tasks_match_per_mu_draws(count):
 
 def test_kinematics_pure_drift():
     cfg = make_cfg()
-    uav, over = advance_kinematics(make_uav(pos=(100.0, 100.0), vel=(1.0, 0.0)),
-                                   np.zeros(2), cfg)
-    assert np.allclose(uav.position, [101.0, 100.0])
+    pos, _, over = fly_one(np.zeros(2), cfg, pos=(100.0, 100.0), vel=(1.0, 0.0))
+    assert np.allclose(pos, [101.0, 100.0])
     assert over == 0.0
 
 
 def test_kinematics_half_a_t_squared():
     cfg = make_cfg()
-    uav, _ = advance_kinematics(make_uav(), np.array([2.0, 0.0]), cfg)
-    assert np.allclose(uav.position, [501.0, 500.0])
-    assert np.allclose(uav.velocity, [2.0, 0.0])
+    pos, vel, _ = fly_one(np.array([2.0, 0.0]), cfg)
+    assert np.allclose(pos, [501.0, 500.0])
+    assert np.allclose(vel, [2.0, 0.0])
 
 
 def test_speed_and_acceleration_limits_enforced():
     cfg = make_cfg()
     rng = np.random.default_rng(6)
-    uav = make_uav(vel=(19.0, 0.0))
+    pos, vel = np.array([500.0, 500.0]), np.array([19.0, 0.0])
     for _ in range(200):
         cmd = rng.uniform(-15.0, 15.0, size=2)
-        uav, _ = advance_kinematics(uav, cmd, cfg)
-        assert np.linalg.norm(uav.velocity) <= cfg.uav_v_max + 1e-12
-        assert np.linalg.norm(uav.acceleration) <= cfg.uav_a_max + 1e-12
-        assert np.all(uav.position >= 0.0) and np.all(uav.position <= cfg.region_width)
+        new_pos, new_vel, _ = fly_one(cmd, cfg, pos=pos, vel=vel)
+        # the applied acceleration is within a_max, and the speed clip never
+        # lengthens the change, so away from the walls |dv| <= a_max * dt
+        if np.all((new_pos > 0.0) & (new_pos < cfg.region_width)):
+            assert np.linalg.norm(new_vel - vel) <= cfg.uav_a_max * cfg.slot_seconds + 1e-9
+        pos, vel = new_pos, new_vel
+        assert np.linalg.norm(vel) <= cfg.uav_v_max + 1e-12
+        assert np.all(pos >= 0.0) and np.all(pos <= cfg.region_width)
 
 
 def test_boundary_overshoot_reported():
     cfg = make_cfg()
-    uav, over = advance_kinematics(make_uav(pos=(999.0, 500.0), vel=(10.0, 0.0)),
-                                   np.zeros(2), cfg)
-    assert uav.position[0] == pytest.approx(1000.0)
+    pos, vel, over = fly_one(np.zeros(2), cfg, pos=(999.0, 500.0), vel=(10.0, 0.0))
+    assert pos[0] == pytest.approx(1000.0)
     assert over == pytest.approx(9.0)
-    assert uav.velocity[0] == 0.0  # outward component zeroed at the wall
+    assert vel[0] == 0.0  # outward component zeroed at the wall
+
+
+KINEMATICS_CASES = {
+    "m1-hover": ([[500.0, 500.0]], [[0.0, 0.0]], [[0.0, 0.0]]),
+    "co-located": ([[300.0, 300.0], [300.0, 300.0]], [[1.0, 2.0], [1.0, 2.0]],
+                   [[1.0, -1.0], [-3.0, 0.5]]),
+    # x below 0, x above the width, y below 0, y above the width, and a corner
+    "wall-crossings": ([[1.0, 500.0], [999.0, 500.0], [500.0, 2.0], [500.0, 998.0],
+                        [999.5, 0.5]],
+                       [[-10.0, 3.0], [10.0, -3.0], [4.0, -10.0], [-4.0, 10.0],
+                        [15.0, -12.0]],
+                       [[-4.0, 0.0], [4.0, 0.0], [0.0, -4.0], [0.0, 4.0], [3.0, -3.0]]),
+    # commands beyond a_max and velocities that integrate beyond v_max
+    "clips": ([[200.0, 200.0], [400.0, 600.0], [700.0, 100.0]],
+              [[19.0, 5.0], [-20.0, 0.0], [0.0, 0.0]],
+              [[15.0, 15.0], [-30.0, 2.0], [3.0, 4.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(KINEMATICS_CASES) + ["random-400"])
+def test_batched_kinematics_match_per_uav_loop(case):
+    cfg = make_cfg()
+    if case == "random-400":
+        rng = np.random.default_rng(10)
+        pos = rng.uniform(-5.0, cfg.region_width + 5.0, (400, 2)).clip(0.0, cfg.region_width)
+        vel, cmd = rng.uniform(-25.0, 25.0, (400, 2)), rng.uniform(-10.0, 10.0, (400, 2))
+    else:
+        pos, vel, cmd = (np.array(x, dtype=float) for x in KINEMATICS_CASES[case])
+    got = advance_kinematics(pos, vel, cmd, cfg)
+    want = [oracles.advance_kinematics(p, v, c, cfg) for p, v, c in zip(pos, vel, cmd)]
+    assert got[0].tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert got[1].tobytes() == np.array([w[1] for w in want]).tobytes()
+    assert got[2].tobytes() == np.array([w[2] for w in want]).tobytes()
+    if case == "wall-crossings":
+        assert np.all(got[2] > 0.0)
+        assert set(got[0][:, 0]) >= {0.0, cfg.region_width}
+        assert set(got[0][:, 1]) >= {0.0, cfg.region_width}
+    if case == "clips":
+        assert np.all(row_norms(got[1]) <= cfg.uav_v_max)
+        assert np.any(np.isclose(row_norms(got[1]), cfg.uav_v_max, rtol=1e-12))
+
+
+def row_norms(x):
+    return np.sqrt(np.sum(x * x, axis=1))

@@ -101,11 +101,3 @@ def test_beta_head_shapes_always_above_one():
     z, e = head.shapes_from_raw(raw)
     assert np.all(z.data > 1.0)
     assert np.all(e.data > 1.0)
-
-
-def test_beta_head_interval_mapping_roundtrip():
-    head = BetaHeadParams(action_dim=2, lo=np.array([-5.0, 0.0]), hi=np.array([5.0, 1.0]))
-    unit = np.array([0.25, 0.5])
-    native = head.to_native(unit)
-    assert np.allclose(native, [-2.5, 0.5])
-    assert np.allclose((native - head.lo) / head.widths, unit)

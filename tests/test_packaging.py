@@ -24,7 +24,9 @@ SUBPACKAGES = ("uav_iscc.env", "uav_iscc.agents", "uav_iscc.mappo", "uav_iscc.nu
 # module-level names and class attributes that were deleted as unused
 DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation",
                  "build_observations", "clip", "softmax", "roster_of", "MuState", "TaskSpec",
-                 "serving_uav", "served_by")
+                 "serving_uav", "served_by", "UavState", "RadarState", "radar_leakage",
+                 "radar_rate_from_filter", "radar_geometry", "elevation_angle",
+                 "steering_vector", "decode_uav_action")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names"),
@@ -33,6 +35,8 @@ DELETED_ATTRS = {
          "zero_grad"),
     ("uav_iscc.numerics.nn", "MlpParams"): ("in_width",),
     ("uav_iscc.agents.rewards", "RewardBreakdown"): ("factors",),
+    ("uav_iscc.numerics.nn", "BetaHeadParams"): ("to_native",),
+    ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
 }
 
 

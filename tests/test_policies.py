@@ -59,16 +59,15 @@ def test_symmetric_heads_sample_symmetric_about_midpoint():
         b.data[:] = 0.0  # zeta = eta -> symmetric about the interval midpoint
     rng = np.random.default_rng(7)
     obs = np.zeros((20_000, 6))
-    _, native, _ = sample_action(actor, obs, rng)
-    assert abs(native.mean() - 2.0) < 0.05
+    unit, _ = sample_action(actor, obs, rng)
+    assert abs(unit.mean() - 0.5) < 0.05 / 8.0
 
 
 def test_unit_interval_logp_equals_raw_beta_density():
     actor = make_actor(dims=2, seed=8)
     rng = np.random.default_rng(9)
     obs = rng.normal(size=(5, 6))
-    unit, native, logp = sample_action(actor, obs, rng)
-    assert np.allclose(unit, native)
+    unit, logp = sample_action(actor, obs, rng)
     z, e = actor_forward(actor, Tensor(obs))
     from scipy.special import gammaln
 
@@ -82,8 +81,8 @@ def test_wide_interval_subtracts_log_width():
     wide = make_actor(dims=1, lo=[-5.0], hi=[5.0], seed=10)
     rng1, rng2 = np.random.default_rng(11), np.random.default_rng(11)
     obs = np.zeros((4, 6))
-    _, _, lp_narrow = sample_action(narrow, obs, rng1)
-    _, _, lp_wide = sample_action(wide, obs, rng2)
+    _, lp_narrow = sample_action(narrow, obs, rng1)
+    _, lp_wide = sample_action(wide, obs, rng2)
     assert np.allclose(lp_wide, lp_narrow - math.log(10.0), atol=1e-12)
 
 
@@ -91,7 +90,7 @@ def test_log_prob_entropy_consistent_with_sampling():
     actor = make_actor(dims=3, lo=[0, 0, -5], hi=[1, 1, 5], seed=12)
     rng = np.random.default_rng(13)
     obs = rng.normal(size=(7, 6))
-    unit, _, logp = sample_action(actor, obs, rng)
+    unit, logp = sample_action(actor, obs, rng)
     logp_t, ent = log_prob_entropy(actor, Tensor(obs), unit)
     assert np.allclose(logp_t.data, logp, atol=1e-10)
     assert np.all(np.isfinite(ent.data))
@@ -100,17 +99,16 @@ def test_log_prob_entropy_consistent_with_sampling():
 def test_greedy_is_beta_mean():
     actor = make_actor(dims=2, seed=14)
     obs = np.random.default_rng(15).normal(size=(3, 6))
-    unit, native = greedy_action(actor, obs)
+    unit = greedy_action(actor, obs)
     z, e = actor_forward(actor, Tensor(obs))
     assert np.allclose(unit, z.data / (z.data + e.data))
-    assert np.allclose(native, unit)
 
 
 def test_gaussian_head_clamps_and_scores():
     actor = make_actor(dims=2, kind="gaussian", seed=16)
     rng = np.random.default_rng(17)
     obs = rng.normal(size=(40, 6))
-    unit, native, logp = sample_action(actor, obs, rng)
+    unit, logp = sample_action(actor, obs, rng)
     assert np.all(unit > 0.0) and np.all(unit < 1.0)
     assert np.all(np.isfinite(logp))
     logp_t, ent = log_prob_entropy(actor, Tensor(obs), unit)
@@ -123,4 +121,4 @@ def test_sampling_deterministic_per_seed():
     obs = np.random.default_rng(19).normal(size=(5, 6))
     a = sample_action(actor, obs, np.random.default_rng(42))
     b = sample_action(actor, obs, np.random.default_rng(42))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

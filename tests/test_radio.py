@@ -10,16 +10,14 @@ from oracles import interference_covariance
 from uav_iscc.env import (
     Allocation,
     ScenarioConfig,
-    UavState,
     build_all_channels,
     build_radar_state,
     comm_rate,
     design_links,
     mmse_beamformer,
     radar_rate,
-    radar_rate_from_filter,
     reset_world,
-    steering_vector,
+    steering,
 )
 from uav_iscc.env.radio import _solve_hpd
 
@@ -30,18 +28,27 @@ def cfg():
 
 
 def test_steering_vector_zero_angle_all_ones():
-    assert np.allclose(steering_vector(0.0, 4), np.ones(4))
+    assert np.allclose(steering(np.sin(np.array(0.0)), 4), np.ones(4))
 
 
 def test_steering_vector_norm_sqrt_n():
-    for angle in (0.3, -1.2, 2.9):
-        for n in (1, 2, 8):
-            assert np.linalg.norm(steering_vector(angle, n)) == pytest.approx(math.sqrt(n))
+    angles = np.array([0.3, -1.2, 2.9])
+    for n in (1, 2, 8):
+        vecs = steering(np.sin(angles), n)
+        assert vecs.shape == (3, n)
+        assert np.allclose(np.linalg.norm(vecs, axis=1), math.sqrt(n), rtol=1e-12)
 
 
 def test_steering_vector_broadside_pair():
-    v = steering_vector(np.pi / 2, 2)
+    v = steering(np.sin(np.array(np.pi / 2)), 2)
     assert np.allclose(v, [1.0, -1.0], atol=1e-12)
+
+
+def test_steering_matches_per_angle_vector():
+    angles = np.random.default_rng(0).uniform(-np.pi, np.pi, 50)
+    got = steering(np.sin(angles), 4)
+    for angle, row in zip(angles, got):
+        assert row.tobytes() == oracles.steering_vector(float(angle), 4).tobytes()
 
 
 def colocated_world(mu_xy, uav_xy, num_mus, cfg):
@@ -49,7 +56,7 @@ def colocated_world(mu_xy, uav_xy, num_mus, cfg):
     cfg.num_mus, cfg.num_uavs = num_mus, 1
     world = reset_world(cfg, np.random.default_rng(0))
     world.mu_positions[:] = mu_xy
-    world.uavs[0].position = np.array(uav_xy, dtype=float)
+    world.uav_positions[0] = uav_xy
     return world
 
 
@@ -91,7 +98,7 @@ def test_batched_channels_match_statistics(cfg):
         h = build_all_channels(world, cfg, rng)
         mean_power += np.mean(np.abs(h) ** 2, axis=(2, 3))
     mean_power /= n_draws
-    mu_pos, uav_pos = world.mu_positions, world.uav_positions()
+    mu_pos, uav_pos = world.mu_positions, world.uav_positions
     for k in range(6):
         for m in range(3):
             d2 = np.sum((uav_pos[m] - mu_pos[k]) ** 2) + cfg.altitude ** 2
@@ -163,69 +170,141 @@ def test_radar_rate_spot_value(cfg):
     assert radar_rate(0.0, cfg) == 0.0
 
 
-def make_uav(cfg, pos, target, doppler=1.0 + 0j, clutter=0.0 + 0j):
-    return UavState(position=np.asarray(pos, dtype=float), velocity=np.zeros(2),
-                    acceleration=np.zeros(2), target_position=np.asarray(target, dtype=float),
-                    doppler_phase=doppler, clutter_gain=clutter, decompress_density=200.0)
+def radar_world(cfg, positions, targets, doppler=None, clutter=None):
+    """A world whose UAVs sit at `positions` [M, 2] and sense `targets` [M, 2]."""
+    cfg.num_uavs = len(positions)
+    world = reset_world(cfg, np.random.default_rng(0))
+    world.uav_positions = np.array(positions, dtype=float)
+    world.uav_targets = np.array(targets, dtype=float)
+    world.uav_doppler = np.ones(cfg.num_uavs, dtype=complex) if doppler is None \
+        else np.array(doppler, dtype=complex)
+    world.uav_clutter = np.zeros(cfg.num_uavs, dtype=complex) if clutter is None \
+        else np.array(clutter, dtype=complex)
+    return world
 
 
 def test_radar_beam_power_and_filter_norm(cfg):
-    uav = make_uav(cfg, [100.0, 100.0], [400.0, 300.0], clutter=0.01 + 0.02j)
-    state, loaded = build_radar_state(uav, cfg)
-    assert not loaded
-    assert np.linalg.norm(state.beamformer) ** 2 == pytest.approx(cfg.uav_power_max)
-    assert np.linalg.norm(state.receive_filter) == pytest.approx(1.0)
-    assert state.sinr >= 0.0
-    # covariance is Hermitian positive definite
-    assert np.allclose(state.covariance, state.covariance.conj().T)
-    assert np.all(np.linalg.eigvalsh(state.covariance) > 0)
+    # without clutter the leaked waveform is a * sqrt(P n) and the max-SINR
+    # filter is matched to a, so SINR = n^2 P / sigma^2
+    n = cfg.rx_antennas
+    world = radar_world(cfg, [[100.0, 100.0], [50.0, 900.0]], [[400.0, 300.0], [50.0, 900.0]])
+    sinr, rate, leakage, loaded = build_radar_state(world, cfg)
+    assert not loaded and sinr.shape == rate.shape == (2,) and leakage.shape == (2, n, n)
+    trace = np.real(np.trace(leakage, axis1=1, axis2=2))
+    assert np.allclose(trace, n * n * cfg.uav_power_max, rtol=1e-12)
+    assert np.allclose(sinr, n * n * cfg.uav_power_max / cfg.noise_power, rtol=1e-9)
+    assert np.allclose(rate, radar_rate(sinr, cfg), rtol=0.0)
+    world.uav_clutter = np.array([0.01 + 0.02j, 0.003 - 0.001j])
+    sinr, _, leakage, loaded = build_radar_state(world, cfg)
+    assert not loaded and np.all(sinr >= 0.0)
+    # the leakage is Hermitian, rank one, positive semidefinite
+    assert np.allclose(leakage, leakage.conj().swapaxes(1, 2))
+    eig = np.linalg.eigvalsh(leakage)
+    assert np.all(eig[:, :-1] <= 1e-12 * eig[:, -1:]) and np.all(eig[:, -1] > 0)
 
 
 def test_zero_beam_gives_zero_sensing(cfg):
-    uav = make_uav(cfg, [0.0, 0.0], [10.0, 10.0])
-    state, _ = build_radar_state(uav, cfg)
-    sinr, rate = radar_rate_from_filter(state.receive_filter, state.target_response,
-                                        np.zeros_like(state.beamformer),
-                                        state.covariance, cfg)
-    assert sinr == 0.0 and rate == 0.0
+    # a zero beam leaves a zero echo: the filter falls back to uniform weights
+    cfg.uav_power_max = 0.0
+    world = radar_world(cfg, [[0.0, 0.0]], [[10.0, 10.0]])
+    sinr, rate, leakage, _ = build_radar_state(world, cfg)
+    assert sinr[0] == 0.0 and rate[0] == 0.0 and np.all(leakage == 0.0)
 
 
 def test_max_sinr_filter_beats_random_filters(cfg):
     rng = np.random.default_rng(7)
-    uav = make_uav(cfg, [200.0, 300.0], [500.0, 100.0],
-                   doppler=np.exp(1j * 0.4), clutter=0.005 + 0.003j)
-    state, _ = build_radar_state(uav, cfg)
+    world = radar_world(cfg, [[200.0, 300.0]], [[500.0, 100.0]],
+                        doppler=[np.exp(1j * 0.4)], clutter=[0.005 + 0.003j])
+    sinr, _, _, _ = build_radar_state(world, cfg)
+    ref = oracles.build_radar_state(world, 0, cfg)
+    n = cfg.rx_antennas
+    horiz = np.linalg.norm(world.uav_positions[0] - world.uav_targets[0])
+    a = oracles.steering_vector(math.atan2(cfg.altitude, horiz), n)
+    w = math.sqrt(cfg.uav_power_max) * a / np.linalg.norm(a)
+    echo = world.uav_doppler[0] * a * np.vdot(a, w)
     for _ in range(1000):
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
-        sinr, _ = radar_rate_from_filter(c, state.target_response, state.beamformer,
-                                         state.covariance, cfg)
-        assert sinr <= state.sinr * (1.0 + 1e-9)
+        other = abs(np.vdot(c, echo)) ** 2 / np.real(np.vdot(c, ref["covariance"] @ c))
+        assert other <= sinr[0] * (1.0 + 1e-9)
+
+
+def assert_radar_matches_oracle(world, cfg):
+    """Every UAV's SINR, rate and leakage against the per-UAV oracle, which
+    uses `math.atan2` and `math.log2` where the batched code calls numpy."""
+    sinr, rate, leakage, loaded = build_radar_state(world, cfg)
+    refs = [oracles.build_radar_state(world, m, cfg) for m in range(world.num_uavs)]
+    assert sinr.shape == rate.shape == (world.num_uavs,)
+    for m, ref in enumerate(refs):
+        for got, want in ((sinr[m], ref["sinr"]), (rate[m], ref["rate"])):
+            assert abs(got - want) <= RADAR_ULPS * np.spacing(want)
+        scale = np.abs(ref["leakage"]).max()
+        assert np.abs(leakage[m] - ref["leakage"]).max() <= RADAR_ULPS * np.spacing(scale)
+    assert loaded == any(ref["loaded"] for ref in refs)
+    return loaded
+
+
+# A 1-ulp change of the elevation angle, from np.arctan2 in place of
+# math.atan2, reaches the SINR, rate and leakage through the steering phases
+# and the solve; measured at most 4 ulps on these cases.
+RADAR_ULPS = 64
+
+
+@pytest.mark.parametrize("num_uavs", [1, 2, 20])
+def test_batched_radar_matches_per_uav_oracle(num_uavs):
+    for seed in range(5):
+        cfg = ScenarioConfig(num_mus=3, num_uavs=num_uavs).validate()
+        world = reset_world(cfg, np.random.default_rng(seed))
+        assert not assert_radar_matches_oracle(world, cfg)
+
+
+def test_radar_at_target_and_colocated_spawn_match_oracle(cfg):
+    # UAV 0 hovers right above its target; UAVs 1 and 2 spawn at one point
+    cfg.num_uavs = 3
+    world = reset_world(cfg, np.random.default_rng(5))
+    world.uav_targets[0] = world.uav_positions[0]
+    world.uav_positions[2] = world.uav_positions[1]
+    assert not assert_radar_matches_oracle(world, cfg)
+
+
+def test_singular_radar_covariance_is_loaded(cfg, monkeypatch):
+    # make UAV 1's covariance solve fail: the stacked solve is redone matrix by
+    # matrix and only UAV 1's matrix is loaded
+    cfg.num_uavs = 3
+    world = reset_world(cfg, np.random.default_rng(6))
+    singular = oracles.build_radar_state(world, 1, cfg)["covariance"]
+    solve = np.linalg.solve
+
+    def failing_solve(a, b):
+        if a.ndim > 2 or np.array_equal(a, singular):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    assert assert_radar_matches_oracle(world, cfg)
+    assert [oracles.build_radar_state(world, m, cfg)["loaded"] for m in range(3)] == \
+        [False, True, False]
 
 
 def test_design_links_rates_positive_and_loading_flag(cfg):
     cfg.num_mus, cfg.num_uavs = 5, 2
     rng = np.random.default_rng(8)
     world = reset_world(cfg, rng)
-    world.channels = build_all_channels(world, cfg, rng)
-    association = np.zeros((5, 2))
-    association[0, 0] = association[1, 0] = association[2, 1] = 1
+    channels = build_all_channels(world, cfg, rng)
     edge = np.zeros((5, 2))
     edge[0, 0] = edge[1, 0] = 5e9
     edge[2, 1] = 1e10
-    alloc = Allocation(association=association, serving=np.array([0, 0, 1, -1, -1]),
-                       offload_ratio=np.full(5, 0.5),
-                       compress_ratio=np.full(5, 0.5),
-                       edge_cpu=edge)
-    radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
-    rates, loaded = design_links(world, alloc, radars, cfg)
+    alloc = Allocation(serving=np.array([0, 0, 1, -1, -1]), offload_ratio=np.full(5, 0.5),
+                       compress_ratio=np.full(5, 0.5), edge_cpu=edge)
+    leakage = build_radar_state(world, cfg)[2]
+    rates, loaded = design_links(channels, alloc, leakage, cfg)
     assert set(rates) == {0, 1, 2}
     assert not loaded
     for k, rate in rates.items():
         assert np.isfinite(rate) and rate > 0.0
-        m = int(np.argmax(association[k]))
-        h = world.channels[k, m]
-        n_cov = interference_covariance(world, alloc, radars, cfg, m) \
+        m = alloc.serving[k]
+        h = channels[k, m]
+        n_cov = interference_covariance(channels, alloc, leakage, cfg, m) \
             - cfg.mu_power_max * (h @ h.conj().T)
         assert np.all(np.linalg.eigvalsh(n_cov) > 0)
         w, _ = mmse_beamformer(h, n_cov, cfg)
@@ -233,21 +312,17 @@ def test_design_links_rates_positive_and_loading_flag(cfg):
 
 
 def served_world(serving, num_uavs, seed, **overrides):
-    """World with fresh channels and radars, and MU k associated with UAV serving[k] (-1: none)."""
+    """Fresh channels and radar leakage, with MU k associated with UAV
+    serving[k] (-1: none): (cfg, channels, alloc, leakage)."""
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(seed)
     world = reset_world(cfg, rng)
-    world.channels = build_all_channels(world, cfg, rng)
-    association = np.zeros((cfg.num_mus, num_uavs))
-    for k, m in enumerate(serving):
-        if m >= 0:
-            association[k, m] = 1.0
-    alloc = Allocation(association=association, serving=np.array(serving, dtype=int),
+    channels = build_all_channels(world, cfg, rng)
+    alloc = Allocation(serving=np.array(serving, dtype=int),
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
-    radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
-    return cfg, world, alloc, radars
+    return cfg, channels, alloc, build_radar_state(world, cfg)[2]
 
 
 def random_serving(k_count, m_count, seed):
@@ -271,9 +346,9 @@ LINK_CASES = {
 def test_stacked_link_design_matches_per_link_loop(case):
     serving, num_uavs, overrides = LINK_CASES[case]
     for seed in (0, 1):
-        cfg, world, alloc, radars = served_world(serving, num_uavs, seed, **overrides)
-        rates, loaded = design_links(world, alloc, radars, cfg)
-        ref, ref_loaded = oracles.design_links(world, alloc, radars, cfg)
+        cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
+        rates, loaded = design_links(channels, alloc, leakage, cfg)
+        ref, ref_loaded = oracles.design_links(channels, alloc, leakage, cfg)
         assert rates.keys() == ref.keys() == {k for k, m in enumerate(serving) if m >= 0}
         assert {k: float.hex(v) for k, v in rates.items()} == \
             {k: float.hex(v) for k, v in ref.items()}
@@ -305,10 +380,10 @@ def test_non_finite_channel_rejected(cfg):
 # MU 2 is served by UAV 0; MU 1 is served by UAV 1 and interferes at UAV 0
 @pytest.mark.parametrize("entry", [(2, 0, 1, 3), (1, 0, 1, 3)], ids=["own-link", "interferer"])
 def test_design_links_rejects_non_finite_channel(entry):
-    cfg, world, alloc, radars = served_world([0, 1, 0, -1], 2, seed=3)
-    world.channels[entry] = np.nan
+    cfg, channels, alloc, leakage = served_world([0, 1, 0, -1], 2, seed=3)
+    channels[entry] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        design_links(world, alloc, radars, cfg)
+        design_links(channels, alloc, leakage, cfg)
 
 
 def test_stacked_solve_loads_only_the_singular_matrix(cfg):

@@ -1,5 +1,7 @@
 """Full slot transition: determinism, invariants, cross-module consistency."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from uav_iscc.env import (
     Allocation,
     ConfigError,
     ScenarioConfig,
+    build_all_channels,
     build_radar_state,
     draw_task,
     reset_world,
@@ -47,8 +50,8 @@ def test_negative_capacity_or_noise_std_rejected(name):
 def random_actions(cfg, rng):
     mu_actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
                   for _ in range(cfg.num_mus)]
-    uav_actions = [UavAction.from_vector(rng.uniform(0.01, 0.99, UavAction.dim(cfg)), cfg)
-                   for _ in range(cfg.num_uavs)]
+    uav_actions = UavAction.from_vector(
+        rng.uniform(0.01, 0.99, (cfg.num_uavs, UavAction.dim(cfg))), cfg)
     return mu_actions, uav_actions
 
 
@@ -82,8 +85,7 @@ def test_zero_mus_leaves_only_flight_energy():
     cfg = ScenarioConfig(num_mus=0, num_uavs=2).validate()
     rng = np.random.default_rng(3)
     world = reset_world(cfg, rng)
-    alloc = Allocation(association=np.zeros((0, 2)), serving=np.zeros(0, dtype=int),
-                       offload_ratio=np.zeros(0),
+    alloc = Allocation(serving=np.zeros(0, dtype=int), offload_ratio=np.zeros(0),
                        compress_ratio=np.zeros(0), edge_cpu=np.zeros((0, 2)))
     nxt, report = world_step(world, alloc, np.zeros((2, 2)), cfg, rng)
     assert report.e_mu.size == 0
@@ -107,9 +109,8 @@ def test_report_nonnegative_and_latency_identity():
             assert np.all(getattr(report, name) >= 0.0), name
         assert np.allclose(report.t_edge_total,
                            report.t_offload + report.t_decompress + report.t_edge_compute)
-        for u in world.uavs:
-            assert np.linalg.norm(u.velocity) <= cfg.uav_v_max + 1e-9
-            assert np.linalg.norm(u.acceleration) <= cfg.uav_a_max + 1e-9
+        assert np.all(np.linalg.norm(world.uav_velocities, axis=1) <= cfg.uav_v_max + 1e-9)
+        assert np.all(np.linalg.norm(accels, axis=1) <= cfg.uav_a_max + 1e-9)
 
 
 def test_edge_capacity_and_share_sums():
@@ -180,11 +181,13 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
         mu_actions, uav_actions = random_actions(cfg, rng)
         alloc = build_allocation(mu_actions, cfg)
         alloc, accels = apply_uav_actions(alloc, uav_rosters(alloc, cfg), uav_actions, cfg)
+        # the slot's channels are the first draw world_step takes from the stream
+        slot_rng = copy.deepcopy(rng)
         nxt, report = world_step(world, alloc, accels, cfg, rng)
         if num_mus:
-            # world_step stored the slot's channels on `world`
-            radars = [build_radar_state(u, cfg)[0] for u in world.uavs]
-            rates, _ = oracles.design_links(world, alloc, radars, cfg)
+            channels = build_all_channels(world, cfg, slot_rng)
+            leakage = build_radar_state(world, cfg)[2]
+            rates, _ = oracles.design_links(channels, alloc, leakage, cfg)
         else:
             rates = {}
         want = oracles.task_pipeline(world, alloc, rates, cfg)
