@@ -10,7 +10,9 @@ floating-point operations shows. The trace has three parts:
   the episode collected after the update.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py --write` only for a
-deliberate numeric change, and record the reason in CHANGES.md.
+deliberate numeric change, and record the reason in CHANGES.md. Before it
+writes, `--write` prints every value that moved as `key: old -> new` in hex,
+with the decimal values after it.
 """
 
 from __future__ import annotations
@@ -96,7 +98,49 @@ def test_matches_golden(traces, part):
     assert got[part] == want[part]
 
 
+def test_moved_values_names_each_changed_leaf():
+    old = {"a": {"x": "0x1.0000000000000p+0", "y": ["0x1.0000000000000p+1",
+                                                    "0x1.8000000000000p+1"]}}
+    new = {"a": {"x": "0x1.0000000000000p+0", "y": ["0x1.0000000000000p+1",
+                                                    "0x1.0000000000000p+2"]}}
+    assert moved_values(old, new) == \
+        ["a.y.1: 0x1.8000000000000p+1 -> 0x1.0000000000000p+2  (3.0 4.0)"]
+    assert moved_values(old, old) == []
+
+
+def flatten(trace, prefix: str = "") -> dict:
+    """{dotted key: hex string} of every leaf of a trace; list items are keyed by index."""
+    if isinstance(trace, dict):
+        items = trace.items()
+    elif isinstance(trace, list):
+        items = enumerate(trace)
+    else:
+        return {prefix: trace}
+    flat = {}
+    for key, value in items:
+        flat.update(flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+    return flat
+
+
+def moved_values(old: dict, new: dict) -> list[str]:
+    """One line per leaf that differs between two traces, in key order."""
+    before, after = flatten(old), flatten(new)
+    lines = []
+    for key in sorted(before.keys() | after.keys()):
+        was, now = before.get(key), after.get(key)
+        if was != now:
+            decimal = " ".join("-" if v is None else repr(float.fromhex(v)) for v in (was, now))
+            lines.append(f"{key}: {was} -> {now}  ({decimal})")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(golden_trace(), indent=1, sort_keys=True) + "\n")
+    trace = golden_trace()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    moved = moved_values(old, trace)
+    for line in moved:
+        print(line)
+    print(f"{len(moved)} of {len(flatten(trace))} values moved")
+    GOLDEN.write_text(json.dumps(trace, indent=1, sort_keys=True) + "\n")
