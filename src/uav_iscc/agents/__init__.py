@@ -18,9 +18,8 @@ from .rewards import (
     RewardBreakdown,
     boundary_penalty,
     collision_penalty,
-    latency_penalty,
     mu_reward,
-    penalty_P,
+    penalty,
     radar_penalty,
     uav_reward,
 )
@@ -36,10 +35,9 @@ __all__ = [
     "build_uav_observations",
     "collision_penalty",
     "decode_mu_action",
-    "latency_penalty",
     "mu_obs_dim",
     "mu_reward",
-    "penalty_P",
+    "penalty",
     "radar_penalty",
     "uav_obs_dim",
     "uav_reward",

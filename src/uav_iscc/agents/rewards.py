@@ -3,53 +3,46 @@
 Every penalty factor lives in [1, 2): the family 2 - exp(-[(x - slack)/scale]+)
 equals one while the quantity stays within its slack and saturates toward two
 as the violation grows. Rewards are the negated base cost times the product
-of applicable factors. The MU rewards of a slot are computed together as [K]
-arrays; each UAV's reward is computed on its own.
+of applicable factors. Each agent type's rewards of a slot are computed
+together, as [K] arrays for the MUs and [M] arrays for the UAVs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..env.config import ScenarioConfig
+from ..env.radio import row_norm
 from ..env.types import Allocation, SlotReport, WorldState
 
 # keeps 2 - exp(-x) strictly below 2.0 in float64
 _EXP_CAP = 30.0
 
 
-def penalty_P(x: float, zeta: float, eta: float) -> float:
-    """2 - exp(-[(x - zeta)/eta]+): 1 at or below the slack, capped under 2."""
-    if eta <= 0:
-        raise ValueError("penalty scale must be positive")
-    excess = max((x - zeta) / eta, 0.0)
-    return 2.0 - math.exp(-min(excess, _EXP_CAP))
+def penalty(x, slack, scale):
+    """2 - exp(-[(x - slack)/scale]+) elementwise: 1 at or below the slack,
+    capped under 2; an infinite x gets the cap."""
+    excess = np.minimum(np.maximum((np.asarray(x) - slack) / scale, 0.0), _EXP_CAP)
+    return 2.0 - np.exp(-excess)
 
 
 @dataclass
 class RewardBreakdown:
-    """One agent's reward and its factors, or every MU's as [K] arrays."""
+    """Every agent's reward and its factors for one slot, as arrays with one
+    entry per agent of the type; a factor that does not apply stays 1.0."""
 
-    base: float | np.ndarray
-    p_latency: float | np.ndarray = 1.0
-    p_collision: float = 1.0
-    p_boundary: float = 1.0
-    p_radar: float = 1.0
-    reward: float | np.ndarray = 0.0
+    base: np.ndarray
+    p_latency: np.ndarray | float = 1.0
+    p_collision: np.ndarray | float = 1.0
+    p_boundary: np.ndarray | float = 1.0
+    p_radar: np.ndarray | float = 1.0
+    reward: np.ndarray | float = 0.0
 
     @property
-    def penalty_product(self) -> float:
+    def penalty_product(self) -> np.ndarray:
         return self.p_latency * self.p_collision * self.p_boundary * self.p_radar
-
-
-def latency_penalty(latency: np.ndarray, deadline: np.ndarray) -> np.ndarray:
-    """Elementwise penalty_P(latency, deadline, deadline); an infinite latency
-    counts as 1e30 s."""
-    excess = (np.where(np.isfinite(latency), latency, 1e30) - deadline) / deadline
-    return 2.0 - np.exp(-np.minimum(np.maximum(excess, 0.0), _EXP_CAP))
 
 
 def mu_reward(report: SlotReport, alloc: Allocation, cfg: ScenarioConfig) -> RewardBreakdown:
@@ -58,70 +51,74 @@ def mu_reward(report: SlotReport, alloc: Allocation, cfg: ScenarioConfig) -> Rew
     served = alloc.serving >= 0
     base = report.e_mu.copy()
     base[served] += cfg.weight_factor * report.e_uav[alloc.serving[served]]
-    p_lat = latency_penalty(report.latency, report.deadline)
+    p_lat = penalty(report.latency, report.deadline, report.deadline)
     return RewardBreakdown(base=base, p_latency=p_lat, reward=-base * p_lat)
 
 
-def collision_penalty(m: int, report: SlotReport, cfg: ScenarioConfig) -> float:
-    """Mean pairwise factor over the other UAVs.
+def collision_penalty(pair_distance: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Each UAV's mean pairwise factor over the other UAVs, from the [M, M]
+    distances; 1 for a lone UAV.
 
     Each pair is penalized by how far it closed below the safety distance,
-    scaled by that distance.
+    scaled by that distance. A UAV's factors are summed in ascending index
+    order.
     """
-    count = report.pair_distance.shape[0]
+    count = pair_distance.shape[0]
     if count <= 1:
-        return 1.0
+        return np.ones(count)
     d_min = cfg.safety_distance
-    total = 0.0
-    for i in range(count):
-        if i == m:
-            continue
-        total += penalty_P(d_min - float(report.pair_distance[m, i]), 0.0, d_min)
-    return total / (count - 1)
+    factors = np.where(np.eye(count, dtype=bool), 0.0,
+                       penalty(d_min - pair_distance, 0.0, d_min))
+    # the distances are symmetric, so column m holds UAV m's factors; a sum
+    # down the rows adds them one row after another
+    return factors.sum(axis=0) / (count - 1)
 
 
-def boundary_penalty(overshoot: float, cfg: ScenarioConfig) -> float:
+def boundary_penalty(overshoot, cfg: ScenarioConfig):
     """Factor for clipped-away flight distance, scaled by the speed limit;
     stays inside [1, 2) for any overshoot."""
-    return penalty_P(overshoot, 0.0, cfg.uav_v_max)
+    return penalty(overshoot, 0.0, cfg.uav_v_max)
 
 
-def radar_penalty(radar_rate: float, cfg: ScenarioConfig) -> float:
+def radar_penalty(radar_rate, cfg: ScenarioConfig):
     """1 + deficit/threshold where the deficit is how far sensing fell short."""
-    deficit = max(cfg.radar_rate_min - radar_rate, 0.0)
+    deficit = np.maximum(cfg.radar_rate_min - radar_rate, 0.0)
     return 1.0 + deficit / cfg.radar_rate_min
 
 
-def uav_reward(m: int, report: SlotReport, world: WorldState, alloc: Allocation,
+def uav_reward(report: SlotReport, world: WorldState, alloc: Allocation,
                cfg: ScenarioConfig) -> RewardBreakdown:
-    """Energy-plus-spread base times latency, collision, boundary, radar factors.
+    """Every UAV's energy-plus-spread base times latency, collision, boundary
+    and radar factors, as [M] arrays.
 
     The base mixes the served MUs' average energy (weighted with the UAV's own)
     and a distance factor pushing the UAV toward the centroid of its served
-    MUs; geometric terms use the post-move world the action produced.
+    MUs; geometric terms use the post-move world the action produced. A UAV
+    serving nobody has no MU energy, distance or latency term. The per-UAV
+    sums over served MUs accumulate in MU order.
     """
-    served = np.flatnonzero(alloc.serving == m)
-    e_served = float(np.mean(report.e_mu[served])) if served.size else 0.0
-    e_bar = e_served + cfg.weight_factor * float(report.e_uav[m])
+    m_count = world.num_uavs
+    served = alloc.serving >= 0
+    owner = alloc.serving[served]
+    count = np.bincount(owner, minlength=m_count)
+    per_uav = np.maximum(count, 1)
 
-    own = world.uav_positions[m]
-    if served.size:
-        centroid = np.mean(world.mu_positions[served], axis=0)
-        dist = float(np.linalg.norm(own - centroid))
-    else:
-        dist = 0.0
-    p_centroid = penalty_P(dist, cfg.distance_threshold, cfg.region_width)
+    def mean_over_served(values):
+        total = np.zeros((m_count,) + values.shape[1:])
+        np.add.at(total, owner, values[served])
+        return total / per_uav.reshape((m_count,) + (1,) * (values.ndim - 1))
 
-    if served.size:
-        p_lat = float(np.mean(latency_penalty(report.latency[served], report.deadline[served])))
-    else:
-        p_lat = 1.0
-    p_col = collision_penalty(m, report, cfg)
-    p_bound = boundary_penalty(float(report.boundary_overshoot[m]), cfg)
-    p_rad = radar_penalty(float(report.radar_rate[m]), cfg)
+    e_bar = mean_over_served(report.e_mu) + cfg.weight_factor * report.e_uav
+    offset = world.uav_positions - mean_over_served(world.mu_positions)
+    dist = np.where(count > 0, row_norm(offset), 0.0)
+    p_centroid = penalty(dist, cfg.distance_threshold, cfg.region_width)
+    p_lat = np.where(count > 0, mean_over_served(
+        penalty(report.latency, report.deadline, report.deadline)), 1.0)
 
     base = cfg.reward_energy_weight * e_bar + cfg.reward_distance_weight * p_centroid
-    breakdown = RewardBreakdown(base=base, p_latency=p_lat, p_collision=p_col,
-                                p_boundary=p_bound, p_radar=p_rad)
+    breakdown = RewardBreakdown(base=base, p_latency=p_lat,
+                                p_collision=collision_penalty(report.pair_distance, cfg),
+                                p_boundary=boundary_penalty(report.boundary_overshoot, cfg),
+                                p_radar=radar_penalty(report.radar_rate, cfg))
     breakdown.reward = -base * breakdown.penalty_product
     return breakdown

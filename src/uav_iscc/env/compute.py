@@ -103,7 +103,7 @@ def flight_power(speed: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     v2 = speed * speed
     blade = cfg.blade_power * (1.0 + 3.0 * v2 / (cfg.tip_speed ** 2))
     parasite = 0.5 * cfg.fuselage_drag * cfg.air_density * cfg.rotor_solidity \
-        * cfg.rotor_area * np.array([v ** 3 for v in np.ravel(speed).tolist()]).reshape(np.shape(speed))
+        * cfg.rotor_area * speed ** 3
     v0_2 = cfg.rotor_velocity ** 2
     quart = 4.0 * v0_2 if cfg.induced_power_form == "paper" else 4.0 * v0_2 * v0_2
     inner = np.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)

@@ -101,10 +101,10 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     """
     n = cfg.rx_antennas
     horiz = row_norm(world.uav_positions - world.uav_targets)
-    a = steering(np.sin(_atan2(cfg.altitude, horiz)), n)                   # [M, n]
+    a = steering(np.sin(np.arctan2(cfg.altitude, horiz)), n)     # [M, n]
     w = math.sqrt(cfg.uav_power_max) * a / row_norm(a)[:, None]
     response = world.uav_doppler[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
-    cov = (_square(np.abs(world.uav_clutter))[:, None, None]
+    cov = (np.abs(world.uav_clutter)[:, None, None] ** 2
            * (w[:, :, None] * w.conj()[:, None, :]) + cfg.noise_power * np.eye(n))
     cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
     steer = (response @ w[..., None])[..., 0]
@@ -112,7 +112,7 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     norm = row_norm(filt)
     filt = np.where((norm > 0)[:, None], filt / np.where(norm > 0, norm, 1.0)[:, None],
                     np.ones(n, dtype=complex) / math.sqrt(n))
-    signal = _square(np.abs(_dot(filt.conj(), steer)))
+    signal = np.abs(_dot(filt.conj(), steer)) ** 2
     noise = np.real(_dot(filt.conj(), (cov @ filt[..., None])[..., 0]))
     sinr = np.where(noise > 0, signal / np.where(noise > 0, noise, 1.0), 0.0)
     g = response + world.uav_clutter[:, None, None] * np.eye(n)
@@ -120,22 +120,10 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     return sinr, radar_rate(sinr, cfg), leaked[:, :, None] * leaked.conj()[:, None, :], loaded
 
 
-def _atan2(y, x):
-    return np.array([math.atan2(y, v) for v in x.tolist()])
-
-
-def _square(x):
-    return np.array([v ** 2 for v in x.tolist()])
-
-
-def _log2(x):
-    return np.array([math.log2(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
 def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Estimation information rate: duty/(2*pulse) * log2(1 + 2*B*mu*gamma)."""
     gain = 2.0 * cfg.bandwidth_hz * cfg.radar_gain_product * sinr
-    return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * _log2(1.0 + gain)
+    return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * np.log2(1.0 + gain)
 
 
 def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,

@@ -29,7 +29,7 @@ class RolloutBatch:
     global_state: np.ndarray           # [T, S], concatenated observations
     reports: list = field(default_factory=list)
     mu_breakdowns: list = field(default_factory=list)   # [T] RewardBreakdown of [K] arrays
-    uav_breakdowns: list = field(default_factory=list)  # [T][M]
+    uav_breakdowns: list = field(default_factory=list)  # [T] RewardBreakdown of [M] arrays
     trajectory: list | None = None     # per-entity rows when recording is on
 
     @property

@@ -199,20 +199,19 @@ class Trainer:
 
             next_world, report = world_step(world, alloc, accels, cfg, env_rng)
             mu_bd = mu_reward(report, alloc, cfg)
-            uav_bd = [uav_reward(i, report, next_world, alloc, cfg) for i in range(m)]
+            uav_bd = uav_reward(report, next_world, alloc, cfg)
 
             mu.obs[t], mu.actions[t], mu.log_probs[t] = mu_obs, mu_unit, mu_logp
             uav.obs[t], uav.actions[t], uav.log_probs[t] = uav_obs, uav_unit, uav_logp
             mu.rewards[t] = mu_bd.reward
-            uav.rewards[t] = [bd.reward for bd in uav_bd]
+            uav.rewards[t] = uav_bd.reward
             state[t] = np.concatenate([mu_obs.ravel(), uav_obs.ravel()])
             batch.reports.append(report)
             batch.mu_breakdowns.append(mu_bd)
             batch.uav_breakdowns.append(uav_bd)
             if record_trajectory:
                 for row, reward in zip(trajectory[-(k + m):],
-                                       mu_bd.reward.tolist()
-                                       + [bd.reward for bd in uav_bd]):
+                                       mu_bd.reward.tolist() + uav_bd.reward.tolist()):
                     row["reward"] = reward
             world = next_world
 
@@ -389,24 +388,21 @@ class Trainer:
 
 def penalty_rates(batch: RolloutBatch) -> dict:
     """Fraction of agent-slots where each penalty family was active."""
-    lat = col = bound = rad = mu_slots = uav_slots = 0
-    for mu_bd, uav_bd in zip(batch.mu_breakdowns, batch.uav_breakdowns):
-        lat += int(np.count_nonzero(mu_bd.p_latency > 1.0))
-        lat += sum(bd.p_latency > 1.0 for bd in uav_bd)
-        col += sum(bd.p_collision > 1.0 for bd in uav_bd)
-        bound += sum(bd.p_boundary > 1.0 for bd in uav_bd)
-        rad += sum(bd.p_radar > 1.0 for bd in uav_bd)
-        mu_slots += mu_bd.p_latency.size
-        uav_slots += len(uav_bd)
+    def active(factors):
+        return sum(int(np.count_nonzero(f > 1.0)) for f in factors)
+
+    mu, uav = batch.mu_breakdowns, batch.uav_breakdowns
+    mu_slots = sum(bd.base.size for bd in mu)
+    uav_slots = sum(bd.base.size for bd in uav)
 
     def share(count, slots):
         return count / slots if slots else 0.0
 
     return {
-        "latency": share(lat, mu_slots + uav_slots),
-        "collision": share(col, uav_slots),
-        "boundary": share(bound, uav_slots),
-        "radar": share(rad, uav_slots),
+        "latency": share(active(bd.p_latency for bd in mu + uav), mu_slots + uav_slots),
+        "collision": share(active(bd.p_collision for bd in uav), uav_slots),
+        "boundary": share(active(bd.p_boundary for bd in uav), uav_slots),
+        "radar": share(active(bd.p_radar for bd in uav), uav_slots),
     }
 
 

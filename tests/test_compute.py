@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from uav_iscc.env import (
     ScenarioConfig,
     dvfs_frequency,
@@ -163,3 +164,16 @@ def test_flight_power_standard_form_switch():
     parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
     assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
     assert flight_power(0.0, cfg) == pytest.approx(138.10, abs=0.01)
+
+
+@pytest.mark.parametrize("form", ["paper", "standard"])
+def test_batched_flight_power_matches_per_speed_oracle(form):
+    # np.power in place of Python's pow for v^3; measured at most 2 ulps
+    cfg = ScenarioConfig(induced_power_form=form).validate()
+    speeds = np.concatenate([[0.0, cfg.uav_v_max],
+                             np.random.default_rng(0).uniform(0.0, cfg.uav_v_max, 2000)])
+    got = flight_power(speeds, cfg)
+    want = np.array([oracles.flight_power(v, cfg) for v in speeds.tolist()])
+    assert got.shape == speeds.shape
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert got[0] == want[0]

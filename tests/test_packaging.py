@@ -26,7 +26,7 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "build_observations", "clip", "softmax", "roster_of", "MuState", "TaskSpec",
                  "serving_uav", "served_by", "UavState", "RadarState", "radar_leakage",
                  "radar_rate_from_filter", "radar_geometry", "elevation_angle",
-                 "steering_vector", "decode_uav_action")
+                 "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names"),

@@ -246,7 +246,10 @@ def assert_radar_matches_oracle(world, cfg):
 
 # A 1-ulp change of the elevation angle, from np.arctan2 in place of
 # math.atan2, reaches the SINR, rate and leakage through the steering phases
-# and the solve; measured at most 4 ulps on these cases.
+# and the solve; numpy's square and log2 may also round differently from
+# Python's pow and math.log2. Over 200 seeds at M = 1, 2, 5 and 20 the largest
+# gaps measured were 10 ulps (SINR), 1 (rate) and 18 (leakage, in ulps of its
+# largest entry).
 RADAR_ULPS = 64
 
 

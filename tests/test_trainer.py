@@ -79,10 +79,9 @@ def test_untrained_policy_produces_bounded_penalties():
     for bd in batch.mu_breakdowns:
         assert np.all((1.0 <= bd.p_latency) & (bd.p_latency < 2.0))
         assert np.all(np.isfinite(bd.reward))
-    for bds in batch.uav_breakdowns:
-        for bd in bds:
-            for f in (bd.p_latency, bd.p_collision, bd.p_boundary, bd.p_radar):
-                assert 1.0 <= f < 2.0
+    for bd in batch.uav_breakdowns:
+        for f in (bd.p_latency, bd.p_collision, bd.p_boundary, bd.p_radar):
+            assert f.shape == (scfg.num_uavs,) and np.all((1.0 <= f) & (f < 2.0))
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 """Full slot transition: determinism, invariants, cross-module consistency."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from uav_iscc.env import (
     draw_task,
     reset_world,
     step_mobility,
+    uav_clutter,
     world_step,
 )
 
@@ -155,9 +157,9 @@ def test_rewards_are_pure_functions():
     a = mu_reward(report, alloc, cfg)
     b = mu_reward(report, alloc, cfg)
     assert np.array_equal(a.reward, b.reward) and np.array_equal(a.base, b.base)
-    ua = uav_reward(0, report, nxt, alloc, cfg)
-    ub = uav_reward(0, report, nxt, alloc, cfg)
-    assert ua.reward == ub.reward
+    ua = uav_reward(report, nxt, alloc, cfg)
+    ub = uav_reward(report, nxt, alloc, cfg)
+    assert np.array_equal(ua.reward, ub.reward)
 
 
 @pytest.mark.parametrize("num_mus,num_uavs", [(0, 2), (1, 1), (6, 3), (100, 10)])
@@ -170,6 +172,38 @@ def test_reset_draws_match_per_mu_calls(num_mus, num_uavs):
     assert world.tasks.tobytes() == tasks.tobytes()
     assert world.mu_positions.shape == (num_mus, 2) and world.tasks.shape == (num_mus, 5)
     assert np.all(world.mu_speeds == cfg.mobility_mean_speed)
+
+
+@pytest.mark.parametrize("case", ["m1", "m3", "co-located", "m20"])
+def test_clutter_matches_pairwise_loop(case):
+    cfg = ScenarioConfig(num_uavs={"m1": 1, "co-located": 2, "m20": 20}.get(case, 3)).validate()
+    rng = np.random.default_rng(31)
+    positions = rng.uniform(0.0, cfg.region_width, (cfg.num_uavs, 2))
+    phases = rng.uniform(0.0, 2.0 * np.pi, (cfg.num_uavs, cfg.num_uavs))
+    if case == "co-located":
+        positions[1] = positions[0]
+    got = uav_clutter(positions, phases, cfg)
+    want = oracles.uav_clutter(positions, phases, cfg)
+    assert got.shape == (cfg.num_uavs,) and got.tobytes() == want.tobytes()
+    if case == "m1":
+        assert got[0] == 0.0
+    if case == "co-located":
+        # the pair's distance is floored at the safety distance
+        assert np.allclose(abs(got), math.sqrt(cfg.ref_gain) / cfg.safety_distance, rtol=1e-12)
+
+
+def test_reset_world_builds_clutter_from_its_draws():
+    cfg = ScenarioConfig(num_mus=4, num_uavs=5).validate()
+    world = reset_world(cfg, np.random.default_rng(32))
+    rng = np.random.default_rng(32)
+    rng.uniform(size=(4, 8))                                  # the MU draws
+    positions = rng.uniform(0.0, cfg.region_width, size=(5, 2))
+    rng.uniform(size=(5, 2))                                  # targets
+    rng.uniform(size=5)                                       # Doppler phases
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(5, 5))
+    assert world.uav_positions.tobytes() == positions.tobytes()
+    assert world.uav_clutter.tobytes() == oracles.uav_clutter(positions, phases, cfg).tobytes()
+    assert np.all(world.uav_velocities == 0.0)
 
 
 @pytest.mark.parametrize("num_mus,num_uavs,seed", [(0, 2, 1), (1, 1, 2), (4, 2, 3), (40, 5, 4)])
@@ -199,7 +233,8 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
 
 @pytest.mark.parametrize("num_mus", [0, 1])
 def test_zero_and_one_mu_through_a_slot(num_mus):
-    # pyproject turns RuntimeWarnings into errors, so an empty reduction fails here
+    # pyproject turns RuntimeWarnings into errors, so an empty reduction or a
+    # UAV that serves nobody (0/0) fails here
     cfg = ScenarioConfig(num_mus=num_mus, num_uavs=2).validate()
     rng = np.random.default_rng(15)
     world = reset_world(cfg, rng)
@@ -221,8 +256,16 @@ def test_zero_and_one_mu_through_a_slot(num_mus):
         assert getattr(report, name).shape == (num_mus,), name
     bd = mu_reward(report, alloc, cfg)
     assert bd.base.shape == bd.p_latency.shape == bd.reward.shape == (num_mus,)
-    for m in range(2):
-        assert np.isfinite(uav_reward(m, report, nxt, alloc, cfg).reward)
+    for name in ("p_flight", "e_uav", "radar_sinr", "radar_rate", "radar_met",
+                 "boundary_overshoot", "safety_violated"):
+        assert getattr(report, name).shape == (2,), name
+    assert report.pair_distance.shape == (2, 2)
+    assert nxt.uav_positions.shape == nxt.uav_velocities.shape == (2, 2)
+    assert accels.shape == (2, 2)
+    ubd = uav_reward(report, nxt, alloc, cfg)
+    for name in ("base", "p_latency", "p_collision", "p_boundary", "p_radar", "reward"):
+        value = getattr(ubd, name)
+        assert value.shape == (2,) and np.all(np.isfinite(value)), name
     moved = step_mobility(world.mu_positions, world.mu_speeds, world.mu_headings, cfg, rng)
     assert [a.shape for a in moved] == [(num_mus, 2), (num_mus,), (num_mus,)]
     assert draw_task(cfg, rng, num_mus).shape == (num_mus, 5)
