@@ -78,7 +78,7 @@ def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndar
         alloc.offload_ratio[:, None],
         alloc.compress_ratio[:, None],
     ], axis=1), ((0, 1), (0, 0)))                                 # [K+1, 9]
-    uav_xy = world.uav_positions / width                                    # [M, 2]
+    uav_xy = world.uav_positions / width                          # [M, 2]
     # row block m: every other UAV's position, in index order
     others = np.broadcast_to(uav_xy, (m_count, m_count, 2))[~np.eye(m_count, dtype=bool)]
     return np.concatenate([

@@ -24,7 +24,7 @@ _EXP_CAP = 30.0
 def penalty(x, slack, scale):
     """2 - exp(-[(x - slack)/scale]+) elementwise: 1 at or below the slack,
     capped under 2; an infinite x gets the cap."""
-    excess = np.minimum(np.maximum((np.asarray(x) - slack) / scale, 0.0), _EXP_CAP)
+    excess = np.minimum(np.maximum((x - slack) / scale, 0.0), _EXP_CAP)
     return 2.0 - np.exp(-excess)
 
 
@@ -101,19 +101,16 @@ def uav_reward(report: SlotReport, world: WorldState, alloc: Allocation,
     served = alloc.serving >= 0
     owner = alloc.serving[served]
     count = np.bincount(owner, minlength=m_count)
-    per_uav = np.maximum(count, 1)
+    p_mu = penalty(report.latency, report.deadline, report.deadline)
+    # columns: MU energy, MU x, MU y, MU latency factor
+    sums = np.zeros((m_count, 4))
+    np.add.at(sums, owner, np.column_stack([report.e_mu, world.mu_positions, p_mu])[served])
+    means = sums / np.maximum(count, 1)[:, None]
 
-    def mean_over_served(values):
-        total = np.zeros((m_count,) + values.shape[1:])
-        np.add.at(total, owner, values[served])
-        return total / per_uav.reshape((m_count,) + (1,) * (values.ndim - 1))
-
-    e_bar = mean_over_served(report.e_mu) + cfg.weight_factor * report.e_uav
-    offset = world.uav_positions - mean_over_served(world.mu_positions)
-    dist = np.where(count > 0, row_norm(offset), 0.0)
+    e_bar = means[:, 0] + cfg.weight_factor * report.e_uav
+    dist = np.where(count > 0, row_norm(world.uav_positions - means[:, 1:3]), 0.0)
     p_centroid = penalty(dist, cfg.distance_threshold, cfg.region_width)
-    p_lat = np.where(count > 0, mean_over_served(
-        penalty(report.latency, report.deadline, report.deadline)), 1.0)
+    p_lat = np.where(count > 0, means[:, 3], 1.0)
 
     base = cfg.reward_energy_weight * e_bar + cfg.reward_distance_weight * p_centroid
     breakdown = RewardBreakdown(base=base, p_latency=p_lat,

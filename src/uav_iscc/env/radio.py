@@ -33,8 +33,8 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum(x * y) over the last axis, one BLAS dot product per row, like `np.vdot`
-    of conj(x) and y."""
+    """sum(x * y) over the last axis as one BLAS dot product per row, the way
+    `np.dot` and `np.vdot` sum a single pair of vectors."""
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 

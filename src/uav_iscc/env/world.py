@@ -115,8 +115,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     p_fly = flight_power(row_norm(world.uav_velocities), cfg)
     e_flight = p_fly * cfg.slot_seconds
     uav_positions, uav_velocities, overshoot = advance_kinematics(
-        world.uav_positions, world.uav_velocities,
-        np.asarray(accel_cmds, dtype=np.float64).reshape(m_count, 2), cfg)
+        world.uav_positions, world.uav_velocities, accel_cmds, cfg)
 
     # every MU's mobility innovations, then every MU's next task
     positions, speeds, headings = step_mobility(world.mu_positions, world.mu_speeds,
