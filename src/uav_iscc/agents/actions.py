@@ -98,11 +98,11 @@ def apply_uav_actions(alloc: Allocation, rosters: np.ndarray, raw: UavAction,
     count = occupied.sum(axis=1)
     logits = np.where(occupied, raw.share_logits, -np.inf)
     peak = np.where(count > 0, logits.max(axis=1), 0.0)
-    e = np.where(occupied, np.exp(logits - peak[:, None]), 0.0)
+    e = np.exp(logits - peak[:, None])                            # 0 where unoccupied
     # the occupied slots are a prefix of each roster
     total = np.cumsum(e, axis=1)[np.arange(len(count)), np.maximum(count - 1, 0)]
     shares = cfg.uav_cpu_max * e / np.where(count > 0, total, 1.0)[:, None]
-    uav_index = np.broadcast_to(np.arange(len(count))[:, None], rosters.shape)
-    alloc.edge_cpu[rosters[occupied], uav_index[occupied]] = shares[occupied]
+    uav, slot = np.nonzero(occupied)
+    alloc.edge_cpu[rosters[uav, slot], uav] = shares[uav, slot]
     accel = (2.0 * np.clip(raw.acceleration, 0.0, 1.0) - 1.0) * cfg.uav_a_max
     return alloc, clip_norm(accel, cfg.uav_a_max)

@@ -446,11 +446,11 @@ def test_uav_reward_hovering_at_centroid_all_satisfied():
 # measured was 6 ulps (reward), 3 (base and latency factor), 0 for the rest.
 UAV_REWARD_ULPS = 16
 
-UAV_REWARD_CASES = {
-    "m1": (1, 6, 0),
-    "m3": (3, 6, 0),
-    "100x10": (10, 100, 0),
-    "full-rosters-400x20": (20, 400, 0),
+UAV_REWARD_CASES = {        # (UAVs, MUs)
+    "m1": (1, 6),
+    "m3": (3, 6),
+    "100x10": (10, 100),
+    "full-rosters-400x20": (20, 400),
 }
 
 
@@ -462,7 +462,7 @@ def assert_close_ulps(got, want, ulps):
 @pytest.mark.parametrize("case", list(UAV_REWARD_CASES) + ["nobody-served",
                                                            "edge-latencies-and-close-pairs"])
 def test_uav_reward_matches_per_uav_oracle(case):
-    num_uavs, num_mus, _ = UAV_REWARD_CASES.get(case, (3, 6, 0))
+    num_uavs, num_mus = UAV_REWARD_CASES.get(case, (3, 6))
     cfg = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
     _, alloc, nxt, report = episode_slot(cfg, 11)
     if case == "nobody-served":
