@@ -1,6 +1,9 @@
-"""Fixed-seed golden trace of the default configuration.
+"""Fixed-seed golden traces of two scenarios.
 
-Every float is compared through `float.hex`, so any change in the order of
+`golden_trace.json` runs 6 MUs and 3 UAVs (roster capacity 4, 2 PPO epochs);
+`golden_trace_40x4.json` runs 40 MUs and 4 UAVs (roster capacity 20, 1 PPO
+epoch), so rounding that acts only on rosters of 8 or more slots shows too.
+Both use T=5 and seed 3. Every float is compared through `float.hex`, so any change in the order of
 floating-point operations shows. The trace has three parts:
 
 - "rollout": per-slot SlotReport field sums and the full allocation of the
@@ -11,8 +14,8 @@ floating-point operations shows. The trace has three parts:
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py --write` only for a
 deliberate numeric change, and record the reason in CHANGES.md. Before it
-writes, `--write` prints every value that moved as `key: old -> new` in hex,
-with the decimal values after it.
+writes each trace, `--write` prints every value of it that moved as
+`key: old -> new` in hex, with the decimal values after it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from uav_iscc.env import ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, ppo_update
 
 GOLDEN = Path(__file__).with_name("golden_trace.json")
+GOLDEN_AT_SCALE = Path(__file__).with_name("golden_trace_40x4.json")
+# (MUs, UAVs, PPO epochs) of each trace
+SCENARIOS = {GOLDEN: (6, 3, 2), GOLDEN_AT_SCALE: (40, 4, 1)}
 
 
 def _hex(value) -> str:
@@ -40,9 +46,10 @@ def _hex_array(values) -> list:
     return [_hex(v) for v in np.asarray(values, dtype=np.float64).ravel()]
 
 
-def golden_trace() -> dict:
-    scenario = ScenarioConfig(num_mus=6, num_uavs=3).validate()
-    config = TrainerConfig(episodes=2, episode_length=5, ppo_epochs=2, seed=3)
+def golden_trace(path: Path = GOLDEN) -> dict:
+    num_mus, num_uavs, ppo_epochs = SCENARIOS[path]
+    scenario = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
+    config = TrainerConfig(episodes=2, episode_length=5, ppo_epochs=ppo_epochs, seed=3)
     trainer = Trainer(config, scenario)
 
     ev = trainer.evaluate(episodes=1, seed=11)
@@ -89,13 +96,32 @@ def golden_trace() -> dict:
 
 @pytest.fixture(scope="module")
 def traces():
-    return golden_trace(), json.loads(GOLDEN.read_text())
+    return golden_trace(GOLDEN), json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def traces_at_scale():
+    return golden_trace(GOLDEN_AT_SCALE), json.loads(GOLDEN_AT_SCALE.read_text())
 
 
 @pytest.mark.parametrize("part", ["rollout", "evaluate", "update"])
 def test_matches_golden(traces, part):
     got, want = traces
     assert got[part] == want[part]
+
+
+@pytest.mark.parametrize("part", ["rollout", "evaluate", "update"])
+def test_matches_golden_at_scale(traces_at_scale, part):
+    got, want = traces_at_scale
+    assert got[part] == want[part]
+
+
+def test_scale_trace_fills_rosters_of_eight_or_more(traces_at_scale):
+    got, _ = traces_at_scale
+    num_mus, num_uavs, _ = SCENARIOS[GOLDEN_AT_SCALE]
+    occupied = [np.array([float.fromhex(v) for v in slot["allocation"]["association"]])
+                .reshape(num_mus, num_uavs).sum(axis=0).max() for slot in got["rollout"]]
+    assert max(occupied) >= 8
 
 
 def test_moved_values_names_each_changed_leaf():
@@ -137,10 +163,12 @@ def moved_values(old: dict, new: dict) -> list[str]:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    trace = golden_trace()
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    moved = moved_values(old, trace)
-    for line in moved:
-        print(line)
-    print(f"{len(moved)} of {len(flatten(trace))} values moved")
-    GOLDEN.write_text(json.dumps(trace, indent=1, sort_keys=True) + "\n")
+    for path in SCENARIOS:
+        trace = golden_trace(path)
+        old = json.loads(path.read_text()) if path.exists() else {}
+        moved = moved_values(old, trace)
+        print(f"{path.name}:")
+        for line in moved:
+            print(line)
+        print(f"{len(moved)} of {len(flatten(trace))} values moved")
+        path.write_text(json.dumps(trace, indent=1, sort_keys=True) + "\n")
