@@ -169,18 +169,19 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
 
 
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
-                 cfg: ScenarioConfig) -> tuple[dict, bool]:
-    """MMSE combiner rate for every associated MU: ({mu: bits/s}, loading used).
+                 cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, bool]:
+    """MMSE combiner rate for every associated MU: (served MUs [S] in ascending
+    order, their rates [S] in bits/s, loading used).
 
     `channels` is the slot's [K, M, W_R, W_T] draw and `leakage` the [M, W_R, W_R]
     radar leakage from `build_radar_state`. Each UAV's covariance holds noise,
     its radar leakage and every associated MU's P h h^H; a link's noise
     covariance drops its own MU's term. All served links are designed in one
-    stacked pass.
+    stacked pass. An empty association returns before the channels are read.
     """
     k = np.flatnonzero(alloc.serving >= 0)
     if k.size == 0:
-        return {}, False
+        return k, np.zeros(0), False
     m = alloc.serving[k]
     n = cfg.rx_antennas
     chans = channels[k]                                              # [S, M, W_R, W_T]
@@ -195,4 +196,4 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
     h = chans[own]
     w, loaded = mmse_beamformer(h, n_cov, cfg)
     rates, _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
-    return dict(zip(k.tolist(), rates.tolist())), loaded
+    return k, rates, loaded

@@ -83,9 +83,9 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     world, and the report's geometric fields describe the post-move layout.
     """
     k_count, m_count = world.num_mus, world.num_uavs
-    channels = build_all_channels(world, cfg, rng) if k_count else None
+    channels = build_all_channels(world, cfg, rng)
     radar_sinr, radar_rates, leakage, loading = build_radar_state(world, cfg)
-    rates, loaded = (design_links(channels, alloc, leakage, cfg) if k_count else ({}, False))
+    links, link_rates, loaded = design_links(channels, alloc, leakage, cfg)
     loading = loading or loaded
 
     # task pipeline: one call per MU on Python floats, then one array per field
@@ -95,7 +95,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     eta = np.where(rho > 0.0, alloc.compress_ratio, 0.0)
     f_edge = np.where(served, alloc.edge_cpu[np.arange(k_count), serving], 0.0)
     rate = np.zeros(k_count)
-    rate[list(rates)] = list(rates.values())
+    rate[links] = link_rates
     j_dec = np.where(served, world.uav_decompress[serving], 0.0)
     rows = np.column_stack([world.tasks, rho, eta, dvfs_frequency(world.tasks, cfg),
                             f_edge, rate, j_dec]).tolist()

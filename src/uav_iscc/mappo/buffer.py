@@ -19,22 +19,34 @@ class TypeRollout:
     advantages: np.ndarray | None = None
     targets: np.ndarray | None = None
 
+    @classmethod
+    def empty(cls, t_len: int, count: int, obs_dim: int, act_dim: int) -> "TypeRollout":
+        return cls(obs=np.zeros((t_len, count, obs_dim)),
+                   actions=np.zeros((t_len, count, act_dim)),
+                   log_probs=np.zeros((t_len, count)), rewards=np.zeros((t_len, count)))
+
 
 @dataclass
 class RolloutBatch:
-    """One episode of transitions for every agent plus global state."""
+    """One episode of transitions for every agent, with each slot's world."""
 
     mu: TypeRollout
     uav: TypeRollout
-    global_state: np.ndarray           # [T, S], concatenated observations
     reports: list = field(default_factory=list)
     mu_breakdowns: list = field(default_factory=list)   # [T] RewardBreakdown of [K] arrays
     uav_breakdowns: list = field(default_factory=list)  # [T] RewardBreakdown of [M] arrays
-    trajectory: list | None = None     # per-entity rows when recording is on
+    trajectory: list = field(default_factory=list)      # [T] (world, allocation, accels)
 
     @property
     def length(self) -> int:
-        return self.global_state.shape[0]
+        return self.mu.obs.shape[0]
+
+    @property
+    def global_state(self) -> np.ndarray:
+        """[T, S]: each slot's MU then UAV observations, flattened."""
+        t_len = self.length
+        return np.concatenate([self.mu.obs.reshape(t_len, -1),
+                               self.uav.obs.reshape(t_len, -1)], axis=1)
 
     def of(self, kind: str) -> TypeRollout:
         return self.mu if kind == "mu" else self.uav

@@ -78,7 +78,7 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
     heads, head_dim = block.heads, block.head_dim
 
     def split_heads(x, w):                                # [T, N, V] -> [T, H, N, Vh]
-        return (x @ w.transpose()).reshape(t_len, x.shape[1], heads, head_dim).swapaxes(1, 2)
+        return (x @ w.swapaxes(0, 1)).reshape(t_len, x.shape[1], heads, head_dim).swapaxes(1, 2)
 
     q = split_heads(own, block.w_que)
     key, val = split_heads(feats, block.w_key), split_heads(feats, block.w_val)

@@ -60,7 +60,7 @@ class ActorParams:
 
 def actor_forward(params: ActorParams, obs) -> tuple[Tensor, Tensor]:
     """Beta: per-dimension shape pair, both > 1. Gaussian: (mean, log_std)."""
-    raw = mlp_forward(params.trunk, obs if isinstance(obs, Tensor) else Tensor(obs))
+    raw = mlp_forward(params.trunk, obs)
     if params.kind == "beta":
         return params.head.shapes_from_raw(raw)
     a = params.head.action_dim

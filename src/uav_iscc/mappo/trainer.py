@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,12 +84,21 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.episode_length < 1 or self.minibatches < 1:
             raise ValueError("episode_length and minibatches must be >= 1")
+        for name in ("actor_lr", "critic_lr", "grad_clip"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise ValueError("hidden_sizes must be a non-empty tuple of widths >= 1")
+        if self.feature_dim < 1 or self.attention_heads < 1:
+            raise ValueError("feature_dim and attention_heads must be >= 1")
+        if self.feature_dim % self.attention_heads:
+            raise ValueError("attention_heads must divide feature_dim")
         return self
 
 
 @dataclass
 class EvalResult:
-    """Greedy-rollout summary plus raw material for exports."""
+    """Greedy-rollout summary plus the first episode's rollout."""
 
     episode_objectives: list
     objective: float
@@ -100,8 +109,7 @@ class EvalResult:
     mean_uav_reward: float
     violation_rate: float
     penalty_rates: dict
-    trajectory_rows: list          # first episode, one row per entity per slot
-    reports: list = field(default_factory=list)  # first episode's slot reports
+    first_episode: RolloutBatch    # reports, breakdowns and trajectory of episode 0
 
 
 class Trainer:
@@ -153,49 +161,29 @@ class Trainer:
     # rollouts
     # ------------------------------------------------------------------
     def collect_episode(self, greedy: bool = False,
-                        env_rng: np.random.Generator | None = None,
-                        record_trajectory: bool = False) -> RolloutBatch:
+                        env_rng: np.random.Generator | None = None) -> RolloutBatch:
+        """Roll one episode. Each slot's world, allocation and acceleration
+        commands go into `trajectory` as they are; none of them is changed
+        after the UAVs have acted."""
         cfg = self.scenario
         t_len = self.config.episode_length
         env_rng = env_rng if env_rng is not None else self.env_rng
         world = reset_world(cfg, env_rng)
-        k, m = cfg.num_mus, cfg.num_uavs
-
-        mu = TypeRollout(obs=np.zeros((t_len, k, self.mu_obs_dim)),
-                         actions=np.zeros((t_len, k, self.mu_act_dim)),
-                         log_probs=np.zeros((t_len, k)),
-                         rewards=np.zeros((t_len, k)))
-        uav = TypeRollout(obs=np.zeros((t_len, m, self.uav_obs_dim)),
-                          actions=np.zeros((t_len, m, self.uav_act_dim)),
-                          log_probs=np.zeros((t_len, m)),
-                          rewards=np.zeros((t_len, m)))
-        state = np.zeros((t_len, k * self.mu_obs_dim + m * self.uav_obs_dim))
-        batch = RolloutBatch(mu=mu, uav=uav, global_state=state)
-        trajectory = [] if record_trajectory else None
+        mu = TypeRollout.empty(t_len, cfg.num_mus, self.mu_obs_dim, self.mu_act_dim)
+        uav = TypeRollout.empty(t_len, cfg.num_uavs, self.uav_obs_dim, self.uav_act_dim)
+        batch = RolloutBatch(mu=mu, uav=uav)
 
         for t in range(t_len):
             mu_obs = build_mu_observations(world, cfg)
-            if greedy:
-                mu_unit = greedy_action(self.actors["mu"], mu_obs)
-                mu_logp = np.zeros(k)
-            else:
-                mu_unit, mu_logp = sample_action(self.actors["mu"], mu_obs, self.action_rng)
-            mu_actions = [MuAction.from_vector(mu_unit[i], cfg) for i in range(k)]
+            mu_unit, mu_logp = self._act("mu", mu_obs, greedy)
+            mu_actions = [MuAction.from_vector(row, cfg) for row in mu_unit]
             alloc = build_allocation(mu_actions, cfg)
             rosters = uav_rosters(alloc, cfg)
 
             uav_obs = build_uav_observations(world, alloc, mu_obs, rosters, cfg)
-            if greedy:
-                uav_unit = greedy_action(self.actors["uav"], uav_obs)
-                uav_logp = np.zeros(m)
-            else:
-                uav_unit, uav_logp = sample_action(self.actors["uav"], uav_obs,
-                                                   self.action_rng)
+            uav_unit, uav_logp = self._act("uav", uav_obs, greedy)
             alloc, accels = apply_uav_actions(alloc, rosters,
                                               UavAction.from_vector(uav_unit, cfg), cfg)
-
-            if record_trajectory:
-                self._record_rows(trajectory, world, alloc, accels, t)
 
             next_world, report = world_step(world, alloc, accels, cfg, env_rng)
             mu_bd = mu_reward(report, alloc, cfg)
@@ -205,39 +193,18 @@ class Trainer:
             uav.obs[t], uav.actions[t], uav.log_probs[t] = uav_obs, uav_unit, uav_logp
             mu.rewards[t] = mu_bd.reward
             uav.rewards[t] = uav_bd.reward
-            state[t] = np.concatenate([mu_obs.ravel(), uav_obs.ravel()])
             batch.reports.append(report)
             batch.mu_breakdowns.append(mu_bd)
             batch.uav_breakdowns.append(uav_bd)
-            if record_trajectory:
-                for row, reward in zip(trajectory[-(k + m):],
-                                       mu_bd.reward.tolist() + uav_bd.reward.tolist()):
-                    row["reward"] = reward
+            batch.trajectory.append((world, alloc, accels))
             world = next_world
-
-        batch.trajectory = trajectory
         return batch
 
-    def _record_rows(self, rows: list, world, alloc, accels, t: int) -> None:
-        mu_columns = zip(world.mu_positions.tolist(), alloc.serving.tolist(),
-                         alloc.offload_ratio.tolist(), alloc.compress_ratio.tolist())
-        for i, ((x, y), serving, rho, eta) in enumerate(mu_columns):
-            rows.append({
-                "slot": t, "entity": f"mu{i}", "kind": "mu",
-                "x": x, "y": y,
-                "vx": 0.0, "vy": 0.0, "ax": 0.0, "ay": 0.0,
-                "association": serving, "rho": rho, "eta": eta,
-                "reward": 0.0,
-            })
-        uav_columns = zip(world.uav_positions.tolist(), world.uav_velocities.tolist(),
-                          accels.tolist())
-        for i, ((x, y), (vx, vy), (ax, ay)) in enumerate(uav_columns):
-            rows.append({
-                "slot": t, "entity": f"uav{i}", "kind": "uav",
-                "x": x, "y": y, "vx": vx, "vy": vy, "ax": ax, "ay": ay,
-                "association": -1, "rho": 0.0, "eta": 0.0,
-                "reward": 0.0,
-            })
+    def _act(self, kind: str, obs: np.ndarray, greedy: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(unit actions, log-probs) of one agent type; greedy actions log 0."""
+        if greedy:
+            return greedy_action(self.actors[kind], obs), np.zeros(len(obs))
+        return sample_action(self.actors[kind], obs, self.action_rng)
 
     # ------------------------------------------------------------------
     # value targets
@@ -315,10 +282,9 @@ class Trainer:
             self.config.seed + 10_000 if seed is None else seed)
         records, violations, slots = [], 0, 0
         for ep in range(episodes):
-            batch = self.collect_episode(greedy=True, env_rng=env_rng,
-                                         record_trajectory=(ep == 0))
+            batch = self.collect_episode(greedy=True, env_rng=env_rng)
             if ep == 0:
-                first_batch = batch
+                first_episode = batch
             records.append(self.episode_metrics(ep, batch))
             for r in batch.reports:
                 violations += int(np.sum(~r.deadline_met)) + int(np.sum(~r.radar_met))
@@ -340,8 +306,7 @@ class Trainer:
             violation_rate=violations / slots,
             penalty_rates={name.removeprefix("penalty_rate_"): mean(name)
                            for name in records[0] if name.startswith("penalty_rate_")},
-            trajectory_rows=first_batch.trajectory,
-            reports=first_batch.reports,
+            first_episode=first_episode,
         )
 
     # ------------------------------------------------------------------

@@ -19,10 +19,6 @@ class DomainError(ValueError):
     """Density evaluated outside its support."""
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def beta_log_prob(zeta, eta, x) -> Tensor:
     """ln f(x; zeta, eta) with f = Gamma(z+e)/(Gamma(z)Gamma(e)) x^(z-1)(1-x)^(e-1).
 
@@ -31,7 +27,7 @@ def beta_log_prob(zeta, eta, x) -> Tensor:
     x_np = np.asarray(x, dtype=np.float64)
     if np.any(x_np <= 0.0) or np.any(x_np >= 1.0):
         raise DomainError("beta_log_prob requires x strictly inside (0, 1)")
-    zeta, eta = _lift(zeta), _lift(eta)
+    zeta, eta = Tensor._lift(zeta), Tensor._lift(eta)
     if np.any(zeta.data <= 0.0) or np.any(eta.data <= 0.0):
         raise DomainError("beta shape parameters must be positive")
     log_norm = (zeta + eta).lgamma() - zeta.lgamma() - eta.lgamma()
@@ -39,16 +35,13 @@ def beta_log_prob(zeta, eta, x) -> Tensor:
 
 
 def beta_sample(zeta, eta, rng: np.random.Generator):
-    """Draw from Beta(zeta, eta); clipped to the open unit interval."""
-    z = zeta.data if isinstance(zeta, Tensor) else np.asarray(zeta, dtype=np.float64)
-    e = eta.data if isinstance(eta, Tensor) else np.asarray(eta, dtype=np.float64)
-    draw = rng.beta(z, e)
-    return np.clip(draw, _UNIT_EPS, 1.0 - _UNIT_EPS)
+    """Draw from Beta(zeta, eta) for array shapes; clipped to the open unit interval."""
+    return np.clip(rng.beta(zeta, eta), _UNIT_EPS, 1.0 - _UNIT_EPS)
 
 
 def beta_entropy(zeta, eta) -> Tensor:
     """Differential entropy of Beta(zeta, eta) in nats (closed form)."""
-    zeta, eta = _lift(zeta), _lift(eta)
+    zeta, eta = Tensor._lift(zeta), Tensor._lift(eta)
     total = zeta + eta
     log_b = zeta.lgamma() + eta.lgamma() - total.lgamma()
     return (log_b
@@ -59,18 +52,17 @@ def beta_entropy(zeta, eta) -> Tensor:
 
 def gaussian_log_prob(mean, log_std, x) -> Tensor:
     """ln N(x; mean, exp(log_std)^2); `x` constant, mean/log_std tensors."""
-    mean, log_std = _lift(mean), _lift(log_std)
+    mean, log_std = Tensor._lift(mean), Tensor._lift(log_std)
     x_np = np.asarray(x, dtype=np.float64)
     z = (Tensor(x_np) - mean) * (-log_std).exp()
     return -0.5 * z * z - log_std - 0.5 * np.log(2.0 * np.pi)
 
 
 def gaussian_sample(mean, log_std, rng: np.random.Generator):
-    m = mean.data if isinstance(mean, Tensor) else np.asarray(mean, dtype=np.float64)
-    s = np.exp(log_std.data if isinstance(log_std, Tensor) else np.asarray(log_std))
-    return m + s * rng.standard_normal(size=np.shape(m))
+    """Draw from N(mean, exp(log_std)^2) for array parameters."""
+    return mean + np.exp(log_std) * rng.standard_normal(size=np.shape(mean))
 
 
 def gaussian_entropy(log_std) -> Tensor:
-    log_std = _lift(log_std)
+    log_std = Tensor._lift(log_std)
     return log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))

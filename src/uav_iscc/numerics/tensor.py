@@ -282,15 +282,6 @@ class Tensor:
 
         return self._make(self.data.reshape(*shape), (self,), backward)
 
-    def transpose(self, *axes):
-        axes = axes or tuple(reversed(range(self.data.ndim)))
-        inv = np.argsort(axes)
-
-        def backward(g):
-            self._accumulate(g.transpose(inv))
-
-        return self._make(self.data.transpose(axes), (self,), backward)
-
     def swapaxes(self, a: int, b: int):
         def backward(g):
             self._accumulate(np.swapaxes(g, a, b))

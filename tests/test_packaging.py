@@ -13,7 +13,15 @@ import pytest
 
 import uav_iscc
 from uav_iscc.agents import MuAction, decode_mu_action
-from uav_iscc.env import ScenarioConfig, mu_slot_outcome
+from uav_iscc.env import (
+    Allocation,
+    ScenarioConfig,
+    build_all_channels,
+    build_radar_state,
+    design_links,
+    mu_slot_outcome,
+    reset_world,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -26,17 +34,20 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "build_observations", "clip", "softmax", "roster_of", "MuState", "TaskSpec",
                  "serving_uav", "served_by", "UavState", "RadarState", "radar_leakage",
                  "radar_rate_from_filter", "radar_geometry", "elevation_angle",
-                 "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty")
+                 "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty",
+                 "_lift")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names"),
     ("uav_iscc.numerics.tensor", "Tensor"):
         ("__pow__", "__truediv__", "__rtruediv__", "__rsub__", "log", "sqrt", "maximum",
-         "zero_grad"),
+         "zero_grad", "transpose"),
     ("uav_iscc.numerics.nn", "MlpParams"): ("in_width",),
     ("uav_iscc.agents.rewards", "RewardBreakdown"): ("factors",),
     ("uav_iscc.numerics.nn", "BetaHeadParams"): ("to_native",),
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
+    ("uav_iscc.mappo.trainer", "EvalResult"): ("trajectory_rows", "reports"),
+    ("uav_iscc.mappo.trainer", "Trainer"): ("_record_rows",),
 }
 
 
@@ -89,3 +100,14 @@ def test_benchmark_hooks_read_per_mu_scalars():
     for rate in (1e7, 0.0):
         out = mu_slot_outcome(task, 0.5, 0.5, 1e9, 1e10, rate, 0.5, 200.0, cfg)
         assert type(out.latency) is float
+    # the link hook counts len(first result) as the slot's served MUs
+    cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()
+    rng = np.random.default_rng(0)
+    world = reset_world(cfg, rng)
+    channels = build_all_channels(world, cfg, rng)
+    leakage = build_radar_state(world, cfg)[2]
+    for serving in ([-1, -1, -1, -1], [1, -1, 0, 1]):
+        alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
+                           compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
+        served = sum(m >= 0 for m in serving)
+        assert len(design_links(channels, alloc, leakage, cfg)[0]) == served

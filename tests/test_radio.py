@@ -301,7 +301,8 @@ def test_design_links_rates_positive_and_loading_flag(cfg):
     alloc = Allocation(serving=np.array([0, 0, 1, -1, -1]), offload_ratio=np.full(5, 0.5),
                        compress_ratio=np.full(5, 0.5), edge_cpu=edge)
     leakage = build_radar_state(world, cfg)[2]
-    rates, loaded = design_links(channels, alloc, leakage, cfg)
+    links, link_rates, loaded = design_links(channels, alloc, leakage, cfg)
+    rates = dict(zip(links.tolist(), link_rates.tolist()))
     assert set(rates) == {0, 1, 2}
     assert not loaded
     for k, rate in rates.items():
@@ -351,7 +352,8 @@ def test_stacked_link_design_matches_per_link_loop(case):
     serving, num_uavs, overrides = LINK_CASES[case]
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
-        rates, loaded = design_links(channels, alloc, leakage, cfg)
+        links, link_rates, loaded = design_links(channels, alloc, leakage, cfg)
+        rates = dict(zip(links.tolist(), link_rates.tolist()))
         ref, ref_loaded = oracles.design_links(channels, alloc, leakage, cfg)
         assert rates.keys() == ref.keys() == {k for k, m in enumerate(serving) if m >= 0}
         assert {k: float.hex(v) for k, v in rates.items()} == \

@@ -16,6 +16,17 @@ def smoke_configs(seed=0, episodes=2, **kw):
     return tcfg, scfg
 
 
+@pytest.mark.parametrize("field, value", [
+    ("hidden_sizes", ()), ("hidden_sizes", (0, 4)), ("feature_dim", 0),
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("actor_lr", -1.0), ("critic_lr", 0.0),
+    ("attention_heads", 0), ("attention_heads", 3)])
+def test_validate_rejects_unusable_fields(field, value):
+    tcfg, _ = smoke_configs()
+    setattr(tcfg, field, value)
+    with pytest.raises(ValueError, match=field):
+        tcfg.validate()
+
+
 def test_zero_episodes_returns_initial_parameters():
     tcfg, scfg = smoke_configs(episodes=0)
     trainer, history = train(tcfg, scfg)
@@ -65,11 +76,13 @@ def test_evaluate_deterministic_and_consistent():
     assert r1.objective == r2.objective
     # reported objective equals the weighted recomputation from the reports
     direct = sum(scfg.weight_factor * rep.e_uav.sum() + rep.e_mu.sum()
-                 for rep in r1.reports)
+                 for rep in r1.first_episode.reports)
     assert direct == pytest.approx(r1.episode_objectives[0], rel=1e-9)
-    rows = r1.trajectory_rows
-    assert len(rows) == tcfg.episode_length * (scfg.num_mus + scfg.num_uavs)
-    assert all(0.0 <= row["x"] <= scfg.region_width for row in rows)
+    trajectory = r1.first_episode.trajectory
+    assert len(trajectory) == tcfg.episode_length
+    for world, _, _ in trajectory:
+        for positions in (world.mu_positions, world.uav_positions):
+            assert np.all((0.0 <= positions) & (positions <= scfg.region_width))
 
 
 def test_untrained_policy_produces_bounded_penalties():
