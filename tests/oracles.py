@@ -73,11 +73,11 @@ def attention_pool(block: AttentionBlockParams, query_feature, other_features) -
     head_outputs = []
     for h in range(block.heads):
         rows = head_rows(block, h)
-        q = block.w_que[rows] @ query_feature            # [head_dim]
-        keys = others @ block.w_key[rows].swapaxes(0, 1)    # [N, head_dim]
-        weights = softmax(keys @ q * scale, axis=0)      # [N]
-        vals = others @ block.w_val[rows].swapaxes(0, 1)    # [N, head_dim]
-        head_outputs.append(weights @ vals)              # [head_dim]
+        q = block.w_que[rows] @ query_feature             # [head_dim]
+        keys = others @ block.w_key[rows].swapaxes(0, 1)  # [N, head_dim]
+        weights = softmax(keys @ q * scale, axis=0)       # [N]
+        vals = others @ block.w_val[rows].swapaxes(0, 1)  # [N, head_dim]
+        head_outputs.append(weights @ vals)               # [head_dim]
     return concat(head_outputs, axis=0) @ block.w_mix
 
 

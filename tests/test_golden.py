@@ -3,8 +3,9 @@
 `golden_trace.json` runs 6 MUs and 3 UAVs (roster capacity 4, 2 PPO epochs);
 `golden_trace_40x4.json` runs 40 MUs and 4 UAVs (roster capacity 20, 1 PPO
 epoch), so rounding that acts only on rosters of 8 or more slots shows too.
-Both use T=5 and seed 3. Every float is compared through `float.hex`, so any change in the order of
-floating-point operations shows. The trace has three parts:
+Both use T=5 and seed 3. Every float is compared through `float.hex`, so any
+change in the order of floating-point operations shows. Each trace has three
+parts:
 
 - "rollout": per-slot SlotReport field sums and the full allocation of the
   first training episode of a fresh trainer;
