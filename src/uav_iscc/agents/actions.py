@@ -55,11 +55,10 @@ class UavAction:
 
 def decode_mu_action(raw: MuAction, cfg: ScenarioConfig) -> tuple[int, float, float]:
     """Pick the association (argmax, lowest index on ties; -1 = stay local)
-    and pass the ratios through, clamped to [0, 1], honoring the ablation
-    switches."""
+    and pass the offload and compression ratios through, clamped to [0, 1]."""
     choice = int(raw.scores.argmax()) - 1
-    rho = min(max(raw.offload_ratio, 0.0), 1.0) if cfg.computation_enabled else 0.0
-    eta = min(max(raw.compress_ratio, 0.0), 1.0) if cfg.compression_enabled else 0.0
+    rho = min(max(raw.offload_ratio, 0.0), 1.0)
+    eta = min(max(raw.compress_ratio, 0.0), 1.0)
     return choice, rho, eta
 
 

@@ -95,10 +95,6 @@ class ScenarioConfig:
     distance_threshold: float = 350.0     # m, slack before the centroid term bites
     roster_capacity: int = 0              # 0 -> ceil(2K/M)
 
-    # ablation switches
-    compression_enabled: bool = True
-    computation_enabled: bool = True
-
     # ------------------------------------------------------------------
     @property
     def ref_gain(self) -> float:

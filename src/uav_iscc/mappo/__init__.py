@@ -2,11 +2,7 @@
 GAE, clipped-surrogate updates, and the training loop."""
 
 from .buffer import RolloutBatch, TypeRollout
-from .critics import (
-    CriticParams,
-    critic_values_batch,
-    state_values_batch,
-)
+from .critics import CriticParams, critic_values_batch
 from .gae import compute_gae
 from .policies import (
     ActorParams,
@@ -46,6 +42,5 @@ __all__ = [
     "penalty_rates",
     "ppo_update",
     "sample_action",
-    "state_values_batch",
     "train",
 ]

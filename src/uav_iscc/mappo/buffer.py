@@ -41,12 +41,5 @@ class RolloutBatch:
     def length(self) -> int:
         return self.mu.obs.shape[0]
 
-    @property
-    def global_state(self) -> np.ndarray:
-        """[T, S]: each slot's MU then UAV observations, flattened."""
-        t_len = self.length
-        return np.concatenate([self.mu.obs.reshape(t_len, -1),
-                               self.uav.obs.reshape(t_len, -1)], axis=1)
-
     def of(self, kind: str) -> TypeRollout:
         return self.mu if kind == "mu" else self.uav

@@ -1,10 +1,9 @@
-"""Centralized critics: per-type attention critic over all agents'
-observation-action features, with a plain global-state MLP as the ablation.
+"""Centralized critics: one attention critic per agent type over all agents'
+observation-action features (the MAAC critic).
 
-Agents are globally ordered MUs first, then UAVs. An attention critic owns one
-encoder per agent type, an attention block, and a value head that reads the
-pooled context concatenated with the agent's own feature. The MLP ablation
-owns only a state head mapping the concatenated observations to one value.
+Agents are globally ordered MUs first, then UAVs. A critic owns one encoder
+per agent type, an attention block, and a value head that reads the pooled
+context concatenated with the agent's own feature.
 """
 
 from __future__ import annotations
@@ -25,31 +24,24 @@ from ..numerics import (
 
 @dataclass
 class CriticParams:
-    """Value network of one agent type; only the parts of its kind are set."""
+    """Value network of one agent type."""
 
-    kind: str = "attention"                     # "attention" | "mlp"
-    encoder_mu: MlpParams | None = None
-    encoder_uav: MlpParams | None = None
-    attention: AttentionBlockParams | None = None
-    value_head: MlpParams | None = None
-    state_head: MlpParams | None = None         # the "mlp" ablation
+    encoder_mu: MlpParams
+    encoder_uav: MlpParams
+    attention: AttentionBlockParams
+    value_head: MlpParams
 
     @classmethod
-    def create(cls, mu_in: int, uav_in: int, state_dim: int, feature_dim: int,
-               heads: int, hidden: tuple, rng: np.random.Generator,
-               kind: str = "attention") -> "CriticParams":
-        if kind == "mlp":
-            return cls(kind=kind, state_head=MlpParams.create([state_dim, *hidden, 1], rng))
-        return cls(kind=kind,
-                   encoder_mu=MlpParams.create([mu_in, hidden[0], feature_dim], rng),
+    def create(cls, mu_in: int, uav_in: int, feature_dim: int, heads: int,
+               hidden: tuple, rng: np.random.Generator) -> "CriticParams":
+        return cls(encoder_mu=MlpParams.create([mu_in, hidden[0], feature_dim], rng),
                    encoder_uav=MlpParams.create([uav_in, hidden[0], feature_dim], rng),
                    attention=AttentionBlockParams.create(feature_dim, heads, rng),
                    value_head=MlpParams.create([2 * feature_dim, *hidden, 1], rng))
 
     def parameters(self):
-        parts = (self.encoder_mu, self.encoder_uav, self.attention, self.value_head,
-                 self.state_head)
-        return [p for part in parts if part is not None for p in part.parameters()]
+        parts = (self.encoder_mu, self.encoder_uav, self.attention, self.value_head)
+        return [p for part in parts for p in part.parameters()]
 
 
 def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
@@ -87,11 +79,3 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
     context = pooled @ block.w_mix                         # [T, Q, V]
     joined = concat([context, own], axis=-1)               # [T, Q, 2V]
     return mlp_forward(params.value_head, joined).reshape(t_len, n_own)
-
-
-def state_values_batch(params: CriticParams, global_state: np.ndarray,
-                       n_agents: int) -> Tensor:
-    """MLP-ablation values: one V(s) per step, shared by the type's agents."""
-    v = mlp_forward(params.state_head, Tensor(global_state))  # [T, 1]
-    ones = Tensor(np.ones((1, n_agents)))
-    return v @ ones

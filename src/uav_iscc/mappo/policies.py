@@ -1,10 +1,10 @@
-"""Stochastic actors: shared per-type MLP trunks with Beta heads by default,
-Gaussian heads as the ablation.
+"""Stochastic actors: shared per-type MLP trunks with Beta heads.
 
 Policies operate on the unit hypercube internally. Each action dimension owns
 a native interval; the affine map from the unit draw to the interval
 contributes -ln(width) per dimension to the log-density. Stored actions are
-the unit-interval values, which also feed the critics.
+the unit-interval values, which also feed the critics. A Beta head has its
+support on the interval itself, so no draw is clamped at a boundary.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ from ..numerics import (
     beta_entropy,
     beta_log_prob,
     beta_sample,
-    gaussian_entropy,
-    gaussian_log_prob,
-    gaussian_sample,
     mlp_forward,
     no_grad,
 )
-
-# Gaussian draws are clamped into the open unit interval before decoding;
-# this is exactly the boundary bias the Beta policy avoids
-_GAUSS_CLAMP = 1e-3
-_LOG_STD_MIN, _LOG_STD_MAX = -5.0, 1.0
 
 
 @dataclass
@@ -39,16 +31,15 @@ class ActorParams:
 
     trunk: MlpParams
     head: BetaHeadParams
-    kind: str = "beta"  # "beta" | "gaussian"
 
     @classmethod
     def create(cls, obs_dim: int, lo: np.ndarray, hi: np.ndarray,
-               hidden: tuple, rng: np.random.Generator, kind: str = "beta") -> "ActorParams":
+               hidden: tuple, rng: np.random.Generator) -> "ActorParams":
         lo = np.asarray(lo, dtype=np.float64)
         action_dim = lo.size
         trunk = MlpParams.create([obs_dim, *hidden, 2 * action_dim], rng)
         head = BetaHeadParams(action_dim=action_dim, lo=lo, hi=np.asarray(hi, dtype=np.float64))
-        return cls(trunk=trunk, head=head, kind=kind)
+        return cls(trunk=trunk, head=head)
 
     def parameters(self):
         return self.trunk.parameters()
@@ -59,14 +50,8 @@ class ActorParams:
 
 
 def actor_forward(params: ActorParams, obs) -> tuple[Tensor, Tensor]:
-    """Beta: per-dimension shape pair, both > 1. Gaussian: (mean, log_std)."""
-    raw = mlp_forward(params.trunk, obs)
-    if params.kind == "beta":
-        return params.head.shapes_from_raw(raw)
-    a = params.head.action_dim
-    mean = raw[..., :a]
-    log_std = raw[..., a:].clip(_LOG_STD_MIN, _LOG_STD_MAX)
-    return mean, log_std
+    """Per-dimension Beta shape pair (zeta, eta), both > 1."""
+    return params.head.shapes_from_raw(mlp_forward(params.trunk, obs))
 
 
 def _log_width_total(params: ActorParams) -> float:
@@ -81,26 +66,17 @@ def sample_action(params: ActorParams, obs_batch: np.ndarray,
     joint density over the native intervals.
     """
     with no_grad():  # the forward records no graph; the density runs on plain arrays
-        p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
-    if params.kind == "beta":
-        unit = beta_sample(p1, p2, rng)
-        logp = beta_log_prob(p1, p2, unit)
-    else:
-        unit = np.clip(gaussian_sample(p1, p2, rng), _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
-        logp = gaussian_log_prob(p1, p2, unit)
-    logp = (logp.sum(axis=-1) - _log_width_total(params)).data
+        zeta, eta = (t.data for t in actor_forward(params, Tensor(obs_batch)))
+    unit = beta_sample(zeta, eta, rng)
+    logp = (beta_log_prob(zeta, eta, unit).sum(axis=-1) - _log_width_total(params)).data
     return unit, logp
 
 
 def greedy_action(params: ActorParams, obs_batch: np.ndarray) -> np.ndarray:
-    """Deterministic unit action [B, A]: Beta mean z/(z+e), or the clamped Gaussian mean."""
+    """Deterministic unit action [B, A]: the Beta mean z/(z+e)."""
     with no_grad():
-        p1, p2 = (t.data for t in actor_forward(params, Tensor(obs_batch)))
-    if params.kind == "beta":
-        unit = p1 / (p1 + p2)
-    else:
-        unit = np.clip(p1, _GAUSS_CLAMP, 1.0 - _GAUSS_CLAMP)
-    return unit
+        zeta, eta = (t.data for t in actor_forward(params, Tensor(obs_batch)))
+    return zeta / (zeta + eta)
 
 
 def log_prob_entropy(params: ActorParams, obs_batch, unit_actions) -> tuple[Tensor, Tensor]:
@@ -110,12 +86,8 @@ def log_prob_entropy(params: ActorParams, obs_batch, unit_actions) -> tuple[Tens
     The entropy is the per-dimension distribution entropy summed over
     dimensions (interval offsets are constant and dropped).
     """
-    p1, p2 = actor_forward(params, obs_batch)
+    zeta, eta = actor_forward(params, obs_batch)
     x = np.asarray(unit_actions, dtype=np.float64)
-    if params.kind == "beta":
-        logp = beta_log_prob(p1, p2, x).sum(axis=-1) - _log_width_total(params)
-        ent = beta_entropy(p1, p2).sum(axis=-1)
-    else:
-        logp = gaussian_log_prob(p1, p2, x).sum(axis=-1) - _log_width_total(params)
-        ent = gaussian_entropy(p2).sum(axis=-1)
+    logp = beta_log_prob(zeta, eta, x).sum(axis=-1) - _log_width_total(params)
+    ent = beta_entropy(zeta, eta).sum(axis=-1)
     return logp, ent

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..numerics import Tensor, adam_step, clip_grad_norm
 from .buffer import RolloutBatch
-from .critics import critic_values_batch, state_values_batch
+from .critics import critic_values_batch
 from .policies import log_prob_entropy
 
 
@@ -41,12 +41,8 @@ def actor_loss(actor, obs_mb, act_mb, logp_old, adv_norm, clip_ratio: float,
 
 def critic_loss(critic, batch: RolloutBatch, kind: str, idx: np.ndarray,
                 targets: np.ndarray) -> Tensor:
-    if critic.kind == "mlp":
-        values = state_values_batch(critic, batch.global_state[idx],
-                                    targets.shape[1])
-    else:
-        values = critic_values_batch(critic, batch.mu.obs[idx], batch.mu.actions[idx],
-                                     batch.uav.obs[idx], batch.uav.actions[idx], kind)
+    values = critic_values_batch(critic, batch.mu.obs[idx], batch.mu.actions[idx],
+                                 batch.uav.obs[idx], batch.uav.actions[idx], kind)
     diff = values - Tensor(targets)
     return (diff * diff).mean()
 
@@ -68,8 +64,6 @@ def ppo_update(trainer, batch: RolloutBatch) -> dict:
     for _ in range(cfg.ppo_epochs):
         perm = trainer.update_rng.permutation(t_len)
         for idx in np.array_split(perm, min(cfg.minibatches, t_len)):
-            if idx.size == 0:
-                continue
             for kind in ("mu", "uav"):
                 roll = batch.of(kind)
                 actor = trainer.actors[kind]

@@ -31,7 +31,7 @@ from ..agents import (
 from ..env import ScenarioConfig, reset_world, world_step
 from ..numerics import AdamState, no_grad
 from .buffer import RolloutBatch, TypeRollout
-from .critics import CriticParams, critic_values_batch, state_values_batch
+from .critics import CriticParams, critic_values_batch
 from .gae import compute_gae
 from .policies import ActorParams, greedy_action, sample_action
 from .ppo import ppo_update
@@ -64,8 +64,6 @@ class TrainerConfig:
     hidden_sizes: tuple = (64, 128)
     feature_dim: int = 64
     attention_heads: int = 4
-    policy: str = "beta"           # | "gaussian"
-    critic: str = "attention"      # | "mlp"
     seed: int = 0
 
     def validate(self) -> "TrainerConfig":
@@ -75,10 +73,6 @@ class TrainerConfig:
             raise ValueError("gae_lambda must lie in [0, 1]")
         if not 0.0 < self.clip_ratio < 1.0:
             raise ValueError("clip_ratio must lie in (0, 1)")
-        if self.policy not in ("beta", "gaussian"):
-            raise ValueError("policy must be 'beta' or 'gaussian'")
-        if self.critic not in ("attention", "mlp"):
-            raise ValueError("critic must be 'attention' or 'mlp'")
         for name in ("episodes", "ppo_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -140,16 +134,15 @@ class Trainer:
 
         self.actors = {
             "mu": ActorParams.create(self.mu_obs_dim, mu_lo, mu_hi,
-                                     config.hidden_sizes, self.init_rng, config.policy),
+                                     config.hidden_sizes, self.init_rng),
             "uav": ActorParams.create(self.uav_obs_dim, uav_lo, uav_hi,
-                                      config.hidden_sizes, self.init_rng, config.policy),
+                                      config.hidden_sizes, self.init_rng),
         }
-        state_dim = cfg.num_mus * self.mu_obs_dim + cfg.num_uavs * self.uav_obs_dim
         self.critics = {
             kind: CriticParams.create(
                 self.mu_obs_dim + self.mu_act_dim, self.uav_obs_dim + self.uav_act_dim,
-                state_dim, config.feature_dim, config.attention_heads,
-                config.hidden_sizes, self.init_rng, config.critic)
+                config.feature_dim, config.attention_heads, config.hidden_sizes,
+                self.init_rng)
             for kind in ("mu", "uav")
         }
         self.actor_opt = {k: AdamState(a.parameters(), lr=config.actor_lr)
@@ -210,12 +203,8 @@ class Trainer:
     # value targets
     # ------------------------------------------------------------------
     def _values(self, batch: RolloutBatch, kind: str) -> np.ndarray:
-        critic = self.critics[kind]
         with no_grad():
-            if critic.kind == "mlp":
-                n = batch.of(kind).obs.shape[1]
-                return state_values_batch(critic, batch.global_state, n).data
-            return critic_values_batch(critic, batch.mu.obs, batch.mu.actions,
+            return critic_values_batch(self.critics[kind], batch.mu.obs, batch.mu.actions,
                                        batch.uav.obs, batch.uav.actions, kind).data
 
     def prepare_batch(self, batch: RolloutBatch) -> RolloutBatch:
@@ -333,22 +322,28 @@ class Trainer:
                  __config_hash__=np.array(self.config_hash()), **arrays)
 
     def load_checkpoint(self, path) -> None:
-        blob = np.load(path, allow_pickle=False)
-        version = int(blob["__version__"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint version {version} is not supported, "
-                             f"expected version {CHECKPOINT_VERSION}")
-        stored = str(blob["__config_hash__"])
-        if stored != self.config_hash():
-            raise ValueError(
-                f"checkpoint config hash {stored} does not match trainer "
-                f"{self.config_hash()}")
-        for name, p in self.named_parameters().items():
-            data = blob[name]
-            if data.shape != p.data.shape:
-                raise ValueError(f"checkpoint tensor {name} has shape {data.shape}, "
+        params = self.named_parameters()
+        with np.load(path, allow_pickle=False) as blob:
+            version = int(blob["__version__"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"checkpoint version {version} is not supported, "
+                                 f"expected version {CHECKPOINT_VERSION}")
+            stored = str(blob["__config_hash__"])
+            if stored != self.config_hash():
+                raise ValueError(
+                    f"checkpoint config hash {stored} does not match trainer "
+                    f"{self.config_hash()}")
+            missing = [name for name in params if name not in blob.files]
+            if missing:
+                raise ValueError(f"checkpoint lacks tensors {missing}")
+            loaded = {name: blob[name] for name in params}
+        for name, p in params.items():
+            if loaded[name].shape != p.data.shape:
+                raise ValueError(f"checkpoint tensor {name} has shape {loaded[name].shape}, "
                                  f"expected {p.data.shape}")
-            p.data = data.astype(np.float64)
+        # every tensor was checked, so a failed load leaves the trainer as it was
+        for name, p in params.items():
+            p.data = loaded[name].astype(np.float64)
 
 
 def penalty_rates(batch: RolloutBatch) -> dict:

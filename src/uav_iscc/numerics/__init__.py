@@ -6,9 +6,6 @@ from .distributions import (
     beta_entropy,
     beta_log_prob,
     beta_sample,
-    gaussian_entropy,
-    gaussian_log_prob,
-    gaussian_sample,
 )
 from .nn import (
     AttentionBlockParams,
@@ -17,7 +14,7 @@ from .nn import (
     MlpParams,
     mlp_forward,
 )
-from .optim import AdamState, adam_step, clip_grad_norm, global_grad_norm
+from .optim import AdamState, adam_step, clip_grad_norm
 from .tensor import GraphError, Tensor, concat, no_grad, parameter, self_masked_attention
 
 __all__ = [
@@ -35,10 +32,6 @@ __all__ = [
     "beta_sample",
     "clip_grad_norm",
     "concat",
-    "gaussian_entropy",
-    "gaussian_log_prob",
-    "gaussian_sample",
-    "global_grad_norm",
     "mlp_forward",
     "no_grad",
     "parameter",

@@ -1,4 +1,4 @@
-"""Beta and Gaussian densities used by the stochastic policies.
+"""Beta density, sampler and entropy used by the stochastic policies.
 
 Log-densities are built from autodiff primitives so shape parameters can be
 trained; sampling goes through an explicit numpy Generator and never enters
@@ -49,20 +49,3 @@ def beta_entropy(zeta, eta) -> Tensor:
             - (eta - 1.0) * eta.digamma()
             + (total - 2.0) * total.digamma())
 
-
-def gaussian_log_prob(mean, log_std, x) -> Tensor:
-    """ln N(x; mean, exp(log_std)^2); `x` constant, mean/log_std tensors."""
-    mean, log_std = Tensor._lift(mean), Tensor._lift(log_std)
-    x_np = np.asarray(x, dtype=np.float64)
-    z = (Tensor(x_np) - mean) * (-log_std).exp()
-    return -0.5 * z * z - log_std - 0.5 * np.log(2.0 * np.pi)
-
-
-def gaussian_sample(mean, log_std, rng: np.random.Generator):
-    """Draw from N(mean, exp(log_std)^2) for array parameters."""
-    return mean + np.exp(log_std) * rng.standard_normal(size=np.shape(mean))
-
-
-def gaussian_entropy(log_std) -> Tensor:
-    log_std = Tensor._lift(log_std)
-    return log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))

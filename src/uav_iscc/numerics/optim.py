@@ -22,22 +22,15 @@ class AdamState:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def global_grad_norm(params) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
-
-
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most `max_norm`."""
-    norm = global_grad_norm(params)
+    """Scale all gradients so their joint L2 norm is at most `max_norm`;
+    returns the norm before scaling."""
+    with_grad = [p for p in params if p.grad is not None]
+    norm = float(np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in with_grad)))
     if norm > max_norm > 0.0:
         scale = max_norm / (norm + 1e-12)
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        for p in with_grad:
+            p.grad = p.grad * scale
     return norm
 
 

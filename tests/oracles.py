@@ -245,8 +245,8 @@ def mu_reward(k: int, report: SlotReport, alloc: Allocation,
 # ----------------------------------------------------------------------
 def decode_mu_action(raw, cfg: ScenarioConfig) -> tuple[int, float, float]:
     choice = int(np.argmax(raw.scores)) - 1
-    rho = float(np.clip(raw.offload_ratio, 0.0, 1.0)) if cfg.computation_enabled else 0.0
-    eta = float(np.clip(raw.compress_ratio, 0.0, 1.0)) if cfg.compression_enabled else 0.0
+    rho = float(np.clip(raw.offload_ratio, 0.0, 1.0))
+    eta = float(np.clip(raw.compress_ratio, 0.0, 1.0))
     return choice, rho, eta
 
 

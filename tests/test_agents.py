@@ -205,17 +205,6 @@ def test_roster_capacity_demotes_surplus():
     assert np.all(alloc.offload_ratio[2:] == 0)
 
 
-def test_ablation_switches_zero_the_ratios():
-    cfg = cfg_of(compression_enabled=False)
-    vec = np.full(MuAction.dim(cfg), 0.5)
-    vec[1] = 0.9
-    _, rho, eta = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)
-    assert eta == 0.0 and rho == 0.5
-    cfg2 = cfg_of(computation_enabled=False)
-    _, rho2, _ = decode_mu_action(MuAction.from_vector(vec, cfg2), cfg2)
-    assert rho2 == 0.0
-
-
 ALLOCATION_CASES = {
     "no-mus": ([], 2, 0),
     "empty-association": ([-1] * 6, 3, 0),

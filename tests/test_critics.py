@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from oracles import attention_weights, critic_forward, masked_attention_chain
-from uav_iscc.mappo import CriticParams, critic_values_batch, state_values_batch
+from uav_iscc.mappo import CriticParams, critic_values_batch
 from uav_iscc.mappo import critics as critics_module
 from uav_iscc.numerics import Tensor, mlp_forward, no_grad
 from uav_iscc.numerics import tensor as tensor_module
 
 
-def make_critic(mu_in=8, uav_in=10, state_dim=30, kind="attention", seed=0):
-    return CriticParams.create(mu_in, uav_in, state_dim, feature_dim=16, heads=4,
-                               hidden=(8, 12), rng=np.random.default_rng(seed), kind=kind)
+def make_critic(mu_in=8, uav_in=10, seed=0):
+    return CriticParams.create(mu_in, uav_in, feature_dim=16, heads=4, hidden=(8, 12),
+                               rng=np.random.default_rng(seed))
 
 
 def random_instance(critic, k=2, m=2, t=3, seed=1):
@@ -135,14 +135,6 @@ def test_fewer_than_two_agents_rejected(k, m):
     with pytest.raises(ValueError, match="at least two agents"):
         critic_forward(critic, [*mu_obs[0], *uav_obs[0]], [*mu_act[0], *uav_act[0]],
                        num_mus=k, agent=0)
-
-
-def test_mlp_state_values_shared_across_agents():
-    critic = make_critic(kind="mlp", seed=8)
-    state = np.random.default_rng(9).uniform(0, 1, size=(5, 30))
-    values = state_values_batch(critic, state, 4).data
-    assert values.shape == (5, 4)
-    assert np.allclose(values, values[:, :1])
 
 
 def test_critic_gradients_flow_to_all_components():

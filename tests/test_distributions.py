@@ -8,12 +8,9 @@ import pytest
 from oracles import beta_entropy_value
 from uav_iscc.numerics import (
     DomainError,
-    Tensor,
     beta_entropy,
     beta_log_prob,
     beta_sample,
-    gaussian_entropy,
-    gaussian_log_prob,
     parameter,
 )
 
@@ -111,12 +108,3 @@ def test_beta_entropy_gradient_finite_difference():
     fd_e = (beta_entropy_value(z.data[0], e.data[0] + h) - beta_entropy_value(z.data[0], e.data[0] - h)) / (2 * h)
     assert z.grad[0] == pytest.approx(fd_z, rel=1e-5)
     assert e.grad[0] == pytest.approx(fd_e, rel=1e-5)
-
-
-def test_gaussian_log_prob_and_entropy():
-    mean = Tensor(np.array([0.3]))
-    log_std = Tensor(np.array([math.log(0.5)]))
-    lp = gaussian_log_prob(mean, log_std, np.array([0.3])).item()
-    assert lp == pytest.approx(math.log(1.0 / (0.5 * math.sqrt(2 * math.pi))), abs=1e-12)
-    ent = gaussian_entropy(log_std).item()
-    assert ent == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 0.25), abs=1e-12)

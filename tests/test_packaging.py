@@ -35,10 +35,12 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "serving_uav", "served_by", "UavState", "RadarState", "radar_leakage",
                  "radar_rate_from_filter", "radar_geometry", "elevation_angle",
                  "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty",
-                 "_lift")
+                 "_lift", "gaussian_log_prob", "gaussian_sample", "gaussian_entropy",
+                 "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
-        ("horizon_slots", "reward_mode", "from_mapping", "field_names"),
+        ("horizon_slots", "reward_mode", "from_mapping", "field_names",
+         "compression_enabled", "computation_enabled"),
     ("uav_iscc.numerics.tensor", "Tensor"):
         ("__pow__", "__truediv__", "__rtruediv__", "__rsub__", "log", "sqrt", "maximum",
          "zero_grad", "transpose"),
@@ -48,6 +50,10 @@ DELETED_ATTRS = {
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
     ("uav_iscc.mappo.trainer", "EvalResult"): ("trajectory_rows", "reports"),
     ("uav_iscc.mappo.trainer", "Trainer"): ("_record_rows",),
+    ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic"),
+    ("uav_iscc.mappo.policies", "ActorParams"): ("kind",),
+    ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head"),
+    ("uav_iscc.mappo.buffer", "RolloutBatch"): ("global_state",),
 }
 
 

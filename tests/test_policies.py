@@ -9,10 +9,10 @@ from uav_iscc.mappo import ActorParams, actor_forward, greedy_action, log_prob_e
 from uav_iscc.numerics import Tensor
 
 
-def make_actor(obs_dim=6, dims=3, lo=None, hi=None, kind="beta", seed=0):
+def make_actor(obs_dim=6, dims=3, lo=None, hi=None, seed=0):
     lo = np.zeros(dims) if lo is None else np.asarray(lo, dtype=float)
     hi = np.ones(dims) if hi is None else np.asarray(hi, dtype=float)
-    return ActorParams.create(obs_dim, lo, hi, (16, 16), np.random.default_rng(seed), kind)
+    return ActorParams.create(obs_dim, lo, hi, (16, 16), np.random.default_rng(seed))
 
 
 def test_zero_weight_network_gives_uniform_shapes():
@@ -102,18 +102,6 @@ def test_greedy_is_beta_mean():
     unit = greedy_action(actor, obs)
     z, e = actor_forward(actor, Tensor(obs))
     assert np.allclose(unit, z.data / (z.data + e.data))
-
-
-def test_gaussian_head_clamps_and_scores():
-    actor = make_actor(dims=2, kind="gaussian", seed=16)
-    rng = np.random.default_rng(17)
-    obs = rng.normal(size=(40, 6))
-    unit, logp = sample_action(actor, obs, rng)
-    assert np.all(unit > 0.0) and np.all(unit < 1.0)
-    assert np.all(np.isfinite(logp))
-    logp_t, ent = log_prob_entropy(actor, Tensor(obs), unit)
-    assert np.allclose(logp_t.data, logp, atol=1e-10)
-    assert np.all(np.isfinite(ent.data))
 
 
 def test_sampling_deterministic_per_seed():

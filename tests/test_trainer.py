@@ -8,10 +8,10 @@ from uav_iscc.env import ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, train
 
 
-def smoke_configs(seed=0, episodes=2, **kw):
+def smoke_configs(seed=0, episodes=2):
     tcfg = TrainerConfig(episodes=episodes, episode_length=6, ppo_epochs=2,
                          minibatches=2, hidden_sizes=(8, 12), feature_dim=8,
-                         attention_heads=2, seed=seed, **kw)
+                         attention_heads=2, seed=seed)
     scfg = ScenarioConfig(num_mus=3, num_uavs=2).validate()
     return tcfg, scfg
 
@@ -150,6 +150,27 @@ def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
     assert all(p.data is before[name] for name, p in clone.named_parameters().items())
 
 
+@pytest.mark.parametrize("defect, message", [
+    ("wrong-shape", "has shape"), ("missing", "lacks tensors")])
+def test_defective_checkpoint_leaves_every_parameter_unchanged(tmp_path, defect, message):
+    trainer = Trainer(*smoke_configs(seed=16))
+    arrays = {name: p.data for name, p in trainer.named_parameters().items()}
+    last = list(arrays)[-1]  # the tensor a one-by-one load would reach last
+    if defect == "missing":
+        del arrays[last]
+    else:
+        arrays[last] = np.zeros(arrays[last].shape + (1,))
+    path = tmp_path / f"{defect}.npz"
+    np.savez(path, __version__=np.array(2),
+             __config_hash__=np.array(trainer.config_hash()), **arrays)
+    clone = Trainer(*smoke_configs(seed=16))
+    before = {name: p.data for name, p in clone.named_parameters().items()}
+    with pytest.raises(ValueError, match=message) as info:
+        clone.load_checkpoint(path)
+    assert last in str(info.value)
+    assert all(p.data is before[name] for name, p in clone.named_parameters().items())
+
+
 def test_actor_outputs_stay_above_one_through_training():
     tcfg, scfg = smoke_configs(seed=12, episodes=3)
     trainer, _ = train(tcfg, scfg)
@@ -160,14 +181,6 @@ def test_actor_outputs_stay_above_one_through_training():
     obs = rng.uniform(0, 1, size=(20, trainer.mu_obs_dim))
     z, e = actor_forward(trainer.actors["mu"], Tensor(obs))
     assert np.all(z.data > 1.0) and np.all(e.data > 1.0)
-
-
-def test_gaussian_and_mlp_variants_train():
-    tcfg, scfg = smoke_configs(seed=14, policy="gaussian", critic="mlp")
-    trainer, history = train(tcfg, scfg)
-    assert len(history) == 2
-    assert np.isfinite(history[-1]["mean_reward_mu"])
-
 
 
 @pytest.mark.parametrize("error, wrapped", [
