@@ -1,9 +1,10 @@
 """Decoding raw policy outputs into environment decisions.
 
 All raw action entries live in the open unit interval (the policies' native
-support). MU agents emit M+1 association scores (slot 0 means stay local)
-plus offload and compression ratios; UAV agents emit one CPU-share logit per
-roster slot plus a planar acceleration command.
+support); only this module maps them onto physical ranges. MU agents emit M+1
+association scores (slot 0 means stay local) plus offload and compression
+ratios; UAV agents emit one CPU-share logit per roster slot plus a planar
+acceleration command.
 """
 
 from __future__ import annotations

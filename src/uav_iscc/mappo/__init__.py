@@ -5,7 +5,6 @@ from .buffer import RolloutBatch, TypeRollout
 from .critics import CriticParams, critic_values_batch
 from .gae import compute_gae
 from .policies import (
-    ActorParams,
     actor_forward,
     greedy_action,
     log_prob_entropy,
@@ -22,7 +21,6 @@ from .trainer import (
 )
 
 __all__ = [
-    "ActorParams",
     "CriticParams",
     "EvalResult",
     "RolloutBatch",

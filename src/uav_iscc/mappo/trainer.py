@@ -29,11 +29,11 @@ from ..agents import (
     uav_rosters,
 )
 from ..env import ScenarioConfig, reset_world, world_step
-from ..numerics import AdamState, no_grad
+from ..numerics import AdamState, MlpParams, no_grad
 from .buffer import RolloutBatch, TypeRollout
 from .critics import CriticParams, critic_values_batch
 from .gae import compute_gae
-from .policies import ActorParams, greedy_action, sample_action
+from .policies import greedy_action, sample_action
 from .ppo import ppo_update
 
 
@@ -127,16 +127,12 @@ class Trainer:
         self.uav_obs_dim = uav_obs_dim(cfg)
         self.mu_act_dim = MuAction.dim(cfg)
         self.uav_act_dim = UavAction.dim(cfg)
-        mu_lo = np.zeros(self.mu_act_dim)
-        mu_hi = np.ones(self.mu_act_dim)
-        uav_lo = np.concatenate([np.zeros(cfg.k_cap), [-cfg.uav_a_max, -cfg.uav_a_max]])
-        uav_hi = np.concatenate([np.ones(cfg.k_cap), [cfg.uav_a_max, cfg.uav_a_max]])
-
+        # an actor is its trunk: two raw outputs (the Beta shapes) per action dimension
         self.actors = {
-            "mu": ActorParams.create(self.mu_obs_dim, mu_lo, mu_hi,
-                                     config.hidden_sizes, self.init_rng),
-            "uav": ActorParams.create(self.uav_obs_dim, uav_lo, uav_hi,
-                                      config.hidden_sizes, self.init_rng),
+            "mu": MlpParams.create([self.mu_obs_dim, *config.hidden_sizes, 2 * self.mu_act_dim],
+                                   self.init_rng),
+            "uav": MlpParams.create([self.uav_obs_dim, *config.hidden_sizes, 2 * self.uav_act_dim],
+                                    self.init_rng),
         }
         self.critics = {
             kind: CriticParams.create(
@@ -318,12 +314,17 @@ class Trainer:
 
     def save_checkpoint(self, path) -> None:
         arrays = {name: p.data for name, p in self.named_parameters().items()}
-        np.savez(path, __version__=np.array(CHECKPOINT_VERSION),
-                 __config_hash__=np.array(self.config_hash()), **arrays)
+        # through a handle: np.savez would append ".npz" to a path without that suffix
+        with open(path, "wb") as f:
+            np.savez(f, __version__=np.array(CHECKPOINT_VERSION),
+                     __config_hash__=np.array(self.config_hash()), **arrays)
 
     def load_checkpoint(self, path) -> None:
         params = self.named_parameters()
         with np.load(path, allow_pickle=False) as blob:
+            for key in ("__version__", "__config_hash__"):
+                if key not in blob.files:
+                    raise ValueError(f"checkpoint lacks {key}")
             version = int(blob["__version__"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"checkpoint version {version} is not supported, "

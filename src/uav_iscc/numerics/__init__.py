@@ -9,7 +9,6 @@ from .distributions import (
 )
 from .nn import (
     AttentionBlockParams,
-    BetaHeadParams,
     DimensionError,
     MlpParams,
     mlp_forward,
@@ -20,7 +19,6 @@ from .tensor import GraphError, Tensor, concat, no_grad, parameter, self_masked_
 __all__ = [
     "AdamState",
     "AttentionBlockParams",
-    "BetaHeadParams",
     "DimensionError",
     "DomainError",
     "GraphError",

@@ -1,5 +1,5 @@
-"""Dense network building blocks: tanh MLPs, positive Beta-shape heads,
-and the stacked query-key-value maps of the critics' attention block."""
+"""Dense network building blocks: tanh MLPs and the stacked query-key-value
+maps of the critics' attention block."""
 
 from __future__ import annotations
 
@@ -45,42 +45,6 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
         if i < len(params.layers) - 1:
             x = x.tanh()
     return x
-
-
-@dataclass
-class BetaHeadParams:
-    """Maps raw network outputs to per-dimension Beta shapes above one.
-
-    Raw outputs come in pairs per action dimension; both shape parameters go
-    through 1 + softplus so the resulting densities stay unimodal. Each
-    dimension owns a half-range `h`: the unit-interval draw x maps to
-    center + h * (2x - 1).
-    """
-
-    action_dim: int
-    lo: np.ndarray  # per-dimension interval lower bounds
-    hi: np.ndarray  # per-dimension interval upper bounds
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
-        if np.any(self.hi <= self.lo):
-            raise ValueError("action intervals must have positive width")
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def shapes_from_raw(self, raw: Tensor) -> tuple[Tensor, Tensor]:
-        """Split raw [..., 2*A] into (alpha-like, beta-like), both > 1."""
-        if raw.shape[-1] != 2 * self.action_dim:
-            raise DimensionError(
-                f"beta head expects width {2 * self.action_dim}, got {raw.shape[-1]}"
-            )
-        a_raw = raw[..., : self.action_dim]
-        b_raw = raw[..., self.action_dim :]
-        one = 1.0
-        return one + a_raw.softplus(), one + b_raw.softplus()
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Attention pooling and Beta-head mapping properties."""
+"""Attention pooling properties."""
 
 import numpy as np
 import pytest
 
 from oracles import attention_pool, attention_weights, head_rows
-from uav_iscc.numerics import AttentionBlockParams, BetaHeadParams, Tensor, parameter
+from uav_iscc.numerics import AttentionBlockParams, Tensor, parameter
 
 
 @pytest.fixture
@@ -92,12 +92,3 @@ def test_pool_gradient_matches_finite_differences(block):
             flat[i] = old
             fd = (up - down) / (2 * h)
             assert p.grad.ravel()[i] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-
-
-def test_beta_head_shapes_always_above_one():
-    head = BetaHeadParams(action_dim=3, lo=np.zeros(3), hi=np.ones(3))
-    rng = np.random.default_rng(8)
-    raw = Tensor(rng.normal(size=(10, 6)) * 5.0)
-    z, e = head.shapes_from_raw(raw)
-    assert np.all(z.data > 1.0)
-    assert np.all(e.data > 1.0)

@@ -36,7 +36,8 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "radar_rate_from_filter", "radar_geometry", "elevation_angle",
                  "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty",
                  "_lift", "gaussian_log_prob", "gaussian_sample", "gaussian_entropy",
-                 "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP")
+                 "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP",
+                 "BetaHeadParams", "ActorParams", "_log_width_total")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names",
@@ -46,12 +47,10 @@ DELETED_ATTRS = {
          "zero_grad", "transpose"),
     ("uav_iscc.numerics.nn", "MlpParams"): ("in_width",),
     ("uav_iscc.agents.rewards", "RewardBreakdown"): ("factors",),
-    ("uav_iscc.numerics.nn", "BetaHeadParams"): ("to_native",),
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
     ("uav_iscc.mappo.trainer", "EvalResult"): ("trajectory_rows", "reports"),
     ("uav_iscc.mappo.trainer", "Trainer"): ("_record_rows",),
     ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic"),
-    ("uav_iscc.mappo.policies", "ActorParams"): ("kind",),
     ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head"),
     ("uav_iscc.mappo.buffer", "RolloutBatch"): ("global_state",),
 }

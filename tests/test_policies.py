@@ -1,23 +1,21 @@
-"""Actor heads: shape-parameter guarantees, sampling, log-density mapping."""
+"""Actors: shape-parameter guarantees, sampling, unit-cube log-densities."""
 
 import math
 
 import numpy as np
 import pytest
 
-from uav_iscc.mappo import ActorParams, actor_forward, greedy_action, log_prob_entropy, sample_action
-from uav_iscc.numerics import Tensor
+from uav_iscc.mappo import actor_forward, greedy_action, log_prob_entropy, sample_action
+from uav_iscc.numerics import MlpParams, Tensor, mlp_forward
 
 
-def make_actor(obs_dim=6, dims=3, lo=None, hi=None, seed=0):
-    lo = np.zeros(dims) if lo is None else np.asarray(lo, dtype=float)
-    hi = np.ones(dims) if hi is None else np.asarray(hi, dtype=float)
-    return ActorParams.create(obs_dim, lo, hi, (16, 16), np.random.default_rng(seed))
+def make_actor(obs_dim=6, dims=3, seed=0):
+    return MlpParams.create([obs_dim, 16, 16, 2 * dims], np.random.default_rng(seed))
 
 
 def test_zero_weight_network_gives_uniform_shapes():
     actor = make_actor()
-    for w, b in actor.trunk.layers:
+    for w, b in actor.layers:
         w.data[:] = 0.0
         b.data[:] = 0.0
     z, e = actor_forward(actor, Tensor(np.random.default_rng(1).normal(size=(4, 6))))
@@ -29,7 +27,14 @@ def test_zero_weight_network_gives_uniform_shapes():
 def test_shapes_always_above_one():
     actor = make_actor(seed=2)
     rng = np.random.default_rng(3)
-    z, e = actor_forward(actor, Tensor(rng.normal(size=(50, 6)) * 10))
+    obs = Tensor(rng.normal(size=(50, 6)) * 10)
+    z, e = actor_forward(actor, obs)
+    assert np.all(z.data > 1.0) and np.all(e.data > 1.0)
+    # raw trunk outputs several units either side of zero map above one too
+    actor.layers[-1][0].data *= 20.0
+    raw = mlp_forward(actor, obs).data
+    assert raw.min() < -5.0 and raw.max() > 5.0
+    z, e = actor_forward(actor, obs)
     assert np.all(z.data > 1.0) and np.all(e.data > 1.0)
 
 
@@ -39,7 +44,7 @@ def test_shape_gradient_matches_finite_differences():
     obs = rng.normal(size=(3, 6))
     z, _ = actor_forward(actor, Tensor(obs))
     z.mean().backward()
-    w0 = actor.trunk.layers[0][0]
+    w0 = actor.layers[0][0]
     h = 1e-6
     for idx in [(0, 0), (2, 5), (5, 10)]:
         old = w0.data[idx]
@@ -53,10 +58,10 @@ def test_shape_gradient_matches_finite_differences():
 
 
 def test_symmetric_heads_sample_symmetric_about_midpoint():
-    actor = make_actor(dims=1, lo=[-2.0], hi=[6.0], seed=6)
-    for w, b in actor.trunk.layers:
+    actor = make_actor(dims=1, seed=6)
+    for w, b in actor.layers:
         w.data[:] = 0.0
-        b.data[:] = 0.0  # zeta = eta -> symmetric about the interval midpoint
+        b.data[:] = 0.0  # zeta = eta -> symmetric about the unit midpoint
     rng = np.random.default_rng(7)
     obs = np.zeros((20_000, 6))
     unit, _ = sample_action(actor, obs, rng)
@@ -76,18 +81,8 @@ def test_unit_interval_logp_equals_raw_beta_density():
     assert np.allclose(logp, direct, atol=1e-12)
 
 
-def test_wide_interval_subtracts_log_width():
-    narrow = make_actor(dims=1, lo=[0.0], hi=[1.0], seed=10)
-    wide = make_actor(dims=1, lo=[-5.0], hi=[5.0], seed=10)
-    rng1, rng2 = np.random.default_rng(11), np.random.default_rng(11)
-    obs = np.zeros((4, 6))
-    _, lp_narrow = sample_action(narrow, obs, rng1)
-    _, lp_wide = sample_action(wide, obs, rng2)
-    assert np.allclose(lp_wide, lp_narrow - math.log(10.0), atol=1e-12)
-
-
 def test_log_prob_entropy_consistent_with_sampling():
-    actor = make_actor(dims=3, lo=[0, 0, -5], hi=[1, 1, 5], seed=12)
+    actor = make_actor(dims=3, seed=12)
     rng = np.random.default_rng(13)
     obs = rng.normal(size=(7, 6))
     unit, logp = sample_action(actor, obs, rng)

@@ -115,6 +115,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert ev1.objective == ev2.objective
 
 
+def test_checkpoint_roundtrip_through_path_without_suffix(tmp_path):
+    trainer = Trainer(*smoke_configs(seed=17))
+    path = tmp_path / "ckpt"
+    trainer.save_checkpoint(path)
+    assert path.exists() and not (tmp_path / "ckpt.npz").exists()
+    clone = Trainer(*smoke_configs(seed=17))
+    for p in clone.named_parameters().values():
+        p.data = p.data + 1.0
+    clone.load_checkpoint(path)
+    for name, p in trainer.named_parameters().items():
+        assert np.array_equal(clone.named_parameters()[name].data, p.data), name
+
+
+@pytest.mark.parametrize("key", ["__version__", "__config_hash__"])
+def test_checkpoint_without_metadata_names_the_key(tmp_path, key):
+    trainer = Trainer(*smoke_configs(seed=18))
+    arrays = {name: p.data for name, p in trainer.named_parameters().items()}
+    arrays.update(__version__=np.array(2), __config_hash__=np.array(trainer.config_hash()))
+    del arrays[key]
+    path = tmp_path / "bare.npz"
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=key):
+        trainer.load_checkpoint(path)
+
+
 def test_checkpoint_config_mismatch_rejected(tmp_path):
     tcfg, scfg = smoke_configs(seed=10)
     trainer = Trainer(tcfg, scfg)
@@ -183,6 +208,23 @@ def test_actor_outputs_stay_above_one_through_training():
     assert np.all(z.data > 1.0) and np.all(e.data > 1.0)
 
 
+def test_uav_log_probs_are_unit_cube_beta_densities():
+    # the stored log-prob is the Beta density of the stored unit action, with
+    # no Jacobian of the map to the physical acceleration range
+    from scipy.special import gammaln
+
+    from uav_iscc.mappo import actor_forward
+    from uav_iscc.numerics import Tensor
+
+    trainer = Trainer(*smoke_configs(seed=19))
+    uav = trainer.collect_episode().uav
+    z, e = (t.data for t in actor_forward(trainer.actors["uav"], Tensor(uav.obs)))
+    x = uav.actions
+    direct = (gammaln(z + e) - gammaln(z) - gammaln(e)
+              + (z - 1) * np.log(x) + (e - 1) * np.log(1 - x)).sum(axis=-1)
+    assert np.allclose(uav.log_probs, direct, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("error, wrapped", [
     (np.linalg.LinAlgError, True), (FloatingPointError, True), (ValueError, True),
     (TypeError, False), (AttributeError, False), (KeyError, False), (IndexError, False),
@@ -197,9 +239,10 @@ def test_only_numeric_faults_become_trainer_faults(monkeypatch, tmp_path, error,
 
     monkeypatch.setattr(trainer_module, "world_step", failing_step)
     trainer = Trainer(*smoke_configs(seed=15))
-    path = tmp_path / "fault.npz"
+    path = tmp_path / "fault"  # no suffix: the file lands at exactly this path
     with pytest.raises(trainer_module.TrainerFault if wrapped else error) as info:
         trainer.train(fault_checkpoint=path)
     if wrapped:
         assert isinstance(info.value.__cause__, error)
     assert path.exists() == wrapped
+
