@@ -47,9 +47,9 @@ def sample_action(trunk: MlpParams, obs_batch: np.ndarray,
 
 
 def greedy_action(trunk: MlpParams, obs_batch: np.ndarray) -> np.ndarray:
-    """Deterministic unit action [B, A]: the Beta mean z/(z+e)."""
+    """Deterministic unit action [B, A]: the Beta mean z/(z+e), in float64."""
     with no_grad():
-        zeta, eta = (t.data for t in actor_forward(trunk, Tensor(obs_batch)))
+        zeta, eta = (t.data.astype(np.float64) for t in actor_forward(trunk, Tensor(obs_batch)))
     return zeta / (zeta + eta)
 
 

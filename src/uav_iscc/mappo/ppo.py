@@ -28,8 +28,7 @@ def actor_loss(actor, obs_mb, act_mb, logp_old, adv_norm, clip_ratio: float,
     """-(mean(min(ratio*A, clip(ratio)*A)) + entropy bonus)."""
     logp_new, entropy = log_prob_entropy(actor, Tensor(obs_mb), act_mb)
     ratio = (logp_new - logp_old).exp()
-    adv = Tensor(adv_norm)
-    surr = (ratio * adv).minimum(ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * adv)
+    surr = (ratio * adv_norm).minimum(ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * adv_norm)
     loss = -(surr.mean() + entropy_coef * entropy.mean())
     stats = {
         "entropy": float(entropy.data.mean()),
@@ -43,7 +42,7 @@ def critic_loss(critic, batch: RolloutBatch, kind: str, idx: np.ndarray,
                 targets: np.ndarray) -> Tensor:
     values = critic_values_batch(critic, batch.mu.obs[idx], batch.mu.actions[idx],
                                  batch.uav.obs[idx], batch.uav.actions[idx], kind)
-    diff = values - Tensor(targets)
+    diff = values - targets
     return (diff * diff).mean()
 
 

@@ -44,8 +44,8 @@ class TrainerFault(RuntimeError):
 # numeric faults of the simulated world; ValueError covers DomainError
 _ENV_FAULTS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
-# 2: the attention query/key/value maps are one stacked tensor each
-CHECKPOINT_VERSION = 2
+# 3: every tensor is float32 (2: float64; 1: per-head attention maps)
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -200,8 +200,9 @@ class Trainer:
     # ------------------------------------------------------------------
     def _values(self, batch: RolloutBatch, kind: str) -> np.ndarray:
         with no_grad():
-            return critic_values_batch(self.critics[kind], batch.mu.obs, batch.mu.actions,
-                                       batch.uav.obs, batch.uav.actions, kind).data
+            values = critic_values_batch(self.critics[kind], batch.mu.obs, batch.mu.actions,
+                                         batch.uav.obs, batch.uav.actions, kind)
+        return values.data.astype(np.float64)  # advantages and targets stay float64
 
     def prepare_batch(self, batch: RolloutBatch) -> RolloutBatch:
         cfg = self.config
@@ -342,9 +343,12 @@ class Trainer:
             if loaded[name].shape != p.data.shape:
                 raise ValueError(f"checkpoint tensor {name} has shape {loaded[name].shape}, "
                                  f"expected {p.data.shape}")
+            if loaded[name].dtype != p.data.dtype:
+                raise ValueError(f"checkpoint tensor {name} has dtype {loaded[name].dtype}, "
+                                 f"expected {p.data.dtype}")
         # every tensor was checked, so a failed load leaves the trainer as it was
         for name, p in params.items():
-            p.data = loaded[name].astype(np.float64)
+            p.data = loaded[name]
 
 
 def penalty_rates(batch: RolloutBatch) -> dict:

@@ -25,7 +25,7 @@ class MlpParams:
         layers = []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             w = parameter((n_in, n_out), rng)
-            b = parameter(np.zeros(n_out))
+            b = parameter(np.zeros(n_out, dtype=np.float32))
             layers.append((w, b))
         return cls(layers=layers)
 
@@ -34,8 +34,11 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    """Run the MLP; `x` may carry arbitrary leading batch dimensions."""
-    x = Tensor._lift(x)
+    """Run the MLP; `x` may carry arbitrary leading batch dimensions. A constant
+    input (an array or an untracked Tensor) is cast once to the weights' dtype."""
+    if params.layers and not (isinstance(x, Tensor) and x._tracked):
+        x = Tensor(np.asarray(x.data if isinstance(x, Tensor) else x,
+                              dtype=params.layers[0][0].data.dtype))
     for i, (w, b) in enumerate(params.layers):
         if x.shape[-1] != w.shape[0]:
             raise DimensionError(

@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over a dynamically recorded graph.
 
-A Tensor wraps a float64 numpy array plus an optional gradient accumulator.
+A Tensor wraps a float32 numpy array (the networks' dtype) or a float64 one
+(anything else) plus an optional gradient accumulator of the same dtype.
 Operations record closures on a tape (none inside ``no_grad()``); calling
 ``backward()`` on a scalar loss walks the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad=True``.
 Plain numpy arrays and Python scalars are promoted to constant tensors on the
-fly; a constant (neither ``requires_grad`` nor recorded parents) gets no gradient.
+fly, in the dtype of the tensor they meet, so no result rests on numpy's scalar
+promotion rules; a constant (neither ``requires_grad`` nor recorded parents)
+gets no gradient.
 """
 
 from __future__ import annotations
@@ -67,12 +70,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """N-d float64 array with an optional same-shape gradient accumulator."""
+    """N-d array, float32 if given float32 and float64 otherwise, with an
+    optional same-shape, same-dtype gradient accumulator."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -103,7 +108,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray):
         if not self._tracked:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
         if self.grad is None:
             self.grad = grad  # no copy: nothing writes a .grad in place
         else:
@@ -136,8 +141,11 @@ class Tensor:
     # graph construction helper
     # ------------------------------------------------------------------
     @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(x, like: "Tensor | None" = None) -> "Tensor":
+        """`x` as a Tensor; an array or scalar takes the dtype of `like` when given."""
+        if isinstance(x, Tensor):
+            return x
+        return Tensor(x if like is None else np.asarray(x, dtype=like.data.dtype))
 
     @staticmethod
     def _records(parents) -> bool:
@@ -156,7 +164,7 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
 
         def backward(g):
             self._accumulate(g)
@@ -173,10 +181,10 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-Tensor._lift(other))
+        return self + (-Tensor._lift(other, self))
 
     def __mul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
 
         def backward(g):  # constants skip their product
             if self._tracked:
@@ -189,9 +197,21 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self.data, other.data
-        # promote 1-d operands so one backward rule covers every case
+        if b.ndim == 2:
+            # [..., n] @ [n, m]: the backward folds the leading axes into rows, one
+            # GEMM per gradient. The forward stays batched: folding it would change
+            # how BLAS blocks a slot's rows, and with it the bits of the result.
+            def backward(g):
+                g_rows = g.reshape(-1, b.shape[1])
+                if self._tracked:  # constants skip their product
+                    self._accumulate((g_rows @ b.T).reshape(a.shape))
+                if other._tracked:
+                    other._accumulate(a.reshape(-1, b.shape[0]).T @ g_rows)
+
+            return self._make(a @ b, (self, other), backward)
+        # promote 1-d operands so one backward rule covers every other case
         a2 = a[None, :] if a.ndim == 1 else a
         b2 = b[:, None] if b.ndim == 1 else b
 
@@ -201,7 +221,7 @@ class Tensor:
                 g2 = np.expand_dims(g2, -2)
             if b.ndim == 1:
                 g2 = np.expand_dims(g2, -1)
-            if self._tracked:  # constants skip their product
+            if self._tracked:
                 self._accumulate(_unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape))
             if other._tracked:
                 other._accumulate(_unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape).reshape(b.shape))
@@ -260,7 +280,7 @@ class Tensor:
         return self._make(np.clip(self.data, lo, hi), (self,), backward)
 
     def minimum(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         take_self = self.data <= other.data
 
         def backward(g):
@@ -357,8 +377,9 @@ def self_masked_attention(q, key, val, offset: int) -> Tensor:
     scale = 1.0 / np.sqrt(d)
     own = np.arange(n_q)
     # the backward needs every chunk's weights; without it each chunk is scratch
-    weights = np.empty((*stack, n_q, n_u)) if Tensor._records((q, key, val)) else None
-    out = np.empty((*stack, n_q, vs.shape[-1]))
+    dtype = np.result_type(qs, ks, vs)
+    weights = np.empty((*stack, n_q, n_u), dtype) if Tensor._records((q, key, val)) else None
+    out = np.empty((*stack, n_q, vs.shape[-1]), dtype)
     for c in chunks:
         w = np.matmul(qs[c], ks[c].swapaxes(-1, -2), out=None if weights is None else weights[c])
         w *= scale
@@ -370,7 +391,7 @@ def self_masked_attention(q, key, val, offset: int) -> Tensor:
 
     def backward(g):
         g = g.reshape(out.shape)
-        gq, gkey_t, gval = np.empty(qs.shape), np.empty((*stack, d, n_u)), np.empty(vs.shape)
+        gq, gkey_t, gval = (np.empty(shape, dtype) for shape in (qs.shape, (*stack, d, n_u), vs.shape))
         for c in chunks:
             w = weights[c]
             np.matmul(w.swapaxes(-1, -2), g[c], out=gval[c])
@@ -388,12 +409,13 @@ def self_masked_attention(q, key, val, offset: int) -> Tensor:
 
 
 def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
-    """Trainable tensor. With `rng`, `data` is read as a shape and filled
-    uniformly in +-scale (Glorot-style limit when scale is None)."""
+    """Trainable tensor. With `rng`, `data` is read as a shape and filled with
+    float64 uniforms in +-scale (Glorot-style limit when scale is None), rounded
+    to float32; without it the tensor keeps the dtype of `data`."""
     if rng is not None:
         shape = tuple(data)
         if scale is None:
             fan_in = shape[0] if len(shape) > 1 else max(shape[0], 1)
             scale = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+        return Tensor(rng.uniform(-scale, scale, size=shape).astype(np.float32), requires_grad=True)
     return Tensor(data, requires_grad=True)

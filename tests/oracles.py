@@ -25,6 +25,14 @@ from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
 _MASK = -1e30
 
 
+def in_float64(*params: Tensor) -> None:
+    """Cast parameters (say, a network's `parameters()`) to float64 in place, so
+    that a finite-difference or oracle comparison is not limited by float32
+    rounding."""
+    for p in params:
+        p.data = p.data.astype(np.float64)
+
+
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax; outputs are positive and sum to one on `axis`.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import attention_weights, critic_forward, masked_attention_chain
+from oracles import attention_weights, critic_forward, in_float64, masked_attention_chain
 from uav_iscc.mappo import CriticParams, critic_values_batch
 from uav_iscc.mappo import critics as critics_module
 from uav_iscc.numerics import Tensor, mlp_forward, no_grad
@@ -26,6 +26,7 @@ def random_instance(critic, k=2, m=2, t=3, seed=1):
 
 def test_batched_matches_reference_forward():
     critic = make_critic()
+    in_float64(*critic.parameters())
     for k, m in [(2, 2), (3, 2), (1, 3), (4, 1)]:
         mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, k=k, m=m, seed=k + 10 * m)
         for want, agents in (("mu", range(k)), ("uav", range(k, k + m))):
@@ -67,6 +68,7 @@ def test_unknown_agent_type_rejected():
 
 def test_uav_critic_loss_gradient_matches_finite_differences():
     critic = make_critic(seed=14)
+    in_float64(*critic.parameters())
     inputs = random_instance(critic, k=3, m=2, t=2, seed=15)
     targets = np.random.default_rng(16).normal(size=(2, 2))
 
@@ -106,6 +108,7 @@ def test_permutation_of_other_agents_leaves_value_unchanged():
     obs = [rng.uniform(0, 1, 4) for _ in range(k)] + [rng.uniform(0, 1, 5) for _ in range(m)]
     act = [rng.uniform(0, 1, 4) for _ in range(k)] + [rng.uniform(0, 1, 5) for _ in range(m)]
     critic2 = make_critic(mu_in=8, uav_in=10, seed=2)
+    in_float64(*critic2.parameters())
     base = critic_forward(critic2, obs, act, num_mus=k, agent=0).item()
     # swap two other MU agents (same-type swap keeps encoder assignment)
     obs_p = [obs[0], obs[2], obs[1], obs[3], obs[4]]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import attention_pool, attention_weights, head_rows
+from oracles import attention_pool, attention_weights, head_rows, in_float64
 from uav_iscc.numerics import AttentionBlockParams, Tensor, parameter
 
 
@@ -75,6 +75,7 @@ def test_pool_output_matches_manual_composition(block):
 
 
 def test_pool_gradient_matches_finite_differences(block):
+    in_float64(*block.parameters())
     rng = np.random.default_rng(7)
     query = parameter(rng.normal(size=16))
     others = [parameter(rng.normal(size=16)) for _ in range(3)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import in_float64
 from uav_iscc.mappo import actor_forward, greedy_action, log_prob_entropy, sample_action
 from uav_iscc.numerics import MlpParams, Tensor, mlp_forward
 
@@ -40,6 +41,7 @@ def test_shapes_always_above_one():
 
 def test_shape_gradient_matches_finite_differences():
     actor = make_actor(seed=4)
+    in_float64(*actor.parameters())
     rng = np.random.default_rng(5)
     obs = rng.normal(size=(3, 6))
     z, _ = actor_forward(actor, Tensor(obs))
@@ -70,6 +72,7 @@ def test_symmetric_heads_sample_symmetric_about_midpoint():
 
 def test_unit_interval_logp_equals_raw_beta_density():
     actor = make_actor(dims=2, seed=8)
+    in_float64(*actor.parameters())
     rng = np.random.default_rng(9)
     obs = rng.normal(size=(5, 6))
     unit, logp = sample_action(actor, obs, rng)

@@ -16,18 +16,26 @@ from uav_iscc.mappo import (
 from uav_iscc.numerics import AdamState, Tensor, adam_step, beta_entropy
 
 
-def tiny_trainer(seed=0):
-    cfg = TrainerConfig(episodes=1, episode_length=8, ppo_epochs=2, minibatches=2,
-                        hidden_sizes=(8, 12), feature_dim=8, attention_heads=2,
-                        seed=seed)
-    scenario = ScenarioConfig(num_mus=3, num_uavs=2).validate()
+def tiny_trainer(seed=0, num_mus=3, num_uavs=2, episode_length=8, hidden_sizes=(8, 12)):
+    cfg = TrainerConfig(episodes=1, episode_length=episode_length, ppo_epochs=2,
+                        minibatches=2, hidden_sizes=hidden_sizes, feature_dim=8,
+                        attention_heads=2, seed=seed)
+    scenario = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
     return Trainer(cfg, scenario)
 
 
-def test_ratio_identity_after_collection():
+@pytest.mark.parametrize("num_mus, num_uavs, episode_length, hidden_sizes", [
+    (3, 2, 8, (8, 12)),
+    # wide and short at the default widths: an update forward that folded the
+    # slots into one [T*K, n] GEMM rounds some rows differently from the
+    # rollout's [K, n] GEMM here, so this case fails on that design
+    (128, 8, 4, (64, 128)),
+], ids=["3x2", "128x8"])
+def test_ratio_identity_after_collection(num_mus, num_uavs, episode_length, hidden_sizes):
     # sampling and the update evaluate one density, so before any step the
     # stored and recomputed log-probs agree bit for bit and every ratio is 1
-    trainer = tiny_trainer()
+    trainer = tiny_trainer(num_mus=num_mus, num_uavs=num_uavs,
+                           episode_length=episode_length, hidden_sizes=hidden_sizes)
     batch = trainer.prepare_batch(trainer.collect_episode())
     for kind in ("mu", "uav"):
         roll = batch.of(kind)

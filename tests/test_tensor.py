@@ -19,7 +19,7 @@ from uav_iscc.numerics import (
 from uav_iscc.numerics import tensor as tensor_module
 from uav_iscc.numerics.tensor import _trigamma
 
-from oracles import masked_attention_chain, softmax
+from oracles import in_float64, masked_attention_chain, softmax
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -91,6 +91,7 @@ def test_composite_gradients_match_finite_differences(seed):
     w1 = parameter((4, 6), rng)
     b1 = parameter(rng.normal(size=6) * 0.1)
     w2 = parameter((6, 3), rng)
+    in_float64(w1, w2)
     x = rng.normal(size=(7, 4))
 
     def loss_fn():
@@ -374,6 +375,7 @@ def test_mlp_identity_single_layer():
 def test_mlp_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     mlp = MlpParams.create([5, 8, 3], rng)
+    in_float64(*mlp.parameters())
     x = rng.normal(size=(6, 5))
 
     def loss_fn():
