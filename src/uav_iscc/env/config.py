@@ -133,6 +133,9 @@ class ScenarioConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, linear in (("noise_power_dbm", self.noise_power), ("ref_gain_db", self.ref_gain)):
+            if not linear > 0:
+                raise ConfigError(f"{name} = {getattr(self, name)} is {linear} in linear units, need > 0")
         if self.safety_distance >= self.region_width:
             raise ConfigError("safety_distance must be smaller than region_width")
         for lo, hi in [

@@ -71,7 +71,8 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
 
 
 def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Solve against Hermitian positive definite matrices with a loading fallback.
+    """Solve against the uplink's Hermitian positive definite noise covariances
+    with a loading fallback.
 
     `mat` is [..., n, n] and `rhs` [..., n] with the same leading axes; the
     solution is [..., n]. When a stacked solve fails, the stack is solved
@@ -90,34 +91,28 @@ def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[n
 
 
 def build_radar_state(world: WorldState, cfg: ScenarioConfig
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every UAV's sensing in one slot: (SINR [M], estimation rate [M] in bps,
-    uplink leakage [M, W_R, W_R], diagonal loading used).
+    uplink leakage [M, W_R, W_R]).
 
-    Each UAV steers a full-power beam down at its target, filters the echo with
-    the max-SINR filter against its clutter plus noise, and leaks the waveform
-    G w, with G the target response plus the clutter gain, into its own uplink
-    receiver as the covariance (G w)(G w)^H.
+    Each UAV steers a full-power beam w = sqrt(P/n) a down at its target, with
+    `a` the array response toward the target. The echo d a a^H w, the clutter
+    covariance |c|^2 w w^H and the beam all lie along `a`, so the max-SINR
+    filter R^-1 s is `a` itself and its output SINR is the closed form
+    n^2 P / (|c|^2 P + sigma^2): it depends on the clutter magnitude alone.
+    The waveform leaks into the UAV's own uplink receiver as (G w)(G w)^H,
+    with G the target response plus the clutter gain.
     """
     n = cfg.rx_antennas
+    power = cfg.uav_power_max
     horiz = row_norm(world.uav_positions - world.uav_targets)
     a = steering(np.sin(np.arctan2(cfg.altitude, horiz)), n)     # [M, n]
-    w = math.sqrt(cfg.uav_power_max) * a / row_norm(a)[:, None]
+    w = math.sqrt(power) * a / row_norm(a)[:, None]
+    sinr = n * n * power / (np.abs(world.uav_clutter) ** 2 * power + cfg.noise_power)
     response = world.uav_doppler[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
-    cov = (np.abs(world.uav_clutter)[:, None, None] ** 2
-           * (w[:, :, None] * w.conj()[:, None, :]) + cfg.noise_power * np.eye(n))
-    cov = 0.5 * (cov + cov.conj().swapaxes(-1, -2))
-    steer = (response @ w[..., None])[..., 0]
-    filt, loaded = _solve_hpd(cov, steer, cfg)
-    norm = row_norm(filt)
-    filt = np.where((norm > 0)[:, None], filt / np.where(norm > 0, norm, 1.0)[:, None],
-                    np.ones(n, dtype=complex) / math.sqrt(n))
-    signal = np.abs(_dot(filt.conj(), steer)) ** 2
-    noise = np.real(_dot(filt.conj(), (cov @ filt[..., None])[..., 0]))
-    sinr = np.where(noise > 0, signal / np.where(noise > 0, noise, 1.0), 0.0)
     g = response + world.uav_clutter[:, None, None] * np.eye(n)
     leaked = (g @ w[..., None])[..., 0]
-    return sinr, radar_rate(sinr, cfg), leaked[:, :, None] * leaked.conj()[:, None, :], loaded
+    return sinr, radar_rate(sinr, cfg), leaked[:, :, None] * leaked.conj()[:, None, :]
 
 
 def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:

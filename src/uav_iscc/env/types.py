@@ -64,7 +64,7 @@ class SlotReport:
     boundary_overshoot: np.ndarray    # m per UAV, distance clipped away this slot
     pair_distance: np.ndarray         # m, [M, M] post-move UAV separations
     safety_violated: np.ndarray       # bool per UAV
-    loading_applied: bool = False     # diagonal loading used in a matrix solve
+    loading_applied: bool = False     # diagonal loading used in the uplink combiner solve
 
     def objective(self, weight_factor: float) -> float:
         """Weighted network energy of this slot."""

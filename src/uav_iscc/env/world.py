@@ -84,9 +84,8 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     """
     k_count, m_count = world.num_mus, world.num_uavs
     channels = build_all_channels(world, cfg, rng)
-    radar_sinr, radar_rates, leakage, loading = build_radar_state(world, cfg)
-    links, link_rates, loaded = design_links(channels, alloc, leakage, cfg)
-    loading = loading or loaded
+    radar_sinr, radar_rates, leakage = build_radar_state(world, cfg)
+    links, link_rates, loading = design_links(channels, alloc, leakage, cfg)
 
     # task pipeline: one call per MU on Python floats, then one array per field
     serving = alloc.serving

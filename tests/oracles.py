@@ -510,15 +510,15 @@ def steering_vector(angle: float, n: int) -> np.ndarray:
 
 def _solve_hpd_one(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig):
     try:
-        return np.linalg.solve(mat, rhs), False
+        return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
-        loaded = mat + cfg.noise_power * 1e-6 * np.eye(mat.shape[0])
-        return np.linalg.solve(loaded, rhs), True
+        return np.linalg.solve(mat + cfg.noise_power * 1e-6 * np.eye(mat.shape[0]), rhs)
 
 
 def build_radar_state(world: WorldState, m: int, cfg: ScenarioConfig) -> dict:
-    """One UAV's sensing, with `math.atan2` and `math.log2`: a dict of sinr,
-    rate, leakage, loaded and the clutter-plus-noise covariance."""
+    """One UAV's sensing, with `math.atan2` and `math.log2` and the max-SINR
+    filter solved from the clutter-plus-noise covariance: a dict of sinr, rate,
+    leakage and that covariance."""
     n = cfg.rx_antennas
     horiz = float(np.linalg.norm(world.uav_positions[m] - world.uav_targets[m]))
     a = steering_vector(math.atan2(cfg.altitude, horiz), n)
@@ -527,7 +527,7 @@ def build_radar_state(world: WorldState, m: int, cfg: ScenarioConfig) -> dict:
     clutter = complex(world.uav_clutter[m])
     cov = (abs(clutter) ** 2) * np.outer(w, w.conj()) + cfg.noise_power * np.eye(n)
     cov = 0.5 * (cov + cov.conj().T)
-    filt, loaded = _solve_hpd_one(cov, response @ w, cfg)
+    filt = _solve_hpd_one(cov, response @ w, cfg)
     norm = np.linalg.norm(filt)
     filt = filt / norm if norm > 0 else np.ones(n, dtype=complex) / math.sqrt(n)
     signal = abs(np.vdot(filt, response @ w)) ** 2
@@ -537,7 +537,7 @@ def build_radar_state(world: WorldState, m: int, cfg: ScenarioConfig) -> dict:
     rate = cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * math.log2(1.0 + gain)
     leaked = (response + clutter * np.eye(n)) @ w
     return {"sinr": float(sinr), "rate": rate, "leakage": np.outer(leaked, leaked.conj()),
-            "loaded": loaded, "covariance": cov}
+            "covariance": cov}
 
 
 def decode_uav_action(share_logits: np.ndarray, acceleration: np.ndarray, roster: np.ndarray,

@@ -49,6 +49,15 @@ def test_negative_capacity_or_noise_std_rejected(name):
         tiny_cfg(**{name: -1})
 
 
+@pytest.mark.parametrize("name", ["noise_power_dbm", "ref_gain_db"])
+def test_db_setting_that_underflows_to_zero_rejected(name):
+    # 10^(-400) is 0.0 in float64: a zero noise power leaves the combiner's
+    # covariance singular, a zero reference gain makes every channel zero
+    tiny_cfg(**{name: -200.0})
+    with pytest.raises(ConfigError, match=name):
+        tiny_cfg(**{name: -4000.0})
+
+
 def random_actions(cfg, rng):
     mu_actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
                   for _ in range(cfg.num_mus)]
