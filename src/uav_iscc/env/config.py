@@ -116,8 +116,8 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         non_negative = ["num_mus", "roster_capacity",
                         "mobility_speed_noise_std", "mobility_heading_noise_std"]
-        for name in non_negative:
-            if getattr(self, name) < 0:
+        for name in non_negative:   # `not >=` and `not >` reject NaN too
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         positive = [
             "region_width", "altitude", "slot_seconds",
@@ -131,11 +131,16 @@ class ScenarioConfig:
             "weight_factor", "distance_threshold",
         ]
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, linear in (("noise_power_dbm", self.noise_power), ("ref_gain_db", self.ref_gain)):
-            if not linear > 0:
-                raise ConfigError(f"{name} = {getattr(self, name)} is {linear} in linear units, need > 0")
+        for name, prop in (("noise_power_dbm", "noise_power"), ("ref_gain_db", "ref_gain")):
+            try:
+                linear = getattr(self, prop)
+            except OverflowError:       # 10 ** (dB / 10) beyond the float range
+                linear = math.inf
+            if not 0 < linear < math.inf:
+                raise ConfigError(f"{name} = {getattr(self, name)} is {linear} in linear units, "
+                                  "need a finite value > 0")
         if self.safety_distance >= self.region_width:
             raise ConfigError("safety_distance must be smaller than region_width")
         for lo, hi in [

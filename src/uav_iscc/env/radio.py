@@ -121,21 +121,29 @@ def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * np.log2(1.0 + gain)
 
 
+def _principal_direction(channel: np.ndarray) -> np.ndarray:
+    """Unit principal right-singular direction [..., W_T] of `channel` [..., W_R, W_T],
+    as the last eigenvector of H^H H, up to a unit phase."""
+    return np.linalg.eigh(channel.conj().swapaxes(-1, -2) @ channel)[1][..., -1]
+
+
 def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
                     cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Unit-norm combiner: noise_cov^-1 H u1 along the channel's principal direction.
+    """Unit-norm combiner: noise_cov^-1 H v1 along the channel's principal direction.
 
     `channel` is [..., W_R, W_T] and `noise_cov` [..., W_R, W_R]; the
-    combiners are [..., W_R]. A combiner whose solve comes out zero falls back
-    to the normalized principal direction. A non-finite channel or noise
-    covariance (a non-finite interfering channel) raises ValueError before the SVD.
+    combiners are [..., W_R]. The principal right-singular direction v1 is the
+    last eigenvector of `eigh(H^H H)` (`_principal_direction`); its unit phase
+    is arbitrary, and the rate P ||H^H w||^2 does not depend on it. A combiner
+    whose solve comes out zero falls back to the normalized principal
+    direction. A non-finite channel or noise covariance (a non-finite
+    interfering channel) raises ValueError before the eigensolver.
     """
     if not np.all(np.isfinite(channel)):
         raise ValueError("channel contains non-finite entries")
     if not np.all(np.isfinite(noise_cov)):
         raise ValueError("noise covariance contains non-finite entries")
-    _, _, vh = np.linalg.svd(channel)
-    principal = (channel @ vh[..., 0, :, None].conj())[..., 0]
+    principal = (channel @ _principal_direction(channel)[..., None])[..., 0]
     w, loaded = _solve_hpd(noise_cov, principal, cfg)
     norm = row_norm(w)
     zero = norm == 0
@@ -163,6 +171,27 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
     return np.maximum(rate, 0.0), s
 
 
+def _link_covariances(channels: np.ndarray, served: np.ndarray, serving: np.ndarray,
+                      leakage: np.ndarray, cfg: ScenarioConfig
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each served link's channel and noise covariance: ([S, W_R, W_T], [S, W_R, W_R]).
+
+    `served` holds the S served MUs and `serving` their UAVs. Every UAV hears
+    all S of them: its interference P H_m H_m^H is one Gram of `wide`
+    [M, W_R, S*W_T], the UAV's served channels side by side. A link drops its
+    own MU's P h h^H from that Gram, adds sigma^2 I and is symmetrised; the
+    radar leakage, by far the largest term, is added last, so each covariance
+    rounds once at the leakage's scale.
+    """
+    num_uavs, n_r = channels.shape[1], channels.shape[2]
+    wide = channels[served].transpose(1, 2, 0, 3).reshape(num_uavs, n_r, -1)
+    interference = cfg.mu_power_max * (wide @ wide.conj().swapaxes(-1, -2))   # [M, W_R, W_R]
+    h = channels[served, serving]                                        # [S, W_R, W_T]
+    own = cfg.mu_power_max * (h @ h.conj().swapaxes(-1, -2))
+    rest = cfg.noise_power * np.eye(n_r) + (interference[serving] - own)
+    return h, leakage[serving] + 0.5 * (rest + rest.conj().swapaxes(-1, -2))
+
+
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, bool]:
     """MMSE combiner rate for every associated MU: (served MUs [S] in ascending
@@ -170,25 +199,15 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
 
     `channels` is the slot's [K, M, W_R, W_T] draw and `leakage` the [M, W_R, W_R]
     radar leakage from `build_radar_state`. Each UAV's covariance holds noise,
-    its radar leakage and every associated MU's P h h^H; a link's noise
-    covariance drops its own MU's term. All served links are designed in one
-    stacked pass. An empty association returns before the channels are read.
+    its radar leakage and every associated MU's P h h^H, formed as one Gram per
+    UAV; a link's noise covariance drops its own MU's term (`_link_covariances`).
+    All served links are designed in one stacked pass. An empty association
+    returns before the channels are read.
     """
     k = np.flatnonzero(alloc.serving >= 0)
     if k.size == 0:
         return k, np.zeros(0), False
-    m = alloc.serving[k]
-    n = cfg.rx_antennas
-    chans = channels[k]                                              # [S, M, W_R, W_T]
-    grams = cfg.mu_power_max * (chans @ chans.conj().swapaxes(-1, -2))  # [S, M, W_R, W_R]
-    total = cfg.noise_power * np.eye(n, dtype=complex) + leakage    # [M, W_R, W_R]
-    for gram in grams:  # one add per MU in ascending order: a fixed rounding order
-        total = total + gram
-    total = 0.5 * (total + total.conj().swapaxes(-1, -2))
-    own = np.arange(k.size), m                  # each link's entry of the [S, M] stacks
-    n_cov = total[m] - grams[own]                                   # [S, W_R, W_R]
-    n_cov = 0.5 * (n_cov + n_cov.conj().swapaxes(-1, -2))
-    h = chans[own]
+    h, n_cov = _link_covariances(channels, k, alloc.serving[k], leakage, cfg)
     w, loaded = mmse_beamformer(h, n_cov, cfg)
     rates, _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
     return k, rates, loaded

@@ -322,6 +322,17 @@ def interference_covariance(channels: np.ndarray, alloc: Allocation, leakage: np
     return 0.5 * (cov + cov.conj().T)
 
 
+def link_covariance(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
+                    cfg: ScenarioConfig, k: int) -> np.ndarray:
+    """Noise covariance of MU k's link: its UAV's covariance, built MU by MU,
+    minus k's own P h h^H."""
+    m = serving_uav(alloc, k)
+    h = channels[k, m]
+    n_cov = interference_covariance(channels, alloc, leakage, cfg, m) \
+        - cfg.mu_power_max * (h @ h.conj().T)
+    return 0.5 * (n_cov + n_cov.conj().T)
+
+
 def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
     try:
         return np.linalg.solve(mat, rhs), False
@@ -332,9 +343,10 @@ def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[n
 
 def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
                     cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Unit-norm combiner of one link: noise_cov^-1 H u1."""
-    _, _, vh = np.linalg.svd(channel)
-    principal = channel @ vh[0].conj()
+    """Unit-norm combiner of one link: noise_cov^-1 H v1, with v1 the last
+    eigenvector of H^H H."""
+    _, vecs = np.linalg.eigh(channel.conj().T @ channel)
+    principal = channel @ vecs[:, -1]
     w, loaded = _solve_hpd(noise_cov, principal, cfg)
     norm = np.linalg.norm(w)
     if norm == 0:
@@ -357,19 +369,16 @@ def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray
 
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> tuple[dict, bool]:
-    """Per-UAV, per-MU loop that `uav_iscc.env.design_links` must match bit for bit."""
+    """Per-UAV, per-MU loop that `uav_iscc.env.design_links` is compared with.
+
+    Each covariance adds the MUs one at a time onto noise plus leakage, so it
+    rounds differently from the per-UAV Gram of the stacked code."""
     rates: dict[int, float] = {}
     loaded_any = False
     for m in range(alloc.edge_cpu.shape[1]):
-        served = served_by(alloc, m)
-        if served.size == 0:
-            continue
-        total = interference_covariance(channels, alloc, leakage, cfg, m)
-        for k in served:
+        for k in served_by(alloc, m):
             h = channels[k, m]
-            own = cfg.mu_power_max * (h @ h.conj().T)
-            n_cov = total - own
-            n_cov = 0.5 * (n_cov + n_cov.conj().T)
+            n_cov = link_covariance(channels, alloc, leakage, cfg, k)
             w, loaded = mmse_beamformer(h, n_cov, cfg)
             loaded_any = loaded_any or loaded
             rates[int(k)] = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)

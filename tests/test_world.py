@@ -26,6 +26,7 @@ from uav_iscc.env import (
     ScenarioConfig,
     build_all_channels,
     build_radar_state,
+    design_links,
     draw_task,
     reset_world,
     step_mobility,
@@ -56,6 +57,22 @@ def test_db_setting_that_underflows_to_zero_rejected(name):
     tiny_cfg(**{name: -200.0})
     with pytest.raises(ConfigError, match=name):
         tiny_cfg(**{name: -4000.0})
+
+
+@pytest.mark.parametrize("name", ["noise_power_dbm", "ref_gain_db"])
+def test_db_setting_that_overflows_rejected(name):
+    # 10^500 is past the float range: Python raises OverflowError for it
+    tiny_cfg(**{name: 3000.0})
+    with pytest.raises(ConfigError, match=name):
+        tiny_cfg(**{name: 5000.0})
+
+
+@pytest.mark.parametrize("name", ["altitude", "rician_factor", "mu_power_max",
+                                  "noise_power_dbm", "num_mus", "mobility_speed_noise_std"])
+def test_nan_setting_rejected(name):
+    # nan <= 0 and nan < 0 are False, so a plain comparison lets NaN through
+    with pytest.raises(ConfigError, match=name):
+        tiny_cfg(**{name: math.nan})
 
 
 def random_actions(cfg, rng):
@@ -230,7 +247,8 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
         if num_mus:
             channels = build_all_channels(world, cfg, slot_rng)
             leakage = build_radar_state(world, cfg)[2]
-            rates, _ = oracles.design_links(channels, alloc, leakage, cfg)
+            links, link_rates, _ = design_links(channels, alloc, leakage, cfg)
+            rates = dict(zip(links.tolist(), link_rates.tolist()))
         else:
             rates = {}
         want = oracles.task_pipeline(world, alloc, rates, cfg)
