@@ -95,17 +95,17 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
 
 def flight_power(speed: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Rotary-wing propulsion power at each speed: blade profile + parasite +
-    induced terms.
+    induced terms (Zeng, Xu & Zhang, IEEE TWC 2019).
 
-    The induced term's inner expression follows the configured form: "paper"
-    divides v^4 by 4*v0^2, "standard" by 4*v0^4; both subtract v^2 / (2*v0^2).
+    The induced term is P_i * sqrt(sqrt(1 + v^4 / (4 v0^4)) - v^2 / (2 v0^2)),
+    which falls from P_i at hover toward P_i * v0 / v for v >> v0, so the total
+    has its minimum at a cruising speed, not at hover.
     """
     v2 = speed * speed
     blade = cfg.blade_power * (1.0 + 3.0 * v2 / (cfg.tip_speed ** 2))
     parasite = 0.5 * cfg.fuselage_drag * cfg.air_density * cfg.rotor_solidity \
         * cfg.rotor_area * speed ** 3
     v0_2 = cfg.rotor_velocity ** 2
-    quart = 4.0 * v0_2 if cfg.induced_power_form == "paper" else 4.0 * v0_2 * v0_2
-    inner = np.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)
+    inner = np.sqrt(1.0 + v2 * v2 / (4.0 * v0_2 * v0_2)) - v2 / (2.0 * v0_2)
     induced = cfg.induced_power * np.sqrt(np.maximum(inner, 0.0))
     return blade + parasite + induced

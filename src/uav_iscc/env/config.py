@@ -60,7 +60,6 @@ class ScenarioConfig:
     fuselage_drag: float = 0.6
     air_density: float = 1.225            # kg/m^3
     rotor_solidity: float = 0.05
-    induced_power_form: str = "paper"     # "paper" | "standard" denominators
 
     # objective
     weight_factor: float = 0.001          # UAV energy weight in the objective
@@ -160,6 +159,4 @@ class ScenarioConfig:
         for name in ("mobility_speed_memory", "mobility_heading_memory"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.induced_power_form not in ("paper", "standard"):
-            raise ConfigError("induced_power_form must be 'paper' or 'standard'")
         return self

@@ -506,8 +506,7 @@ def flight_power(speed: float, cfg: ScenarioConfig) -> float:
     parasite = 0.5 * cfg.fuselage_drag * cfg.air_density * cfg.rotor_solidity \
         * cfg.rotor_area * speed ** 3
     v0_2 = cfg.rotor_velocity ** 2
-    quart = 4.0 * v0_2 if cfg.induced_power_form == "paper" else 4.0 * v0_2 * v0_2
-    inner = math.sqrt(1.0 + v2 * v2 / quart) - v2 / (2.0 * v0_2)
+    inner = math.sqrt(1.0 + v2 * v2 / (4.0 * v0_2 * v0_2)) - v2 / (2.0 * v0_2)
     induced = cfg.induced_power * math.sqrt(max(inner, 0.0))
     return blade + parasite + induced
 

@@ -147,29 +147,36 @@ def test_blade_profile_quadruples_at_tip_speed(cfg):
 
 
 def test_flight_power_closed_form_at_20(cfg):
-    v = 20.0
-    blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
-    parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
-    inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 2)) - v ** 2 / (2.0 * 3.6 ** 2)
-    induced = 79.07 * math.sqrt(inner)
-    assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
+    # the rotary-wing model divides v^4 by 4 v0^4 inside the induced term
+    for v in (10.0, 20.0):
+        blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
+        parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
+        inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 4)) - v ** 2 / (2.0 * 3.6 ** 2)
+        induced = 79.07 * math.sqrt(inner)
+        assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
 
 
-def test_flight_power_standard_form_switch():
-    cfg = ScenarioConfig(induced_power_form="standard").validate()
-    v = 10.0
-    inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 4)) - v ** 2 / (2.0 * 3.6 ** 2)
-    induced = 79.07 * math.sqrt(inner)
-    blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
-    parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
-    assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
-    assert flight_power(0.0, cfg) == pytest.approx(138.10, abs=0.01)
+def test_induced_power_tends_to_large_speed_limit():
+    # sqrt(1 + x^2) - x = 1 / (2x) * (1 + O(1 / x^2)) with x = v^2 / (2 v0^2), so
+    # the induced term approaches P_i v0 / v with a relative gap below 1 / (8 x^2)
+    cfg = ScenarioConfig(blade_power=1e-30, fuselage_drag=1e-30).validate()
+    v0 = cfg.rotor_velocity
+    for v in (20.0, 50.0, 100.0):
+        x = v * v / (2.0 * v0 * v0)
+        limit = cfg.induced_power * v0 / v
+        assert abs(flight_power(v, cfg) / limit - 1.0) <= 1.0 / (8.0 * x * x)
 
 
-@pytest.mark.parametrize("form", ["paper", "standard"])
-def test_batched_flight_power_matches_per_speed_oracle(form):
+def test_flight_power_dips_below_hover_at_an_interior_speed(cfg):
+    speeds = np.linspace(0.0, cfg.uav_v_max, 2001)
+    power = flight_power(speeds, cfg)
+    best = int(np.argmin(power))
+    assert 0 < best < speeds.size - 1
+    assert power[best] < power[0] - 10.0
+
+
+def test_batched_flight_power_matches_per_speed_oracle(cfg):
     # np.power in place of Python's pow for v^3; measured at most 2 ulps
-    cfg = ScenarioConfig(induced_power_form=form).validate()
     speeds = np.concatenate([[0.0, cfg.uav_v_max],
                              np.random.default_rng(0).uniform(0.0, cfg.uav_v_max, 2000)])
     got = flight_power(speeds, cfg)
