@@ -13,9 +13,7 @@ from .mobility import advance_kinematics, step_mobility
 from .radio import (
     build_all_channels,
     build_radar_state,
-    comm_rate,
     design_links,
-    mmse_beamformer,
     radar_rate,
     steering,
 )
@@ -33,12 +31,10 @@ __all__ = [
     "advance_kinematics",
     "build_all_channels",
     "build_radar_state",
-    "comm_rate",
     "design_links",
     "draw_task",
     "dvfs_frequency",
     "flight_power",
-    "mmse_beamformer",
     "mu_slot_outcome",
     "radar_rate",
     "reset_world",

@@ -1,9 +1,11 @@
-"""Rician MIMO channels, heuristic beamforming, uplink rates, radar sensing.
+"""Rician MIMO channels, uplink rates, radar sensing.
 
-All receivers sit on the UAVs. The uplink from each served MU is decoded with
-an MMSE combiner against inter-MU interference plus the leakage of the radar
-waveform; each UAV simultaneously steers a full-power sensing beam at its
-ground target and filters the echo for maximum sensing SINR.
+All receivers sit on the UAVs. Each served MU sends one stream along its
+channel's principal direction, and its UAV receives it with the MMSE combiner
+against inter-MU interference plus the leakage of the radar waveform; the
+link rate is that receiver's closed form. Each UAV simultaneously steers a
+full-power sensing beam at its ground target and filters the echo for maximum
+sensing SINR.
 """
 
 from __future__ import annotations
@@ -70,26 +72,6 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
     return channel
 
 
-def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Solve against the uplink's Hermitian positive definite noise covariances
-    with a loading fallback.
-
-    `mat` is [..., n, n] and `rhs` [..., n] with the same leading axes; the
-    solution is [..., n]. When a stacked solve fails, the stack is solved
-    again matrix by matrix, so diagonal loading reaches only the singular ones.
-    """
-    try:
-        return np.linalg.solve(mat, rhs[..., None])[..., 0], False
-    except np.linalg.LinAlgError:
-        n = mat.shape[-1]
-        if mat.ndim > 2:
-            parts = [_solve_hpd(a, b, cfg)[0]
-                     for a, b in zip(mat.reshape(-1, n, n), rhs.reshape(-1, n))]
-            return np.stack(parts).reshape(rhs.shape), True
-        loaded = mat + cfg.noise_power * 1e-6 * np.eye(n)
-        return np.linalg.solve(loaded, rhs[..., None])[..., 0], True
-
-
 def build_radar_state(world: WorldState, cfg: ScenarioConfig
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every UAV's sensing in one slot: (SINR [M], estimation rate [M] in bps,
@@ -127,50 +109,6 @@ def _principal_direction(channel: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(channel.conj().swapaxes(-1, -2) @ channel)[1][..., -1]
 
 
-def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
-                    cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Unit-norm combiner: noise_cov^-1 H v1 along the channel's principal direction.
-
-    `channel` is [..., W_R, W_T] and `noise_cov` [..., W_R, W_R]; the
-    combiners are [..., W_R]. The principal right-singular direction v1 is the
-    last eigenvector of `eigh(H^H H)` (`_principal_direction`); its unit phase
-    is arbitrary, and the rate P ||H^H w||^2 does not depend on it. A combiner
-    whose solve comes out zero falls back to the normalized principal
-    direction. A non-finite channel or noise covariance (a non-finite
-    interfering channel) raises ValueError before the eigensolver.
-    """
-    if not np.all(np.isfinite(channel)):
-        raise ValueError("channel contains non-finite entries")
-    if not np.all(np.isfinite(noise_cov)):
-        raise ValueError("noise covariance contains non-finite entries")
-    principal = (channel @ _principal_direction(channel)[..., None])[..., 0]
-    w, loaded = _solve_hpd(noise_cov, principal, cfg)
-    norm = row_norm(w)
-    zero = norm == 0
-    if zero.any():
-        w = np.where(zero[..., None], principal, w)
-        norm = np.where(zero, row_norm(principal), norm)
-    return w / norm[..., None], loaded
-
-
-def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray,
-              power: float, cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Achievable uplink rate in bits/s and received signal power.
-
-    The scalar received signal power P ||H^H w||^2 rides on the inverse of the
-    interference-plus-noise covariance: rate = B * sum_i log2(1 + s / lambda_i)
-    over the covariance eigenvalues, which is log2 det(I + s N^-1).
-    `channel` is [..., W_R, W_T], `beamformer` [..., W_R] and `noise_cov`
-    [..., W_R, W_R]; rate and power have the leading shape [...].
-    """
-    g = (channel.conj().swapaxes(-1, -2) @ beamformer[..., None])[..., 0]
-    s = power * np.real(g.conj()[..., None, :] @ g[..., :, None])[..., 0, 0]
-    lam = np.linalg.eigvalsh(noise_cov)
-    lam = np.maximum(lam, np.finfo(float).tiny)
-    rate = cfg.bandwidth_hz * np.sum(np.log2(1.0 + s[..., None] / lam), axis=-1)
-    return np.maximum(rate, 0.0), s
-
-
 def _link_covariances(channels: np.ndarray, served: np.ndarray, serving: np.ndarray,
                       leakage: np.ndarray, cfg: ScenarioConfig
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,21 +131,39 @@ def _link_covariances(channels: np.ndarray, served: np.ndarray, serving: np.ndar
 
 
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
-                 cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, bool]:
-    """MMSE combiner rate for every associated MU: (served MUs [S] in ascending
-    order, their rates [S] in bits/s, loading used).
+                 cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Uplink rate of every associated MU: (served MUs [S] in ascending order,
+    their rates [S] in bits/s).
 
     `channels` is the slot's [K, M, W_R, W_T] draw and `leakage` the [M, W_R, W_R]
     radar leakage from `build_radar_state`. Each UAV's covariance holds noise,
     its radar leakage and every associated MU's P h h^H, formed as one Gram per
-    UAV; a link's noise covariance drops its own MU's term (`_link_covariances`).
-    All served links are designed in one stacked pass. An empty association
-    returns before the channels are read.
+    UAV; a link's noise covariance N drops its own MU's term (`_link_covariances`).
+    The MU sends one stream along its channel's principal right-singular
+    direction v1 (`_principal_direction`), so the UAV receives u = H v1. The
+    MMSE combiner N^-1 u maximises the output SINR for that stream, and its
+    rate is the closed form B log2(1 + P u^H N^-1 u) (Tse & Viswanath,
+    "Fundamentals of Wireless Communication", ch. 8), so one stacked solve
+    gives every link's SINR and no combiner is formed. A non-finite channel or
+    covariance raises ValueError; a covariance that the solve finds singular
+    raises LinAlgError naming the link and its condition number. An empty
+    association returns before the channels are read.
     """
     k = np.flatnonzero(alloc.serving >= 0)
     if k.size == 0:
-        return k, np.zeros(0), False
-    h, n_cov = _link_covariances(channels, k, alloc.serving[k], leakage, cfg)
-    w, loaded = mmse_beamformer(h, n_cov, cfg)
-    rates, _ = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
-    return k, rates, loaded
+        return k, np.zeros(0)
+    serving = alloc.serving[k]
+    h, n_cov = _link_covariances(channels, k, serving, leakage, cfg)
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(n_cov))):
+        raise ValueError("channel or noise covariance contains non-finite entries")
+    u = (h @ _principal_direction(h)[..., None])[..., 0]
+    try:
+        x = np.linalg.solve(n_cov, u[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        cond = np.linalg.cond(n_cov)
+        i = int(np.argmax(cond))
+        raise np.linalg.LinAlgError(
+            f"uplink noise covariance of MU {k[i]} at UAV {serving[i]} is singular "
+            f"(condition number {cond[i]:.3g})") from err
+    sinr = cfg.mu_power_max * np.real(_dot(u.conj(), x))
+    return k, cfg.bandwidth_hz * np.log2(1.0 + sinr)

@@ -54,7 +54,8 @@ class SlotReport:
     e_uav: np.ndarray
     p_flight: np.ndarray
     # radio outcomes
-    rate: np.ndarray              # bits/s per MU toward its serving UAV (0 if local)
+    rate: np.ndarray              # bits/s per MU, B log2(1 + P u^H N^-1 u) of its MMSE
+                                  # uplink to its serving UAV (0 if local)
     radar_sinr: np.ndarray        # per UAV
     radar_rate: np.ndarray        # bps per UAV
     # flags / geometry for rewards
@@ -64,7 +65,9 @@ class SlotReport:
     boundary_overshoot: np.ndarray    # m per UAV, distance clipped away this slot
     pair_distance: np.ndarray         # m, [M, M] post-move UAV separations
     safety_violated: np.ndarray       # bool per UAV
-    loading_applied: bool = False     # diagonal loading used in the uplink combiner solve
+    # Always False: the uplink solve has no loading fallback. perfbench/spans.py's
+    # _count_slot still reads it; it goes with ROADMAP item 2's in-program counters.
+    loading_applied: bool = False
 
     def objective(self, weight_factor: float) -> float:
         """Weighted network energy of this slot."""

@@ -85,7 +85,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     k_count, m_count = world.num_mus, world.num_uavs
     channels = build_all_channels(world, cfg, rng)
     radar_sinr, radar_rates, leakage = build_radar_state(world, cfg)
-    links, link_rates, loading = design_links(channels, alloc, leakage, cfg)
+    links, link_rates = design_links(channels, alloc, leakage, cfg)
 
     # task pipeline: one call per MU on Python floats, then one array per field
     serving = alloc.serving
@@ -143,7 +143,6 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         boundary_overshoot=overshoot,
         pair_distance=pair,
         safety_violated=pair.min(axis=1) < cfg.safety_distance,
-        loading_applied=loading,
     )
     next_world = WorldState(slot=world.slot + 1, mu_positions=positions, mu_speeds=speeds,
                             mu_headings=headings, tasks=tasks, uav_positions=uav_positions,

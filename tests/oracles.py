@@ -333,56 +333,23 @@ def link_covariance(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray
     return 0.5 * (n_cov + n_cov.conj().T)
 
 
-def _solve_hpd(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    try:
-        return np.linalg.solve(mat, rhs), False
-    except np.linalg.LinAlgError:
-        loaded = mat + cfg.noise_power * 1e-6 * np.eye(mat.shape[0])
-        return np.linalg.solve(loaded, rhs), True
-
-
-def mmse_beamformer(channel: np.ndarray, noise_cov: np.ndarray,
-                    cfg: ScenarioConfig) -> tuple[np.ndarray, bool]:
-    """Unit-norm combiner of one link: noise_cov^-1 H v1, with v1 the last
-    eigenvector of H^H H."""
-    _, vecs = np.linalg.eigh(channel.conj().T @ channel)
-    principal = channel @ vecs[:, -1]
-    w, loaded = _solve_hpd(noise_cov, principal, cfg)
-    norm = np.linalg.norm(w)
-    if norm == 0:
-        w = principal / np.linalg.norm(principal)
-    else:
-        w = w / norm
-    return w, loaded
-
-
-def comm_rate(channel: np.ndarray, beamformer: np.ndarray, noise_cov: np.ndarray,
-              power: float, cfg: ScenarioConfig) -> float:
-    """Uplink rate of one link in bits/s: B * sum_i log2(1 + s / lambda_i)."""
-    s = power * float(np.real(np.vdot(channel.conj().T @ beamformer,
-                                      channel.conj().T @ beamformer)))
-    lam = np.linalg.eigvalsh(noise_cov)
-    lam = np.maximum(lam, np.finfo(float).tiny)
-    rate = cfg.bandwidth_hz * float(np.sum(np.log2(1.0 + s / lam)))
-    return max(rate, 0.0)
-
-
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
-                 cfg: ScenarioConfig) -> tuple[dict, bool]:
-    """Per-UAV, per-MU loop that `uav_iscc.env.design_links` is compared with.
+                 cfg: ScenarioConfig) -> dict:
+    """Per-UAV, per-MU loop that `uav_iscc.env.design_links` is compared with:
+    {MU: rate in bits/s}, each rate the closed form B log2(1 + P u^H N^-1 u).
 
-    Each covariance adds the MUs one at a time onto noise plus leakage, so it
-    rounds differently from the per-UAV Gram of the stacked code."""
+    v1 comes from an SVD of the link's channel, u = H v1, and N is solved one
+    link at a time. Each covariance adds the MUs one at a time onto noise plus
+    leakage, so it rounds differently from the per-UAV Gram of the stacked code."""
     rates: dict[int, float] = {}
-    loaded_any = False
     for m in range(alloc.edge_cpu.shape[1]):
         for k in served_by(alloc, m):
             h = channels[k, m]
+            u = h @ np.linalg.svd(h)[2][0].conj()
             n_cov = link_covariance(channels, alloc, leakage, cfg, k)
-            w, loaded = mmse_beamformer(h, n_cov, cfg)
-            loaded_any = loaded_any or loaded
-            rates[int(k)] = comm_rate(h, w, n_cov, cfg.mu_power_max, cfg)
-    return rates, loaded_any
+            sinr = cfg.mu_power_max * float(np.real(np.vdot(u, np.linalg.solve(n_cov, u))))
+            rates[int(k)] = cfg.bandwidth_hz * math.log2(1.0 + sinr)
+    return rates
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,8 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "steering_vector", "decode_uav_action", "penalty_P", "latency_penalty",
                  "_lift", "gaussian_log_prob", "gaussian_sample", "gaussian_entropy",
                  "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP",
-                 "BetaHeadParams", "ActorParams", "_log_width_total")
+                 "BetaHeadParams", "ActorParams", "_log_width_total", "comm_rate",
+                 "mmse_beamformer", "_solve_hpd")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names",

@@ -247,7 +247,7 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
         if num_mus:
             channels = build_all_channels(world, cfg, slot_rng)
             leakage = build_radar_state(world, cfg)[2]
-            links, link_rates, _ = design_links(channels, alloc, leakage, cfg)
+            links, link_rates = design_links(channels, alloc, leakage, cfg)
             rates = dict(zip(links.tolist(), link_rates.tolist()))
         else:
             rates = {}
