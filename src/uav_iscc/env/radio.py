@@ -83,7 +83,10 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     filter R^-1 s is `a` itself and its output SINR is the closed form
     n^2 P / (|c|^2 P + sigma^2): it depends on the clutter magnitude alone.
     The waveform leaks into the UAV's own uplink receiver as (G w)(G w)^H,
-    with G the target response plus the clutter gain.
+    with G the target response plus the clutter gain. That outer product is
+    averaged with its conjugate transpose, which moves each entry by at most
+    an ulp and makes the leakage, and every link covariance it enters,
+    exactly Hermitian.
     """
     n = cfg.rx_antennas
     power = cfg.uav_power_max
@@ -94,7 +97,8 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     response = world.uav_doppler[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])
     g = response + world.uav_clutter[:, None, None] * np.eye(n)
     leaked = (g @ w[..., None])[..., 0]
-    return sinr, radar_rate(sinr, cfg), leaked[:, :, None] * leaked.conj()[:, None, :]
+    outer = leaked[:, :, None] * leaked.conj()[:, None, :]
+    return sinr, radar_rate(sinr, cfg), 0.5 * (outer + outer.conj().swapaxes(-1, -2))
 
 
 def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:

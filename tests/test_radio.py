@@ -363,6 +363,23 @@ def test_stacked_link_design_matches_per_link_loop(case):
 SERVED_CASES = [c for c, (serving, _, _) in LINK_CASES.items() if max(serving) >= 0]
 
 
+def assert_exactly_hermitian(mats):
+    # bit for bit up to the sign of zero: a diagonal imaginary part of +0.0
+    # conjugates to -0.0, so both sides add 0.0 first
+    herm = mats.conj().swapaxes(-1, -2)
+    assert (mats + 0.0).tobytes() == (herm + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("case", SERVED_CASES)
+def test_leakage_and_link_covariances_exactly_hermitian(case):
+    serving, num_uavs, overrides = LINK_CASES[case]
+    for seed in (0, 1):
+        cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
+        assert_exactly_hermitian(leakage)
+        k = np.flatnonzero(alloc.serving >= 0)
+        assert_exactly_hermitian(_link_covariances(channels, k, alloc.serving[k], leakage, cfg)[1])
+
+
 @pytest.mark.parametrize("case", SERVED_CASES)
 def test_no_unit_combiner_beats_the_link_rate(case):
     # the rate is the MMSE receiver's: no combiner w does better for the stream
