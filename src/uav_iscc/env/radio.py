@@ -149,7 +149,7 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
     rate is the closed form B log2(1 + P u^H N^-1 u) (Tse & Viswanath,
     "Fundamentals of Wireless Communication", ch. 8), so one stacked solve
     gives every link's SINR and no combiner is formed. A non-finite channel or
-    covariance raises ValueError; a covariance that the solve finds singular
+    leakage raises ValueError; a covariance that the solve finds singular
     raises LinAlgError naming the link and its condition number. An empty
     association returns before the channels are read.
     """
@@ -158,8 +158,9 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
         return k, np.zeros(0)
     serving = alloc.serving[k]
     h, n_cov = _link_covariances(channels, k, serving, leakage, cfg)
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(n_cov))):
-        raise ValueError("channel or noise covariance contains non-finite entries")
+    # a non-finite channel reaches its own covariance's diagonal through the Gram
+    if not np.all(np.isfinite(n_cov)):
+        raise ValueError("noise covariance contains non-finite entries")
     u = (h @ _principal_direction(h)[..., None])[..., 0]
     try:
         x = np.linalg.solve(n_cov, u[..., None])[..., 0]
