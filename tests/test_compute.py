@@ -148,12 +148,27 @@ def test_blade_profile_quadruples_at_tip_speed(cfg):
 
 def test_flight_power_closed_form_at_20(cfg):
     # the rotary-wing model divides v^4 by 4 v0^4 inside the induced term
-    for v in (10.0, 20.0):
-        blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
-        parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
-        inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 4)) - v ** 2 / (2.0 * 3.6 ** 2)
-        induced = 79.07 * math.sqrt(inner)
-        assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
+    v = 20.0
+    blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
+    parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
+    inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 4)) - v ** 2 / (2.0 * 3.6 ** 2)
+    induced = 79.07 * math.sqrt(inner)
+    assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
+
+
+def test_flight_power_standard_form_switch(cfg):
+    # the rotary-wing (standard) induced term is the only one; the form that
+    # divided v^4 by 4 v0^2 is gone; at 10 m/s its induced term is 223 W above
+    # this one's
+    v = 10.0
+    blade = 59.03 * (1.0 + 3.0 * v ** 2 / 120.0 ** 2)
+    parasite = 0.5 * 0.6 * 1.225 * 0.05 * 0.503 * v ** 3
+    inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 4)) - v ** 2 / (2.0 * 3.6 ** 2)
+    induced = 79.07 * math.sqrt(inner)
+    assert flight_power(v, cfg) == pytest.approx(blade + parasite + induced, rel=1e-9)
+    old_inner = math.sqrt(1.0 + v ** 4 / (4.0 * 3.6 ** 2)) - v ** 2 / (2.0 * 3.6 ** 2)
+    assert abs(flight_power(v, cfg) - (blade + parasite + 79.07 * math.sqrt(old_inner))) > 100.0
+    assert flight_power(0.0, cfg) == pytest.approx(138.10, abs=0.01)
 
 
 def test_induced_power_tends_to_large_speed_limit():
@@ -175,8 +190,18 @@ def test_flight_power_dips_below_hover_at_an_interior_speed(cfg):
     assert power[best] < power[0] - 10.0
 
 
-def test_batched_flight_power_matches_per_speed_oracle(cfg):
+# "paper": the rotor parameters of ScenarioConfig's defaults; "standard": the
+# reference rotor of the rotary-wing model (Zeng, Xu & Zhang, IEEE TWC 2019)
+ROTORS = {
+    "paper": {},
+    "standard": dict(blade_power=79.86, induced_power=88.63, rotor_velocity=4.03),
+}
+
+
+@pytest.mark.parametrize("rotor", list(ROTORS))
+def test_batched_flight_power_matches_per_speed_oracle(rotor):
     # np.power in place of Python's pow for v^3; measured at most 2 ulps
+    cfg = ScenarioConfig(**ROTORS[rotor]).validate()
     speeds = np.concatenate([[0.0, cfg.uav_v_max],
                              np.random.default_rng(0).uniform(0.0, cfg.uav_v_max, 2000)])
     got = flight_power(speeds, cfg)
