@@ -83,9 +83,7 @@ class ScenarioConfig:
     mobility_heading_memory: float = 0.8
     mobility_mean_speed: float = 1.0      # m/s
     mobility_mean_heading: float = 0.0    # rad
-    mobility_speed_noise_mean: float = 0.0
     mobility_speed_noise_std: float = 0.3
-    mobility_heading_noise_mean: float = 0.0
     mobility_heading_noise_std: float = 0.4
 
     # reward shaping

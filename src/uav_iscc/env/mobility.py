@@ -21,8 +21,7 @@ def step_mobility(positions: np.ndarray, speeds: np.ndarray, headings: np.ndarra
     """
     mu1 = cfg.mobility_speed_memory
     mu2 = cfg.mobility_heading_memory
-    noise = rng.normal([cfg.mobility_speed_noise_mean, cfg.mobility_heading_noise_mean],
-                       [cfg.mobility_speed_noise_std, cfg.mobility_heading_noise_std],
+    noise = rng.normal(0.0, [cfg.mobility_speed_noise_std, cfg.mobility_heading_noise_std],
                        size=(speeds.shape[0], 2))
 
     new_speed = (mu1 * speeds

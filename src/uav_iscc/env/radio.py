@@ -157,8 +157,10 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
     if k.size == 0:
         return k, np.zeros(0)
     serving = alloc.serving[k]
-    h, n_cov = _link_covariances(channels, k, serving, leakage, cfg)
-    # a non-finite channel reaches its own covariance's diagonal through the Gram
+    # a non-finite channel reaches its own covariance's diagonal through the Gram;
+    # an infinite one makes the Gram's products invalid, which this check reports
+    with np.errstate(invalid="ignore", over="ignore"):
+        h, n_cov = _link_covariances(channels, k, serving, leakage, cfg)
     if not np.all(np.isfinite(n_cov)):
         raise ValueError("noise covariance contains non-finite entries")
     u = (h @ _principal_direction(h)[..., None])[..., 0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .compute import MuSlotOutcome, flight_power, mu_slot_outcome
@@ -101,13 +103,13 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, cfg.mu_power_max,
                             j_dec_k, cfg)
             for *task, rho_k, eta_k, f_mu, f_edge_k, rate_k, j_dec_k in rows]
-    rep = dict(zip(MuSlotOutcome._fields,
-                   np.array(outs).reshape(k_count, len(MuSlotOutcome._fields)).T.copy()))
-    # per-UAV sums accumulate in MU order
+    per_mu = dict(zip(MuSlotOutcome._fields,
+                      np.array(outs).reshape(k_count, len(MuSlotOutcome._fields)).T.copy()))
+    # the edge-side costs are booked to the serving UAV, in MU order
     e_edge_compute = np.zeros(m_count)
     e_decompress = np.zeros(m_count)
-    np.add.at(e_edge_compute, serving[served], rep["e_edge_compute"][served])
-    np.add.at(e_decompress, serving[served], rep["e_decompress"][served])
+    np.add.at(e_edge_compute, serving[served], per_mu.pop("e_edge_compute")[served])
+    np.add.at(e_decompress, serving[served], per_mu.pop("e_decompress")[served])
     deadlines = world.tasks[:, 4].copy()
 
     # flight energy at the speed flown during this slot, then move
@@ -125,12 +127,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     pair = np.sqrt(np.sum(diff * diff, axis=-1))
     np.fill_diagonal(pair, np.inf)
     report = SlotReport(
-        t_local=rep["t_local"], t_compress=rep["t_compress"],
-        t_offload=rep["t_offload"], t_decompress=rep["t_decompress"],
-        t_edge_compute=rep["t_edge_compute"], t_edge_total=rep["t_edge_total"],
-        latency=rep["latency"],
-        e_compress=rep["e_compress"], e_local=rep["e_local"],
-        e_offload=rep["e_offload"], e_mu=rep["e_mu"],
+        **per_mu,
         e_edge_compute=e_edge_compute, e_decompress=e_decompress,
         e_flight=e_flight, e_uav=e_flight + e_edge_compute + e_decompress,
         p_flight=p_fly,
@@ -138,15 +135,14 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
         radar_sinr=radar_sinr,
         radar_rate=radar_rates,
         deadline=deadlines,
-        deadline_met=rep["latency"] <= deadlines,
+        deadline_met=per_mu["latency"] <= deadlines,
         radar_met=radar_rates >= cfg.radar_rate_min,
         boundary_overshoot=overshoot,
         pair_distance=pair,
         safety_violated=pair.min(axis=1) < cfg.safety_distance,
     )
-    next_world = WorldState(slot=world.slot + 1, mu_positions=positions, mu_speeds=speeds,
-                            mu_headings=headings, tasks=tasks, uav_positions=uav_positions,
-                            uav_velocities=uav_velocities, uav_targets=world.uav_targets,
-                            uav_doppler=world.uav_doppler, uav_clutter=world.uav_clutter,
-                            uav_decompress=world.uav_decompress)
+    # the fields not named here hold for the whole episode
+    next_world = replace(world, slot=world.slot + 1, mu_positions=positions, mu_speeds=speeds,
+                         mu_headings=headings, tasks=tasks, uav_positions=uav_positions,
+                         uav_velocities=uav_velocities)
     return next_world, report

@@ -92,7 +92,10 @@ class TrainerConfig:
 
 @dataclass
 class EvalResult:
-    """Greedy-rollout summary plus the first episode's rollout."""
+    """Greedy-rollout summary. `episode_objectives` lists each episode's
+    objective; every other entry but `first_episode` is the mean over the
+    episodes of the `Trainer.episode_metrics` entry of the same name, taken
+    per family for `penalty_rates`."""
 
     episode_objectives: list
     objective: float
@@ -243,57 +246,57 @@ class Trainer:
         return history
 
     def episode_metrics(self, episode: int, batch: RolloutBatch) -> dict:
+        """The episode's record: one JSON-serialisable dict, the JSONL line a
+        run log writes per episode. `evaluate` reports the mean of these
+        records and `train` adds the PPO stats to each.
+
+        `objective` and the three energies (J) are summed over the slots; the
+        mean rewards are over agent-slots of each type. `violation_rate` is the
+        share of checks that failed, one deadline check per MU-slot and a
+        radar, a safety and a boundary check per UAV-slot. `penalty_rates` maps
+        each penalty family to the share of its agent-slots where it was active.
+        """
         cfg = self.scenario
-        objective = float(sum(r.objective(cfg.weight_factor) for r in batch.reports))
-        mu_energy = float(sum(r.e_mu.sum() for r in batch.reports))
-        uav_energy = float(sum(r.e_uav.sum() for r in batch.reports))
-        flight = float(sum(r.e_flight.sum() for r in batch.reports))
-        rates = penalty_rates(batch)
+        reports = batch.reports
+        failed = [flags for r in reports for flags in (
+            ~r.deadline_met, ~r.radar_met, r.safety_violated, r.boundary_overshoot > 0)]
         return {
             "episode": episode,
-            "mean_reward_mu": float(batch.mu.rewards.mean()),
-            "mean_reward_uav": float(batch.uav.rewards.mean()),
-            "objective": objective,
-            "mu_energy": mu_energy,
-            "uav_energy": uav_energy,
-            "flight_energy": flight,
-            **{f"penalty_rate_{k}": v for k, v in rates.items()},
+            "objective": float(sum(r.objective(cfg.weight_factor) for r in reports)),
+            "mu_energy": float(sum(r.e_mu.sum() for r in reports)),
+            "uav_energy": float(sum(r.e_uav.sum() for r in reports)),
+            "flight_energy": float(sum(r.e_flight.sum() for r in reports)),
+            "mean_mu_reward": float(batch.mu.rewards.mean()),
+            "mean_uav_reward": float(batch.uav.rewards.mean()),
+            "violation_rate": float(np.mean(np.concatenate(failed))),
+            "penalty_rates": penalty_rates(batch),
         }
 
     def evaluate(self, episodes: int = 1, seed: int | None = None) -> EvalResult:
-        """Deterministic greedy rollouts on a dedicated environment stream."""
+        """Greedy rollouts on a dedicated environment stream, seeded by `seed`
+        (default: the trainer seed + 10000), summarised by the mean of the
+        episodes' `episode_metrics` records (see `EvalResult`)."""
         if episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {episodes}")
         env_rng = np.random.default_rng(
             self.config.seed + 10_000 if seed is None else seed)
-        records, violations, slots = [], 0, 0
+        records = []
         for ep in range(episodes):
             batch = self.collect_episode(greedy=True, env_rng=env_rng)
             if ep == 0:
                 first_episode = batch
             records.append(self.episode_metrics(ep, batch))
-            for r in batch.reports:
-                violations += int(np.sum(~r.deadline_met)) + int(np.sum(~r.radar_met))
-                violations += int(np.sum(r.safety_violated))
-                violations += int(np.sum(r.boundary_overshoot > 0))
-                slots += r.deadline_met.size + 3 * r.radar_met.size
 
-        def mean(name):
-            return float(np.mean([rec[name] for rec in records]))
+        def mean(values):
+            return float(np.mean(list(values)))
 
+        means = {name: mean(rec[name] for rec in records)
+                 for name in records[0] if name not in ("episode", "penalty_rates")}
         return EvalResult(
             episode_objectives=[rec["objective"] for rec in records],
-            objective=mean("objective"),
-            mu_energy=mean("mu_energy"),
-            uav_energy=mean("uav_energy"),
-            flight_energy=mean("flight_energy"),
-            mean_mu_reward=mean("mean_reward_mu"),
-            mean_uav_reward=mean("mean_reward_uav"),
-            violation_rate=violations / slots,
-            penalty_rates={name.removeprefix("penalty_rate_"): mean(name)
-                           for name in records[0] if name.startswith("penalty_rate_")},
-            first_episode=first_episode,
-        )
+            penalty_rates={family: mean(rec["penalty_rates"][family] for rec in records)
+                           for family in records[0]["penalty_rates"]},
+            first_episode=first_episode, **means)
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -352,22 +355,17 @@ class Trainer:
 
 
 def penalty_rates(batch: RolloutBatch) -> dict:
-    """Fraction of agent-slots where each penalty family was active."""
-    def active(factors):
-        return sum(int(np.count_nonzero(f > 1.0)) for f in factors)
+    """Share of agent-slots where each penalty family was active (factor > 1);
+    the latency family pools the MU and UAV agent-slots."""
+    def share(factors):
+        return float(np.mean(np.concatenate(factors) > 1.0))
 
     mu, uav = batch.mu_breakdowns, batch.uav_breakdowns
-    mu_slots = sum(bd.base.size for bd in mu)
-    uav_slots = sum(bd.base.size for bd in uav)
-
-    def share(count, slots):
-        return count / slots if slots else 0.0
-
     return {
-        "latency": share(active(bd.p_latency for bd in mu + uav), mu_slots + uav_slots),
-        "collision": share(active(bd.p_collision for bd in uav), uav_slots),
-        "boundary": share(active(bd.p_boundary for bd in uav), uav_slots),
-        "radar": share(active(bd.p_radar for bd in uav), uav_slots),
+        "latency": share([bd.p_latency for bd in mu + uav]),
+        "collision": share([bd.p_collision for bd in uav]),
+        "boundary": share([bd.p_boundary for bd in uav]),
+        "radar": share([bd.p_radar for bd in uav]),
     }
 
 

@@ -408,14 +408,13 @@ def self_masked_attention(q, key, val, offset: int) -> Tensor:
     return Tensor._make(out.reshape(*q.shape[:-1], vs.shape[-1]), (q, key, val), backward)
 
 
-def parameter(data, rng: np.random.Generator | None = None, scale: float | None = None) -> Tensor:
+def parameter(data, rng: np.random.Generator | None = None) -> Tensor:
     """Trainable tensor. With `rng`, `data` is read as a shape and filled with
-    float64 uniforms in +-scale (Glorot-style limit when scale is None), rounded
-    to float32; without it the tensor keeps the dtype of `data`."""
+    float64 uniforms in +-1/sqrt(fan_in), rounded to float32; without it the
+    tensor keeps the dtype of `data`."""
     if rng is not None:
         shape = tuple(data)
-        if scale is None:
-            fan_in = shape[0] if len(shape) > 1 else max(shape[0], 1)
-            scale = 1.0 / np.sqrt(fan_in)
+        fan_in = shape[0] if len(shape) > 1 else max(shape[0], 1)
+        scale = 1.0 / np.sqrt(fan_in)
         return Tensor(rng.uniform(-scale, scale, size=shape).astype(np.float32), requires_grad=True)
     return Tensor(data, requires_grad=True)

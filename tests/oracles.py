@@ -174,8 +174,8 @@ def step_mobility(position: np.ndarray, speed: float, heading: float, cfg: Scena
     (position, speed, heading)."""
     mu1 = cfg.mobility_speed_memory
     mu2 = cfg.mobility_heading_memory
-    speed_noise = rng.normal(cfg.mobility_speed_noise_mean, cfg.mobility_speed_noise_std)
-    heading_noise = rng.normal(cfg.mobility_heading_noise_mean, cfg.mobility_heading_noise_std)
+    speed_noise = rng.normal(0.0, cfg.mobility_speed_noise_std)
+    heading_noise = rng.normal(0.0, cfg.mobility_heading_noise_std)
 
     new_speed = (mu1 * speed
                  + (1.0 - mu1) * cfg.mobility_mean_speed

@@ -42,7 +42,8 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names",
-         "compression_enabled", "computation_enabled", "induced_power_form"),
+         "compression_enabled", "computation_enabled", "induced_power_form",
+         "mobility_speed_noise_mean", "mobility_heading_noise_mean"),
     ("uav_iscc.numerics.tensor", "Tensor"):
         ("__pow__", "__truediv__", "__rtruediv__", "__rsub__", "log", "sqrt", "maximum",
          "zero_grad", "transpose"),

@@ -469,9 +469,11 @@ def test_non_finite_channel_rejected(cfg):
 @pytest.mark.parametrize("entry", [(2, 0, 1, 3), (1, 0, 1, 3)], ids=["own-link", "interferer"])
 def test_design_links_rejects_non_finite_channel(entry):
     cfg, channels, alloc, leakage = served_world([0, 1, 0, -1], 2, seed=3)
-    channels[entry] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        design_links(channels, alloc, leakage, cfg)
+    # an infinite entry makes the Gram's products invalid; it must still reach the check
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0)):
+        channels[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            design_links(channels, alloc, leakage, cfg)
 
 
 def test_singular_link_covariance_raises_with_link_and_condition(cfg):

@@ -1,12 +1,15 @@
 """End-to-end trainer behavior at smoke scale."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from oracles import head_rows, in_float64
 from uav_iscc.env import ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, train
-from uav_iscc.mappo.trainer import CHECKPOINT_VERSION
+from uav_iscc.mappo.trainer import CHECKPOINT_VERSION, EvalResult
 
 
 def smoke_configs(seed=0, episodes=2):
@@ -59,13 +62,58 @@ def test_history_record_fields():
     assert len(history) == 2
     for i, rec in enumerate(history):
         assert rec["episode"] == i
-        for key in ("mean_reward_mu", "mean_reward_uav", "objective",
+        for key in ("mean_mu_reward", "mean_uav_reward", "objective",
                     "mu_energy", "uav_energy", "flight_energy",
-                    "penalty_rate_latency", "penalty_rate_radar"):
+                    "penalty_rates"):
             assert key in rec
-        assert rec["mean_reward_mu"] <= 0.0
-        assert rec["mean_reward_uav"] <= 0.0
+        assert rec["mean_mu_reward"] <= 0.0
+        assert rec["mean_uav_reward"] <= 0.0
         assert rec["objective"] >= 0.0
+
+
+RECORD_KEYS = {"episode", "objective", "mu_energy", "uav_energy", "flight_energy",
+               "mean_mu_reward", "mean_uav_reward", "violation_rate", "penalty_rates"}
+PPO_STAT_KEYS = {f"{kind}_{name}" for kind in ("mu", "uav") for name in (
+    "actor_loss", "critic_loss", "entropy", "clip_fraction", "approx_kl")}
+
+
+def test_history_records_are_the_episode_record_plus_ppo_stats():
+    tcfg, scfg = smoke_configs(seed=12)
+    _, history = train(tcfg, scfg)
+    for rec in history:
+        assert set(rec) == RECORD_KEYS | PPO_STAT_KEYS
+        assert set(rec["penalty_rates"]) == {"latency", "collision", "boundary", "radar"}
+        assert json.loads(json.dumps(rec)) == rec
+        # plain Python numbers, so the record reads back with the same types
+        scalars = [v for v in rec.values() if not isinstance(v, dict)]
+        assert {type(v) for v in [*scalars, *rec["penalty_rates"].values()]} == {int, float}
+
+
+def test_evaluate_is_the_mean_of_the_episode_records():
+    tcfg, scfg = smoke_configs(seed=10)
+    trainer = Trainer(tcfg, scfg)
+    result = trainer.evaluate(episodes=3, seed=42)
+    env_rng = np.random.default_rng(42)
+    batches = [trainer.collect_episode(greedy=True, env_rng=env_rng) for _ in range(3)]
+    records = [trainer.episode_metrics(ep, batch) for ep, batch in enumerate(batches)]
+    assert len({rec["objective"] for rec in records}) == 3
+
+    assert {f.name for f in fields(EvalResult)} == (
+        RECORD_KEYS - {"episode"} | {"episode_objectives", "first_episode"})
+    assert result.episode_objectives == [rec["objective"] for rec in records]
+    for name in RECORD_KEYS - {"episode", "penalty_rates"}:
+        assert getattr(result, name) == np.mean([rec[name] for rec in records]), name
+    assert set(result.penalty_rates) == set(records[0]["penalty_rates"])
+    for family, rate in result.penalty_rates.items():
+        assert rate == np.mean([rec["penalty_rates"][family] for rec in records]), family
+
+    # every episode has the same K, M and T, so the mean of the episodes'
+    # violation rates is the pooled rate up to rounding
+    reports = [r for batch in batches for r in batch.reports]
+    failed = sum(np.sum(~r.deadline_met) + np.sum(~r.radar_met) + np.sum(r.safety_violated)
+                 + np.sum(r.boundary_overshoot > 0) for r in reports)
+    pooled = failed / (len(reports) * (scfg.num_mus + 3 * scfg.num_uavs))
+    assert result.violation_rate == pytest.approx(pooled, rel=1e-15, abs=0.0)
 
 
 def test_evaluate_deterministic_and_consistent():
