@@ -1,11 +1,13 @@
 """Rician MIMO channels, uplink rates, radar sensing.
 
-All receivers sit on the UAVs. Each served MU sends one stream along its
-channel's principal direction, and its UAV receives it with the MMSE combiner
-against inter-MU interference plus the leakage of the radar waveform; the
-link rate is that receiver's closed form. Each UAV simultaneously steers a
-full-power sensing beam at its ground target and filters the echo for maximum
-sensing SINR.
+All receivers sit on the UAVs. Only a served MU (one that offloads) has an
+uplink, so each slot draws channels for the S served MUs alone, as one
+[S, M, W_R, W_T] array in ascending MU order, and link design reads that
+array whole. Each served MU sends one stream along its channel's principal
+direction, and its UAV receives it with the MMSE combiner against inter-MU
+interference plus the leakage of the radar waveform; the link rate is that
+receiver's closed form. Each UAV simultaneously steers a full-power sensing
+beam at its ground target and filters the echo for maximum sensing SINR.
 """
 
 from __future__ import annotations
@@ -40,30 +42,34 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def build_all_channels(world: WorldState, cfg: ScenarioConfig,
+def build_all_channels(world: WorldState, mus: np.ndarray, cfg: ScenarioConfig,
                        rng: np.random.Generator) -> np.ndarray:
-    """Vectorized channel draw for every MU-UAV pair: complex [K, M, W_R, W_T]."""
-    mu_pos = world.mu_positions              # [K, 2]
+    """Channels from the MUs `mus` (ascending indices) to every UAV: complex
+    [S, M, W_R, W_T] for S = len(mus).
+
+    Only these rows draw: each entry's scatter takes two consecutive standard
+    normals (real, then imaginary), written straight into the output, so an
+    empty `mus` draws nothing.
+    """
+    mu_pos = world.mu_positions[mus]         # [S, 2]
     uav_pos = world.uav_positions            # [M, 2]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
-    horiz2 = np.sum(diff * diff, axis=-1)                    # [K, M]
+    horiz2 = np.sum(diff * diff, axis=-1)                    # [S, M]
     d2 = horiz2 + cfg.altitude ** 2
-    angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))        # [K, M]
+    angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))        # [S, M]
     sin_a = np.sin(angle)
     # one steering exponential for the larger array; each array takes a prefix
     n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
     steer = steering(sin_a, max(n_r, n_t))
-    channel = steer[..., :n_r, None] * steer[..., None, :n_t].conj()   # LOS, [K, M, W_R, W_T]
+    channel = steer[..., :n_r, None] * steer[..., None, :n_t].conj()   # LOS, [S, M, W_R, W_T]
     eps = cfg.rician_factor
     if math.isinf(eps):
         w_los, w_nlos = 1.0, 0.0
     else:
         w_los = math.sqrt(eps / (eps + 1.0))
         w_nlos = math.sqrt(1.0 / (eps + 1.0))
-    shape = channel.shape
-    draws = rng.standard_normal((2, *shape))        # all real parts, then all imaginary
-    scatter = np.empty(shape, dtype=complex)
-    scatter.real, scatter.imag = draws
+    scatter = np.empty(channel.shape, dtype=complex)
+    rng.standard_normal(out=scatter.view(np.float64))
     scatter /= math.sqrt(2.0)
     channel *= w_los
     scatter *= w_nlos
@@ -113,22 +119,21 @@ def _principal_direction(channel: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(channel.conj().swapaxes(-1, -2) @ channel)[1][..., -1]
 
 
-def _link_covariances(channels: np.ndarray, served: np.ndarray, serving: np.ndarray,
-                      leakage: np.ndarray, cfg: ScenarioConfig
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _link_covariances(channels: np.ndarray, serving: np.ndarray, leakage: np.ndarray,
+                      cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each served link's channel and noise covariance: ([S, W_R, W_T], [S, W_R, W_R]).
 
-    `served` holds the S served MUs and `serving` their UAVs. Every UAV hears
-    all S of them: its interference P H_m H_m^H is one Gram of `wide`
-    [M, W_R, S*W_T], the UAV's served channels side by side. A link drops its
-    own MU's P h h^H from that Gram, adds sigma^2 I and is symmetrised; the
-    radar leakage, by far the largest term, is added last, so each covariance
-    rounds once at the leakage's scale.
+    `channels` is the served MUs' draw [S, M, W_R, W_T] and `serving` their S
+    UAVs. Every UAV hears all S of them: its interference P H_m H_m^H is one
+    Gram of `wide` [M, W_R, S*W_T], the UAV's served channels side by side. A
+    link drops its own MU's P h h^H from that Gram, adds sigma^2 I and is
+    symmetrised; the radar leakage, by far the largest term, is added last, so
+    each covariance rounds once at the leakage's scale.
     """
     num_uavs, n_r = channels.shape[1], channels.shape[2]
-    wide = channels[served].transpose(1, 2, 0, 3).reshape(num_uavs, n_r, -1)
+    wide = channels.transpose(1, 2, 0, 3).reshape(num_uavs, n_r, -1)
     interference = cfg.mu_power_max * (wide @ wide.conj().swapaxes(-1, -2))   # [M, W_R, W_R]
-    h = channels[served, serving]                                        # [S, W_R, W_T]
+    h = channels[np.arange(serving.size), serving]                      # [S, W_R, W_T]
     own = cfg.mu_power_max * (h @ h.conj().swapaxes(-1, -2))
     rest = cfg.noise_power * np.eye(n_r) + (interference[serving] - own)
     return h, leakage[serving] + 0.5 * (rest + rest.conj().swapaxes(-1, -2))
@@ -139,28 +144,32 @@ def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
     """Uplink rate of every associated MU: (served MUs [S] in ascending order,
     their rates [S] in bits/s).
 
-    `channels` is the slot's [K, M, W_R, W_T] draw and `leakage` the [M, W_R, W_R]
-    radar leakage from `build_radar_state`. Each UAV's covariance holds noise,
-    its radar leakage and every associated MU's P h h^H, formed as one Gram per
-    UAV; a link's noise covariance N drops its own MU's term (`_link_covariances`).
+    `channels` is the served MUs' draw [S, M, W_R, W_T] from
+    `build_all_channels`, its rows in ascending MU order, and `leakage` the
+    [M, W_R, W_R] radar leakage from `build_radar_state`. Each UAV's covariance
+    holds noise, its radar leakage and every associated MU's P h h^H, formed as
+    one Gram per UAV; a link's noise covariance N drops its own MU's term
+    (`_link_covariances`).
     The MU sends one stream along its channel's principal right-singular
     direction v1 (`_principal_direction`), so the UAV receives u = H v1. The
     MMSE combiner N^-1 u maximises the output SINR for that stream, and its
     rate is the closed form B log2(1 + P u^H N^-1 u) (Tse & Viswanath,
     "Fundamentals of Wireless Communication", ch. 8), so one stacked solve
-    gives every link's SINR and no combiner is formed. A non-finite channel or
-    leakage raises ValueError; a covariance that the solve finds singular
-    raises LinAlgError naming the link and its condition number. An empty
-    association returns before the channels are read.
+    gives every link's SINR and no combiner is formed. A `channels` whose first
+    axis is not S, or a non-finite channel or leakage, raises ValueError; a
+    covariance that the solve finds singular raises LinAlgError naming the
+    link and its condition number.
     """
     k = np.flatnonzero(alloc.serving >= 0)
+    if channels.shape[0] != k.size:
+        raise ValueError(f"channels hold {channels.shape[0]} MUs but {k.size} are served")
     if k.size == 0:
         return k, np.zeros(0)
     serving = alloc.serving[k]
     # a non-finite channel reaches its own covariance's diagonal through the Gram;
     # an infinite one makes the Gram's products invalid, which this check reports
     with np.errstate(invalid="ignore", over="ignore"):
-        h, n_cov = _link_covariances(channels, k, serving, leakage, cfg)
+        h, n_cov = _link_covariances(channels, serving, leakage, cfg)
     if not np.all(np.isfinite(n_cov)):
         raise ValueError("noise covariance contains non-finite entries")
     u = (h @ _principal_direction(h)[..., None])[..., 0]

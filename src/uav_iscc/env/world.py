@@ -85,7 +85,7 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     world, and the report's geometric fields describe the post-move layout.
     """
     k_count, m_count = world.num_mus, world.num_uavs
-    channels = build_all_channels(world, cfg, rng)
+    channels = build_all_channels(world, np.flatnonzero(alloc.serving >= 0), cfg, rng)
     radar_sinr, radar_rates, leakage = build_radar_state(world, cfg)
     links, link_rates = design_links(channels, alloc, leakage, cfg)
 

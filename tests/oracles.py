@@ -279,12 +279,12 @@ def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
 # ----------------------------------------------------------------------
 # channel draw as one expression
 # ----------------------------------------------------------------------
-def build_all_channels(world: WorldState, cfg: ScenarioConfig,
+def build_all_channels(world: WorldState, mus: np.ndarray, cfg: ScenarioConfig,
                        rng: np.random.Generator) -> np.ndarray:
-    """Rician channels with a steering exponential per array, two complex
-    draws and out-of-place arithmetic; `uav_iscc.env.build_all_channels`
-    must match it bit for bit."""
-    mu_pos = world.mu_positions
+    """Rician channels of the MUs `mus` [S] with a steering exponential per
+    array, one interleaved (real, imaginary) draw per entry and out-of-place
+    arithmetic; `uav_iscc.env.build_all_channels` must match it bit for bit."""
+    mu_pos = world.mu_positions[mus]
     uav_pos = world.uav_positions
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)
@@ -300,8 +300,8 @@ def build_all_channels(world: WorldState, cfg: ScenarioConfig,
     else:
         w_los = math.sqrt(eps / (eps + 1.0))
         w_nlos = math.sqrt(1.0 / (eps + 1.0))
-    shape = los.shape
-    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    z = rng.standard_normal((*los.shape, 2))
+    scatter = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
     scale = np.sqrt(cfg.ref_gain / d2)[..., None, None]
     return scale * (w_los * los + w_nlos * scatter)
 

@@ -113,10 +113,10 @@ def test_benchmark_hooks_read_per_mu_scalars():
     cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()
     rng = np.random.default_rng(0)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, cfg, rng)
     leakage = build_radar_state(world, cfg)[2]
     for serving in ([-1, -1, -1, -1], [1, -1, 0, 1]):
         alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
                            compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
+        channels = build_all_channels(world, np.flatnonzero(alloc.serving >= 0), cfg, rng)
         served = sum(m >= 0 for m in serving)
         assert len(design_links(channels, alloc, leakage, cfg)[0]) == served

@@ -62,14 +62,14 @@ def test_distance_under_uav_is_altitude(cfg):
     # with line of sight only, every entry has power ref_gain / d^2 exactly
     cfg.rician_factor = math.inf
     world = colocated_world([300.0, 400.0], [300.0, 400.0], 1, cfg)
-    h = build_all_channels(world, cfg, np.random.default_rng(0))
+    h = build_all_channels(world, np.arange(1), cfg, np.random.default_rng(0))
     assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / 4.0e4, rtol=1e-12, atol=0.0)
 
 
 def test_los_only_channel_entry_power_exact(cfg):
     cfg.rician_factor = math.inf
     world = colocated_world([100.0, 100.0], [160.0, 180.0], 1, cfg)
-    h = build_all_channels(world, cfg, np.random.default_rng(1))
+    h = build_all_channels(world, np.arange(1), cfg, np.random.default_rng(1))
     d2 = 60.0 ** 2 + 80.0 ** 2 + cfg.altitude ** 2
     assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / d2, atol=1e-18)
 
@@ -80,7 +80,7 @@ def test_channel_monte_carlo_entry_power(cfg):
     # directly overhead: d = altitude = 200; 100 MUs x 100 draws = 10k channels
     world = colocated_world([250.0, 250.0], [250.0, 250.0], 100, cfg)
     n_draws = 100
-    total = sum(np.mean(np.abs(build_all_channels(world, cfg, rng)) ** 2)
+    total = sum(np.mean(np.abs(build_all_channels(world, np.arange(100), cfg, rng)) ** 2)
                 for _ in range(n_draws))
     expected = cfg.ref_gain / cfg.altitude ** 2
     assert abs(total / n_draws - expected) / expected < 0.05
@@ -93,7 +93,7 @@ def test_batched_channels_match_statistics(cfg):
     mean_power = np.zeros((6, 3))
     n_draws = 2000
     for _ in range(n_draws):
-        h = build_all_channels(world, cfg, rng)
+        h = build_all_channels(world, np.arange(6), cfg, rng)
         mean_power += np.mean(np.abs(h) ** 2, axis=(2, 3))
     mean_power /= n_draws
     mu_pos, uav_pos = world.mu_positions, world.uav_positions
@@ -110,10 +110,24 @@ def test_channels_match_out_of_place_expression(rx, tx, rician, num_mus):
     cfg = ScenarioConfig(num_mus=num_mus, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(6))
-    got = build_all_channels(world, cfg, np.random.default_rng(7))
-    want = oracles.build_all_channels(world, cfg, np.random.default_rng(7))
-    assert got.shape == want.shape == (num_mus, 3, rx, tx)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # every MU, a proper subset (every other MU) and none
+    for mus in (np.arange(num_mus), np.arange(1, num_mus, 2), np.arange(0)):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = build_all_channels(world, mus, cfg, rng)
+        want = oracles.build_all_channels(world, mus, cfg, ref_rng)
+        assert got.shape == want.shape == (mus.size, 3, rx, tx)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_channels_of_no_mu_draw_nothing(cfg):
+    # a slot in which every MU computes locally takes no number from the stream
+    world = reset_world(cfg, np.random.default_rng(9))
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    h = build_all_channels(world, np.arange(0), cfg, rng)
+    assert h.shape == (0, cfg.num_uavs, cfg.rx_antennas, cfg.tx_antennas)
+    assert rng.bit_generator.state == state
 
 
 def single_link_rate(h, leakage, cfg):
@@ -289,7 +303,7 @@ def test_design_links_rates_positive(cfg):
     cfg.num_mus, cfg.num_uavs = 5, 2
     rng = np.random.default_rng(8)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, cfg, rng)
+    channels = build_all_channels(world, np.arange(3), cfg, rng)
     edge = np.zeros((5, 2))
     edge[0, 0] = edge[1, 0] = 5e9
     edge[2, 1] = 1e10
@@ -299,23 +313,35 @@ def test_design_links_rates_positive(cfg):
     links, link_rates = design_links(channels, alloc, leakage, cfg)
     rates = dict(zip(links.tolist(), link_rates.tolist()))
     assert set(rates) == {0, 1, 2}
+    every_mu = rows_of_every_mu(channels, alloc)
     for k, rate in rates.items():
         assert np.isfinite(rate) and rate > 0.0
         m = alloc.serving[k]
-        h = channels[k, m]
-        n_cov = interference_covariance(channels, alloc, leakage, cfg, m) \
+        h = every_mu[k, m]
+        n_cov = interference_covariance(every_mu, alloc, leakage, cfg, m) \
             - cfg.mu_power_max * (h @ h.conj().T)
         assert np.all(np.linalg.eigvalsh(n_cov) > 0)
 
 
+def rows_of_every_mu(channels, alloc):
+    """The served MUs' draw [S, M, W_R, W_T] placed in their rows of a
+    [K, M, W_R, W_T] array, for the MU-indexed oracles; every unserved row is
+    NaN, so an oracle that reads one returns a NaN rate."""
+    every_mu = np.full((alloc.serving.size, *channels.shape[1:]), np.nan, dtype=complex)
+    every_mu[alloc.serving >= 0] = channels
+    return every_mu
+
+
 def served_world(serving, num_uavs, seed, **overrides):
-    """Fresh channels and radar leakage, with MU k associated with UAV
-    serving[k] (-1: none): (cfg, channels, alloc, leakage)."""
+    """The served MUs' fresh channels [S, M, W_R, W_T] and the radar leakage,
+    with MU k associated with UAV serving[k] (-1: none): (cfg, channels,
+    alloc, leakage)."""
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(seed)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, cfg, rng)
-    alloc = Allocation(serving=np.array(serving, dtype=int),
+    serving = np.array(serving, dtype=int)
+    channels = build_all_channels(world, np.flatnonzero(serving >= 0), cfg, rng)
+    alloc = Allocation(serving=serving,
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        edge_cpu=np.zeros((cfg.num_mus, num_uavs)))
@@ -349,13 +375,18 @@ LINK_RATE_RTOL = 1e-5
 
 @pytest.mark.parametrize("case", list(LINK_CASES))
 def test_stacked_link_design_matches_per_link_loop(case):
+    # the loop reads the draw by MU index, with NaN in every unserved row: its
+    # rates stay finite, so neither side reads a channel that was not drawn
     serving, num_uavs, overrides = LINK_CASES[case]
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         links, link_rates = design_links(channels, alloc, leakage, cfg)
         rates = dict(zip(links.tolist(), link_rates.tolist()))
-        ref = oracles.design_links(channels, alloc, leakage, cfg)
+        every_mu = rows_of_every_mu(channels, alloc)
+        assert np.all(np.isnan(every_mu[alloc.serving < 0]))
+        ref = oracles.design_links(every_mu, alloc, leakage, cfg)
         assert rates.keys() == ref.keys() == {k for k, m in enumerate(serving) if m >= 0}
+        assert all(math.isfinite(r) for r in ref.values())
         for k, rate in rates.items():
             assert rate == pytest.approx(ref[k], rel=LINK_RATE_RTOL, abs=0.0), k
 
@@ -376,8 +407,8 @@ def test_leakage_and_link_covariances_exactly_hermitian(case):
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         assert_exactly_hermitian(leakage)
-        k = np.flatnonzero(alloc.serving >= 0)
-        assert_exactly_hermitian(_link_covariances(channels, k, alloc.serving[k], leakage, cfg)[1])
+        serving = alloc.serving[alloc.serving >= 0]
+        assert_exactly_hermitian(_link_covariances(channels, serving, leakage, cfg)[1])
 
 
 @pytest.mark.parametrize("case", SERVED_CASES)
@@ -390,7 +421,7 @@ def test_no_unit_combiner_beats_the_link_rate(case):
     rng = np.random.default_rng(15)
     cfg, channels, alloc, leakage = served_world(serving, num_uavs, 0, **overrides)
     links, rates = design_links(channels, alloc, leakage, cfg)
-    h, n_cov = _link_covariances(channels, links, alloc.serving[links], leakage, cfg)
+    h, n_cov = _link_covariances(channels, alloc.serving[links], leakage, cfg)
     u = (h @ _principal_direction(h)[..., None])[..., 0]
     n_r = cfg.rx_antennas
     for i in range(links.size):
@@ -425,11 +456,12 @@ def test_link_covariances_no_farther_from_exact_sum_than_loop(case):
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         k = np.flatnonzero(alloc.serving >= 0)
-        h, n_cov = _link_covariances(channels, k, alloc.serving[k], leakage, cfg)
-        assert h.tobytes() == channels[k, alloc.serving[k]].tobytes()
+        h, n_cov = _link_covariances(channels, alloc.serving[k], leakage, cfg)
+        every_mu = rows_of_every_mu(channels, alloc)
+        assert h.tobytes() == every_mu[k, alloc.serving[k]].tobytes()
         for i, mu in enumerate(k):
-            exact = exact_link_covariance(channels, alloc, leakage, cfg, mu)
-            loop = oracles.link_covariance(channels, alloc, leakage, cfg, mu)
+            exact = exact_link_covariance(every_mu, alloc, leakage, cfg, mu)
+            loop = oracles.link_covariance(every_mu, alloc, leakage, cfg, mu)
             assert np.abs(n_cov[i] - exact).max() <= np.abs(loop - exact).max(), (seed, mu)
 
 
@@ -440,7 +472,7 @@ def test_principal_direction_is_svd_v1_up_to_phase(rx, tx, rician):
     cfg = ScenarioConfig(num_mus=10, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(13))
-    h = build_all_channels(world, cfg, np.random.default_rng(14))
+    h = build_all_channels(world, np.arange(10), cfg, np.random.default_rng(14))
     s = np.linalg.svd(h, compute_uv=False)
     assert math.isfinite(rician) or np.all(s[..., 1:] <= 1e-12 * s[..., :1])
     v = _principal_direction(h)
@@ -476,6 +508,21 @@ def test_design_links_rejects_non_finite_channel(entry):
             design_links(channels, alloc, leakage, cfg)
 
 
+@pytest.mark.parametrize("serving", [[0, 1, 0, -1], [-1] * 4], ids=["some-local", "all-local"])
+def test_design_links_rejects_a_draw_of_every_mu(serving):
+    # rows of a [K, ...] draw are MUs, not links: read as the served draw,
+    # link i would take MU i's channel whichever MU it serves
+    cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()
+    rng = np.random.default_rng(12)
+    world = reset_world(cfg, rng)
+    channels = build_all_channels(world, np.arange(4), cfg, rng)
+    alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
+                       compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
+    served = sum(m >= 0 for m in serving)
+    with pytest.raises(ValueError, match=f"channels hold 4 MUs but {served} are served"):
+        design_links(channels, alloc, build_radar_state(world, cfg)[2], cfg)
+
+
 def test_singular_link_covariance_raises_with_link_and_condition(cfg):
     # UAV 1's leakage cancels the noise on its second antenna, which no MU
     # reaches, so the covariance of its only link, MU 1's, is exactly singular
@@ -488,7 +535,7 @@ def test_singular_link_covariance_raises_with_link_and_condition(cfg):
     leakage[1, 1, 1] = -cfg.noise_power
     alloc = Allocation(serving=np.array([0, 1, 0]), offload_ratio=np.zeros(3),
                        compress_ratio=np.zeros(3), edge_cpu=np.zeros((3, 2)))
-    _, n_cov = _link_covariances(channels, np.arange(3), alloc.serving, leakage, cfg)
+    _, n_cov = _link_covariances(channels, alloc.serving, leakage, cfg)
     assert np.all(n_cov[1][1] == 0.0) and np.all(n_cov[1][:, 1] == 0.0)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"MU 1 at UAV 1 is singular \(condition number ") as info:
