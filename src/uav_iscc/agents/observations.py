@@ -24,12 +24,11 @@ _MU_TASK_COLUMNS = slice(1, 6)     # an MU observation's scaled task
 def _scaled_tasks(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
     """Every MU's task min-max scaled into [0, 1]: [K, 5].
 
-    A field whose range has max <= min scales to 0.
+    `validate` keeps min <= max, so a field whose range has max <= min has
+    equal ends; every task holds that value, and it scales to 0.
     """
     lo, hi = task_bounds(cfg)
-    ranged = hi > lo
-    unit = np.clip((world.tasks - lo) / np.where(ranged, hi - lo, 1.0), 0.0, 1.0)
-    return np.where(ranged, unit, 0.0)
+    return np.clip((world.tasks - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0, 1.0)
 
 
 def mu_obs_dim(cfg: ScenarioConfig) -> int:

@@ -8,11 +8,34 @@ linear units through properties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .types import TASK_FIELDS
 
 
 class ConfigError(ValueError):
-    """Out-of-range value in a scenario configuration."""
+    """Out-of-range value in a scenario or trainer configuration."""
+
+
+def check_fields(config, non_negative=(), any_sign=(), inf_allowed=()) -> None:
+    """The one rule for a config's numbers: an int field holds an int (a bool or a numpy
+    integer, whose `config_hash` differs, is refused), a float field an int or a float. Each is
+    finite and > 0, but where `inf_allowed` (+inf), `non_negative` (0) or `any_sign` say."""
+    for f in fields(config):
+        kind = {"int": int, "float": (int, float)}.get(f.type)
+        if kind is None:            # left to the config's own checks
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{f.name} must be a Python {f.type}, "
+                              f"got {type(value).__name__} {value!r}")
+        if not (math.isfinite(value) or (value == math.inf and f.name in inf_allowed)):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if f.name in non_negative:
+            if value < 0:
+                raise ConfigError(f"{f.name} must be >= 0, got {value!r}")
+        elif f.name not in any_sign and value <= 0:
+            raise ConfigError(f"{f.name} must be > 0, got {value!r}")
 
 
 @dataclass
@@ -92,6 +115,13 @@ class ScenarioConfig:
     distance_threshold: float = 350.0     # m, slack before the centroid term bites
     roster_capacity: int = 0              # 0 -> ceil(2K/M)
 
+    # exemptions from the field rule (`check_fields`); every other number is > 0
+    NON_NEGATIVE = ("num_mus", "mobility_speed_noise_std", "mobility_heading_noise_std",
+                    "roster_capacity", "mobility_speed_memory", "mobility_heading_memory",
+                    "mobility_mean_speed", "reward_energy_weight", "reward_distance_weight")
+    ANY_SIGN = ("ref_gain_db", "noise_power_dbm", "mobility_mean_heading")
+    INF_ALLOWED = ("rician_factor",)     # +inf: a pure line-of-sight channel
+
     # ------------------------------------------------------------------
     @property
     def ref_gain(self) -> float:
@@ -106,30 +136,10 @@ class ScenarioConfig:
     @property
     def k_cap(self) -> int:
         """Fixed roster size of MUs a UAV observes and serves."""
-        if self.roster_capacity > 0:
-            return self.roster_capacity
-        return max(1, math.ceil(2 * self.num_mus / self.num_uavs))
+        return self.roster_capacity or max(1, math.ceil(2 * self.num_mus / self.num_uavs))
 
     def validate(self) -> "ScenarioConfig":
-        non_negative = ["num_mus", "roster_capacity",
-                        "mobility_speed_noise_std", "mobility_heading_noise_std"]
-        for name in non_negative:   # `not >=` and `not >` reject NaN too
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        positive = [
-            "region_width", "altitude", "slot_seconds",
-            "num_uavs", "tx_antennas", "rx_antennas",
-            "bandwidth_hz", "rician_factor", "radar_duty", "radar_pulse_s",
-            "radar_gain_product", "radar_rate_min", "uav_power_max",
-            "mu_power_max", "mu_cpu_max", "uav_cpu_max", "kappa_mu",
-            "kappa_uav", "uav_v_max", "uav_a_max", "safety_distance",
-            "blade_power", "induced_power", "tip_speed", "rotor_velocity",
-            "rotor_area", "fuselage_drag", "air_density", "rotor_solidity",
-            "weight_factor", "distance_threshold",
-        ]
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_fields(self, self.NON_NEGATIVE, self.ANY_SIGN, self.INF_ALLOWED)
         for name, prop in (("noise_power_dbm", "noise_power"), ("ref_gain_db", "ref_gain")):
             try:
                 linear = getattr(self, prop)
@@ -140,21 +150,11 @@ class ScenarioConfig:
                                   "need a finite value > 0")
         if self.safety_distance >= self.region_width:
             raise ConfigError("safety_distance must be smaller than region_width")
-        for lo, hi in [
-            ("data_bits_min", "data_bits_max"),
-            ("compute_density_min", "compute_density_max"),
-            ("compress_density_min", "compress_density_max"),
-            ("decompress_density_min", "decompress_density_max"),
-            ("compress_ratio_min", "compress_ratio_max"),
-            ("deadline_min", "deadline_max"),
-        ]:
-            if not 0 < getattr(self, lo) <= getattr(self, hi):
-                raise ConfigError(f"need 0 < {lo} <= {hi}")
-        if self.compress_ratio_max > 1.0:
-            raise ConfigError("compress_ratio_max must be <= 1")
-        if self.deadline_max > self.slot_seconds:
-            raise ConfigError("deadline_max must not exceed slot_seconds")
-        for name in ("mobility_speed_memory", "mobility_heading_memory"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        ranges = [(f"{name}_min", f"{name}_max") for name in (*TASK_FIELDS, "decompress_density")]
+        for lo, hi in [*ranges, ("deadline_max", "slot_seconds")]:
+            if getattr(self, lo) > getattr(self, hi):
+                raise ConfigError(f"need {lo} <= {hi}")
+        for name in ("compress_ratio_max", "mobility_speed_memory", "mobility_heading_memory"):
+            if getattr(self, name) > 1.0:
+                raise ConfigError(f"{name} must be <= 1")
         return self

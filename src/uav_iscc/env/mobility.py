@@ -26,10 +26,10 @@ def step_mobility(positions: np.ndarray, speeds: np.ndarray, headings: np.ndarra
 
     new_speed = (mu1 * speeds
                  + (1.0 - mu1) * cfg.mobility_mean_speed
-                 + np.sqrt(max(0.0, 1.0 - mu1 * mu1)) * noise[:, 0])
+                 + np.sqrt(1.0 - mu1 * mu1) * noise[:, 0])
     new_heading = (mu2 * headings
                    + (1.0 - mu2) * cfg.mobility_mean_heading
-                   + np.sqrt(max(0.0, 1.0 - mu2 * mu2)) * noise[:, 1])
+                   + np.sqrt(1.0 - mu2 * mu2) * noise[:, 1])
     new_speed = np.maximum(0.0, new_speed)
 
     step = speeds * cfg.slot_seconds

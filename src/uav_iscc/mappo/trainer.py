@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from ..agents import (
     uav_rosters,
 )
 from ..env import ScenarioConfig, reset_world, world_step
+from ..env.config import ConfigError, check_fields
 from ..numerics import AdamState, MlpParams, no_grad
 from .buffer import RolloutBatch, TypeRollout
 from .critics import CriticParams, critic_values_batch
@@ -66,27 +69,21 @@ class TrainerConfig:
     attention_heads: int = 4
     seed: int = 0
 
+    NON_NEGATIVE = ("episodes", "ppo_epochs", "gae_lambda", "entropy_coef", "seed")  # may be 0
+
     def validate(self) -> "TrainerConfig":
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must lie in [0, 1]")
-        if not 0.0 < self.clip_ratio < 1.0:
-            raise ValueError("clip_ratio must lie in (0, 1)")
-        for name in ("episodes", "ppo_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.episode_length < 1 or self.minibatches < 1:
-            raise ValueError("episode_length and minibatches must be >= 1")
-        for name in ("actor_lr", "critic_lr", "grad_clip"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise ValueError("hidden_sizes must be a non-empty tuple of widths >= 1")
-        if self.feature_dim < 1 or self.attention_heads < 1:
-            raise ValueError("feature_dim and attention_heads must be >= 1")
+        check_fields(self, self.NON_NEGATIVE)
+        for name in ("discount", "clip_ratio"):
+            if getattr(self, name) >= 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1)")
+        if self.gae_lambda > 1.0:
+            raise ConfigError("gae_lambda must lie in [0, 1]")
+        sizes = self.hidden_sizes
+        if not (isinstance(sizes, (tuple, list)) and sizes and all(
+                type(width) is int and width >= 1 for width in sizes)):
+            raise ConfigError(f"hidden_sizes must be a non-empty sequence of ints >= 1: {sizes!r}")
         if self.feature_dim % self.attention_heads:
-            raise ValueError("attention_heads must divide feature_dim")
+            raise ConfigError("attention_heads must divide feature_dim")
         return self
 
 
@@ -318,10 +315,17 @@ class Trainer:
 
     def save_checkpoint(self, path) -> None:
         arrays = {name: p.data for name, p in self.named_parameters().items()}
-        # through a handle: np.savez would append ".npz" to a path without that suffix
-        with open(path, "wb") as f:
-            np.savez(f, __version__=np.array(CHECKPOINT_VERSION),
-                     __config_hash__=np.array(self.config_hash()), **arrays)
+        # written beside `path`, then renamed onto it, so a failed write leaves the old file
+        # whole; through a handle, since np.savez would append ".npz" to a path without it
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                np.savez(f, __version__=np.array(CHECKPOINT_VERSION),
+                         __config_hash__=np.array(self.config_hash()), **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load_checkpoint(self, path) -> None:
         params = self.named_parameters()

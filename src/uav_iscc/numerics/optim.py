@@ -6,17 +6,15 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # Adam's moment decay rates and denominator offset
+
 
 class AdamState:
     """First/second moment accumulators for one parameter list."""
 
-    def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 5e-4):
         self.params: list[Tensor] = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -40,17 +38,15 @@ def adam_step(state: AdamState) -> None:
     Parameters without gradients are left untouched (no-op on zero grad).
     """
     state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
+    bias1 = 1.0 - BETA1 ** state.step_count
+    bias2 = 1.0 - BETA2 ** state.step_count
     for i, p in enumerate(state.params):
         if p.grad is None:
             continue
         g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         m_hat = state.m[i] / bias1
         v_hat = state.v[i] / bias2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad = None

@@ -214,6 +214,29 @@ def test_checkpoint_roundtrip_through_path_without_suffix(tmp_path):
         assert np.array_equal(clone.named_parameters()[name].data, p.data), name
 
 
+def test_failed_save_leaves_the_previous_checkpoint_whole(monkeypatch, tmp_path):
+    trainer = Trainer(*smoke_configs(seed=18))
+    path = tmp_path / "ckpt"
+    trainer.save_checkpoint(path)
+    saved = {name: p.data.copy() for name, p in trainer.named_parameters().items()}
+
+    def partial_write(file, *args, **kwargs):
+        file.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("uav_iscc.mappo.trainer.np.savez", partial_write)
+    for p in trainer.named_parameters().values():
+        p.data = p.data + 1.0
+    with pytest.raises(OSError, match="disk full"):
+        trainer.save_checkpoint(path)
+    monkeypatch.undo()
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt"]
+    clone = Trainer(*smoke_configs(seed=18))
+    clone.load_checkpoint(path)
+    for name, p in clone.named_parameters().items():
+        assert p.data.tobytes() == saved[name].tobytes(), name
+
+
 @pytest.mark.parametrize("key", ["__version__", "__config_hash__"])
 def test_checkpoint_without_metadata_names_the_key(tmp_path, key):
     trainer = Trainer(*smoke_configs(seed=18))
