@@ -7,7 +7,9 @@ the unit draws, which also feed the critics, and log-probabilities are
 densities on that cube. Decoding (`agents.actions`) alone maps a unit draw to
 its physical range; that affine map has a constant Jacobian, which cancels in
 the PPO ratio. A Beta has its support on the unit interval itself, so no draw
-is clamped at a boundary.
+is clamped at a boundary. The rollout's stored log-probability and the
+update's recomputed one come from the same Beta node, so before any step they
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from ..numerics import (
     MlpParams,
     Tensor,
-    beta_entropy,
-    beta_log_prob,
+    beta_log_prob_entropy,
     beta_sample,
     mlp_forward,
     no_grad,
@@ -37,13 +38,14 @@ def sample_action(trunk: MlpParams, obs_batch: np.ndarray,
     """Draw one action per row of `obs_batch`.
 
     Returns (unit actions [B, A], log-probs [B]); the log-probability is the
-    joint density on the unit cube.
+    joint density on the unit cube. Nothing is recorded and no entropy is
+    taken, so the density costs three lnGamma and no psi.
     """
-    with no_grad():  # the forward records no graph; the density runs on plain arrays
-        zeta, eta = (t.data for t in actor_forward(trunk, Tensor(obs_batch)))
-    unit = beta_sample(zeta, eta, rng)
-    logp = beta_log_prob(zeta, eta, unit).sum(axis=-1).data
-    return unit, logp
+    with no_grad():  # the forward records no graph, so its outputs are constants
+        zeta, eta = actor_forward(trunk, Tensor(obs_batch))
+    unit = beta_sample(zeta.data, eta.data, rng)
+    logp, _ = beta_log_prob_entropy(zeta, eta, unit, with_entropy=False)
+    return unit, logp.data.sum(axis=-1)
 
 
 def greedy_action(trunk: MlpParams, obs_batch: np.ndarray) -> np.ndarray:
@@ -57,10 +59,9 @@ def log_prob_entropy(trunk: MlpParams, obs_batch, unit_actions) -> tuple[Tensor,
     """Differentiable joint log-density and entropy for stored unit actions.
 
     Shapes: obs [.., B, obs_dim], actions [.., B, A] -> both outputs [.., B].
-    Both are taken on the unit cube and summed over dimensions.
+    Both are taken on the unit cube, by one Beta node per call, and summed
+    over dimensions.
     """
     zeta, eta = actor_forward(trunk, obs_batch)
-    x = np.asarray(unit_actions, dtype=np.float64)
-    logp = beta_log_prob(zeta, eta, x).sum(axis=-1)
-    ent = beta_entropy(zeta, eta).sum(axis=-1)
-    return logp, ent
+    logp, ent = beta_log_prob_entropy(zeta, eta, unit_actions)
+    return logp.sum(axis=-1), ent.sum(axis=-1)

@@ -3,8 +3,7 @@ probability kernels the actors and critics are built on."""
 
 from .distributions import (
     DomainError,
-    beta_entropy,
-    beta_log_prob,
+    beta_log_prob_entropy,
     beta_sample,
 )
 from .nn import (
@@ -25,8 +24,7 @@ __all__ = [
     "MlpParams",
     "Tensor",
     "adam_step",
-    "beta_entropy",
-    "beta_log_prob",
+    "beta_log_prob_entropy",
     "beta_sample",
     "clip_grad_norm",
     "concat",

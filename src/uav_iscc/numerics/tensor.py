@@ -17,8 +17,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import gammaln as _gammaln
 
 
 class GraphError(Exception):
@@ -40,20 +38,6 @@ def no_grad():
         yield
     finally:
         _recording = previous
-
-
-def _trigamma(x: np.ndarray) -> np.ndarray:
-    """psi'(x), x > 0: ten steps of psi'(x) = 1/x^2 + psi'(x+1), then the series through B12."""
-    acc = np.zeros_like(x)
-    for _ in range(10):
-        acc += 1.0 / (x * x)
-        x = x + 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = -691 / 2730
-    for b in (5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
-        series = series * inv2 + b
-    return acc + inv + inv2 * (0.5 + inv * series)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -252,21 +236,16 @@ class Tensor:
         out_data = np.logaddexp(0.0, self.data)
 
         def backward(g):
-            self._accumulate(g / (1.0 + np.exp(-self.data)))
+            # sigmoid(x) = 1/(1 + e^-x), with e^-x set to inf where -x >= ln(max
+            # float) (x below about -88.7 in float32) instead of overflowing there:
+            # the same exact 0 gradient (in float64 e^-x is finite at that one point
+            # and its ~1e-308 gradient becomes 0). A NaN still reaches exp.
+            neg = -self.data
+            e_neg = np.full_like(neg, np.inf)
+            np.exp(neg, out=e_neg, where=~(neg >= np.log(np.finfo(neg.dtype).max)))
+            self._accumulate(g / (1.0 + e_neg))
 
         return self._make(out_data, (self,), backward)
-
-    def lgamma(self):
-        def backward(g):
-            self._accumulate(g * _digamma(self.data))
-
-        return self._make(_gammaln(self.data), (self,), backward)
-
-    def digamma(self):
-        def backward(g):
-            self._accumulate(g * _trigamma(self.data))
-
-        return self._make(_digamma(self.data), (self,), backward)
 
     # ------------------------------------------------------------------
     # clamping / selection (subgradient at kinks routes to one branch)

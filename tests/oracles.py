@@ -21,6 +21,7 @@ from uav_iscc.env import (
 )
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
+from uav_iscc.numerics.distributions import _trigamma
 
 _MASK = -1e30
 
@@ -119,6 +120,48 @@ def critic_forward(params: CriticParams, all_obs: list, all_acts: list,
     others = [feats[w] for w in range(len(feats)) if w != agent]
     context = attention_pool(params.attention, feats[agent], others)
     return mlp_forward(params.value_head, concat([context, feats[agent]], axis=0))
+
+
+def lgamma(t) -> Tensor:
+    """lnGamma as a recorded node of its own; its backward is g * psi."""
+    t = Tensor._lift(t)
+
+    def backward(g):
+        t._accumulate(g * digamma(t.data))
+
+    return Tensor._make(gammaln(t.data), (t,), backward)
+
+
+def psi(t) -> Tensor:
+    """The digamma function as a recorded node of its own; its backward is g * psi'."""
+    t = Tensor._lift(t)
+
+    def backward(g):
+        t._accumulate(g * _trigamma(t.data))
+
+    return Tensor._make(digamma(t.data), (t,), backward)
+
+
+def beta_log_prob_chain(zeta, eta, x) -> Tensor:
+    """Per-op chain of ln f(x; zeta, eta), one recorded node per operation.
+
+    `beta_log_prob_entropy` must equal its values bit for bit.
+    """
+    zeta, eta = Tensor._lift(zeta), Tensor._lift(eta)
+    x = np.asarray(x, dtype=np.float64)
+    log_norm = lgamma(zeta + eta) - lgamma(zeta) - lgamma(eta)
+    return log_norm + (zeta - 1.0) * np.log(x) + (eta - 1.0) * np.log1p(-x)
+
+
+def beta_entropy_chain(zeta, eta) -> Tensor:
+    """Per-op chain of the Beta entropy in nats, one recorded node per operation."""
+    zeta, eta = Tensor._lift(zeta), Tensor._lift(eta)
+    total = zeta + eta
+    log_b = lgamma(zeta) + lgamma(eta) - lgamma(total)
+    return (log_b
+            - (zeta - 1.0) * psi(zeta)
+            - (eta - 1.0) * psi(eta)
+            + (total - 2.0) * psi(total))
 
 
 def beta_entropy_value(zeta: float, eta: float) -> float:

@@ -1,6 +1,7 @@
 """Actors: shape-parameter guarantees, sampling, unit-cube log-densities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ def test_shapes_always_above_one():
     assert raw.min() < -5.0 and raw.max() > 5.0
     z, e = actor_forward(actor, obs)
     assert np.all(z.data > 1.0) and np.all(e.data > 1.0)
+
+
+def test_saturated_trunk_outputs_give_finite_gradients():
+    # raw outputs of -100 put e^-x past float32's range, where the softplus
+    # gradient is exactly 0; no overflow may be raised on the way
+    actor = make_actor(dims=2, seed=3)
+    w, b = actor.layers[-1]
+    w.data[:] = 0.0
+    b.data[:] = [100.0, -100.0, -100.0, 100.0]
+    obs = np.random.default_rng(4).normal(size=(5, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logp, ent = log_prob_entropy(actor, Tensor(obs), np.full((5, 2), 0.5))
+        (logp.sum() + ent.sum()).backward()
+    for p in actor.parameters():
+        assert np.all(np.isfinite(p.grad))
+    assert np.any(b.grad != 0.0)
 
 
 def test_shape_gradient_matches_finite_differences():
@@ -82,6 +100,21 @@ def test_unit_interval_logp_equals_raw_beta_density():
     direct = (gammaln(z.data + e.data) - gammaln(z.data) - gammaln(e.data)
               + (z.data - 1) * np.log(unit) + (e.data - 1) * np.log1p(-unit)).sum(-1)
     assert np.allclose(logp, direct, atol=1e-12)
+
+
+def test_sampling_evaluates_no_digamma(monkeypatch):
+    # the rollout needs the density alone: three lnGamma and no psi
+    import uav_iscc.numerics.distributions as distributions
+
+    calls = []
+    real = distributions._digamma
+    monkeypatch.setattr(distributions, "_digamma", lambda a: calls.append(a) or real(a))
+    actor = make_actor(dims=3, seed=10)
+    obs = np.random.default_rng(11).normal(size=(7, 6))
+    sample_action(actor, obs, np.random.default_rng(11))
+    assert calls == []
+    log_prob_entropy(actor, Tensor(obs), np.full((7, 3), 0.5))
+    assert len(calls) == 3
 
 
 def test_log_prob_entropy_consistent_with_sampling():

@@ -13,7 +13,7 @@ from uav_iscc.mappo import (
     normalize_advantages,
     ppo_update,
 )
-from uav_iscc.numerics import AdamState, Tensor, adam_step, beta_entropy
+from uav_iscc.numerics import AdamState, Tensor, adam_step
 
 
 def tiny_trainer(seed=0, num_mus=3, num_uavs=2, episode_length=8, hidden_sizes=(8, 12)):
@@ -84,11 +84,10 @@ def test_pure_entropy_update_increases_entropy():
     actor = trainer.actors["mu"]
     rng = np.random.default_rng(5)
     obs = rng.uniform(0, 1, size=(12, trainer.mu_obs_dim))
-    from uav_iscc.mappo import actor_forward
+    act = rng.uniform(0.2, 0.8, size=(12, trainer.mu_act_dim))
 
     def mean_entropy():
-        z, e = actor_forward(actor, Tensor(obs))
-        return beta_entropy(z, e).mean()
+        return log_prob_entropy(actor, Tensor(obs), act)[1].mean()
 
     before = mean_entropy().item()
     opt = AdamState(actor.parameters(), lr=1e-3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, polygamma
+from scipy.special import digamma, gammaln, polygamma
 
 from uav_iscc.numerics import (
     AdamState,
@@ -10,6 +10,7 @@ from uav_iscc.numerics import (
     MlpParams,
     Tensor,
     adam_step,
+    beta_log_prob_entropy,
     concat,
     mlp_forward,
     no_grad,
@@ -17,7 +18,7 @@ from uav_iscc.numerics import (
     self_masked_attention,
 )
 from uav_iscc.numerics import tensor as tensor_module
-from uav_iscc.numerics.tensor import _trigamma
+from uav_iscc.numerics.distributions import _trigamma
 
 from oracles import in_float64, masked_attention_chain, softmax
 
@@ -90,20 +91,24 @@ def test_composite_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     w1 = parameter((4, 6), rng)
     b1 = parameter(rng.normal(size=6) * 0.1)
-    w2 = parameter((6, 3), rng)
+    w2 = parameter((6, 4), rng)
     in_float64(w1, w2)
     x = rng.normal(size=(7, 4))
+    unit = rng.uniform(0.05, 0.95, size=(7, 2))
 
     def loss_fn():
         h = np.tanh(x @ w1.data + b1.data)
-        out = h @ w2.data
-        z = np.logaddexp(0.0, out)
-        return float(np.sum(gammaln(z * z + 1.0)))
+        z, e = np.split(1.0 + np.logaddexp(0.0, h @ w2.data), 2, axis=1)
+        t = z + e
+        logp = gammaln(t) - gammaln(z) - gammaln(e) + (z - 1) * np.log(unit) + (e - 1) * np.log1p(-unit)
+        ent = (gammaln(z) + gammaln(e) - gammaln(t) - (z - 1) * digamma(z) - (e - 1) * digamma(e)
+               + (t - 2) * digamma(t))
+        return float(np.sum(logp + 2.0 * ent))
 
     h = (Tensor(x) @ w1 + b1).tanh()
-    out = h @ w2
-    z = out.softplus()
-    loss = (z * z + 1.0).lgamma().sum()
+    shapes = 1.0 + (h @ w2).softplus()
+    logp, ent = beta_log_prob_entropy(shapes[:, :2], shapes[:, 2:], unit)
+    loss = (logp + ent * 2.0).sum()
     loss.backward()
     fd = finite_diff_grad(loss_fn, [w1, b1, w2])
     for p, g in zip([w1, b1, w2], fd):
@@ -213,6 +218,28 @@ def test_nested_no_grad_restores_recording_on_exit_and_on_raise():
         with no_grad():
             raise RuntimeError("inside")
     assert (w * 1.0)._parents
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softplus_gradient_is_the_sigmoid_without_overflow(dtype):
+    # bit for bit g / (1 + e^-x) wherever e^-x is finite, and 0 where it
+    # overflows, with no warning raised (filterwarnings makes one an error)
+    edge = np.log(np.finfo(dtype).max)
+    x = np.concatenate([np.linspace(-120.0, 120.0, 4001), [-1e30, -800.0, -710.0, 800.0]]).astype(dtype)
+    x = np.concatenate([x, [-np.nextafter(edge, dtype(0)), -edge, -np.nextafter(edge, dtype(np.inf))]])
+    assert x.dtype == dtype
+    g = np.random.default_rng(8).normal(size=x.size).astype(dtype)
+    p = parameter(x)
+    (p.softplus() * g).sum().backward()
+    with np.errstate(over="ignore"):
+        e_neg = np.exp(-x)
+    finite = np.isfinite(e_neg) & (-x != edge)
+    assert p.grad[finite].tobytes() == (g / (1.0 + e_neg))[finite].tobytes()
+    assert np.all(p.grad[~finite] == 0.0) and (~finite).sum() >= 5
+    nan = parameter(np.array([np.nan], dtype))
+    with np.errstate(invalid="ignore"):
+        nan.softplus().sum().backward()
+    assert np.isnan(nan.grad[0])
 
 
 def test_trigamma_matches_scipy():
