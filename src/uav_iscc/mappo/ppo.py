@@ -51,43 +51,47 @@ def ppo_update(trainer, batch: RolloutBatch) -> dict:
 
     Minibatches are drawn over time steps so the attention critics always see
     the complete agent set of each included step. Advantages are normalized
-    per minibatch. A non-finite loss aborts with diagnostics.
+    per minibatch. Each minibatch computes the four losses (MU and UAV actor
+    and critic) on the same parameters, runs one backward on their sum, clips
+    each network's gradient on its own and takes one Adam step; the networks
+    share no parameter, so this equals four separate updates. A non-finite
+    loss aborts with diagnostics before any gradient is taken, so an aborted
+    minibatch moves no parameter and leaves no gradient behind.
     """
     cfg = trainer.config
     t_len = batch.length
     stats: dict[str, list] = {}
-
-    def push(name, value):
-        stats.setdefault(name, []).append(value)
-
     for _ in range(cfg.ppo_epochs):
         perm = trainer.update_rng.permutation(t_len)
         for idx in np.array_split(perm, min(cfg.minibatches, t_len)):
-            for kind in ("mu", "uav"):
-                roll = batch.of(kind)
-                actor = trainer.actors[kind]
-                a_loss, a_stats = actor_loss(
-                    actor, roll.obs[idx], roll.actions[idx], roll.log_probs[idx],
-                    normalize_advantages(roll.advantages[idx]),
-                    cfg.clip_ratio, cfg.entropy_coef)
-                if not np.isfinite(a_loss.data):
-                    raise UpdateAborted(f"non-finite {kind} actor loss", {
-                        "kind": kind, "loss": float(a_loss.data),
-                        "logp_old": roll.log_probs[idx].tolist()})
-                a_loss.backward()
-                clip_grad_norm(actor.parameters(), cfg.grad_clip)
-                adam_step(trainer.actor_opt[kind])
-                push(f"{kind}_actor_loss", float(a_loss.data))
-                for name, value in a_stats.items():
-                    push(f"{kind}_{name}", value)
-
-                c_loss = critic_loss(trainer.critics[kind], batch, kind, idx,
-                                     roll.targets[idx])
-                if not np.isfinite(c_loss.data):
-                    raise UpdateAborted(f"non-finite {kind} critic loss", {
-                        "kind": kind, "loss": float(c_loss.data)})
-                c_loss.backward()
-                clip_grad_norm(trainer.critics[kind].parameters(), cfg.grad_clip)
-                adam_step(trainer.critic_opt[kind])
-                push(f"{kind}_critic_loss", float(c_loss.data))
+            for name, value in _minibatch_step(trainer, batch, idx).items():
+                stats.setdefault(name, []).append(value)
     return {name: float(np.mean(vals)) for name, vals in stats.items()}
+
+
+def _minibatch_step(trainer, batch: RolloutBatch, idx: np.ndarray) -> dict:
+    """One update of all four networks on the time steps `idx`; returns its statistics."""
+    cfg = trainer.config
+    losses, stats = [], {}
+    for kind in ("mu", "uav"):
+        roll = batch.of(kind)
+        a_loss, a_stats = actor_loss(
+            trainer.actors[kind], roll.obs[idx], roll.actions[idx], roll.log_probs[idx],
+            normalize_advantages(roll.advantages[idx]), cfg.clip_ratio, cfg.entropy_coef)
+        if not np.isfinite(a_loss.data):
+            raise UpdateAborted(f"non-finite {kind} actor loss", {
+                "kind": kind, "loss": float(a_loss.data),
+                "logp_old": roll.log_probs[idx].tolist()})
+        c_loss = critic_loss(trainer.critics[kind], batch, kind, idx, roll.targets[idx])
+        if not np.isfinite(c_loss.data):
+            raise UpdateAborted(f"non-finite {kind} critic loss", {
+                "kind": kind, "loss": float(c_loss.data)})
+        losses += [a_loss, c_loss]
+        a_stats.update(actor_loss=float(a_loss.data), critic_loss=float(c_loss.data))
+        stats.update({f"{kind}_{name}": value for name, value in a_stats.items()})
+    sum(losses[1:], losses[0]).backward()
+    for kind in ("mu", "uav"):
+        clip_grad_norm(trainer.actors[kind].parameters(), cfg.grad_clip)
+        clip_grad_norm(trainer.critics[kind].parameters(), cfg.grad_clip)
+    adam_step(trainer.optimizer)
+    return stats

@@ -3,7 +3,7 @@
 Each episode rolls the environment for the configured length with both agent
 families acting in sequence (MUs choose associations and ratios first, UAVs
 then split CPU and steer), summarizes the transitions, and runs the PPO
-epochs per type. Everything is driven by named random streams spawned from
+epochs on both types at once. Everything is driven by named random streams spawned from
 one seed, so a (seed, config) pair reproduces the run bit for bit.
 """
 
@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class TrainerConfig:
     gae_lambda: float = 0.95
     clip_ratio: float = 0.2
     entropy_coef: float = 0.01
-    actor_lr: float = 5e-4
-    critic_lr: float = 5e-4
+    lr: float = 5e-4               # Adam step size of every network
     grad_clip: float = 10.0
     hidden_sizes: tuple = (64, 128)
     feature_dim: int = 64
@@ -141,10 +140,8 @@ class Trainer:
                 self.init_rng)
             for kind in ("mu", "uav")
         }
-        self.actor_opt = {k: AdamState(a.parameters(), lr=config.actor_lr)
-                          for k, a in self.actors.items()}
-        self.critic_opt = {k: AdamState(c.parameters(), lr=config.critic_lr)
-                           for k, c in self.critics.items()}
+        # one optimizer: each minibatch takes one Adam step over all four networks
+        self.optimizer = AdamState(self.named_parameters().values(), lr=config.lr)
 
     # ------------------------------------------------------------------
     # rollouts
@@ -219,7 +216,7 @@ class Trainer:
     # ------------------------------------------------------------------
     # training / evaluation
     # ------------------------------------------------------------------
-    def train(self, progress=None, fault_checkpoint=None) -> list[dict]:
+    def train(self, fault_checkpoint=None) -> list[dict]:
         """Full loop; returns one metric record per episode.
 
         A numeric or linear-algebra fault of the rollout checkpoints the
@@ -238,8 +235,6 @@ class Trainer:
             record = self.episode_metrics(episode, batch)
             record.update(stats)
             history.append(record)
-            if progress is not None:
-                progress(record)
         return history
 
     def episode_metrics(self, episode: int, batch: RolloutBatch) -> dict:
@@ -299,19 +294,17 @@ class Trainer:
     # checkpoints
     # ------------------------------------------------------------------
     def named_parameters(self) -> dict:
-        out = {}
-        for kind in ("mu", "uav"):
-            for i, p in enumerate(self.actors[kind].parameters()):
-                out[f"actor_{kind}/{i}"] = p
-            for i, p in enumerate(self.critics[kind].parameters()):
-                out[f"critic_{kind}/{i}"] = p
-        return out
+        return {f"{role}_{kind}/{i}": p for kind in ("mu", "uav")
+                for role, net in (("actor", self.actors[kind]), ("critic", self.critics[kind]))
+                for i, p in enumerate(net.parameters())}
 
     def config_hash(self) -> str:
-        payload = json.dumps({"trainer": asdict(self.config),
-                              "scenario": asdict(self.scenario)},
-                             sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        payload = {"trainer": asdict(self.config), "scenario": asdict(self.scenario)}
+        for config, values in zip((self.config, self.scenario), payload.values()):
+            # a float field hashes as float(v), so region_width=1000 and 1000.0 hash alike
+            values.update({f.name: float(values[f.name]) for f in fields(config) if f.type == "float"})
+        text = json.dumps(payload, sort_keys=True, default=str)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def save_checkpoint(self, path) -> None:
         arrays = {name: p.data for name, p in self.named_parameters().items()}
@@ -373,9 +366,8 @@ def penalty_rates(batch: RolloutBatch) -> dict:
     }
 
 
-def train(config: TrainerConfig, scenario: ScenarioConfig,
-          progress=None) -> tuple[Trainer, list[dict]]:
+def train(config: TrainerConfig, scenario: ScenarioConfig) -> tuple[Trainer, list[dict]]:
     """Build a trainer, run the full loop, return (trainer, metric history)."""
     trainer = Trainer(config, scenario)
-    history = trainer.train(progress=progress)
+    history = trainer.train()
     return trainer, history

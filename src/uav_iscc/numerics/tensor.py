@@ -5,6 +5,7 @@ A Tensor wraps a float32 numpy array (the networks' dtype) or a float64 one
 Operations record closures on a tape (none inside ``no_grad()``); calling
 ``backward()`` on a scalar loss walks the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad=True``.
+Those leaves keep theirs; an interior node's is released once it has propagated.
 Plain numpy arrays and Python scalars are promoted to constant tensors on the
 fly, in the dtype of the tensor they meet, so no result rests on numpy's scalar
 promotion rules; a constant (neither ``requires_grad`` nor recorded parents)
@@ -99,7 +100,8 @@ class Tensor:
             self.grad = self.grad + grad
 
     def backward(self):
-        """Populate gradients of all reachable tensors. Loss must be scalar."""
+        """Accumulate gradients into all reachable leaves; each interior node's
+        gradient is released once its backward has run. Loss must be scalar."""
         if self.data.size != 1:
             raise GraphError(f"backward() requires a scalar, got shape {self.data.shape}")
         topo, seen = [], set()
@@ -120,6 +122,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------------
     # graph construction helper

@@ -81,7 +81,7 @@ PROBES = [
     (TrainerConfig, "episode_length", 2.5),
     (TrainerConfig, "minibatches", 1.5),
     (TrainerConfig, "grad_clip", math.inf),
-    (TrainerConfig, "actor_lr", math.inf),
+    (TrainerConfig, "lr", math.inf),
 ]
 
 

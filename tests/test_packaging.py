@@ -52,7 +52,7 @@ DELETED_ATTRS = {
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
     ("uav_iscc.mappo.trainer", "EvalResult"): ("trajectory_rows", "reports"),
     ("uav_iscc.mappo.trainer", "Trainer"): ("_record_rows",),
-    ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic"),
+    ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic", "actor_lr", "critic_lr"),
     ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head"),
     ("uav_iscc.mappo.buffer", "RolloutBatch"): ("global_state",),
 }

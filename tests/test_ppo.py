@@ -13,7 +13,7 @@ from uav_iscc.mappo import (
     normalize_advantages,
     ppo_update,
 )
-from uav_iscc.numerics import AdamState, Tensor, adam_step
+from uav_iscc.numerics import AdamState, Tensor, adam_step, clip_grad_norm
 
 
 def tiny_trainer(seed=0, num_mus=3, num_uavs=2, episode_length=8, hidden_sizes=(8, 12)):
@@ -126,6 +126,53 @@ def test_update_abort_on_nonfinite():
     batch.mu.log_probs[:] = np.nan
     with pytest.raises(UpdateAborted):
         ppo_update(trainer, batch)
+
+
+def test_aborted_update_moves_no_parameter():
+    # the UAV actor loss is the third of a minibatch's four: all four are
+    # checked before the one backward, so the MU networks have not moved either
+    from uav_iscc.mappo import UpdateAborted
+
+    trainer = tiny_trainer(seed=8)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    batch.uav.log_probs[:] = np.nan
+    before = {name: p.data.copy() for name, p in trainer.named_parameters().items()}
+    with pytest.raises(UpdateAborted, match="non-finite uav actor loss"):
+        ppo_update(trainer, batch)
+    for name, p in trainer.named_parameters().items():
+        assert np.array_equal(p.data, before[name]), name
+        assert p.grad is None, name
+
+
+def test_joint_update_equals_four_separate_updates():
+    # the networks share no parameter and Adam is elementwise, so one backward
+    # of the summed losses and one Adam step over all four networks equal a
+    # backward, clip and Adam step per network, bit for bit
+    joint, apart = tiny_trainer(seed=10), tiny_trainer(seed=10)
+    batch = joint.prepare_batch(joint.collect_episode())
+    ppo_update(joint, batch)
+
+    cfg = apart.config
+    opts = {(role, kind): AdamState(nets[kind].parameters(), lr=cfg.lr)
+            for role, nets in (("actor", apart.actors), ("critic", apart.critics))
+            for kind in ("mu", "uav")}
+    for _ in range(cfg.ppo_epochs):
+        perm = apart.update_rng.permutation(batch.length)
+        for idx in np.array_split(perm, cfg.minibatches):
+            for kind in ("mu", "uav"):
+                roll = batch.of(kind)
+                loss, _ = actor_loss(apart.actors[kind], roll.obs[idx], roll.actions[idx],
+                                     roll.log_probs[idx],
+                                     normalize_advantages(roll.advantages[idx]),
+                                     cfg.clip_ratio, cfg.entropy_coef)
+                loss.backward()
+                clip_grad_norm(apart.actors[kind].parameters(), cfg.grad_clip)
+                adam_step(opts["actor", kind])
+                critic_loss(apart.critics[kind], batch, kind, idx, roll.targets[idx]).backward()
+                clip_grad_norm(apart.critics[kind].parameters(), cfg.grad_clip)
+                adam_step(opts["critic", kind])
+    for name, p in joint.named_parameters().items():
+        assert p.data.tobytes() == apart.named_parameters()[name].data.tobytes(), name
 
 
 def test_critic_target_is_one_step_bootstrap():

@@ -71,6 +71,29 @@ def test_backward_accumulates_until_reset():
     assert np.allclose(x.grad, first)
 
 
+def test_backward_releases_interior_gradients():
+    # leaves keep their gradients and interior nodes drop theirs once used, so a
+    # second pass over the same graph adds exactly the same leaf gradient again
+    x = parameter(np.array([0.5, -1.5, 2.0]))
+    w = parameter(np.array([[1.0, 2.0], [-0.5, 0.3], [0.7, -1.1]]))
+    h = (x @ w).tanh()
+    loss = (h * h).sum() + h.mean()
+    loss.backward()
+    first = [x.grad.copy(), w.grad.copy()]
+    interior, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._parents:
+            seen.add(id(node))
+            interior.append(node)
+            stack.extend(node._parents)
+    assert len(interior) >= 6
+    assert all(node.grad is None for node in interior)
+    loss.backward()
+    for leaf, g in zip((x, w), first):
+        assert np.array_equal(leaf.grad, 2.0 * g)
+
+
 def test_softmax_cross_entropy_closed_form():
     # uniform logits, one-hot target: gradient is p - onehot
     n = 5

@@ -22,7 +22,7 @@ def smoke_configs(seed=0, episodes=2):
 
 @pytest.mark.parametrize("field, value", [
     ("hidden_sizes", ()), ("hidden_sizes", (0, 4)), ("feature_dim", 0),
-    ("grad_clip", 0.0), ("grad_clip", -1.0), ("actor_lr", -1.0), ("critic_lr", 0.0),
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("lr", -1.0), ("lr", 0.0),
     ("attention_heads", 0), ("attention_heads", 3)])
 def test_validate_rejects_unusable_fields(field, value):
     tcfg, _ = smoke_configs()
@@ -260,6 +260,17 @@ def test_checkpoint_config_mismatch_rejected(tmp_path):
         other.load_checkpoint(path)
 
 
+def test_config_hash_reads_a_float_field_given_as_an_int_as_its_float():
+    tcfg, scfg = smoke_configs()
+    hashes = []
+    for width, clip in ((1000, 10), (1000.0, 10.0)):
+        scfg.region_width, tcfg.grad_clip = width, clip
+        hashes.append(Trainer(tcfg, scfg).config_hash())
+    assert hashes[0] == hashes[1]
+    scfg.region_width = 999.0
+    assert Trainer(tcfg, scfg).config_hash() != hashes[0]
+
+
 def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
     trainer = Trainer(*smoke_configs(seed=13))
     arrays = {}
@@ -349,8 +360,8 @@ def test_networks_are_float32_and_the_environment_float64():
     ppo_update(trainer, batch)
     for name, p in trainer.named_parameters().items():
         assert p.data.dtype == np.float32, name
-    for opt in [*trainer.actor_opt.values(), *trainer.critic_opt.values()]:
-        assert all(m.dtype == v.dtype == np.float32 for m, v in zip(opt.m, opt.v))
+    opt = trainer.optimizer
+    assert all(m.dtype == v.dtype == np.float32 for m, v in zip(opt.m, opt.v))
     for kind in ("mu", "uav"):
         roll = batch.of(kind)
         for t in actor_forward(trainer.actors[kind], roll.obs):
