@@ -1,4 +1,4 @@
-"""Heterogeneous multi-agent PPO: Beta-policy actors, attention critics,
+"""Heterogeneous multi-agent PPO: Beta-policy actors, one attention critic,
 GAE, clipped-surrogate updates, and the training loop."""
 
 from .buffer import RolloutBatch, TypeRollout

@@ -1,8 +1,8 @@
-"""Centralized critics: one attention critic per agent type over all agents'
-observation-action features (the MAAC critic).
+"""Centralized critic: one attention critic for every agent over all agents'
+observation-action features (the MAAC critic, shared by both agent types).
 
-Agents are globally ordered MUs first, then UAVs. A critic owns one encoder
-per agent type, an attention block, and a value head that reads the pooled
+Agents are globally ordered MUs first, then UAVs. The critic owns one encoder
+per agent type, one attention block, and one value head that reads the pooled
 context concatenated with the agent's own feature.
 """
 
@@ -24,7 +24,7 @@ from ..numerics import (
 
 @dataclass
 class CriticParams:
-    """Value network of one agent type."""
+    """Value network of every agent: per-type encoders, shared attention and head."""
 
     encoder_mu: MlpParams
     encoder_uav: MlpParams
@@ -44,38 +44,30 @@ class CriticParams:
         return [p for part in parts for p in part.parameters()]
 
 
-def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act,
-                        want: str) -> Tensor:
-    """Values for every agent of one type across a batch of time steps.
+def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act) -> Tensor:
+    """Values of every agent across a batch of time steps, in one pass.
 
     Inputs: mu_obs [T, K, d_mu_obs], mu_act [T, K, A_mu], uav_obs [T, M, ...],
-    uav_act [T, M, ...]. Every agent is encoded and supplies attention keys and
-    values; queries, attention and the value head run only for the Q agents of
-    type `want` ("mu": Q = K, "uav": Q = M), as in the MAAC critic.
-    Returns a Tensor [T, Q]. A batch of fewer than two agents is rejected:
-    an agent attends only to the others.
+    uav_act [T, M, ...]. Every agent is encoded once, supplies attention keys
+    and values, and queries all the others, as in the MAAC critic.
+    Returns a Tensor [T, K + M], the MUs' columns first. A batch of fewer than
+    two agents is rejected: an agent attends only to the others.
     """
-    if want not in ("mu", "uav"):
-        raise ValueError(f"want must be 'mu' or 'uav', got {want!r}")
-    t_len, k = mu_obs.shape[0], mu_obs.shape[1]
-    m = uav_obs.shape[1]
-    if k + m < 2:
-        raise ValueError(f"the critic needs at least two agents, got K + M = {k + m}")
+    t_len, n_agents = mu_obs.shape[0], mu_obs.shape[1] + uav_obs.shape[1]
+    if n_agents < 2:
+        raise ValueError(f"the critic needs at least two agents, got K + M = {n_agents}")
     mu_feats = mlp_forward(params.encoder_mu, np.concatenate([mu_obs, mu_act], axis=-1))
     uav_feats = mlp_forward(params.encoder_uav, np.concatenate([uav_obs, uav_act], axis=-1))
     feats = concat([mu_feats, uav_feats], axis=-2)        # [T, U, V]
-    own, offset = (mu_feats, 0) if want == "mu" else (uav_feats, k)
-    n_own = own.shape[1]
     block = params.attention
     heads, head_dim = block.heads, block.head_dim
 
-    def split_heads(x, w):                                # [T, N, V] -> [T, H, N, Vh]
-        return (x @ w.swapaxes(0, 1)).reshape(t_len, x.shape[1], heads, head_dim).swapaxes(1, 2)
+    def split_heads(w):                                   # [T, U, V] -> [T, H, U, Vh]
+        return (feats @ w.swapaxes(0, 1)).reshape(t_len, n_agents, heads, head_dim).swapaxes(1, 2)
 
-    q = split_heads(own, block.w_que)
-    key, val = split_heads(feats, block.w_key), split_heads(feats, block.w_val)
-    pooled = self_masked_attention(q, key, val, offset)   # [T, H, Q, Vh]
-    pooled = pooled.swapaxes(1, 2).reshape(t_len, n_own, heads * head_dim)
-    context = pooled @ block.w_mix                         # [T, Q, V]
-    joined = concat([context, own], axis=-1)               # [T, Q, 2V]
-    return mlp_forward(params.value_head, joined).reshape(t_len, n_own)
+    pooled = self_masked_attention(split_heads(block.w_que), split_heads(block.w_key),
+                                   split_heads(block.w_val), 0)   # [T, H, U, Vh]
+    pooled = pooled.swapaxes(1, 2).reshape(t_len, n_agents, heads * head_dim)
+    context = pooled @ block.w_mix                         # [T, U, V]
+    joined = concat([context, feats], axis=-1)             # [T, U, 2V]
+    return mlp_forward(params.value_head, joined).reshape(t_len, n_agents)

@@ -3,7 +3,7 @@
 A trunk maps an observation to 2*A raw outputs; each half goes through
 1 + softplus, so both Beta shapes of every action dimension stay above one and
 each density is unimodal. Policies live on the unit cube: stored actions are
-the unit draws, which also feed the critics, and log-probabilities are
+the unit draws, which also feed the critic, and log-probabilities are
 densities on that cube. Decoding (`agents.actions`) alone maps a unit draw to
 its physical range; that affine map has a constant Jacobian, which cancels in
 the PPO ratio. A Beta has its support on the unit interval itself, so no draw

@@ -38,25 +38,29 @@ def actor_loss(actor, obs_mb, act_mb, logp_old, adv_norm, clip_ratio: float,
     return loss, stats
 
 
-def critic_loss(critic, batch: RolloutBatch, kind: str, idx: np.ndarray,
-                targets: np.ndarray) -> Tensor:
+def critic_loss(critic, batch: RolloutBatch, idx: np.ndarray) -> tuple[Tensor, Tensor]:
+    """(MU, UAV) mean squared value errors of one critic forward over the steps `idx`."""
     values = critic_values_batch(critic, batch.mu.obs[idx], batch.mu.actions[idx],
-                                 batch.uav.obs[idx], batch.uav.actions[idx], kind)
-    diff = values - targets
-    return (diff * diff).mean()
+                                 batch.uav.obs[idx], batch.uav.actions[idx])
+    diff = values - np.concatenate([batch.mu.targets[idx], batch.uav.targets[idx]], axis=1)
+    squared, k = diff * diff, batch.mu.obs.shape[1]
+    return squared[:, :k].mean(), squared[:, k:].mean()
 
 
 def ppo_update(trainer, batch: RolloutBatch) -> dict:
     """Run the configured epochs of minibatch updates; returns mean statistics.
 
-    Minibatches are drawn over time steps so the attention critics always see
+    Minibatches are drawn over time steps so the attention critic always sees
     the complete agent set of each included step. Advantages are normalized
-    per minibatch. Each minibatch computes the four losses (MU and UAV actor
-    and critic) on the same parameters, runs one backward on their sum, clips
-    each network's gradient on its own and takes one Adam step; the networks
-    share no parameter, so this equals four separate updates. A non-finite
-    loss aborts with diagnostics before any gradient is taken, so an aborted
-    minibatch moves no parameter and leaves no gradient behind.
+    per minibatch. Each minibatch computes the MU and UAV actor losses and the
+    critic loss, the sum of the two types' value errors from one critic
+    forward, on the same parameters. It runs one backward on their sum, clips
+    each of the three networks' gradient on its own and takes one Adam step.
+    A non-finite loss aborts with diagnostics before any gradient is taken, so
+    an aborted minibatch moves no parameter and leaves no gradient behind.
+    Besides the losses, the statistics hold each network's mean pre-clip
+    gradient norm and `clip_share`, the share of (network, minibatch) pairs
+    whose norm exceeded `grad_clip`.
     """
     cfg = trainer.config
     t_len = batch.length
@@ -70,7 +74,7 @@ def ppo_update(trainer, batch: RolloutBatch) -> dict:
 
 
 def _minibatch_step(trainer, batch: RolloutBatch, idx: np.ndarray) -> dict:
-    """One update of all four networks on the time steps `idx`; returns its statistics."""
+    """One update of all three networks on the time steps `idx`; returns its statistics."""
     cfg = trainer.config
     losses, stats = [], {}
     for kind in ("mu", "uav"):
@@ -82,16 +86,19 @@ def _minibatch_step(trainer, batch: RolloutBatch, idx: np.ndarray) -> dict:
             raise UpdateAborted(f"non-finite {kind} actor loss", {
                 "kind": kind, "loss": float(a_loss.data),
                 "logp_old": roll.log_probs[idx].tolist()})
-        c_loss = critic_loss(trainer.critics[kind], batch, kind, idx, roll.targets[idx])
+        losses.append(a_loss)
+        a_stats["actor_loss"] = float(a_loss.data)
+        stats.update({f"{kind}_{name}": value for name, value in a_stats.items()})
+    for kind, c_loss in zip(("mu", "uav"), critic_loss(trainer.critic, batch, idx)):
         if not np.isfinite(c_loss.data):
             raise UpdateAborted(f"non-finite {kind} critic loss", {
                 "kind": kind, "loss": float(c_loss.data)})
-        losses += [a_loss, c_loss]
-        a_stats.update(actor_loss=float(a_loss.data), critic_loss=float(c_loss.data))
-        stats.update({f"{kind}_{name}": value for name, value in a_stats.items()})
+        losses.append(c_loss)
+        stats[f"{kind}_critic_loss"] = float(c_loss.data)
     sum(losses[1:], losses[0]).backward()
-    for kind in ("mu", "uav"):
-        clip_grad_norm(trainer.actors[kind].parameters(), cfg.grad_clip)
-        clip_grad_norm(trainer.critics[kind].parameters(), cfg.grad_clip)
+    norms = {name: clip_grad_norm(net.parameters(), cfg.grad_clip)
+             for name, net in trainer.networks().items()}
     adam_step(trainer.optimizer)
+    stats.update({f"{name}_grad_norm": norm for name, norm in norms.items()})
+    stats["clip_share"] = float(np.mean([norm > cfg.grad_clip for norm in norms.values()]))
     return stats

@@ -1,10 +1,11 @@
-"""Training loop: centralized reward evaluation, decentralized per-type actors.
+"""Training loop: decentralized per-type actors, one centralized critic.
 
 Each episode rolls the environment for the configured length with both agent
 families acting in sequence (MUs choose associations and ratios first, UAVs
-then split CPU and steer), summarizes the transitions, and runs the PPO
-epochs on both types at once. Everything is driven by named random streams spawned from
-one seed, so a (seed, config) pair reproduces the run bit for bit.
+then split CPU and steer), values every agent with one pass of the shared
+attention critic, and runs the PPO epochs on both types at once. Everything is
+driven by named random streams spawned from one seed, so a (seed, config) pair
+reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class TrainerFault(RuntimeError):
 # numeric faults of the simulated world; ValueError covers DomainError
 _ENV_FAULTS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
 
-# 3: every tensor is float32 (2: float64; 1: per-head attention maps)
-CHECKPOINT_VERSION = 3
+# 4: one critic (3: a critic per agent type; 2: float64; 1: per-head attention maps)
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -112,7 +113,7 @@ class Trainer:
         config.validate()
         scenario.validate()
         if scenario.num_mus < 1:
-            raise ValueError("training requires at least one MU")
+            raise ConfigError(f"num_mus must be >= 1 for training, got {scenario.num_mus}")
         self.config = config
         self.scenario = scenario
         seeds = np.random.SeedSequence(config.seed).spawn(4)
@@ -133,14 +134,11 @@ class Trainer:
             "uav": MlpParams.create([self.uav_obs_dim, *config.hidden_sizes, 2 * self.uav_act_dim],
                                     self.init_rng),
         }
-        self.critics = {
-            kind: CriticParams.create(
-                self.mu_obs_dim + self.mu_act_dim, self.uav_obs_dim + self.uav_act_dim,
-                config.feature_dim, config.attention_heads, config.hidden_sizes,
-                self.init_rng)
-            for kind in ("mu", "uav")
-        }
-        # one optimizer: each minibatch takes one Adam step over all four networks
+        # drawn after the actors, so the actors' parameters do not depend on the critic
+        self.critic = CriticParams.create(
+            self.mu_obs_dim + self.mu_act_dim, self.uav_obs_dim + self.uav_act_dim,
+            config.feature_dim, config.attention_heads, config.hidden_sizes, self.init_rng)
+        # one optimizer: each minibatch takes one Adam step over all three networks
         self.optimizer = AdamState(self.named_parameters().values(), lr=config.lr)
 
     # ------------------------------------------------------------------
@@ -195,17 +193,14 @@ class Trainer:
     # ------------------------------------------------------------------
     # value targets
     # ------------------------------------------------------------------
-    def _values(self, batch: RolloutBatch, kind: str) -> np.ndarray:
-        with no_grad():
-            values = critic_values_batch(self.critics[kind], batch.mu.obs, batch.mu.actions,
-                                         batch.uav.obs, batch.uav.actions, kind)
-        return values.data.astype(np.float64)  # advantages and targets stay float64
-
     def prepare_batch(self, batch: RolloutBatch) -> RolloutBatch:
         cfg = self.config
-        for kind in ("mu", "uav"):
-            roll = batch.of(kind)
-            roll.values = self._values(batch, kind)
+        with no_grad():
+            values = critic_values_batch(self.critic, batch.mu.obs, batch.mu.actions,
+                                         batch.uav.obs, batch.uav.actions)
+        values = values.data.astype(np.float64)  # advantages and targets stay float64
+        batch.mu.values, batch.uav.values = np.split(values, [self.scenario.num_mus], axis=1)
+        for roll in (batch.mu, batch.uav):
             roll.advantages = compute_gae(roll.rewards, roll.values, 0.0,
                                           cfg.discount, cfg.gae_lambda)
             # one-step bootstrap r + gamma V(s'), with V = 0 after the last slot
@@ -293,9 +288,13 @@ class Trainer:
     # ------------------------------------------------------------------
     # checkpoints
     # ------------------------------------------------------------------
+    def networks(self) -> dict:
+        """The trained networks by name: the two actors and the critic."""
+        return {"mu_actor": self.actors["mu"], "uav_actor": self.actors["uav"],
+                "critic": self.critic}
+
     def named_parameters(self) -> dict:
-        return {f"{role}_{kind}/{i}": p for kind in ("mu", "uav")
-                for role, net in (("actor", self.actors[kind]), ("critic", self.critics[kind]))
+        return {f"{name}/{i}": p for name, net in self.networks().items()
                 for i, p in enumerate(net.parameters())}
 
     def config_hash(self) -> str:

@@ -1,5 +1,5 @@
 """Minimal dense linear algebra, reverse-mode differentiation, Adam, and the
-probability kernels the actors and critics are built on."""
+probability kernels the actors and the critic are built on."""
 
 from .distributions import (
     DomainError,

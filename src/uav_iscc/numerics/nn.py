@@ -1,5 +1,5 @@
 """Dense network building blocks: tanh MLPs and the stacked query-key-value
-maps of the critics' attention block."""
+maps of the critic's attention block."""
 
 from __future__ import annotations
 

@@ -25,45 +25,40 @@ def random_instance(critic, k=2, m=2, t=3, seed=1):
 
 
 def test_batched_matches_reference_forward():
+    # one call values every agent: column u is agent u's value, MUs first
     critic = make_critic()
     in_float64(*critic.parameters())
     for k, m in [(2, 2), (3, 2), (1, 3), (4, 1)]:
         mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, k=k, m=m, seed=k + 10 * m)
-        for want, agents in (("mu", range(k)), ("uav", range(k, k + m))):
-            values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, want).data
-            assert values.shape == (mu_obs.shape[0], len(agents))
-            for t in range(mu_obs.shape[0]):
-                all_obs = [*mu_obs[t], *uav_obs[t]]
-                all_act = [*mu_act[t], *uav_act[t]]
-                for col, u in enumerate(agents):
-                    ref = critic_forward(critic, all_obs, all_act, num_mus=k, agent=u).item()
-                    assert values[t, col] == pytest.approx(ref, abs=1e-10)
+        values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act).data
+        assert values.shape == (mu_obs.shape[0], k + m)
+        for t in range(mu_obs.shape[0]):
+            all_obs = [*mu_obs[t], *uav_obs[t]]
+            all_act = [*mu_act[t], *uav_act[t]]
+            for u in range(k + m):
+                ref = critic_forward(critic, all_obs, all_act, num_mus=k, agent=u).item()
+                assert values[t, u] == pytest.approx(ref, abs=1e-10)
 
 
-@pytest.mark.parametrize("want", ["mu", "uav"])
+# the loss reads one type's columns, so the other type's query rows get no gradient
+@pytest.mark.parametrize("columns", ["mu", "uav"])
 @pytest.mark.parametrize("k, m, chunk", [(3, 2, None), (30, 6, 2 * 30 * 36)])
-def test_values_and_gradients_equal_unfused_attention(want, k, m, chunk, monkeypatch):
+def test_values_and_gradients_equal_unfused_attention(columns, k, m, chunk, monkeypatch):
     if chunk is not None:                              # several chunks of the [T*H] stack
         monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", chunk)
-    targets = np.random.default_rng(18).normal(size=(4, k if want == "mu" else m))
+    targets = np.random.default_rng(18).normal(size=(4, k if columns == "mu" else m))
     runs = []
     for attention in (None, masked_attention_chain):
         if attention is not None:
             monkeypatch.setattr(critics_module, "self_masked_attention", attention)
         critic = make_critic(seed=17)
-        values = critic_values_batch(critic, *random_instance(critic, k=k, m=m, t=4, seed=19),
-                                     want)
+        values = critic_values_batch(critic, *random_instance(critic, k=k, m=m, t=4, seed=19))
+        values = values[:, :k] if columns == "mu" else values[:, k:]
         diff = values - Tensor(targets)
         (diff * diff).mean().backward()
         runs.append([values.data] + [p.grad for p in critic.parameters()])
     for fused, chain in zip(*runs):
         assert fused.tobytes() == chain.tobytes()
-
-
-def test_unknown_agent_type_rejected():
-    critic = make_critic()
-    with pytest.raises(ValueError, match="'uavs'"):
-        critic_values_batch(critic, *random_instance(critic), "uavs")
 
 
 def test_uav_critic_loss_gradient_matches_finite_differences():
@@ -73,7 +68,7 @@ def test_uav_critic_loss_gradient_matches_finite_differences():
     targets = np.random.default_rng(16).normal(size=(2, 2))
 
     def loss():
-        diff = critic_values_batch(critic, *inputs, "uav") - Tensor(targets)
+        diff = critic_values_batch(critic, *inputs)[:, 3:] - Tensor(targets)  # the UAVs
         return (diff * diff).mean()
 
     loss().backward()
@@ -94,9 +89,9 @@ def test_uav_critic_loss_gradient_matches_finite_differences():
 def test_values_without_recording_equal_recorded_values():
     critic = make_critic(seed=12)
     inputs = random_instance(critic, k=3, m=2, t=4, seed=13)
-    recorded = critic_values_batch(critic, *inputs, "uav")
+    recorded = critic_values_batch(critic, *inputs)
     with no_grad():
-        plain = critic_values_batch(critic, *inputs, "uav")
+        plain = critic_values_batch(critic, *inputs)
     assert recorded._parents and not plain._parents
     assert np.array_equal(plain.data, recorded.data)
 
@@ -132,9 +127,8 @@ def test_identical_other_agents_share_attention_weight():
 def test_fewer_than_two_agents_rejected(k, m):
     critic = make_critic(seed=6)
     mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, k=k, m=m, t=2, seed=7)
-    want = "mu" if k else "uav"
     with pytest.raises(ValueError, match="at least two agents"):
-        critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, want)
+        critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act)
     with pytest.raises(ValueError, match="at least two agents"):
         critic_forward(critic, [*mu_obs[0], *uav_obs[0]], [*mu_act[0], *uav_act[0]],
                        num_mus=k, agent=0)
@@ -143,7 +137,7 @@ def test_fewer_than_two_agents_rejected(k, m):
 def test_critic_gradients_flow_to_all_components():
     critic = make_critic(seed=10)
     mu_obs, mu_act, uav_obs, uav_act = random_instance(critic, seed=11)
-    values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act, "uav")
+    values = critic_values_batch(critic, mu_obs, mu_act, uav_obs, uav_act)
     loss = (values * values).mean()
     loss.backward()
     for p in critic.parameters():

@@ -9,11 +9,12 @@ from uav_iscc.mappo import (
     TrainerConfig,
     actor_loss,
     critic_loss,
+    critic_values_batch,
     log_prob_entropy,
     normalize_advantages,
     ppo_update,
 )
-from uav_iscc.numerics import AdamState, Tensor, adam_step, clip_grad_norm
+from uav_iscc.numerics import AdamState, Tensor, adam_step, clip_grad_norm, no_grad
 
 
 def tiny_trainer(seed=0, num_mus=3, num_uavs=2, episode_length=8, hidden_sizes=(8, 12)):
@@ -70,13 +71,31 @@ def test_single_step_critic_descent():
     trainer = tiny_trainer(seed=3)
     batch = trainer.prepare_batch(trainer.collect_episode())
     idx = np.arange(batch.length)
-    critic = trainer.critics["mu"]
-    before = critic_loss(critic, batch, "mu", idx, batch.mu.targets).item()
-    loss = critic_loss(critic, batch, "mu", idx, batch.mu.targets)
-    loss.backward()
+    critic = trainer.critic
+
+    def loss():
+        mu_part, uav_part = critic_loss(critic, batch, idx)
+        return mu_part + uav_part
+
+    before = loss().item()
+    loss().backward()
     adam_step(AdamState(critic.parameters(), lr=1e-3))
-    after = critic_loss(critic, batch, "mu", idx, batch.mu.targets).item()
-    assert after < before
+    assert loss().item() < before
+
+
+def test_critic_loss_parts_are_each_types_mean_squared_error():
+    trainer = tiny_trainer(seed=3)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    idx = np.array([5, 1, 6])
+    mu_part, uav_part = critic_loss(trainer.critic, batch, idx)
+    with no_grad():
+        values = critic_values_batch(trainer.critic, batch.mu.obs[idx], batch.mu.actions[idx],
+                                     batch.uav.obs[idx], batch.uav.actions[idx]).data
+    k = trainer.scenario.num_mus
+    for part, cols, roll in ((mu_part, values[:, :k], batch.mu),
+                             (uav_part, values[:, k:], batch.uav)):
+        err = cols.astype(np.float64) - roll.targets[idx]
+        assert part.item() == pytest.approx(np.mean(err * err), rel=1e-6)
 
 
 def test_pure_entropy_update_increases_entropy():
@@ -113,7 +132,7 @@ def test_ppo_update_returns_statistics():
     stats = ppo_update(trainer, batch)
     for key in ("mu_actor_loss", "uav_actor_loss", "mu_critic_loss",
                 "uav_critic_loss", "mu_entropy", "uav_entropy",
-                "mu_clip_fraction", "mu_approx_kl"):
+                "mu_clip_fraction", "mu_approx_kl", "critic_grad_norm", "clip_share"):
         assert key in stats
         assert np.isfinite(stats[key])
 
@@ -129,8 +148,8 @@ def test_update_abort_on_nonfinite():
 
 
 def test_aborted_update_moves_no_parameter():
-    # the UAV actor loss is the third of a minibatch's four: all four are
-    # checked before the one backward, so the MU networks have not moved either
+    # the UAV actor loss is the second of a minibatch's four: all four are
+    # checked before the one backward, so the MU actor has not moved either
     from uav_iscc.mappo import UpdateAborted
 
     trainer = tiny_trainer(seed=8)
@@ -144,18 +163,18 @@ def test_aborted_update_moves_no_parameter():
         assert p.grad is None, name
 
 
-def test_joint_update_equals_four_separate_updates():
+def test_joint_update_equals_three_separate_updates():
     # the networks share no parameter and Adam is elementwise, so one backward
-    # of the summed losses and one Adam step over all four networks equal a
-    # backward, clip and Adam step per network, bit for bit
+    # of the summed losses and one Adam step over all three networks equal a
+    # backward, clip and Adam step per network, bit for bit; the critic's step
+    # is on the sum of its two value errors
     joint, apart = tiny_trainer(seed=10), tiny_trainer(seed=10)
     batch = joint.prepare_batch(joint.collect_episode())
     ppo_update(joint, batch)
 
     cfg = apart.config
-    opts = {(role, kind): AdamState(nets[kind].parameters(), lr=cfg.lr)
-            for role, nets in (("actor", apart.actors), ("critic", apart.critics))
-            for kind in ("mu", "uav")}
+    opts = {kind: AdamState(apart.actors[kind].parameters(), lr=cfg.lr) for kind in ("mu", "uav")}
+    critic_opt = AdamState(apart.critic.parameters(), lr=cfg.lr)
     for _ in range(cfg.ppo_epochs):
         perm = apart.update_rng.permutation(batch.length)
         for idx in np.array_split(perm, cfg.minibatches):
@@ -167,12 +186,43 @@ def test_joint_update_equals_four_separate_updates():
                                      cfg.clip_ratio, cfg.entropy_coef)
                 loss.backward()
                 clip_grad_norm(apart.actors[kind].parameters(), cfg.grad_clip)
-                adam_step(opts["actor", kind])
-                critic_loss(apart.critics[kind], batch, kind, idx, roll.targets[idx]).backward()
-                clip_grad_norm(apart.critics[kind].parameters(), cfg.grad_clip)
-                adam_step(opts["critic", kind])
+                adam_step(opts[kind])
+            mu_part, uav_part = critic_loss(apart.critic, batch, idx)
+            (mu_part + uav_part).backward()
+            clip_grad_norm(apart.critic.parameters(), cfg.grad_clip)
+            adam_step(critic_opt)
     for name, p in joint.named_parameters().items():
         assert p.data.tobytes() == apart.named_parameters()[name].data.tobytes(), name
+
+
+def test_critic_runs_once_per_batch_and_once_per_minibatch(monkeypatch):
+    # one critic values both agent types, so each forward serves the MUs and UAVs
+    import uav_iscc.mappo.ppo as ppo_module
+    import uav_iscc.mappo.trainer as trainer_module
+
+    calls = []
+    for module, site in ((trainer_module, "prepare_batch"), (ppo_module, "minibatch")):
+        def spy(*args, _forward=module.critic_values_batch, _site=site):
+            calls.append(_site)
+            return _forward(*args)
+
+        monkeypatch.setattr(module, "critic_values_batch", spy)
+    trainer = tiny_trainer(seed=11)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    assert calls == ["prepare_batch"]
+    ppo_update(trainer, batch)
+    cfg = trainer.config
+    assert calls == ["prepare_batch"] + ["minibatch"] * (cfg.ppo_epochs * cfg.minibatches)
+
+
+@pytest.mark.parametrize("grad_clip, share", [(1e-9, 1.0), (1e9, 0.0)])
+def test_clip_share_counts_the_clipped_networks(grad_clip, share):
+    trainer = tiny_trainer(seed=12)
+    trainer.config.grad_clip = grad_clip
+    stats = ppo_update(trainer, trainer.prepare_batch(trainer.collect_episode()))
+    assert stats["clip_share"] == share
+    for name in ("mu_actor", "uav_actor", "critic"):
+        assert 0.0 < stats[f"{name}_grad_norm"] < np.inf, name
 
 
 def test_critic_target_is_one_step_bootstrap():

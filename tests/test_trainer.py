@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import head_rows, in_float64
-from uav_iscc.env import ScenarioConfig
+from uav_iscc.env import ConfigError, ScenarioConfig
 from uav_iscc.mappo import Trainer, TrainerConfig, train
 from uav_iscc.mappo.trainer import CHECKPOINT_VERSION, EvalResult
 
@@ -42,6 +42,12 @@ def test_zero_episodes_returns_initial_parameters():
         assert np.array_equal(p1.data, p2.data)
 
 
+def test_training_without_an_mu_rejected_with_the_field_name():
+    tcfg, _ = smoke_configs()
+    with pytest.raises(ConfigError, match="num_mus must be >= 1 for training, got 0"):
+        Trainer(tcfg, ScenarioConfig(num_mus=0, num_uavs=2).validate())
+
+
 def test_evaluate_rejects_fewer_than_one_episode():
     trainer = Trainer(*smoke_configs())
     with pytest.raises(ValueError, match="episodes must be >= 1"):
@@ -74,7 +80,8 @@ def test_history_record_fields():
 RECORD_KEYS = {"episode", "objective", "mu_energy", "uav_energy", "flight_energy",
                "mean_mu_reward", "mean_uav_reward", "violation_rate", "penalty_rates"}
 PPO_STAT_KEYS = {f"{kind}_{name}" for kind in ("mu", "uav") for name in (
-    "actor_loss", "critic_loss", "entropy", "clip_fraction", "approx_kl")}
+    "actor_loss", "critic_loss", "entropy", "clip_fraction", "approx_kl")} | {
+    "mu_actor_grad_norm", "uav_actor_grad_norm", "critic_grad_norm", "clip_share"}
 
 
 def test_history_records_are_the_episode_record_plus_ppo_stats():
@@ -182,14 +189,14 @@ def test_version_2_float64_checkpoint_rejected(tmp_path):
     path = tmp_path / "v2.npz"
     np.savez(path, __version__=np.array(2),
              __config_hash__=np.array(trainer.config_hash()), **arrays)
-    with pytest.raises(ValueError, match="checkpoint version 2 is not supported, expected version 3"):
+    with pytest.raises(ValueError, match="checkpoint version 2 is not supported, expected version 4"):
         trainer.load_checkpoint(path)
 
 
 def test_float64_tensor_in_current_checkpoint_rejected_by_name(tmp_path):
     trainer = Trainer(*smoke_configs(seed=22))
     arrays = {name: p.data for name, p in trainer.named_parameters().items()}
-    name = "critic_uav/3"
+    name = "critic/3"
     arrays[name] = arrays[name].astype(np.float64)
     path = tmp_path / "mixed.npz"
     np.savez(path, __version__=np.array(CHECKPOINT_VERSION),
@@ -271,13 +278,31 @@ def test_config_hash_reads_a_float_field_given_as_an_int_as_its_float():
     assert Trainer(tcfg, scfg).config_hash() != hashes[0]
 
 
+def test_version_3_checkpoint_with_a_critic_per_agent_type_rejected(tmp_path):
+    # version 3 held two critics of today's shape, `critic_mu/*` and `critic_uav/*`
+    trainer = Trainer(*smoke_configs(seed=24))
+    arrays = {}
+    for kind in ("mu", "uav"):
+        for i, p in enumerate(trainer.actors[kind].parameters()):
+            arrays[f"actor_{kind}/{i}"] = p.data
+        for i, p in enumerate(trainer.critic.parameters()):
+            arrays[f"critic_{kind}/{i}"] = p.data + 1.0
+    path = tmp_path / "v3.npz"
+    np.savez(path, __version__=np.array(3),
+             __config_hash__=np.array(trainer.config_hash()), **arrays)
+    before = {name: p.data for name, p in trainer.named_parameters().items()}
+    with pytest.raises(ValueError, match="checkpoint version 3 is not supported, expected version 4"):
+        trainer.load_checkpoint(path)
+    assert all(p.data is before[name] for name, p in trainer.named_parameters().items())
+
+
 def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
     trainer = Trainer(*smoke_configs(seed=13))
     arrays = {}
     for kind in ("mu", "uav"):
         for i, p in enumerate(trainer.actors[kind].parameters()):
             arrays[f"actor_{kind}/{i}"] = p.data
-        critic = trainer.critics[kind]
+        critic = trainer.critic
         blk = critic.attention
         # version 1 kept one [head_dim, V] tensor per head
         per_head = [w.data[head_rows(blk, h)] for w in (blk.w_que, blk.w_key, blk.w_val)
@@ -291,7 +316,7 @@ def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
              __config_hash__=np.array(trainer.config_hash()), **arrays)
     clone = Trainer(*smoke_configs(seed=13))
     before = {name: p.data for name, p in clone.named_parameters().items()}
-    with pytest.raises(ValueError, match="checkpoint version 1 is not supported, expected version 3"):
+    with pytest.raises(ValueError, match="checkpoint version 1 is not supported, expected version 4"):
         clone.load_checkpoint(path)
     assert all(p.data is before[name] for name, p in clone.named_parameters().items())
 
@@ -362,13 +387,13 @@ def test_networks_are_float32_and_the_environment_float64():
         assert p.data.dtype == np.float32, name
     opt = trainer.optimizer
     assert all(m.dtype == v.dtype == np.float32 for m, v in zip(opt.m, opt.v))
+    values = critic_values_batch(trainer.critic, batch.mu.obs, batch.mu.actions,
+                                 batch.uav.obs, batch.uav.actions)
+    assert values.data.dtype == np.float32
     for kind in ("mu", "uav"):
         roll = batch.of(kind)
         for t in actor_forward(trainer.actors[kind], roll.obs):
             assert t.data.dtype == np.float32
-        values = critic_values_batch(trainer.critics[kind], batch.mu.obs, batch.mu.actions,
-                                     batch.uav.obs, batch.uav.actions, kind)
-        assert values.data.dtype == np.float32
         for name in ("obs", "actions", "log_probs", "values", "advantages", "targets"):
             assert getattr(roll, name).dtype == np.float64, (kind, name)
     for report in batch.reports:
