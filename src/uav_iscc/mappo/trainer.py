@@ -5,7 +5,7 @@ families acting in sequence (MUs choose associations and ratios first, UAVs
 then split CPU and steer), values every agent with one pass of the shared
 attention critic, and runs the PPO epochs on both types at once. Everything is
 driven by named random streams spawned from one seed, so a (seed, config) pair
-reproduces the run bit for bit.
+reproduces the run bit for bit at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

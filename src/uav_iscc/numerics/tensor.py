@@ -10,11 +10,14 @@ Plain numpy arrays and Python scalars are promoted to constant tensors on the
 fly, in the dtype of the tensor they meet, so no result rests on numpy's scalar
 promotion rules; a constant (neither ``requires_grad`` nor recorded parents)
 gets no gradient.
+On glibc, ``_retain_heap`` keeps freed pages for the next minibatch's graph to reuse.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,6 +31,18 @@ _recording = True
 
 _MASK = -1e30                # a query's own score: exp gives exactly 0, no inf arithmetic
 _CHUNK_ELEMENTS = 1 << 18    # scores per self_masked_attention chunk: 2 MiB, an L2 cache
+
+
+def _retain_heap() -> None:
+    """Set both malloc thresholds: setting either one turns glibc's dynamic ones off."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD: return the heap top only past 64 MiB
+
+
+_retain_heap()
 
 
 @contextmanager

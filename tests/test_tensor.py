@@ -1,5 +1,7 @@
 """Autodiff core: gradients against central finite differences, Adam behavior."""
 
+import platform
+
 import numpy as np
 import pytest
 from scipy.special import digamma, gammaln, polygamma
@@ -479,3 +481,17 @@ def test_adam_descends_convex_quadratic():
     final = (p * p).sum().item()
     assert values[1] < values[0]
     assert final < values[1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
+def test_freed_heap_is_reused_without_page_faults():
+    import resource  # Unix only, as glibc is
+
+    # importing the engine keeps freed memory in the process: a second 16 MiB
+    # array reuses the first one's pages instead of faulting in 4096 new ones
+    first = np.ones(1 << 21)
+    del first
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(1 << 21)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 64
