@@ -1,4 +1,6 @@
-"""Per-episode trajectory storage feeding the PPO updates."""
+"""Per-episode trajectory storage feeding the PPO updates: each agent type's
+actor inputs, and one [T, K + M] array of every agent's values, targets and
+advantages, in the critic's agent order (MUs first)."""
 
 from __future__ import annotations
 
@@ -15,9 +17,6 @@ class TypeRollout:
     actions: np.ndarray        # unit-interval actions
     log_probs: np.ndarray      # [T, U]
     rewards: np.ndarray        # [T, U]
-    values: np.ndarray | None = None
-    advantages: np.ndarray | None = None
-    targets: np.ndarray | None = None
 
     @classmethod
     def empty(cls, t_len: int, count: int, obs_dim: int, act_dim: int) -> "TypeRollout":
@@ -32,6 +31,9 @@ class RolloutBatch:
 
     mu: TypeRollout
     uav: TypeRollout
+    values: np.ndarray | None = None       # [T, K + M], set by Trainer.prepare_batch
+    advantages: np.ndarray | None = None   # [T, K + M]
+    targets: np.ndarray | None = None      # [T, K + M]
     reports: list = field(default_factory=list)
     mu_breakdowns: list = field(default_factory=list)   # [T] RewardBreakdown of [K] arrays
     uav_breakdowns: list = field(default_factory=list)  # [T] RewardBreakdown of [M] arrays

@@ -1,9 +1,9 @@
 """Centralized critic: one attention critic for every agent over all agents'
 observation-action features (the MAAC critic, shared by both agent types).
 
-Agents are globally ordered MUs first, then UAVs. The critic owns one encoder
-per agent type, one attention block, and one value head that reads the pooled
-context concatenated with the agent's own feature.
+One pass values all U = K + M agents, MUs first, with one encoder per agent
+type, a self-attention block in which each agent attends to the other U − 1,
+and one value head over the pooled context and the agent's own feature.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act) 
         return (feats @ w.swapaxes(0, 1)).reshape(t_len, n_agents, heads, head_dim).swapaxes(1, 2)
 
     pooled = self_masked_attention(split_heads(block.w_que), split_heads(block.w_key),
-                                   split_heads(block.w_val), 0)   # [T, H, U, Vh]
+                                   split_heads(block.w_val))      # [T, H, U, Vh]
     pooled = pooled.swapaxes(1, 2).reshape(t_len, n_agents, heads * head_dim)
     context = pooled @ block.w_mix                         # [T, U, V]
     joined = concat([context, feats], axis=-1)             # [T, U, 2V]

@@ -1,26 +1,21 @@
-"""Generalized advantage estimation over fixed-length episodes."""
+"""Generalized advantage estimation over fixed-length episodes: discounted
+reverse sums of the TD errors δ = target − V of the critic's one-step targets."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def compute_gae(rewards: np.ndarray, values: np.ndarray, bootstrap_value: float,
-                gamma: float, lam: float) -> np.ndarray:
-    """Exponentially weighted sums of TD errors, truncated at the episode end.
+def compute_gae(deltas: np.ndarray, decay: float) -> np.ndarray:
+    """A_t = Σ_l decay^l · δ_{t+l}, truncated at the episode end.
 
-    rewards/values have shape [T], or [T, N] with one independent column per
-    agent; `bootstrap_value` stands in for V(s_T) in every column. Returns the
-    advantages, shaped like `rewards`.
+    `deltas` has shape [T], or [T, N] with one independent column per agent;
+    `decay` is γ·λ. Returns the advantages, shaped like `deltas`.
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    adv = np.zeros_like(rewards)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    adv = np.empty_like(deltas)
     running = 0.0
-    next_value = float(bootstrap_value)
-    for t in reversed(range(rewards.shape[0])):
-        delta = rewards[t] + gamma * next_value - values[t]
-        running = delta + gamma * lam * running
+    for t in reversed(range(deltas.shape[0])):
+        running = deltas[t] + decay * running
         adv[t] = running
-        next_value = values[t]
     return adv

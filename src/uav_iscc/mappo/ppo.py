@@ -42,7 +42,7 @@ def critic_loss(critic, batch: RolloutBatch, idx: np.ndarray) -> tuple[Tensor, T
     """(MU, UAV) mean squared value errors of one critic forward over the steps `idx`."""
     values = critic_values_batch(critic, batch.mu.obs[idx], batch.mu.actions[idx],
                                  batch.uav.obs[idx], batch.uav.actions[idx])
-    diff = values - np.concatenate([batch.mu.targets[idx], batch.uav.targets[idx]], axis=1)
+    diff = values - batch.targets[idx]
     squared, k = diff * diff, batch.mu.obs.shape[1]
     return squared[:, :k].mean(), squared[:, k:].mean()
 
@@ -76,12 +76,13 @@ def ppo_update(trainer, batch: RolloutBatch) -> dict:
 def _minibatch_step(trainer, batch: RolloutBatch, idx: np.ndarray) -> dict:
     """One update of all three networks on the time steps `idx`; returns its statistics."""
     cfg = trainer.config
-    losses, stats = [], {}
-    for kind in ("mu", "uav"):
+    losses, stats, k = [], {}, batch.mu.obs.shape[1]
+    for kind, cols in (("mu", slice(0, k)), ("uav", slice(k, None))):
         roll = batch.of(kind)
+        # a contiguous copy: numpy's mean and std over a strided view can round differently
         a_loss, a_stats = actor_loss(
             trainer.actors[kind], roll.obs[idx], roll.actions[idx], roll.log_probs[idx],
-            normalize_advantages(roll.advantages[idx]), cfg.clip_ratio, cfg.entropy_coef)
+            normalize_advantages(batch.advantages[idx, cols]), cfg.clip_ratio, cfg.entropy_coef)
         if not np.isfinite(a_loss.data):
             raise UpdateAborted(f"non-finite {kind} actor loss", {
                 "kind": kind, "loss": float(a_loss.data),

@@ -194,18 +194,19 @@ class Trainer:
     # value targets
     # ------------------------------------------------------------------
     def prepare_batch(self, batch: RolloutBatch) -> RolloutBatch:
+        """Set the batch's float64 [T, K + M] values, targets and advantages,
+        MUs first as the critic orders them, from one critic pass. The targets
+        are one-step bootstraps r + γ·V(s'), with V = 0 after the last slot T;
+        the advantages are GAE over the TD errors δ = target − V."""
         cfg = self.config
         with no_grad():
             values = critic_values_batch(self.critic, batch.mu.obs, batch.mu.actions,
                                          batch.uav.obs, batch.uav.actions)
-        values = values.data.astype(np.float64)  # advantages and targets stay float64
-        batch.mu.values, batch.uav.values = np.split(values, [self.scenario.num_mus], axis=1)
-        for roll in (batch.mu, batch.uav):
-            roll.advantages = compute_gae(roll.rewards, roll.values, 0.0,
-                                          cfg.discount, cfg.gae_lambda)
-            # one-step bootstrap r + gamma V(s'), with V = 0 after the last slot
-            next_values = np.vstack([roll.values[1:], np.zeros_like(roll.values[:1])])
-            roll.targets = roll.rewards + cfg.discount * next_values
+        batch.values = values.data.astype(np.float64)
+        rewards = np.hstack([batch.mu.rewards, batch.uav.rewards])
+        next_values = np.vstack([batch.values[1:], np.zeros_like(batch.values[:1])])
+        batch.targets = rewards + cfg.discount * next_values
+        batch.advantages = compute_gae(batch.targets - batch.values, cfg.discount * cfg.gae_lambda)
         return batch
 
     # ------------------------------------------------------------------

@@ -344,27 +344,26 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def self_masked_attention(q, key, val, offset: int) -> Tensor:
-    """softmax(q @ keyᵀ / sqrt(d)) @ val, with query i blind to key `offset + i`.
+def self_masked_attention(q, key, val) -> Tensor:
+    """softmax(q @ keyᵀ / sqrt(d)) @ val, with query i blind to key i.
 
-    q [..., Q, d], key [..., U, d], val [..., U, dv] -> [..., Q, dv]; the
-    leading axes are a stack of independent attentions. One recorded node:
-    the scores of each chunk of the stack (at most _CHUNK_ELEMENTS entries,
-    or one [Q, U] block) go into one buffer that the scale, the mask, the
-    row-max shift, the exp and the normalisation overwrite in place, so a
-    chunk stays in cache. A stack that fits one chunk is read as given; a
-    larger one is flattened first, which copies a strided input. The
-    backward keeps only the weights and repeats the unfused chain's
-    arithmetic (matmul, scale, mask add, softmax, matmul) in the same order,
-    so values and gradients equal that chain's bit for bit.
+    q, key [..., U, d], val [..., U, dv] -> [..., U, dv]; the leading axes are
+    a stack of independent attentions. One recorded node: the scores of each
+    chunk of the stack (at most _CHUNK_ELEMENTS entries, or one [U, U] block)
+    go into one buffer that the scale, the mask, the row-max shift, the exp
+    and the normalisation overwrite in place, so a chunk stays in cache. A
+    stack that fits one chunk is read as given; a larger one is flattened
+    first, which copies a strided input. The backward keeps only the weights
+    and repeats the unfused chain's arithmetic (matmul, scale, mask add,
+    softmax, matmul) in the same order, so values and gradients equal that
+    chain's bit for bit.
     """
     q, key, val = Tensor._lift(q), Tensor._lift(key), Tensor._lift(val)
-    n_q, d = q.shape[-2:]
-    n_u = key.shape[-2]
-    if offset < 0 or offset + n_q > n_u:
-        raise ValueError(f"queries {offset}..{offset + n_q - 1} have no key among {n_u}")
+    n_u, d = q.shape[-2:]
+    if key.shape[-2] != n_u:
+        raise ValueError(f"one key per query needed: {n_u} queries, {key.shape[-2]} keys")
     n = math.prod(q.shape[:-2])
-    step = max(1, _CHUNK_ELEMENTS // max(1, n_q * n_u))
+    step = max(1, _CHUNK_ELEMENTS // max(1, n_u * n_u))
     if n <= step:               # one chunk: the stack as given, no copy
         qs, ks, vs, chunks = q.data, key.data, val.data, [...]
     else:                       # chunks of the flattened stack
@@ -372,15 +371,15 @@ def self_masked_attention(q, key, val, offset: int) -> Tensor:
         chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     stack = qs.shape[:-2]
     scale = 1.0 / np.sqrt(d)
-    own = np.arange(n_q)
+    own = np.arange(n_u)
     # the backward needs every chunk's weights; without it each chunk is scratch
     dtype = np.result_type(qs, ks, vs)
-    weights = np.empty((*stack, n_q, n_u), dtype) if Tensor._records((q, key, val)) else None
-    out = np.empty((*stack, n_q, vs.shape[-1]), dtype)
+    weights = np.empty((*stack, n_u, n_u), dtype) if Tensor._records((q, key, val)) else None
+    out = np.empty((*stack, n_u, vs.shape[-1]), dtype)
     for c in chunks:
         w = np.matmul(qs[c], ks[c].swapaxes(-1, -2), out=None if weights is None else weights[c])
         w *= scale
-        w[..., own, offset + own] += _MASK
+        w[..., own, own] += _MASK
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)

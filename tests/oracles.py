@@ -51,12 +51,11 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(y, (logits,), backward)
 
 
-def masked_attention_chain(q, key, val, offset: int) -> Tensor:
+def masked_attention_chain(q, key, val) -> Tensor:
     """Unfused `self_masked_attention`: scale, dense diagonal mask, softmax and
     pool, each a recorded node of its own."""
     q, key = Tensor._lift(q), Tensor._lift(key)
-    n_q, n_u = q.shape[-2], key.shape[-2]
-    mask = np.diag(np.full(n_u, _MASK))[offset:offset + n_q]     # [Q, U]
+    mask = np.diag(np.full(key.shape[-2], _MASK))                 # [U, U]
     scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
     return softmax(scores, axis=-1) @ val
 

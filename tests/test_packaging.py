@@ -55,6 +55,7 @@ DELETED_ATTRS = {
     ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic", "actor_lr", "critic_lr"),
     ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head"),
     ("uav_iscc.mappo.buffer", "RolloutBatch"): ("global_state",),
+    ("uav_iscc.mappo.buffer", "TypeRollout"): ("values", "advantages", "targets"),
 }
 
 

@@ -38,12 +38,12 @@ def test_ratio_identity_after_collection(num_mus, num_uavs, episode_length, hidd
     trainer = tiny_trainer(num_mus=num_mus, num_uavs=num_uavs,
                            episode_length=episode_length, hidden_sizes=hidden_sizes)
     batch = trainer.prepare_batch(trainer.collect_episode())
-    for kind in ("mu", "uav"):
+    for kind, cols in (("mu", slice(0, num_mus)), ("uav", slice(num_mus, None))):
         roll = batch.of(kind)
         logp_new, _ = log_prob_entropy(trainer.actors[kind], Tensor(roll.obs), roll.actions)
         assert np.array_equal(logp_new.data, roll.log_probs)
         _, stats = actor_loss(trainer.actors[kind], roll.obs, roll.actions,
-                              roll.log_probs, normalize_advantages(roll.advantages),
+                              roll.log_probs, normalize_advantages(batch.advantages[:, cols]),
                               0.2, 0.0)
         assert stats["approx_kl"] == 0.0 and stats["clip_fraction"] == 0.0
 
@@ -92,9 +92,8 @@ def test_critic_loss_parts_are_each_types_mean_squared_error():
         values = critic_values_batch(trainer.critic, batch.mu.obs[idx], batch.mu.actions[idx],
                                      batch.uav.obs[idx], batch.uav.actions[idx]).data
     k = trainer.scenario.num_mus
-    for part, cols, roll in ((mu_part, values[:, :k], batch.mu),
-                             (uav_part, values[:, k:], batch.uav)):
-        err = cols.astype(np.float64) - roll.targets[idx]
+    for part, cols in ((mu_part, slice(0, k)), (uav_part, slice(k, None))):
+        err = values[:, cols].astype(np.float64) - batch.targets[idx, cols]
         assert part.item() == pytest.approx(np.mean(err * err), rel=1e-6)
 
 
@@ -172,17 +171,17 @@ def test_joint_update_equals_three_separate_updates():
     batch = joint.prepare_batch(joint.collect_episode())
     ppo_update(joint, batch)
 
-    cfg = apart.config
+    cfg, k = apart.config, apart.scenario.num_mus
     opts = {kind: AdamState(apart.actors[kind].parameters(), lr=cfg.lr) for kind in ("mu", "uav")}
     critic_opt = AdamState(apart.critic.parameters(), lr=cfg.lr)
     for _ in range(cfg.ppo_epochs):
         perm = apart.update_rng.permutation(batch.length)
         for idx in np.array_split(perm, cfg.minibatches):
-            for kind in ("mu", "uav"):
+            for kind, cols in (("mu", slice(0, k)), ("uav", slice(k, None))):
                 roll = batch.of(kind)
                 loss, _ = actor_loss(apart.actors[kind], roll.obs[idx], roll.actions[idx],
                                      roll.log_probs[idx],
-                                     normalize_advantages(roll.advantages[idx]),
+                                     normalize_advantages(batch.advantages[idx, cols]),
                                      cfg.clip_ratio, cfg.entropy_coef)
                 loss.backward()
                 clip_grad_norm(apart.actors[kind].parameters(), cfg.grad_clip)
@@ -228,8 +227,32 @@ def test_clip_share_counts_the_clipped_networks(grad_clip, share):
 def test_critic_target_is_one_step_bootstrap():
     trainer = tiny_trainer(seed=9)
     batch = trainer.prepare_batch(trainer.collect_episode())
-    for kind in ("mu", "uav"):
-        roll = batch.of(kind)
-        next_values = np.vstack([roll.values[1:], np.zeros((1, roll.values.shape[1]))])
-        want = roll.rewards + trainer.config.discount * next_values
-        assert np.array_equal(roll.targets, want)
+    assert batch.values.shape == batch.targets.shape == batch.advantages.shape == (8, 3 + 2)
+    rewards = np.concatenate([batch.mu.rewards, batch.uav.rewards], axis=1)
+    next_values = np.vstack([batch.values[1:], np.zeros((1, 3 + 2))])
+    assert np.array_equal(batch.targets, rewards + trainer.config.discount * next_values)
+
+
+def per_type_gae(rewards, values, gamma, lam):
+    """GAE on one type's [T, N] rewards and values, with V = 0 after the last
+    slot and each TD error formed inside the reverse loop."""
+    adv, running, next_value = np.zeros_like(rewards), 0.0, 0.0
+    for t in reversed(range(rewards.shape[0])):
+        running = rewards[t] + gamma * next_value - values[t] + gamma * lam * running
+        adv[t], next_value = running, values[t]
+    return adv
+
+
+@pytest.mark.parametrize("seed", [9, 13])
+def test_one_value_pass_equals_each_types_own_computation(seed):
+    # the targets and advantages are columnwise, so the one pass over all
+    # K + M agents equals a computation on each type's rewards and values alone
+    trainer = tiny_trainer(seed=seed)
+    batch = trainer.prepare_batch(trainer.collect_episode())
+    cfg, k = trainer.config, trainer.scenario.num_mus
+    for kind, cols in (("mu", slice(0, k)), ("uav", slice(k, None))):
+        rewards, values = batch.of(kind).rewards, batch.values[:, cols].copy()
+        targets = rewards + cfg.discount * np.vstack([values[1:], np.zeros_like(values[:1])])
+        adv = per_type_gae(rewards, values, cfg.discount, cfg.gae_lambda)
+        assert batch.targets[:, cols].tobytes() == targets.tobytes(), kind
+        assert batch.advantages[:, cols].tobytes() == adv.tobytes(), kind

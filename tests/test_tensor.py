@@ -317,57 +317,55 @@ def test_softmax_gradient_matches_finite_differences(axis):
     assert np.max(rel_err(x.grad, fd)) < 1e-4
 
 
-# (leading axes, Q, U, offset, score budget per chunk in [Q, U] blocks; None: the default)
+# (leading axes, U, score budget per chunk in [U, U] blocks; None: the default)
 ATTENTION_CASES = {
-    "one-chunk": ((2, 3), 4, 7, 0, None),
-    "several-chunks": ((3, 2), 4, 7, 0, 2),
-    "ragged-last-chunk": ((7,), 4, 7, 0, 3),
-    "offset-k": ((2, 3), 3, 7, 4, 4),
-    "one-query": ((5,), 1, 5, 2, 2),
-    "400x420": ((2, 4), 400, 420, 0, None),
+    "one-chunk": ((2, 3), 7, None),
+    "several-chunks": ((3, 2), 7, 2),
+    "ragged-last-chunk": ((7,), 7, 3),
+    "420x420": ((2, 4), 420, None),
 }
 
 
-def attention_inputs(lead, n_q, n_u, seed, dv=3):
+def attention_inputs(lead, n_u, seed, dv=3):
     rng = np.random.default_rng(seed)
-    return (parameter(rng.normal(size=(*lead, n_q, 5))),
+    return (parameter(rng.normal(size=(*lead, n_u, 5))),
             parameter(rng.normal(size=(*lead, n_u, 5))),
             parameter(rng.normal(size=(*lead, n_u, dv))),
-            rng.normal(size=(*lead, n_q, dv)))
+            rng.normal(size=(*lead, n_u, dv)))
 
 
 @pytest.mark.parametrize("case", list(ATTENTION_CASES))
 def test_self_masked_attention_equals_unfused_chain(case, monkeypatch):
-    lead, n_q, n_u, offset, blocks = ATTENTION_CASES[case]
+    lead, n_u, blocks = ATTENTION_CASES[case]
     if blocks is not None:
-        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * n_q * n_u)
-    if case == "400x420":
-        assert np.prod(lead) * n_q * n_u > tensor_module._CHUNK_ELEMENTS   # several chunks
-    fused_in = attention_inputs(lead, n_q, n_u, seed=20)
-    chain_in = attention_inputs(lead, n_q, n_u, seed=20)
+        monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * n_u * n_u)
+    if case == "420x420":
+        assert np.prod(lead) * n_u * n_u > tensor_module._CHUNK_ELEMENTS   # several chunks
+    fused_in = attention_inputs(lead, n_u, seed=20)
+    chain_in = attention_inputs(lead, n_u, seed=20)
     outs = []
     for fn, (q, key, val, c) in ((self_masked_attention, fused_in),
                                  (masked_attention_chain, chain_in)):
-        out = fn(q, key, val, offset)
+        out = fn(q, key, val)
         (out * c).sum().backward()
         outs.append(out.data)
-    assert outs[0].shape == (*lead, n_q, 3)
+    assert outs[0].shape == (*lead, n_u, 3)
     assert outs[0].tobytes() == outs[1].tobytes()
     for fused, chain in zip(fused_in[:3], chain_in[:3]):
         assert fused.grad.tobytes() == chain.grad.tobytes()
 
 
-@pytest.mark.parametrize("offset", [0, 2])
-def test_self_masked_attention_gradient_matches_finite_differences(offset, monkeypatch):
-    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", 2 * 3 * 5)   # chunks of 2, 2, 1
-    q, key, val, c = attention_inputs((5,), 3, 5, seed=21)
+@pytest.mark.parametrize("blocks", [5, 2])     # one chunk; chunks of 2, 2 and 1
+def test_self_masked_attention_gradient_matches_finite_differences(blocks, monkeypatch):
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 4 * 4)
+    q, key, val, c = attention_inputs((5,), 4, seed=21)
 
     def loss_fn():
         with no_grad():
-            out = self_masked_attention(q, key, val, offset).data
+            out = self_masked_attention(q, key, val).data
         return float((out * c + out * out).sum())
 
-    out = self_masked_attention(q, key, val, offset)
+    out = self_masked_attention(q, key, val)
     (out * c + out * out).sum().backward()
     fd = finite_diff_grad(loss_fn, [q, key, val])
     for p, g in zip([q, key, val], fd):
@@ -376,11 +374,11 @@ def test_self_masked_attention_gradient_matches_finite_differences(offset, monke
 
 @pytest.mark.parametrize("blocks", [5, 2])
 def test_self_masked_attention_backward_leaves_inputs_unmodified(blocks, monkeypatch):
-    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 4 * 7)
-    q, key, val, g = attention_inputs((5,), 4, 7, seed=23)
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 7 * 7)
+    q, key, val, g = attention_inputs((5,), 7, seed=23)
     before = [t.data.copy() for t in (q, key, val)]
     g_before = g.copy()
-    out = self_masked_attention(q, key, val, 1)
+    out = self_masked_attention(q, key, val)
     out._backward(g)
     assert np.array_equal(g, g_before)
     for t, data in zip((q, key, val), before):
@@ -390,21 +388,23 @@ def test_self_masked_attention_backward_leaves_inputs_unmodified(blocks, monkeyp
 
 @pytest.mark.parametrize("blocks", [5, 2])
 def test_self_masked_attention_without_recording_keeps_no_closure(blocks, monkeypatch):
-    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 4 * 7)
-    q, key, val, _ = attention_inputs((5,), 4, 7, seed=24)
-    recorded = self_masked_attention(q, key, val, 3)
+    monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * 7 * 7)
+    q, key, val, _ = attention_inputs((5,), 7, seed=24)
+    recorded = self_masked_attention(q, key, val)
     with no_grad():
-        plain = self_masked_attention(q, key, val, 3)
+        plain = self_masked_attention(q, key, val)
     assert recorded._backward is not None
     assert plain._backward is None and plain._parents == ()
     assert plain.data.tobytes() == recorded.data.tobytes()
 
 
-@pytest.mark.parametrize("offset", [-1, 4])
-def test_self_masked_attention_rejects_queries_without_own_key(offset):
-    q, key, val, _ = attention_inputs((2,), 3, 6, seed=25)
-    with pytest.raises(ValueError, match="no key"):
-        self_masked_attention(q, key, val, offset)
+@pytest.mark.parametrize("n_keys", [2, 4])
+def test_self_masked_attention_rejects_mismatched_agent_counts(n_keys):
+    # query i is masked from key i, so the queries and keys must be the same agents
+    rng = np.random.default_rng(25)
+    q, key, val = (rng.normal(size=(2, n, w)) for n, w in ((3, 5), (n_keys, 5), (n_keys, 3)))
+    with pytest.raises(ValueError, match=f"3 queries, {n_keys} keys"):
+        self_masked_attention(q, key, val)
 
 
 def test_mlp_zero_weights_returns_bias():

@@ -394,8 +394,10 @@ def test_networks_are_float32_and_the_environment_float64():
         roll = batch.of(kind)
         for t in actor_forward(trainer.actors[kind], roll.obs):
             assert t.data.dtype == np.float32
-        for name in ("obs", "actions", "log_probs", "values", "advantages", "targets"):
+        for name in ("obs", "actions", "log_probs", "rewards"):
             assert getattr(roll, name).dtype == np.float64, (kind, name)
+    for name in ("values", "advantages", "targets"):
+        assert getattr(batch, name).dtype == np.float64, name
     for report in batch.reports:
         for f in fields(report):
             value = getattr(report, f.name)
