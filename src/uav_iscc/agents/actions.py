@@ -30,9 +30,9 @@ class MuAction:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, cfg: ScenarioConfig) -> "MuAction":
+        """`vec` is one float64 row of unit actions; `scores` is a view of it."""
         m = cfg.num_uavs
-        return cls(scores=np.asarray(vec[: m + 1], dtype=np.float64),
-                   offload_ratio=float(vec[m + 1]), compress_ratio=float(vec[m + 2]))
+        return cls(vec[: m + 1], vec.item(m + 1), vec.item(m + 2))   # in field order
 
 
 @dataclass

@@ -6,8 +6,8 @@ agents see their index, a fixed-capacity roster of currently associated MUs
 the other UAVs' positions. Roster slots beyond the served count are zero
 padded. Each builder returns one array with a row per agent: [K, mu_obs_dim]
 for the MUs and [M, uav_obs_dim] for the UAVs. The UAV builder reads the
-scaled tasks from the MU observations and takes the rosters as an argument, so
-a slot computes each once.
+scaled tasks and positions from the MU observations and takes the rosters as an
+argument, so a slot computes each once.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from ..env.config import ScenarioConfig
 from ..env.types import Allocation, WorldState
 from ..env.world import task_bounds
 
-_MU_TASK_COLUMNS = slice(1, 6)     # an MU observation's scaled task
+_MU_TASK_COLUMNS = slice(1, 6)            # an MU observation's scaled task
+_MU_POSITION_COLUMNS = slice(-2, None)    # and its scaled position
 
 
 def _scaled_tasks(world: WorldState, cfg: ScenarioConfig) -> np.ndarray:
@@ -58,9 +59,11 @@ def uav_rosters(alloc: Allocation, cfg: ScenarioConfig) -> np.ndarray:
     -1 to the capacity: [M, k_cap]."""
     served = alloc.serving == np.arange(alloc.edge_cpu.shape[1])[:, None]   # [M, K]
     first = np.argsort(~served, axis=1, kind="stable")[:, : cfg.k_cap]
-    rosters = np.where(np.arange(first.shape[1]) < served.sum(axis=1, keepdims=True),
-                       first, -1)
-    return np.pad(rosters, ((0, 0), (0, cfg.k_cap - first.shape[1])), constant_values=-1)
+    width = first.shape[1]                                        # min(K, k_cap)
+    rosters = np.full((len(served), cfg.k_cap), -1, dtype=first.dtype)
+    rosters[:, :width] = np.where(np.arange(width) < served.sum(axis=1, keepdims=True),
+                                  first, -1)
+    return rosters
 
 
 def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndarray,
@@ -70,13 +73,13 @@ def build_uav_observations(world: WorldState, alloc: Allocation, mu_obs: np.ndar
     width = cfg.region_width
     m_count = world.num_uavs
     # roster slot features per MU: position, task, offload and compression
-    # choices; the appended zero row is the slot that roster index -1 picks
-    slot_table = np.pad(np.concatenate([
-        world.mu_positions / width,
-        mu_obs[:, _MU_TASK_COLUMNS],
-        alloc.offload_ratio[:, None],
-        alloc.compress_ratio[:, None],
-    ], axis=1), ((0, 1), (0, 0)))                                 # [K+1, 9]
+    # choices; the last, zero row is the slot that roster index -1 picks
+    slot_table = np.empty((world.num_mus + 1, 9))                 # [K+1, 9]
+    slot_table[-1] = 0.0
+    slot_table[:-1, 0:2] = mu_obs[:, _MU_POSITION_COLUMNS]
+    slot_table[:-1, 2:7] = mu_obs[:, _MU_TASK_COLUMNS]
+    slot_table[:-1, 7] = alloc.offload_ratio
+    slot_table[:-1, 8] = alloc.compress_ratio
     uav_xy = world.uav_positions / width                          # [M, 2]
     # row block m: every other UAV's position, in index order
     others = np.broadcast_to(uav_xy, (m_count, m_count, 2))[~np.eye(m_count, dtype=bool)]

@@ -76,20 +76,14 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
     tx_time = t_offload if math.isfinite(t_offload) else cfg.slot_seconds
     e_offload = tx_time * power
     fe2 = f_edge * f_edge
+    # positional, in field order: cheaper per call than keywords
     return MuSlotOutcome(
-        t_local=t_local,
-        t_compress=t_compress,
-        t_offload=t_offload,
-        t_decompress=t_decompress,
-        t_edge_compute=t_edge_compute,
-        t_edge_total=t_edge_total,
-        latency=t_compress + max(t_local, t_edge_total),
-        e_compress=e_compress,
-        e_local=e_local,
-        e_offload=e_offload,
-        e_mu=e_compress + e_local + e_offload,
-        e_edge_compute=cfg.kappa_uav * fe2 * rho * d * c,
-        e_decompress=cfg.kappa_uav * fe2 * rho * eta * d * decompress_density,
+        t_local, t_compress, t_offload, t_decompress, t_edge_compute, t_edge_total,
+        t_compress + max(t_local, t_edge_total),                       # latency
+        e_compress, e_local, e_offload,
+        e_compress + e_local + e_offload,                              # e_mu
+        cfg.kappa_uav * fe2 * rho * d * c,                             # e_edge_compute
+        cfg.kappa_uav * fe2 * rho * eta * d * decompress_density,      # e_decompress
     )
 
 

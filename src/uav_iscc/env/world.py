@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -98,13 +99,15 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     rate = np.zeros(k_count)
     rate[links] = link_rates
     j_dec = np.where(served, world.uav_decompress[serving], 0.0)
-    rows = np.column_stack([world.tasks, rho, eta, dvfs_frequency(world.tasks, cfg),
-                            f_edge, rate, j_dec]).tolist()
-    outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, cfg.mu_power_max,
-                            j_dec_k, cfg)
-            for *task, rho_k, eta_k, f_mu, f_edge_k, rate_k, j_dec_k in rows]
-    per_mu = dict(zip(MuSlotOutcome._fields,
-                      np.array(outs).reshape(k_count, len(MuSlotOutcome._fields)).T.copy()))
+    power = cfg.mu_power_max
+    outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, power, j_dec_k, cfg)
+            for task, rho_k, eta_k, f_mu, f_edge_k, rate_k, j_dec_k in zip(
+                world.tasks.tolist(), rho.tolist(), eta.tolist(),
+                dvfs_frequency(world.tasks, cfg).tolist(), f_edge.tolist(), rate.tolist(),
+                j_dec.tolist())]
+    n_fields = len(MuSlotOutcome._fields)
+    per_mu = dict(zip(MuSlotOutcome._fields, np.fromiter(
+        chain.from_iterable(outs), float, k_count * n_fields).reshape(k_count, n_fields).T.copy()))
     # the edge-side costs are booked to the serving UAV, in MU order
     e_edge_compute = np.zeros(m_count)
     e_decompress = np.zeros(m_count)

@@ -27,10 +27,11 @@ from ..numerics import (
 
 
 def actor_forward(trunk: MlpParams, obs) -> tuple[Tensor, Tensor]:
-    """Per-dimension Beta shape pair (zeta, eta), both > 1."""
-    raw = mlp_forward(trunk, obs)
-    half = raw.shape[-1] // 2
-    return 1.0 + raw[..., :half].softplus(), 1.0 + raw[..., half:].softplus()
+    """Per-dimension Beta shape pair (zeta, eta), both > 1: the two halves of
+    1 + softplus of the trunk output."""
+    shapes = 1.0 + mlp_forward(trunk, obs).softplus()
+    half = shapes.shape[-1] // 2
+    return shapes[..., :half], shapes[..., half:]
 
 
 def sample_action(trunk: MlpParams, obs_batch: np.ndarray,

@@ -13,7 +13,7 @@ from .nn import (
     mlp_forward,
 )
 from .optim import AdamState, adam_step, clip_grad_norm
-from .tensor import GraphError, Tensor, concat, no_grad, parameter, self_masked_attention
+from .tensor import GraphError, Tensor, concat, dense, no_grad, parameter, self_masked_attention
 
 __all__ = [
     "AdamState",
@@ -28,6 +28,7 @@ __all__ = [
     "beta_sample",
     "clip_grad_norm",
     "concat",
+    "dense",
     "mlp_forward",
     "no_grad",
     "parameter",

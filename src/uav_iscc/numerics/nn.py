@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, parameter
+from .tensor import Tensor, dense, parameter
 
 
 class DimensionError(Exception):
@@ -34,8 +34,9 @@ class MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
-    """Run the MLP; `x` may carry arbitrary leading batch dimensions. A constant
-    input (an array or an untracked Tensor) is cast once to the weights' dtype."""
+    """Run the MLP, one `dense` node per layer; `x` may carry arbitrary leading
+    batch dimensions. A constant input (an array or an untracked Tensor) is cast
+    once to the weights' dtype."""
     if params.layers and not (isinstance(x, Tensor) and x._tracked):
         x = Tensor(np.asarray(x.data if isinstance(x, Tensor) else x,
                               dtype=params.layers[0][0].data.dtype))
@@ -44,9 +45,7 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
             raise DimensionError(
                 f"layer {i}: input width {x.shape[-1]} != expected {w.shape[0]}"
             )
-        x = x @ w + b
-        if i < len(params.layers) - 1:
-            x = x.tanh()
+        x = dense(x, w, b, tanh=i < len(params.layers) - 1)
     return x
 
 

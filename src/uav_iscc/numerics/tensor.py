@@ -321,9 +321,15 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def __getitem__(self, idx):
+        """Basic indexing only: ints, slices, Ellipsis and None. Such an index
+        picks each entry at most once, so the backward assigns the gradient."""
+        for i in idx if isinstance(idx, tuple) else (idx,):
+            if not (i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))):
+                raise GraphError(f"Tensor index {i!r}: only ints, slices, Ellipsis and None")
+
         def backward(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            full[idx] = g
             self._accumulate(full)
 
         return self._make(self.data[idx], (self,), backward)
@@ -342,6 +348,37 @@ def concat(tensors, axis: int = 0) -> Tensor:
             t._accumulate(piece)
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def dense(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
+    """`x @ w + b`, then tanh if `tanh`, as one recorded node.
+
+    x [..., n], w [n, m], b [m] -> [..., m], with `b` no wider than `x @ w`
+    (an MLP's layers share one dtype). The forward is the batched `x @ w`,
+    with the bias add and the tanh done in place on its result. The
+    backward repeats the unfused chain's arithmetic in the same order (tanh's
+    g * (1 - y*y), the bias's sum over the leading axes, then the matmul's two
+    GEMMs over the folded rows), so values and gradients equal that chain's bit
+    for bit. A constant `x` gets no gradient and costs no GEMM.
+    """
+    x = Tensor._lift(x, w)
+    a = x.data
+    out = a @ w.data
+    np.add(out, b.data, out=out, casting="safe")   # a bias wider than x @ w raises
+    if tanh:
+        np.tanh(out, out=out)
+
+    def backward(g):
+        if tanh:
+            g = g * (1.0 - out * out)
+        b._accumulate(g)
+        g_rows = g.reshape(-1, w.data.shape[1])
+        if x._tracked:
+            x._accumulate((g_rows @ w.data.T).reshape(a.shape))
+        if w._tracked:
+            w._accumulate(a.reshape(-1, w.data.shape[0]).T @ g_rows)
+
+    return Tensor._make(out, (x, w, b), backward)
 
 
 def self_masked_attention(q, key, val) -> Tensor:

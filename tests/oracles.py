@@ -51,6 +51,12 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(y, (logits,), backward)
 
 
+def dense_chain(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
+    """Unfused `dense`: the matmul, the bias add and the tanh, each a recorded node."""
+    out = Tensor._lift(x, w) @ w + b
+    return out.tanh() if tanh else out
+
+
 def masked_attention_chain(q, key, val) -> Tensor:
     """Unfused `self_masked_attention`: scale, dense diagonal mask, softmax and
     pool, each a recorded node of its own."""

@@ -14,6 +14,7 @@ from uav_iscc.numerics import (
     adam_step,
     beta_log_prob_entropy,
     concat,
+    dense,
     mlp_forward,
     no_grad,
     parameter,
@@ -22,7 +23,7 @@ from uav_iscc.numerics import (
 from uav_iscc.numerics import tensor as tensor_module
 from uav_iscc.numerics.distributions import _trigamma
 
-from oracles import in_float64, masked_attention_chain, softmax
+from oracles import dense_chain, in_float64, masked_attention_chain, softmax
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -155,6 +156,25 @@ def test_reduction_shape_and_selection_ops():
     fd = finite_diff_grad(loss_fn, [a, b])
     assert np.max(rel_err(np.where(fd[0] == 0, 0, a.grad), fd[0])) < 1e-4
     assert np.max(np.abs(b.grad - fd[1])) < 1e-6
+
+
+def test_two_slices_of_one_tensor_sum_into_its_gradient():
+    rng = np.random.default_rng(13)
+    a = parameter(rng.normal(size=(3, 4)))
+    c1, c2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 3))
+    ((a[:, :2] * c1).sum() + (a[..., 1:] * c2).sum() + a[None, 2, -1].sum()).backward()
+    expected = np.zeros((3, 4))
+    expected[:, :2] += c1
+    expected[:, 1:] += c2
+    expected[2, -1] += 1.0
+    assert np.allclose(a.grad, expected, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("index", [np.array([0, 0]), [1, 2], (slice(None), np.array([1]))])
+def test_array_index_raises_graph_error(index):
+    a = parameter(np.ones((3, 4)))
+    with pytest.raises(GraphError, match="Tensor index .* only ints, slices, Ellipsis and None"):
+        a[index]
 
 
 def test_batched_matmul_gradients():
@@ -405,6 +425,67 @@ def test_self_masked_attention_rejects_mismatched_agent_counts(n_keys):
     q, key, val = (rng.normal(size=(2, n, w)) for n, w in ((3, 5), (n_keys, 5), (n_keys, 3)))
     with pytest.raises(ValueError, match=f"3 queries, {n_keys} keys"):
         self_masked_attention(q, key, val)
+
+
+# (input shape, whether the input is a parameter)
+DENSE_INPUTS = {
+    "2d": ((6, 5), True),
+    "3d": ((3, 4, 5), True),
+    "1d": ((5,), True),
+    "constant-3d": ((3, 4, 5), False),
+}
+
+
+@pytest.mark.parametrize("tanh", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(DENSE_INPUTS))
+def test_dense_equals_unfused_chain(case, dtype, tanh):
+    shape, tracked = DENSE_INPUTS[case]
+    outs, grads = [], []
+    for fn in (dense, dense_chain):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=shape).astype(dtype)
+        x = parameter(x) if tracked else Tensor(x)
+        w = parameter(rng.normal(size=(5, 7)).astype(dtype))
+        b = parameter(rng.normal(size=7).astype(dtype))
+        c = rng.normal(size=(*shape[:-1], 7)).astype(dtype)
+        out = fn(x, w, b, tanh=tanh)
+        (out * c).sum().backward()
+        assert out.data.dtype == dtype and out.shape == (*shape[:-1], 7)
+        assert tracked or x.grad is None
+        outs.append(out.data)
+        grads.append([w.grad, b.grad, x.grad] if tracked else [w.grad, b.grad])
+    assert outs[0].tobytes() == outs[1].tobytes()
+    for fused, chain in zip(*grads):
+        assert fused.dtype == chain.dtype and fused.tobytes() == chain.tobytes()
+
+
+def test_dense_gradient_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    x = parameter(rng.normal(size=(2, 3, 4)))
+    w = parameter(rng.normal(size=(4, 5)))
+    b = parameter(rng.normal(size=5))
+    c = rng.normal(size=(2, 3, 5))
+
+    def loss_fn():
+        y = np.tanh(x.data @ w.data + b.data)
+        return float((y * c + y * y).sum())
+
+    y = dense(x, w, b, tanh=True)
+    (y * c + y * y).sum().backward()
+    fd = finite_diff_grad(loss_fn, [x, w, b])
+    for p, g in zip([x, w, b], fd):
+        assert np.max(rel_err(p.grad, g)) < 1e-4
+
+
+def test_mlp_records_one_node_per_layer():
+    mlp = MlpParams.create([5, 8, 8, 3], np.random.default_rng(32))
+    out = mlp_forward(mlp, np.ones((4, 5)))
+    nodes, node = 0, out
+    while node._parents:
+        nodes += 1
+        node = node._parents[0]
+    assert nodes == 3
 
 
 def test_mlp_zero_weights_returns_bias():
