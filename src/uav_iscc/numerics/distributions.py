@@ -51,11 +51,11 @@ def beta_log_prob_entropy(zeta, eta, x, with_entropy: bool = True) -> tuple[Tens
     and the same in e with ln(1-x).
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+    if not np.all((x > 0.0) & (x < 1.0)):     # written so that a NaN fails it
         raise DomainError("the Beta log-density requires x strictly inside (0, 1)")
     zeta, eta = Tensor._lift(zeta), Tensor._lift(eta)
     z, e = zeta.data, eta.data
-    if np.any(z <= 0.0) or np.any(e <= 0.0):
+    if not (np.all(z > 0.0) and np.all(e > 0.0)):
         raise DomainError("beta shape parameters must be positive")
     total = z + e
     lg_total, lg_z, lg_e = _gammaln(total), _gammaln(z), _gammaln(e)

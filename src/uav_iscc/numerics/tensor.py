@@ -199,34 +199,20 @@ class Tensor:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """[..., n] @ [n, m]. The backward folds the leading axes into rows, one
+        GEMM per gradient. The forward stays batched: folding it would change how
+        BLAS blocks a slot's rows, and with it the bits of the result."""
         other = Tensor._lift(other, self)
         a, b = self.data, other.data
-        if b.ndim == 2:
-            # [..., n] @ [n, m]: the backward folds the leading axes into rows, one
-            # GEMM per gradient. The forward stays batched: folding it would change
-            # how BLAS blocks a slot's rows, and with it the bits of the result.
-            def backward(g):
-                g_rows = g.reshape(-1, b.shape[1])
-                if self._tracked:  # constants skip their product
-                    self._accumulate((g_rows @ b.T).reshape(a.shape))
-                if other._tracked:
-                    other._accumulate(a.reshape(-1, b.shape[0]).T @ g_rows)
-
-            return self._make(a @ b, (self, other), backward)
-        # promote 1-d operands so one backward rule covers every other case
-        a2 = a[None, :] if a.ndim == 1 else a
-        b2 = b[:, None] if b.ndim == 1 else b
+        if b.ndim != 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
+            raise GraphError(f"Tensor matmul takes [..., n] @ [n, m], got {a.shape} @ {b.shape}")
 
         def backward(g):
-            g2 = g
-            if a.ndim == 1:
-                g2 = np.expand_dims(g2, -2)
-            if b.ndim == 1:
-                g2 = np.expand_dims(g2, -1)
-            if self._tracked:
-                self._accumulate(_unbroadcast(g2 @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape))
+            g_rows = g.reshape(-1, b.shape[1])
+            if self._tracked:  # constants skip their product
+                self._accumulate((g_rows @ b.T).reshape(a.shape))
             if other._tracked:
-                other._accumulate(_unbroadcast(a2.swapaxes(-1, -2) @ g2, b2.shape).reshape(b.shape))
+                other._accumulate(a.reshape(-1, b.shape[0]).T @ g_rows)
 
         return self._make(a @ b, (self, other), backward)
 
@@ -238,14 +224,6 @@ class Tensor:
 
         def backward(g):
             self._accumulate(g * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accumulate(g * (1.0 - out_data * out_data))
 
         return self._make(out_data, (self,), backward)
 
@@ -359,7 +337,9 @@ def dense(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     backward repeats the unfused chain's arithmetic in the same order (tanh's
     g * (1 - y*y), the bias's sum over the leading axes, then the matmul's two
     GEMMs over the folded rows), so values and gradients equal that chain's bit
-    for bit. A constant `x` gets no gradient and costs no GEMM.
+    for bit. With one output (m = 1) the input gradient is the broadcast product
+    g_rows * wᵀ, the same single products as the K=1 GEMM at a fraction of its
+    cost. A constant `x` gets no gradient and costs no GEMM.
     """
     x = Tensor._lift(x, w)
     a = x.data
@@ -374,7 +354,8 @@ def dense(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
         b._accumulate(g)
         g_rows = g.reshape(-1, w.data.shape[1])
         if x._tracked:
-            x._accumulate((g_rows @ w.data.T).reshape(a.shape))
+            gx = g_rows * w.data.T if w.data.shape[1] == 1 else g_rows @ w.data.T
+            x._accumulate(gx.reshape(a.shape))
         if w._tracked:
             w._accumulate(a.reshape(-1, w.data.shape[0]).T @ g_rows)
 
@@ -388,7 +369,9 @@ def self_masked_attention(q, key, val) -> Tensor:
     a stack of independent attentions. One recorded node: the scores of each
     chunk of the stack (at most _CHUNK_ELEMENTS entries, or one [U, U] block)
     go into one buffer that the scale, the mask, the row-max shift, the exp
-    and the normalisation overwrite in place, so a chunk stays in cache. A
+    and the normalisation overwrite in place, so a chunk stays in cache. The
+    scale 1/sqrt(d) is taken in the scores' dtype, as the chain lifts it, so
+    float32 scores are scaled in float32, forward and backward. A
     stack that fits one chunk is read as given; a larger one is flattened
     first, which copies a strided input. The backward keeps only the weights
     and repeats the unfused chain's arithmetic (matmul, scale, mask add,
@@ -407,10 +390,10 @@ def self_masked_attention(q, key, val) -> Tensor:
         qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, key, val))
         chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
     stack = qs.shape[:-2]
-    scale = 1.0 / np.sqrt(d)
+    dtype = np.result_type(qs, ks, vs)
+    scale = dtype.type(1.0 / np.sqrt(d))
     own = np.arange(n_u)
     # the backward needs every chunk's weights; without it each chunk is scratch
-    dtype = np.result_type(qs, ks, vs)
     weights = np.empty((*stack, n_u, n_u), dtype) if Tensor._records((q, key, val)) else None
     out = np.empty((*stack, n_u, vs.shape[-1]), dtype)
     for c in chunks:

@@ -22,6 +22,7 @@ from uav_iscc.env import (
 from uav_iscc.mappo import CriticParams
 from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
 from uav_iscc.numerics.distributions import _trigamma
+from uav_iscc.numerics.tensor import _unbroadcast
 
 _MASK = -1e30
 
@@ -51,10 +52,44 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(y, (logits,), backward)
 
 
+def tanh_node(x: Tensor) -> Tensor:
+    """Elementwise tanh as one recorded node (the name keeps `dense_chain`'s
+    `tanh` flag free); the backward is g * (1 - y*y)."""
+    y = np.tanh(x.data)
+
+    def backward(g):
+        x._accumulate(g * (1.0 - y * y))
+
+    return Tensor._make(y, (x,), backward)
+
+
+def matmul(a, b) -> Tensor:
+    """`a @ b` for any operands numpy's matmul takes, 1-D or batched on either
+    side, as one recorded node; `Tensor.__matmul__` takes [..., n] @ [n, m] only."""
+    a = Tensor._lift(a)
+    b = Tensor._lift(b, a)
+    x, y = a.data, b.data
+    # promote 1-d operands so one backward rule covers every case
+    x2 = x[None, :] if x.ndim == 1 else x
+    y2 = y[:, None] if y.ndim == 1 else y
+
+    def backward(g):
+        if x.ndim == 1:
+            g = np.expand_dims(g, -2)
+        if y.ndim == 1:
+            g = np.expand_dims(g, -1)
+        if a._tracked:
+            a._accumulate(_unbroadcast(g @ y2.swapaxes(-1, -2), x2.shape).reshape(x.shape))
+        if b._tracked:
+            b._accumulate(_unbroadcast(x2.swapaxes(-1, -2) @ g, y2.shape).reshape(y.shape))
+
+    return Tensor._make(x @ y, (a, b), backward)
+
+
 def dense_chain(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     """Unfused `dense`: the matmul, the bias add and the tanh, each a recorded node."""
     out = Tensor._lift(x, w) @ w + b
-    return out.tanh() if tanh else out
+    return tanh_node(out) if tanh else out
 
 
 def masked_attention_chain(q, key, val) -> Tensor:
@@ -62,8 +97,8 @@ def masked_attention_chain(q, key, val) -> Tensor:
     pool, each a recorded node of its own."""
     q, key = Tensor._lift(q), Tensor._lift(key)
     mask = np.diag(np.full(key.shape[-2], _MASK))                 # [U, U]
-    scores = (q @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
-    return softmax(scores, axis=-1) @ val
+    scores = matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    return matmul(softmax(scores, axis=-1), val)
 
 
 def head_rows(block: AttentionBlockParams, h: int) -> slice:
@@ -87,9 +122,9 @@ def attention_pool(block: AttentionBlockParams, query_feature, other_features) -
     head_outputs = []
     for h in range(block.heads):
         rows = head_rows(block, h)
-        q = block.w_que[rows] @ query_feature             # [head_dim]
+        q = matmul(block.w_que[rows], query_feature)      # [head_dim]
         keys = others @ block.w_key[rows].swapaxes(0, 1)  # [N, head_dim]
-        weights = softmax(keys @ q * scale, axis=0)       # [N]
+        weights = softmax(matmul(keys, q) * scale, axis=0)  # [N]
         vals = others @ block.w_val[rows].swapaxes(0, 1)  # [N, head_dim]
         head_outputs.append(weights @ vals)               # [head_dim]
     return concat(head_outputs, axis=0) @ block.w_mix

@@ -54,6 +54,15 @@ def test_beta_log_prob_domain_error():
         beta_log_prob(0.0, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("where", ["x", "zeta", "eta"])
+def test_beta_log_prob_rejects_nan(where):
+    # a NaN compares false both ways, so a check written as "any out of range" lets it through
+    args = {"zeta": [2.0, 2.0], "eta": [2.0, 2.0], "x": [0.5, 0.5]}
+    args[where][1] = np.nan
+    with pytest.raises(DomainError):
+        beta_log_prob_entropy(*(np.array(args[name]) for name in ("zeta", "eta", "x")))
+
+
 @pytest.mark.parametrize("zeta", [1.5, 2.0, 5.0])
 @pytest.mark.parametrize("eta", [1.5, 2.0, 5.0])
 def test_beta_density_integrates_to_one(zeta, eta):

@@ -1,6 +1,7 @@
 """Autodiff core: gradients against central finite differences, Adam behavior."""
 
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from uav_iscc.numerics import (
 from uav_iscc.numerics import tensor as tensor_module
 from uav_iscc.numerics.distributions import _trigamma
 
-from oracles import dense_chain, in_float64, masked_attention_chain, softmax
+from oracles import dense_chain, in_float64, masked_attention_chain, matmul, softmax, tanh_node
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -79,7 +80,7 @@ def test_backward_releases_interior_gradients():
     # second pass over the same graph adds exactly the same leaf gradient again
     x = parameter(np.array([0.5, -1.5, 2.0]))
     w = parameter(np.array([[1.0, 2.0], [-0.5, 0.3], [0.7, -1.1]]))
-    h = (x @ w).tanh()
+    h = tanh_node(x @ w)
     loss = (h * h).sum() + h.mean()
     loss.backward()
     first = [x.grad.copy(), w.grad.copy()]
@@ -131,7 +132,7 @@ def test_composite_gradients_match_finite_differences(seed):
                + (t - 2) * digamma(t))
         return float(np.sum(logp + 2.0 * ent))
 
-    h = (Tensor(x) @ w1 + b1).tanh()
+    h = tanh_node(Tensor(x) @ w1 + b1)
     shapes = 1.0 + (h @ w2).softplus()
     logp, ent = beta_log_prob_entropy(shapes[:, :2], shapes[:, 2:], unit)
     loss = (logp + ent * 2.0).sum()
@@ -177,6 +178,22 @@ def test_array_index_raises_graph_error(index):
         a[index]
 
 
+MATMUL_REJECTED = {
+    "vector-vector": ((5,), (5,)),
+    "matrix-vector": ((3, 5), (5,)),
+    "batched-right": ((2, 3, 5), (2, 5, 4)),
+    "inner-mismatch": ((3, 5), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(MATMUL_REJECTED))
+def test_matmul_takes_only_a_matrix_on_the_right(case):
+    # the general case is the `matmul` oracle's; the engine raises naming both shapes
+    a_shape, b_shape = MATMUL_REJECTED[case]
+    with pytest.raises(GraphError, match=re.escape(f"got {a_shape} @ {b_shape}")):
+        parameter(np.ones(a_shape)) @ parameter(np.ones(b_shape))
+
+
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(4)
     q = parameter(rng.normal(size=(2, 3, 4)))
@@ -188,7 +205,7 @@ def test_batched_matmul_gradients():
         return float(np.tanh(g).sum())
 
     s = q @ w
-    loss = (s @ s.swapaxes(-1, -2)).tanh().sum()
+    loss = tanh_node(matmul(s, s.swapaxes(-1, -2))).sum()
     loss.backward()
     fd = finite_diff_grad(loss_fn, [q, w])
     for p, g in zip([q, w], fd):
@@ -222,7 +239,7 @@ def test_constant_operands_get_no_gradient():
         d = np.tanh(x.data @ w.data + b.data) * mask.data - target.data
         return float((d * d).mean())
 
-    d = (x @ w + b).tanh() * mask - target
+    d = tanh_node(x @ w + b) * mask - target
     (d * d).mean().backward()
     assert x.grad is None and mask.grad is None and target.grad is None
     fd = finite_diff_grad(loss_fn, [w, b])
@@ -246,7 +263,7 @@ def test_constant_on_either_side_leaves_the_other_operands_gradient(op):
 def test_no_grad_outputs_record_no_parents():
     w = parameter(np.ones((3, 2)))
     with no_grad():
-        outs = [Tensor(np.ones((4, 3))) @ w, (w * 2.0).tanh(), concat([w, w]), w.sum()]
+        outs = [Tensor(np.ones((4, 3))) @ w, tanh_node(w * 2.0), concat([w, w]), w.sum()]
     for out in outs:
         assert out._parents == () and out._backward is None
     assert (Tensor(np.ones((4, 3))) @ w)._parents
@@ -337,39 +354,47 @@ def test_softmax_gradient_matches_finite_differences(axis):
     assert np.max(rel_err(x.grad, fd)) < 1e-4
 
 
-# (leading axes, U, score budget per chunk in [U, U] blocks; None: the default)
+# (leading axes, U, score budget per chunk in [U, U] blocks (None: the default),
+# head width, dtype); 1/sqrt(3) and 1/sqrt(5) are inexact in float32, so the
+# node must scale float32 scores by the float32 constant the chain lifts
 ATTENTION_CASES = {
-    "one-chunk": ((2, 3), 7, None),
-    "several-chunks": ((3, 2), 7, 2),
-    "ragged-last-chunk": ((7,), 7, 3),
-    "420x420": ((2, 4), 420, None),
+    "one-chunk": ((2, 3), 7, None, 5, np.float64),
+    "several-chunks": ((3, 2), 7, 2, 5, np.float64),
+    "ragged-last-chunk": ((7,), 7, 3, 5, np.float64),
+    "420x420": ((2, 4), 420, None, 5, np.float64),
+    "float32-width3-one-chunk": ((4, 3), 7, None, 3, np.float32),
+    "float32-width3-several-chunks": ((4, 3), 7, 5, 3, np.float32),
+    "float32-width5-one-chunk": ((4, 3), 7, None, 5, np.float32),
+    "float32-width5-several-chunks": ((4, 3), 7, 5, 5, np.float32),
+    "float32-width16-one-chunk": ((4, 3), 7, None, 16, np.float32),
+    "float32-width16-several-chunks": ((4, 3), 7, 5, 16, np.float32),
 }
 
 
-def attention_inputs(lead, n_u, seed, dv=3):
+def attention_inputs(lead, n_u, seed, dv=3, width=5, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    return (parameter(rng.normal(size=(*lead, n_u, 5))),
-            parameter(rng.normal(size=(*lead, n_u, 5))),
-            parameter(rng.normal(size=(*lead, n_u, dv))),
-            rng.normal(size=(*lead, n_u, dv)))
+    return (parameter(rng.normal(size=(*lead, n_u, width)).astype(dtype)),
+            parameter(rng.normal(size=(*lead, n_u, width)).astype(dtype)),
+            parameter(rng.normal(size=(*lead, n_u, dv)).astype(dtype)),
+            rng.normal(size=(*lead, n_u, dv)).astype(dtype))
 
 
 @pytest.mark.parametrize("case", list(ATTENTION_CASES))
 def test_self_masked_attention_equals_unfused_chain(case, monkeypatch):
-    lead, n_u, blocks = ATTENTION_CASES[case]
+    lead, n_u, blocks, width, dtype = ATTENTION_CASES[case]
     if blocks is not None:
         monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * n_u * n_u)
     if case == "420x420":
         assert np.prod(lead) * n_u * n_u > tensor_module._CHUNK_ELEMENTS   # several chunks
-    fused_in = attention_inputs(lead, n_u, seed=20)
-    chain_in = attention_inputs(lead, n_u, seed=20)
+    fused_in = attention_inputs(lead, n_u, seed=20, width=width, dtype=dtype)
+    chain_in = attention_inputs(lead, n_u, seed=20, width=width, dtype=dtype)
     outs = []
     for fn, (q, key, val, c) in ((self_masked_attention, fused_in),
                                  (masked_attention_chain, chain_in)):
         out = fn(q, key, val)
         (out * c).sum().backward()
         outs.append(out.data)
-    assert outs[0].shape == (*lead, n_u, 3)
+    assert outs[0].shape == (*lead, n_u, 3) and outs[0].dtype == dtype
     assert outs[0].tobytes() == outs[1].tobytes()
     for fused, chain in zip(fused_in[:3], chain_in[:3]):
         assert fused.grad.tobytes() == chain.grad.tobytes()
@@ -427,12 +452,13 @@ def test_self_masked_attention_rejects_mismatched_agent_counts(n_keys):
         self_masked_attention(q, key, val)
 
 
-# (input shape, whether the input is a parameter)
+# (input shape, whether the input is a parameter, outputs)
 DENSE_INPUTS = {
-    "2d": ((6, 5), True),
-    "3d": ((3, 4, 5), True),
-    "1d": ((5,), True),
-    "constant-3d": ((3, 4, 5), False),
+    "2d": ((6, 5), True, 7),
+    "3d": ((3, 4, 5), True, 7),
+    "1d": ((5,), True, 7),
+    "constant-3d": ((3, 4, 5), False, 7),
+    "3d-one-output": ((3, 4, 5), True, 1),   # a value head: no K=1 GEMM for x's gradient
 }
 
 
@@ -440,18 +466,18 @@ DENSE_INPUTS = {
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("case", list(DENSE_INPUTS))
 def test_dense_equals_unfused_chain(case, dtype, tanh):
-    shape, tracked = DENSE_INPUTS[case]
+    shape, tracked, m = DENSE_INPUTS[case]
     outs, grads = [], []
     for fn in (dense, dense_chain):
         rng = np.random.default_rng(30)
         x = rng.normal(size=shape).astype(dtype)
         x = parameter(x) if tracked else Tensor(x)
-        w = parameter(rng.normal(size=(5, 7)).astype(dtype))
-        b = parameter(rng.normal(size=7).astype(dtype))
-        c = rng.normal(size=(*shape[:-1], 7)).astype(dtype)
+        w = parameter(rng.normal(size=(5, m)).astype(dtype))
+        b = parameter(rng.normal(size=m).astype(dtype))
+        c = rng.normal(size=(*shape[:-1], m)).astype(dtype)
         out = fn(x, w, b, tanh=tanh)
         (out * c).sum().backward()
-        assert out.data.dtype == dtype and out.shape == (*shape[:-1], 7)
+        assert out.data.dtype == dtype and out.shape == (*shape[:-1], m)
         assert tracked or x.grad is None
         outs.append(out.data)
         grads.append([w.grad, b.grad, x.grad] if tracked else [w.grad, b.grad])
