@@ -17,7 +17,6 @@ from .trainer import (
     TrainerConfig,
     TrainerFault,
     penalty_rates,
-    train,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "penalty_rates",
     "ppo_update",
     "sample_action",
-    "train",
 ]

@@ -17,6 +17,7 @@ from ..numerics import (
     MlpParams,
     Tensor,
     concat,
+    dense,
     mlp_forward,
     self_masked_attention,
 )
@@ -63,11 +64,11 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act) 
     heads, head_dim = block.heads, block.head_dim
 
     def split_heads(w):                                   # [T, U, V] -> [T, H, U, Vh]
-        return (feats @ w.swapaxes(0, 1)).reshape(t_len, n_agents, heads, head_dim).swapaxes(1, 2)
+        return dense(feats, w.swapaxes(0, 1)).reshape(t_len, n_agents, heads, head_dim).swapaxes(1, 2)
 
     pooled = self_masked_attention(split_heads(block.w_que), split_heads(block.w_key),
                                    split_heads(block.w_val))      # [T, H, U, Vh]
     pooled = pooled.swapaxes(1, 2).reshape(t_len, n_agents, heads * head_dim)
-    context = pooled @ block.w_mix                         # [T, U, V]
+    context = dense(pooled, block.w_mix)                   # [T, U, V]
     joined = concat([context, feats], axis=-1)             # [T, U, 2V]
     return mlp_forward(params.value_head, joined).reshape(t_len, n_agents)

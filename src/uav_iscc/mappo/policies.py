@@ -43,7 +43,7 @@ def sample_action(trunk: MlpParams, obs_batch: np.ndarray,
     taken, so the density costs three lnGamma and no psi.
     """
     with no_grad():  # the forward records no graph, so its outputs are constants
-        zeta, eta = actor_forward(trunk, Tensor(obs_batch))
+        zeta, eta = actor_forward(trunk, obs_batch)
     unit = beta_sample(zeta.data, eta.data, rng)
     logp, _ = beta_log_prob_entropy(zeta, eta, unit, with_entropy=False)
     return unit, logp.data.sum(axis=-1)
@@ -52,7 +52,7 @@ def sample_action(trunk: MlpParams, obs_batch: np.ndarray,
 def greedy_action(trunk: MlpParams, obs_batch: np.ndarray) -> np.ndarray:
     """Deterministic unit action [B, A]: the Beta mean z/(z+e), in float64."""
     with no_grad():
-        zeta, eta = (t.data.astype(np.float64) for t in actor_forward(trunk, Tensor(obs_batch)))
+        zeta, eta = (t.data.astype(np.float64) for t in actor_forward(trunk, obs_batch))
     return zeta / (zeta + eta)
 
 

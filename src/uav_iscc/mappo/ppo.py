@@ -26,7 +26,7 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 def actor_loss(actor, obs_mb, act_mb, logp_old, adv_norm, clip_ratio: float,
                entropy_coef: float) -> tuple[Tensor, dict]:
     """-(mean(min(ratio*A, clip(ratio)*A)) + entropy bonus)."""
-    logp_new, entropy = log_prob_entropy(actor, Tensor(obs_mb), act_mb)
+    logp_new, entropy = log_prob_entropy(actor, obs_mb, act_mb)
     ratio = (logp_new - logp_old).exp()
     surr = (ratio * adv_norm).minimum(ratio.clip(1.0 - clip_ratio, 1.0 + clip_ratio) * adv_norm)
     loss = -(surr.mean() + entropy_coef * entropy.mean())

@@ -364,10 +364,3 @@ def penalty_rates(batch: RolloutBatch) -> dict:
         "boundary": share([bd.p_boundary for bd in uav]),
         "radar": share([bd.p_radar for bd in uav]),
     }
-
-
-def train(config: TrainerConfig, scenario: ScenarioConfig) -> tuple[Trainer, list[dict]]:
-    """Build a trainer, run the full loop, return (trainer, metric history)."""
-    trainer = Trainer(config, scenario)
-    history = trainer.train()
-    return trainer, history

@@ -198,24 +198,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        """[..., n] @ [n, m]. The backward folds the leading axes into rows, one
-        GEMM per gradient. The forward stays batched: folding it would change how
-        BLAS blocks a slot's rows, and with it the bits of the result."""
-        other = Tensor._lift(other, self)
-        a, b = self.data, other.data
-        if b.ndim != 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
-            raise GraphError(f"Tensor matmul takes [..., n] @ [n, m], got {a.shape} @ {b.shape}")
-
-        def backward(g):
-            g_rows = g.reshape(-1, b.shape[1])
-            if self._tracked:  # constants skip their product
-                self._accumulate((g_rows @ b.T).reshape(a.shape))
-            if other._tracked:
-                other._accumulate(a.reshape(-1, b.shape[0]).T @ g_rows)
-
-        return self._make(a @ b, (self, other), backward)
-
     # ------------------------------------------------------------------
     # elementwise transcendental
     # ------------------------------------------------------------------
@@ -295,7 +277,8 @@ class Tensor:
         return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
+        axes = range(self.data.ndim) if axis is None else np.atleast_1d(axis)
+        n = math.prod(self.data.shape[i] for i in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def __getitem__(self, idx):
@@ -328,30 +311,34 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def dense(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
-    """`x @ w + b`, then tanh if `tanh`, as one recorded node.
+def dense(x, w: Tensor, b: Tensor | None = None, tanh: bool = False) -> Tensor:
+    """`x @ w`, plus `b` if given, then tanh if `tanh`, as one recorded node:
+    the engine's one product by a weight matrix (MLP layers and the critic's
+    bias-less attention maps).
 
     x [..., n], w [n, m], b [m] -> [..., m], with `b` no wider than `x @ w`
     (an MLP's layers share one dtype). The forward is the batched `x @ w`,
     with the bias add and the tanh done in place on its result. The
     backward repeats the unfused chain's arithmetic in the same order (tanh's
-    g * (1 - y*y), the bias's sum over the leading axes, then the matmul's two
+    g * (1 - y*y), the bias's sum over the leading axes, then the product's two
     GEMMs over the folded rows), so values and gradients equal that chain's bit
     for bit. With one output (m = 1) the input gradient is the broadcast product
     g_rows * wᵀ, the same single products as the K=1 GEMM at a fraction of its
-    cost. A constant `x` gets no gradient and costs no GEMM.
+    cost. A constant `x` or `w` gets no gradient and costs no GEMM.
     """
     x = Tensor._lift(x, w)
     a = x.data
     out = a @ w.data
-    np.add(out, b.data, out=out, casting="safe")   # a bias wider than x @ w raises
+    if b is not None:
+        np.add(out, b.data, out=out, casting="safe")   # a bias wider than x @ w raises
     if tanh:
         np.tanh(out, out=out)
 
     def backward(g):
         if tanh:
             g = g * (1.0 - out * out)
-        b._accumulate(g)
+        if b is not None:
+            b._accumulate(g)
         g_rows = g.reshape(-1, w.data.shape[1])
         if x._tracked:
             gx = g_rows * w.data.T if w.data.shape[1] == 1 else g_rows @ w.data.T
@@ -359,7 +346,7 @@ def dense(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
         if w._tracked:
             w._accumulate(a.reshape(-1, w.data.shape[0]).T @ g_rows)
 
-    return Tensor._make(out, (x, w, b), backward)
+    return Tensor._make(out, (x, w) if b is None else (x, w, b), backward)
 
 
 def self_masked_attention(q, key, val) -> Tensor:

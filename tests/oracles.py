@@ -20,7 +20,7 @@ from uav_iscc.env import (
     mu_slot_outcome,
 )
 from uav_iscc.mappo import CriticParams
-from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, mlp_forward
+from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, dense, mlp_forward
 from uav_iscc.numerics.distributions import _trigamma
 from uav_iscc.numerics.tensor import _unbroadcast
 
@@ -65,7 +65,7 @@ def tanh_node(x: Tensor) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """`a @ b` for any operands numpy's matmul takes, 1-D or batched on either
-    side, as one recorded node; `Tensor.__matmul__` takes [..., n] @ [n, m] only."""
+    side, as one recorded node; `dense` takes [..., n] @ [n, m] only."""
     a = Tensor._lift(a)
     b = Tensor._lift(b, a)
     x, y = a.data, b.data
@@ -87,8 +87,9 @@ def matmul(a, b) -> Tensor:
 
 
 def dense_chain(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
-    """Unfused `dense`: the matmul, the bias add and the tanh, each a recorded node."""
-    out = Tensor._lift(x, w) @ w + b
+    """Unfused `dense`: the bias-less product, the bias add and the tanh, each a
+    recorded node."""
+    out = dense(x, w) + b
     return tanh_node(out) if tanh else out
 
 
@@ -122,12 +123,12 @@ def attention_pool(block: AttentionBlockParams, query_feature, other_features) -
     head_outputs = []
     for h in range(block.heads):
         rows = head_rows(block, h)
-        q = matmul(block.w_que[rows], query_feature)      # [head_dim]
-        keys = others @ block.w_key[rows].swapaxes(0, 1)  # [N, head_dim]
-        weights = softmax(matmul(keys, q) * scale, axis=0)  # [N]
-        vals = others @ block.w_val[rows].swapaxes(0, 1)  # [N, head_dim]
-        head_outputs.append(weights @ vals)               # [head_dim]
-    return concat(head_outputs, axis=0) @ block.w_mix
+        q = matmul(block.w_que[rows], query_feature)             # [head_dim]
+        keys = matmul(others, block.w_key[rows].swapaxes(0, 1))  # [N, head_dim]
+        weights = softmax(matmul(keys, q) * scale, axis=0)       # [N]
+        vals = matmul(others, block.w_val[rows].swapaxes(0, 1))  # [N, head_dim]
+        head_outputs.append(matmul(weights, vals))               # [head_dim]
+    return matmul(concat(head_outputs, axis=0), block.w_mix)
 
 
 def attention_weights(block: AttentionBlockParams, query_feature, other_features) -> np.ndarray:

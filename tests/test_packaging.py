@@ -38,7 +38,7 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "_lift", "gaussian_log_prob", "gaussian_sample", "gaussian_entropy",
                  "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP",
                  "BetaHeadParams", "ActorParams", "_log_width_total", "comm_rate",
-                 "mmse_beamformer", "_solve_hpd", "beta_log_prob", "beta_entropy")
+                 "mmse_beamformer", "_solve_hpd", "beta_log_prob", "beta_entropy", "train")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names",
@@ -46,7 +46,7 @@ DELETED_ATTRS = {
          "mobility_speed_noise_mean", "mobility_heading_noise_mean"),
     ("uav_iscc.numerics.tensor", "Tensor"):
         ("__pow__", "__truediv__", "__rtruediv__", "__rsub__", "log", "sqrt", "maximum",
-         "zero_grad", "transpose", "lgamma", "digamma"),
+         "zero_grad", "transpose", "lgamma", "digamma", "__matmul__"),
     ("uav_iscc.numerics.nn", "MlpParams"): ("in_width",),
     ("uav_iscc.agents.rewards", "RewardBreakdown"): ("factors",),
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),

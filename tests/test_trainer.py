@@ -8,7 +8,7 @@ import pytest
 
 from oracles import head_rows, in_float64
 from uav_iscc.env import ConfigError, ScenarioConfig
-from uav_iscc.mappo import Trainer, TrainerConfig, train
+from uav_iscc.mappo import Trainer, TrainerConfig
 from uav_iscc.mappo.trainer import CHECKPOINT_VERSION, EvalResult
 
 
@@ -33,7 +33,8 @@ def test_validate_rejects_unusable_fields(field, value):
 
 def test_zero_episodes_returns_initial_parameters():
     tcfg, scfg = smoke_configs(episodes=0)
-    trainer, history = train(tcfg, scfg)
+    trainer = Trainer(tcfg, scfg)
+    history = trainer.train()
     assert history == []
     fresh = Trainer(tcfg, scfg)
     for (n1, p1), (n2, p2) in zip(sorted(trainer.named_parameters().items()),
@@ -56,15 +57,15 @@ def test_evaluate_rejects_fewer_than_one_episode():
 
 def test_fixed_seed_reproduces_history():
     tcfg, scfg = smoke_configs(seed=5)
-    _, h1 = train(tcfg, scfg)
+    h1 = Trainer(tcfg, scfg).train()
     tcfg2, scfg2 = smoke_configs(seed=5)
-    _, h2 = train(tcfg2, scfg2)
+    h2 = Trainer(tcfg2, scfg2).train()
     assert h1 == h2  # bit-identical floats throughout
 
 
 def test_history_record_fields():
     tcfg, scfg = smoke_configs(seed=6)
-    _, history = train(tcfg, scfg)
+    history = Trainer(tcfg, scfg).train()
     assert len(history) == 2
     for i, rec in enumerate(history):
         assert rec["episode"] == i
@@ -86,7 +87,7 @@ PPO_STAT_KEYS = {f"{kind}_{name}" for kind in ("mu", "uav") for name in (
 
 def test_history_records_are_the_episode_record_plus_ppo_stats():
     tcfg, scfg = smoke_configs(seed=12)
-    _, history = train(tcfg, scfg)
+    history = Trainer(tcfg, scfg).train()
     for rec in history:
         assert set(rec) == RECORD_KEYS | PPO_STAT_KEYS
         assert set(rec["penalty_rates"]) == {"latency", "collision", "boundary", "radar"}
@@ -155,7 +156,8 @@ def test_untrained_policy_produces_bounded_penalties():
 
 def test_checkpoint_roundtrip(tmp_path):
     tcfg, scfg = smoke_configs(seed=9)
-    trainer, _ = train(tcfg, scfg)
+    trainer = Trainer(tcfg, scfg)
+    trainer.train()
     path = tmp_path / "ckpt.npz"
     trainer.save_checkpoint(path)
     clone = Trainer(*smoke_configs(seed=9))
@@ -172,7 +174,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_roundtrip_keeps_float32_bits(tmp_path):
-    trainer, _ = train(*smoke_configs(seed=20))
+    trainer = Trainer(*smoke_configs(seed=20))
+    trainer.train()
     path = tmp_path / "ckpt.npz"
     trainer.save_checkpoint(path)
     clone = Trainer(*smoke_configs(seed=20))
@@ -344,7 +347,8 @@ def test_defective_checkpoint_leaves_every_parameter_unchanged(tmp_path, defect,
 
 def test_actor_outputs_stay_above_one_through_training():
     tcfg, scfg = smoke_configs(seed=12, episodes=3)
-    trainer, _ = train(tcfg, scfg)
+    trainer = Trainer(tcfg, scfg)
+    trainer.train()
     from uav_iscc.mappo import actor_forward
     from uav_iscc.numerics import Tensor
 
