@@ -18,7 +18,7 @@ from .radio import (
     steering,
 )
 from .types import Allocation, SlotReport, WorldState
-from .world import draw_task, dvfs_frequency, reset_world, uav_clutter, world_step
+from .world import draw_task, reset_world, uav_clutter, world_step
 
 __all__ = [
     "Allocation",
@@ -33,7 +33,6 @@ __all__ = [
     "build_radar_state",
     "design_links",
     "draw_task",
-    "dvfs_frequency",
     "flight_power",
     "mu_slot_outcome",
     "radar_rate",

@@ -53,17 +53,21 @@ def _safe_div(num: float, den: float) -> float:
     return num / den
 
 
-def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
-                    f_edge: float, rate: float, power: float,
-                    decompress_density: float, cfg: ScenarioConfig) -> MuSlotOutcome:
+def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_edge: float,
+                    rate: float, decompress_density: float,
+                    cfg: ScenarioConfig) -> MuSlotOutcome:
     """Delays and energies of one MU's split pipeline.
 
-    `task` holds one task's five values in `TASK_FIELDS` order. A zero rate
-    or zero edge share with pending work yields the infinite-delay sentinel.
-    An infinite offload delay bills transmit energy for the slot only; the
-    latency sentinel already triggers the deadline penalty.
+    `task` holds one task's five values in `TASK_FIELDS` order. The MU's CPU
+    runs at f_mu = min(f_max, D*C/T), the least frequency for the whole task by
+    its deadline T; it minimises the energy only at rho = 0. The uplink
+    transmits at `mu_power_max`. A zero rate or zero edge share with pending
+    work yields the infinite-delay sentinel. An infinite offload delay bills
+    transmit energy for the slot only; the latency sentinel already triggers
+    the deadline penalty.
     """
-    d, c, j, beta, _ = task
+    d, c, j, beta, deadline = task
+    f_mu = min(cfg.mu_cpu_max, d * c / deadline)
     t_local = _safe_div((1.0 - rho) * d * c, f_mu)
     t_compress = _safe_div(rho * eta * d * j, f_mu)
     t_offload = _safe_div(transmitted_fraction(rho, eta, beta) * d, rate)
@@ -74,7 +78,7 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_mu: float,
     e_compress = cfg.kappa_mu * rho * eta * d * j * f2
     e_local = cfg.kappa_mu * (1.0 - rho) * d * c * f2
     tx_time = t_offload if math.isfinite(t_offload) else cfg.slot_seconds
-    e_offload = tx_time * power
+    e_offload = tx_time * cfg.mu_power_max
     fe2 = f_edge * f_edge
     # positional, in field order: cheaper per call than keywords
     return MuSlotOutcome(

@@ -14,16 +14,6 @@ from .radio import build_all_channels, build_radar_state, design_links, row_norm
 from .types import TASK_FIELDS, Allocation, SlotReport, WorldState
 
 
-def dvfs_frequency(tasks: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """CPU frequency each MU runs at: the least meeting the deadline, capped.
-
-    min(f_max, D*C / T_max) keeps computation energy minimal under dynamic
-    voltage-frequency scaling. `tasks` is [K, 5] in TASK_FIELDS order.
-    """
-    demand = tasks[:, 0] * tasks[:, 1] / tasks[:, 4]
-    return np.minimum(cfg.mu_cpu_max, demand)
-
-
 def task_bounds(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper ends of the task fields' uniform ranges, in TASK_FIELDS order."""
     return (np.array([getattr(cfg, f"{name}_min") for name in TASK_FIELDS]),
@@ -99,12 +89,10 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     rate = np.zeros(k_count)
     rate[links] = link_rates
     j_dec = np.where(served, world.uav_decompress[serving], 0.0)
-    power = cfg.mu_power_max
-    outs = [mu_slot_outcome(task, rho_k, eta_k, f_mu, f_edge_k, rate_k, power, j_dec_k, cfg)
-            for task, rho_k, eta_k, f_mu, f_edge_k, rate_k, j_dec_k in zip(
-                world.tasks.tolist(), rho.tolist(), eta.tolist(),
-                dvfs_frequency(world.tasks, cfg).tolist(), f_edge.tolist(), rate.tolist(),
-                j_dec.tolist())]
+    outs = [mu_slot_outcome(task, rho_k, eta_k, f_edge_k, rate_k, j_dec_k, cfg)
+            for task, rho_k, eta_k, f_edge_k, rate_k, j_dec_k in zip(
+                world.tasks.tolist(), rho.tolist(), eta.tolist(), f_edge.tolist(),
+                rate.tolist(), j_dec.tolist())]
     n_fields = len(MuSlotOutcome._fields)
     per_mu = dict(zip(MuSlotOutcome._fields, np.fromiter(
         chain.from_iterable(outs), float, k_count * n_fields).reshape(k_count, n_fields).T.copy()))

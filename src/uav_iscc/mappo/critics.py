@@ -13,36 +13,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics import (
-    AttentionBlockParams,
     MlpParams,
     Tensor,
     concat,
     dense,
     mlp_forward,
+    parameter,
     self_masked_attention,
 )
 
 
 @dataclass
 class CriticParams:
-    """Value network of every agent: per-type encoders, shared attention and head."""
+    """Value network of every agent: per-type encoders, shared attention and head.
+
+    `w_que`, `w_key` and `w_val` stack the heads' [Vh, V] maps: head h owns rows
+    h*Vh:(h+1)*Vh. `w_mix` maps the concatenated heads back to feature width V.
+    """
 
     encoder_mu: MlpParams
     encoder_uav: MlpParams
-    attention: AttentionBlockParams
+    heads: int
+    w_que: Tensor       # [heads*Vh, V]
+    w_key: Tensor
+    w_val: Tensor
+    w_mix: Tensor       # [heads*Vh, V]
     value_head: MlpParams
 
     @classmethod
     def create(cls, mu_in: int, uav_in: int, feature_dim: int, heads: int,
                hidden: tuple, rng: np.random.Generator) -> "CriticParams":
-        return cls(encoder_mu=MlpParams.create([mu_in, hidden[0], feature_dim], rng),
-                   encoder_uav=MlpParams.create([uav_in, hidden[0], feature_dim], rng),
-                   attention=AttentionBlockParams.create(feature_dim, heads, rng),
+        encoder_mu = MlpParams.create([mu_in, hidden[0], feature_dim], rng)
+        encoder_uav = MlpParams.create([uav_in, hidden[0], feature_dim], rng)
+        # drawn head by head (query, key, value) and stacked by rows
+        draws = [[parameter((feature_dim // heads, feature_dim), rng).data for _ in range(3)]
+                 for _ in range(heads)]
+        w_que, w_key, w_val = (parameter(np.vstack(rows)) for rows in zip(*draws))
+        w_mix = parameter((feature_dim, feature_dim), rng)
+        return cls(encoder_mu=encoder_mu, encoder_uav=encoder_uav, heads=heads, w_que=w_que,
+                   w_key=w_key, w_val=w_val, w_mix=w_mix,
                    value_head=MlpParams.create([2 * feature_dim, *hidden, 1], rng))
 
     def parameters(self):
-        parts = (self.encoder_mu, self.encoder_uav, self.attention, self.value_head)
-        return [p for part in parts for p in part.parameters()]
+        return [*self.encoder_mu.parameters(), *self.encoder_uav.parameters(),
+                self.w_que, self.w_key, self.w_val, self.w_mix, *self.value_head.parameters()]
 
 
 def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act) -> Tensor:
@@ -60,15 +74,14 @@ def critic_values_batch(params: CriticParams, mu_obs, mu_act, uav_obs, uav_act) 
     mu_feats = mlp_forward(params.encoder_mu, np.concatenate([mu_obs, mu_act], axis=-1))
     uav_feats = mlp_forward(params.encoder_uav, np.concatenate([uav_obs, uav_act], axis=-1))
     feats = concat([mu_feats, uav_feats], axis=-2)        # [T, U, V]
-    block = params.attention
-    heads, head_dim = block.heads, block.head_dim
+    heads, head_dim = params.heads, params.w_que.shape[0] // params.heads
 
     def split_heads(w):                                   # [T, U, V] -> [T, H, U, Vh]
         return dense(feats, w.swapaxes(0, 1)).reshape(t_len, n_agents, heads, head_dim).swapaxes(1, 2)
 
-    pooled = self_masked_attention(split_heads(block.w_que), split_heads(block.w_key),
-                                   split_heads(block.w_val))      # [T, H, U, Vh]
+    pooled = self_masked_attention(split_heads(params.w_que), split_heads(params.w_key),
+                                   split_heads(params.w_val))     # [T, H, U, Vh]
     pooled = pooled.swapaxes(1, 2).reshape(t_len, n_agents, heads * head_dim)
-    context = dense(pooled, block.w_mix)                   # [T, U, V]
+    context = dense(pooled, params.w_mix)                  # [T, U, V]
     joined = concat([context, feats], axis=-1)             # [T, U, 2V]
     return mlp_forward(params.value_head, joined).reshape(t_len, n_agents)

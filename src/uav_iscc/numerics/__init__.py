@@ -7,7 +7,6 @@ from .distributions import (
     beta_sample,
 )
 from .nn import (
-    AttentionBlockParams,
     DimensionError,
     MlpParams,
     mlp_forward,
@@ -17,7 +16,6 @@ from .tensor import GraphError, Tensor, concat, dense, no_grad, parameter, self_
 
 __all__ = [
     "AdamState",
-    "AttentionBlockParams",
     "DimensionError",
     "DomainError",
     "GraphError",

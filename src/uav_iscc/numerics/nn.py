@@ -1,5 +1,4 @@
-"""Dense network building blocks: tanh MLPs and the stacked query-key-value
-maps of the critic's attention block."""
+"""Dense network building blocks: tanh MLPs."""
 
 from __future__ import annotations
 
@@ -47,35 +46,3 @@ def mlp_forward(params: MlpParams, x: Tensor) -> Tensor:
             )
         x = dense(x, w, b, tanh=i < len(params.layers) - 1)
     return x
-
-
-@dataclass
-class AttentionBlockParams:
-    """Query/key/value maps plus a linear mix back to feature width. `w_que`, `w_key`
-    and `w_val` stack the heads' [Vh, V] maps: head h owns rows h*Vh:(h+1)*Vh."""
-
-    heads: int
-    feature_dim: int
-    w_que: Tensor = None  # [heads*head_dim, V]
-    w_key: Tensor = None
-    w_val: Tensor = None
-    w_mix: Tensor = None  # [heads*head_dim, V]
-
-    @classmethod
-    def create(cls, feature_dim: int, heads: int, rng: np.random.Generator) -> "AttentionBlockParams":
-        if heads < 1 or feature_dim % heads != 0:
-            raise ValueError("head count must be >= 1 and divide the feature width")
-        head_dim = feature_dim // heads
-        # drawn head by head (query, key, value) and stacked by rows
-        draws = [[parameter((head_dim, feature_dim), rng).data for _ in range(3)]
-                 for _ in range(heads)]
-        w_que, w_key, w_val = (parameter(np.vstack(rows)) for rows in zip(*draws))
-        return cls(heads=heads, feature_dim=feature_dim, w_que=w_que, w_key=w_key,
-                   w_val=w_val, w_mix=parameter((heads * head_dim, feature_dim), rng))
-
-    @property
-    def head_dim(self) -> int:
-        return self.feature_dim // self.heads
-
-    def parameters(self):
-        return [self.w_que, self.w_key, self.w_val, self.w_mix]

@@ -12,7 +12,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # Adam's moment decay rates and denomina
 class AdamState:
     """First/second moment accumulators for one parameter list."""
 
-    def __init__(self, params, lr: float = 5e-4):
+    def __init__(self, params, lr: float):
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.step_count = 0

@@ -20,7 +20,7 @@ from uav_iscc.env import (
     mu_slot_outcome,
 )
 from uav_iscc.mappo import CriticParams
-from uav_iscc.numerics import AttentionBlockParams, Tensor, concat, dense, mlp_forward
+from uav_iscc.numerics import Tensor, concat, dense, mlp_forward
 from uav_iscc.numerics.distributions import _trigamma
 from uav_iscc.numerics.tensor import _unbroadcast
 
@@ -102,13 +102,19 @@ def masked_attention_chain(q, key, val) -> Tensor:
     return matmul(softmax(scores, axis=-1), val)
 
 
-def head_rows(block: AttentionBlockParams, h: int) -> slice:
+def head_dim(critic: CriticParams) -> int:
+    """Width Vh of one attention head."""
+    return critic.w_que.shape[0] // critic.heads
+
+
+def head_rows(critic: CriticParams, h: int) -> slice:
     """Rows of head `h` in the stacked query/key/value weights."""
-    return slice(h * block.head_dim, (h + 1) * block.head_dim)
+    return slice(h * head_dim(critic), (h + 1) * head_dim(critic))
 
 
-def attention_pool(block: AttentionBlockParams, query_feature, other_features) -> Tensor:
-    """Pool other agents' features into a context vector of length V.
+def attention_pool(critic: CriticParams, query_feature, other_features) -> Tensor:
+    """Pool other agents' features into a context vector of length V with the
+    critic's attention maps.
 
     Per head, weights over `other_features` come from a softmax of scaled
     key-query inner products (scale 1/sqrt(head_dim)); the head outputs
@@ -117,29 +123,29 @@ def attention_pool(block: AttentionBlockParams, query_feature, other_features) -
     """
     query_feature = Tensor._lift(query_feature)
     if not other_features:
-        return Tensor(np.zeros(block.feature_dim))
+        return Tensor(np.zeros(critic.w_mix.shape[1]))
     others = concat([Tensor._lift(z).reshape(1, -1) for z in other_features], axis=0)  # [N, V]
-    scale = 1.0 / np.sqrt(block.head_dim)
+    scale = 1.0 / np.sqrt(head_dim(critic))
     head_outputs = []
-    for h in range(block.heads):
-        rows = head_rows(block, h)
-        q = matmul(block.w_que[rows], query_feature)             # [head_dim]
-        keys = matmul(others, block.w_key[rows].swapaxes(0, 1))  # [N, head_dim]
-        weights = softmax(matmul(keys, q) * scale, axis=0)       # [N]
-        vals = matmul(others, block.w_val[rows].swapaxes(0, 1))  # [N, head_dim]
-        head_outputs.append(matmul(weights, vals))               # [head_dim]
-    return matmul(concat(head_outputs, axis=0), block.w_mix)
+    for h in range(critic.heads):
+        rows = head_rows(critic, h)
+        q = matmul(critic.w_que[rows], query_feature)             # [head_dim]
+        keys = matmul(others, critic.w_key[rows].swapaxes(0, 1))  # [N, head_dim]
+        weights = softmax(matmul(keys, q) * scale, axis=0)        # [N]
+        vals = matmul(others, critic.w_val[rows].swapaxes(0, 1))  # [N, head_dim]
+        head_outputs.append(matmul(weights, vals))                # [head_dim]
+    return matmul(concat(head_outputs, axis=0), critic.w_mix)
 
 
-def attention_weights(block: AttentionBlockParams, query_feature, other_features) -> np.ndarray:
-    """Per-head weight vectors [heads, N]."""
+def attention_weights(critic: CriticParams, query_feature, other_features) -> np.ndarray:
+    """Per-head weight vectors [heads, N] of the critic's attention."""
     q_np = np.asarray(Tensor._lift(query_feature).data)
     others = np.stack([np.asarray(Tensor._lift(z).data) for z in other_features])
-    scale = 1.0 / np.sqrt(block.head_dim)
+    scale = 1.0 / np.sqrt(head_dim(critic))
     rows = []
-    for h in range(block.heads):
-        hr = head_rows(block, h)
-        scores = (others @ block.w_key.data[hr].T) @ (block.w_que.data[hr] @ q_np) * scale
+    for h in range(critic.heads):
+        hr = head_rows(critic, h)
+        scores = (others @ critic.w_key.data[hr].T) @ (critic.w_que.data[hr] @ q_np) * scale
         e = np.exp(scores - scores.max())
         rows.append(e / e.sum())
     return np.stack(rows)
@@ -159,7 +165,7 @@ def critic_forward(params: CriticParams, all_obs: list, all_acts: list,
         enc = params.encoder_mu if u < num_mus else params.encoder_uav
         feats.append(mlp_forward(enc, concat([Tensor(o), Tensor(a)], axis=0)))
     others = [feats[w] for w in range(len(feats)) if w != agent]
-    context = attention_pool(params.attention, feats[agent], others)
+    context = attention_pool(params, feats[agent], others)
     return mlp_forward(params.value_head, concat([context, feats[agent]], axis=0))
 
 
@@ -302,8 +308,7 @@ def task_pipeline(world: WorldState, alloc: Allocation, rates: dict,
         f_edge = float(alloc.edge_cpu[k, serving]) if serving >= 0 else 0.0
         rate = rates.get(k, 0.0)
         j_dec = float(world.uav_decompress[serving]) if serving >= 0 else 0.0
-        f_mu = min(cfg.mu_cpu_max, task[0] * task[1] / task[4])
-        out = mu_slot_outcome(task, rho, eta, f_mu, f_edge, rate, cfg.mu_power_max, j_dec, cfg)
+        out = mu_slot_outcome(task, rho, eta, f_edge, rate, j_dec, cfg)
         for name in _PIPELINE_FIELDS:
             rep[name][k] = getattr(out, name)
         rep["rate"][k] = rate

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from uav_iscc.env import (
     ScenarioConfig,
-    dvfs_frequency,
     flight_power,
     mu_slot_outcome,
     transmitted_fraction,
@@ -27,16 +26,18 @@ def make_task(d=1e6, c=1000.0, j=200.0, beta=0.5, deadline=1.0):
 
 
 def test_dvfs_examples(cfg):
-    tasks = np.array([make_task(d=5e5, c=1000.0, deadline=1.0),
-                      make_task(d=1.5e6, c=1500.0, deadline=0.7),
-                      make_task(d=5e5, c=1000.0, deadline=1e9)])
-    assert dvfs_frequency(tasks, cfg) == pytest.approx([5e8, 1e9, 5e-1])
-    assert dvfs_frequency(tasks[:0], cfg).shape == (0,)
+    # f_mu = min(f_max, D*C/T): the deadline's frequency, or the cap
+    for task, f_mu in ((make_task(d=5e5, c=1000.0, deadline=1.0), 5e8),
+                       (make_task(d=1.5e6, c=1500.0, deadline=0.7), 1e9),
+                       (make_task(d=5e5, c=1000.0, deadline=1e9), 5e-1)):
+        out = mu_slot_outcome(task, 0.0, 0.0, 0.0, 0.0, 200.0, cfg)
+        assert out.t_local == pytest.approx(task[0] * task[1] / f_mu)
+        assert out.e_local == pytest.approx(cfg.kappa_mu * task[0] * task[1] * f_mu ** 2)
 
 
 def test_pure_local_latency(cfg):
     task = make_task()
-    out = mu_slot_outcome(task, 0.0, 0.5, 1e9, 0.0, 0.0, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(task, 0.0, 0.5, 0.0, 0.0, 200.0, cfg)
     assert out.t_offload == out.t_decompress == out.t_edge_compute == 0.0
     assert out.t_local == pytest.approx(1e6 * 1000.0 / 1e9)
     assert out.latency == pytest.approx(out.t_local)
@@ -44,38 +45,38 @@ def test_pure_local_latency(cfg):
 
 def test_compression_latency_spot_value(cfg):
     # rho=1, eta=1, D=1e6, J=200, f=1e9 -> 0.2 s
-    out = mu_slot_outcome(make_task(j=200.0), 1.0, 1.0, 1e9, 1e10, 1e7, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(j=200.0), 1.0, 1.0, 1e10, 1e7, 200.0, cfg)
     assert out.t_compress == pytest.approx(0.2)
 
 
 def test_offload_latency_spot_value(cfg):
     # rho=1, eta=1, beta=0.5 -> tau=0.5; D=1e6, R=5e6 -> 0.1 s
-    out = mu_slot_outcome(make_task(beta=0.5), 1.0, 1.0, 1e9, 1e10, 5e6, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(beta=0.5), 1.0, 1.0, 1e10, 5e6, 200.0, cfg)
     assert transmitted_fraction(1.0, 1.0, 0.5) == pytest.approx(0.5)
     assert out.t_offload == pytest.approx(0.1)
 
 
 def test_local_energy_spot_value(cfg):
     # rho=0, D=1e6, C=1000, f=1e9 -> 1 J at kappa=1e-27
-    out = mu_slot_outcome(make_task(), 0.0, 0.0, 1e9, 0.0, 0.0, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(), 0.0, 0.0, 0.0, 0.0, 200.0, cfg)
     assert out.e_local == pytest.approx(1.0)
     assert out.e_compress == 0.0
 
 
 def test_no_compression_no_dc_energy(cfg):
-    out = mu_slot_outcome(make_task(), 1.0, 0.0, 1e9, 1e10, 1e7, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(), 1.0, 0.0, 1e10, 1e7, 200.0, cfg)
     assert out.e_compress == 0.0
     assert out.e_decompress == 0.0
 
 
 def test_offload_energy_is_time_times_power(cfg):
-    out = mu_slot_outcome(make_task(beta=0.5), 1.0, 1.0, 1e9, 1e10, 5e6, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(beta=0.5), 1.0, 1.0, 1e10, 5e6, 200.0, cfg)
     assert out.t_offload == pytest.approx(0.1)
     assert out.e_offload == pytest.approx(0.05)
 
 
 def test_zero_rate_with_offload_gives_sentinel(cfg):
-    out = mu_slot_outcome(make_task(), 0.5, 0.5, 1e9, 1e10, 0.0, 0.5, 200.0, cfg)
+    out = mu_slot_outcome(make_task(), 0.5, 0.5, 1e10, 0.0, 200.0, cfg)
     assert math.isinf(out.t_offload)
     assert math.isinf(out.latency)
     assert out.e_offload == pytest.approx(cfg.mu_power_max * cfg.slot_seconds)
@@ -93,9 +94,11 @@ def test_effective_ratio_bounds(cfg):
         assert transmitted_fraction(rho, eta, beta) == pytest.approx(rho * bh)
 
 
-def oracle_outcome(task, rho, eta, f_mu, f_edge, rate, power, j_dec, cfg):
-    """Independent desk evaluation of the latency/energy closed forms."""
-    d, c, j, beta, _ = task
+def oracle_outcome(task, rho, eta, f_edge, rate, j_dec, cfg):
+    """Independent desk evaluation of the latency/energy closed forms, at the
+    frequency that finishes the whole task by its deadline, capped."""
+    d, c, j, beta, deadline = task
+    f_mu = min(d * c / deadline, cfg.mu_cpu_max)
     t_loc = (1 - rho) * d * c / f_mu if (1 - rho) * d * c > 0 else 0.0
     t_dc = rho * eta * d * j / f_mu if rho * eta * d * j > 0 else 0.0
     tau = rho * (eta * beta + 1 - eta)
@@ -104,7 +107,7 @@ def oracle_outcome(task, rho, eta, f_mu, f_edge, rate, power, j_dec, cfg):
     t_con = rho * d * c / f_edge if rho * d * c > 0 else 0.0
     e_dc = cfg.kappa_mu * rho * eta * d * j * f_mu ** 2
     e_loc = cfg.kappa_mu * (1 - rho) * d * c * f_mu ** 2
-    e_off = t_off * power
+    e_off = t_off * cfg.mu_power_max
     e_con = cfg.kappa_uav * f_edge ** 2 * rho * d * c
     e_dd = cfg.kappa_uav * f_edge ** 2 * rho * eta * d * j_dec
     return (t_loc, t_dc, t_off, t_dd, t_con, t_off + t_dd + t_con,
@@ -120,16 +123,15 @@ def test_pipeline_matches_oracle_on_random_tuples(cfg):
                          deadline=rng.uniform(0.7, 1.0))
         rho = rng.uniform(0.05, 1.0)
         eta = rng.uniform(0.0, 1.0)
-        f_mu = rng.uniform(1e8, 1e9)
         f_edge = rng.uniform(1e8, 1e10)
         rate = rng.uniform(1e5, 1e9)
         j_dec = rng.uniform(100, 300)
-        out = mu_slot_outcome(task, rho, eta, f_mu, f_edge, rate, cfg.mu_power_max, j_dec, cfg)
+        out = mu_slot_outcome(task, rho, eta, f_edge, rate, j_dec, cfg)
         got = (out.t_local, out.t_compress, out.t_offload, out.t_decompress,
                out.t_edge_compute, out.t_edge_total, out.latency,
                out.e_compress, out.e_local, out.e_offload, out.e_mu,
                out.e_edge_compute, out.e_decompress)
-        want = oracle_outcome(task, rho, eta, f_mu, f_edge, rate, cfg.mu_power_max, j_dec, cfg)
+        want = oracle_outcome(task, rho, eta, f_edge, rate, j_dec, cfg)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9)
         assert out.t_edge_total == out.t_offload + out.t_decompress + out.t_edge_compute

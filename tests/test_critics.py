@@ -73,7 +73,7 @@ def test_uav_critic_loss_gradient_matches_finite_differences():
 
     loss().backward()
     h = 1e-6
-    for p in (critic.attention.w_que, critic.attention.w_key):
+    for p in (critic.w_que, critic.w_key):
         flat = p.data.ravel()
         for i in range(flat.size):
             old = flat[i]
@@ -119,7 +119,7 @@ def test_identical_other_agents_share_attention_weight():
     act = rng.uniform(0, 1, 4)
     query = mlp_forward(critic.encoder_mu, Tensor(np.concatenate([obs, act])))
     twin = mlp_forward(critic.encoder_mu, Tensor(np.concatenate([obs * 0.5, act])))
-    w = attention_weights(critic.attention, query, [twin, twin])
+    w = attention_weights(critic, query, [twin, twin])
     assert np.allclose(w, 0.5, atol=1e-12)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 import uav_iscc.numerics.distributions as distributions
 from oracles import beta_entropy_chain, beta_entropy_value, beta_log_prob_chain
@@ -132,6 +133,21 @@ def test_beta_log_prob_gradient_finite_difference():
         fd = _finite_difference(lambda: float((beta_log_prob(z.data, e.data, x).data * weight).sum()),
                                 p, 1e-6)
         assert p.grad == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def test_recorded_density_only_path_has_the_closed_form_gradient():
+    # with_entropy=False on tracked shapes records the log-density alone; its
+    # gradients are psi(z+e) - psi(z) + ln x and psi(z+e) - psi(e) + ln(1-x)
+    rng = np.random.default_rng(8)
+    z, e = _float64_shapes(rng)
+    x = rng.uniform(0.05, 0.95, size=(3, 6))
+    logp, ent = beta_log_prob_entropy(z, e, x, with_entropy=False)
+    assert ent is None and logp._parents == (z, e)
+    assert np.array_equal(logp.data, beta_log_prob(z.data, e.data, x).data)
+    logp.sum().backward()
+    psi_total = digamma(z.data + e.data)
+    assert np.array_equal(z.grad, psi_total - digamma(z.data) + np.log(x))
+    assert np.array_equal(e.grad, psi_total - digamma(e.data) + np.log1p(-x))
 
 
 def test_beta_entropy_gradient_finite_difference():

@@ -38,7 +38,8 @@ DELETED_NAMES = ("apply_overrides", "_coerce", "MuObservation", "UavObservation"
                  "_lift", "gaussian_log_prob", "gaussian_sample", "gaussian_entropy",
                  "state_values_batch", "global_grad_norm", "_GAUSS_CLAMP",
                  "BetaHeadParams", "ActorParams", "_log_width_total", "comm_rate",
-                 "mmse_beamformer", "_solve_hpd", "beta_log_prob", "beta_entropy", "train")
+                 "mmse_beamformer", "_solve_hpd", "beta_log_prob", "beta_entropy", "train",
+                 "dvfs_frequency", "AttentionBlockParams")
 DELETED_ATTRS = {
     ("uav_iscc.env.config", "ScenarioConfig"):
         ("horizon_slots", "reward_mode", "from_mapping", "field_names",
@@ -46,14 +47,14 @@ DELETED_ATTRS = {
          "mobility_speed_noise_mean", "mobility_heading_noise_mean"),
     ("uav_iscc.numerics.tensor", "Tensor"):
         ("__pow__", "__truediv__", "__rtruediv__", "__rsub__", "log", "sqrt", "maximum",
-         "zero_grad", "transpose", "lgamma", "digamma", "__matmul__"),
+         "zero_grad", "transpose", "lgamma", "digamma", "__matmul__", "size"),
     ("uav_iscc.numerics.nn", "MlpParams"): ("in_width",),
     ("uav_iscc.agents.rewards", "RewardBreakdown"): ("factors",),
     ("uav_iscc.env.types", "WorldState"): ("uavs", "channels"),
     ("uav_iscc.mappo.trainer", "EvalResult"): ("trajectory_rows", "reports"),
     ("uav_iscc.mappo.trainer", "Trainer"): ("_record_rows", "_values"),
     ("uav_iscc.mappo.trainer", "TrainerConfig"): ("policy", "critic", "actor_lr", "critic_lr"),
-    ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head"),
+    ("uav_iscc.mappo.critics", "CriticParams"): ("kind", "state_head", "attention"),
     ("uav_iscc.mappo.buffer", "RolloutBatch"): ("global_state",),
     ("uav_iscc.mappo.buffer", "TypeRollout"): ("values", "advantages", "targets"),
 }
@@ -108,7 +109,7 @@ def test_benchmark_hooks_read_per_mu_scalars():
     assert type(choice) is int and choice == 0
     task = (1e6, 1000.0, 200.0, 0.5, 1.0)
     for rate in (1e7, 0.0):
-        out = mu_slot_outcome(task, 0.5, 0.5, 1e9, 1e10, rate, 0.5, 200.0, cfg)
+        out = mu_slot_outcome(task, 0.5, 0.5, 1e10, rate, 200.0, cfg)
         assert type(out.latency) is float
     # the link hook counts len(first result) as the slot's served MUs
     cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()

@@ -146,16 +146,21 @@ def test_update_abort_on_nonfinite():
         ppo_update(trainer, batch)
 
 
-def test_aborted_update_moves_no_parameter():
-    # the UAV actor loss is the second of a minibatch's four: all four are
-    # checked before the one backward, so the MU actor has not moved either
+@pytest.mark.parametrize("part", ["uav actor", "mu critic"], ids=["uav-actor", "mu-critic"])
+def test_aborted_update_moves_no_parameter(part):
+    # the UAV actor loss is the second of a minibatch's four and the MU critic
+    # loss the third: all four are checked before the one backward, so no
+    # network has moved, the MU actor included
     from uav_iscc.mappo import UpdateAborted
 
     trainer = tiny_trainer(seed=8)
     batch = trainer.prepare_batch(trainer.collect_episode())
-    batch.uav.log_probs[:] = np.nan
+    if part == "uav actor":
+        batch.uav.log_probs[:] = np.nan
+    else:
+        batch.targets[:, :trainer.scenario.num_mus] = np.nan
     before = {name: p.data.copy() for name, p in trainer.named_parameters().items()}
-    with pytest.raises(UpdateAborted, match="non-finite uav actor loss"):
+    with pytest.raises(UpdateAborted, match=f"non-finite {part} loss"):
         ppo_update(trainer, batch)
     for name, p in trainer.named_parameters().items():
         assert np.array_equal(p.data, before[name]), name

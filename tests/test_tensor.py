@@ -169,6 +169,22 @@ def test_mean_over_a_tuple_axis(axis):
     assert np.all(a.grad == 1.0 / n)
 
 
+@pytest.mark.parametrize("op, shape", [("mul", (3, 1)), ("add", (1, 4))],
+                         ids=["mul-column", "add-row"])
+def test_size_one_axis_gradient_is_the_summed_upstream_gradient(op, shape):
+    # a [3, 1] or [1, 4] operand broadcast against [3, 4] gets the row or column
+    # sums of the gradient that reaches it; small integers keep them exact
+    rng = np.random.default_rng(15)
+    small = parameter(rng.integers(-3, 4, size=shape).astype(np.float64))
+    big = parameter(rng.integers(-3, 4, size=(3, 4)).astype(np.float64))
+    upstream = rng.integers(-3, 4, size=(3, 4)).astype(np.float64)
+    ((small * big if op == "mul" else small + big) * upstream).sum().backward()
+    reaching = upstream * big.data if op == "mul" else upstream
+    assert small.grad.shape == shape
+    assert np.array_equal(small.grad, reaching.sum(axis=shape.index(1), keepdims=True))
+    assert np.array_equal(big.grad, upstream * small.data if op == "mul" else upstream)
+
+
 def test_two_slices_of_one_tensor_sum_into_its_gradient():
     rng = np.random.default_rng(13)
     a = parameter(rng.normal(size=(3, 4)))
@@ -570,7 +586,7 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_zero_gradient_is_noop():
     p = parameter(np.array([1.0, 2.0]))
-    state = AdamState([p])
+    state = AdamState([p], lr=0.0005)
     before = p.data.copy()
     adam_step(state)
     assert np.array_equal(p.data, before)

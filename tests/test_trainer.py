@@ -306,12 +306,11 @@ def test_version_1_checkpoint_with_per_head_attention_rejected(tmp_path):
         for i, p in enumerate(trainer.actors[kind].parameters()):
             arrays[f"actor_{kind}/{i}"] = p.data
         critic = trainer.critic
-        blk = critic.attention
         # version 1 kept one [head_dim, V] tensor per head
-        per_head = [w.data[head_rows(blk, h)] for w in (blk.w_que, blk.w_key, blk.w_val)
-                    for h in range(blk.heads)]
+        per_head = [w.data[head_rows(critic, h)] for w in (critic.w_que, critic.w_key, critic.w_val)
+                    for h in range(critic.heads)]
         tensors = [p.data for p in critic.encoder_mu.parameters() + critic.encoder_uav.parameters()]
-        tensors += per_head + [blk.w_mix.data] + [p.data for p in critic.value_head.parameters()]
+        tensors += per_head + [critic.w_mix.data] + [p.data for p in critic.value_head.parameters()]
         for i, data in enumerate(tensors):
             arrays[f"critic_{kind}/{i}"] = data
     path = tmp_path / "v1.npz"
