@@ -76,13 +76,16 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     world, and the report's geometric fields describe the post-move layout.
     """
     k_count, m_count = world.num_mus, world.num_uavs
-    channels = build_all_channels(world, np.flatnonzero(alloc.serving >= 0), cfg, rng)
+    serving = alloc.serving
+    served = serving >= 0
+    # channels only between the served MUs and the UAVs that receive them
+    mus = np.flatnonzero(served)
+    receivers = np.flatnonzero(np.bincount(serving[mus], minlength=m_count))
+    channels = build_all_channels(world, mus, receivers, cfg, rng)
     radar_sinr, radar_rates, leakage = build_radar_state(world, cfg)
     links, link_rates = design_links(channels, alloc, leakage, cfg)
 
     # task pipeline: one call per MU on Python floats, then one array per field
-    serving = alloc.serving
-    served = serving >= 0
     rho = np.where(served, alloc.offload_ratio, 0.0)
     eta = np.where(rho > 0.0, alloc.compress_ratio, 0.0)
     f_edge = np.where(served, alloc.edge_cpu[np.arange(k_count), serving], 0.0)

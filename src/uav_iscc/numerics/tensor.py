@@ -383,7 +383,8 @@ def self_masked_attention(q, key, val) -> Tensor:
         w = np.matmul(qs[c], ks[c].swapaxes(-1, -2), out=None if weights is None else weights[c])
         w *= scale
         w[..., own, own] += _MASK
-        w -= w.max(axis=-1, keepdims=True)
+        # faster than max on short rows; a NaN it skips still turns its row to NaN
+        w -= np.fmax.reduce(w, axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         np.matmul(w, vs[c], out=out[c])

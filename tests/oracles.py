@@ -368,13 +368,14 @@ def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
 # ----------------------------------------------------------------------
 # channel draw as one expression
 # ----------------------------------------------------------------------
-def build_all_channels(world: WorldState, mus: np.ndarray, cfg: ScenarioConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Rician channels of the MUs `mus` [S] with a steering exponential per
-    array, one interleaved (real, imaginary) draw per entry and out-of-place
-    arithmetic; `uav_iscc.env.build_all_channels` must match it bit for bit."""
+def build_all_channels(world: WorldState, mus: np.ndarray, uavs: np.ndarray,
+                       cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Rician channels [S, R, W_R, W_T] from the MUs `mus` [S] to the UAVs
+    `uavs` [R] with a steering exponential per array, one interleaved (real,
+    imaginary) draw per entry and out-of-place arithmetic;
+    `uav_iscc.env.build_all_channels` must match it bit for bit."""
     mu_pos = world.mu_positions[mus]
-    uav_pos = world.uav_positions
+    uav_pos = world.uav_positions[uavs]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)
     d2 = horiz2 + cfg.altitude ** 2

@@ -1,5 +1,6 @@
 """Channels, beamformers, uplink rates, and radar sensing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -62,14 +63,14 @@ def test_distance_under_uav_is_altitude(cfg):
     # with line of sight only, every entry has power ref_gain / d^2 exactly
     cfg.rician_factor = math.inf
     world = colocated_world([300.0, 400.0], [300.0, 400.0], 1, cfg)
-    h = build_all_channels(world, np.arange(1), cfg, np.random.default_rng(0))
+    h = build_all_channels(world, np.arange(1), np.arange(1), cfg, np.random.default_rng(0))
     assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / 4.0e4, rtol=1e-12, atol=0.0)
 
 
 def test_los_only_channel_entry_power_exact(cfg):
     cfg.rician_factor = math.inf
     world = colocated_world([100.0, 100.0], [160.0, 180.0], 1, cfg)
-    h = build_all_channels(world, np.arange(1), cfg, np.random.default_rng(1))
+    h = build_all_channels(world, np.arange(1), np.arange(1), cfg, np.random.default_rng(1))
     d2 = 60.0 ** 2 + 80.0 ** 2 + cfg.altitude ** 2
     assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / d2, atol=1e-18)
 
@@ -79,8 +80,8 @@ def test_channel_monte_carlo_entry_power(cfg):
     rng = np.random.default_rng(2)
     # directly overhead: d = altitude = 200; 100 MUs x 100 draws = 10k channels
     world = colocated_world([250.0, 250.0], [250.0, 250.0], 100, cfg)
-    n_draws = 100
-    total = sum(np.mean(np.abs(build_all_channels(world, np.arange(100), cfg, rng)) ** 2)
+    n_draws, mus, uavs = 100, np.arange(100), np.arange(1)
+    total = sum(np.mean(np.abs(build_all_channels(world, mus, uavs, cfg, rng)) ** 2)
                 for _ in range(n_draws))
     expected = cfg.ref_gain / cfg.altitude ** 2
     assert abs(total / n_draws - expected) / expected < 0.05
@@ -93,7 +94,7 @@ def test_batched_channels_match_statistics(cfg):
     mean_power = np.zeros((6, 3))
     n_draws = 2000
     for _ in range(n_draws):
-        h = build_all_channels(world, np.arange(6), cfg, rng)
+        h = build_all_channels(world, np.arange(6), np.arange(3), cfg, rng)
         mean_power += np.mean(np.abs(h) ** 2, axis=(2, 3))
     mean_power /= n_draws
     mu_pos, uav_pos = world.mu_positions, world.uav_positions
@@ -110,14 +111,19 @@ def test_channels_match_out_of_place_expression(rx, tx, rician, num_mus):
     cfg = ScenarioConfig(num_mus=num_mus, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(6))
-    # every MU, a proper subset (every other MU) and none
-    for mus in (np.arange(num_mus), np.arange(1, num_mus, 2), np.arange(0)):
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = build_all_channels(world, mus, cfg, rng)
-        want = oracles.build_all_channels(world, mus, cfg, ref_rng)
-        assert got.shape == want.shape == (mus.size, 3, rx, tx)
+    # every MU, a proper subset (every other MU) and none, to every UAV, a
+    # proper subset and none: S MUs and R UAVs take 2 S R W_R W_T normals
+    for mus, uavs in itertools.product(
+            (np.arange(num_mus), np.arange(1, num_mus, 2), np.arange(0)),
+            (np.arange(3), np.array([0, 2]), np.array([1]), np.arange(0))):
+        rng, ref_rng, count_rng = (np.random.default_rng(7) for _ in range(3))
+        got = build_all_channels(world, mus, uavs, cfg, rng)
+        want = oracles.build_all_channels(world, mus, uavs, cfg, ref_rng)
+        assert got.shape == want.shape == (mus.size, uavs.size, rx, tx)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        count_rng.standard_normal(2 * mus.size * uavs.size * rx * tx)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state \
+            == count_rng.bit_generator.state
 
 
 def test_channels_of_no_mu_draw_nothing(cfg):
@@ -125,8 +131,8 @@ def test_channels_of_no_mu_draw_nothing(cfg):
     world = reset_world(cfg, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     state = rng.bit_generator.state
-    h = build_all_channels(world, np.arange(0), cfg, rng)
-    assert h.shape == (0, cfg.num_uavs, cfg.rx_antennas, cfg.tx_antennas)
+    h = build_all_channels(world, np.arange(0), np.arange(0), cfg, rng)
+    assert h.shape == (0, 0, cfg.rx_antennas, cfg.tx_antennas)
     assert rng.bit_generator.state == state
 
 
@@ -303,7 +309,7 @@ def test_design_links_rates_positive(cfg):
     cfg.num_mus, cfg.num_uavs = 5, 2
     rng = np.random.default_rng(8)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, np.arange(3), cfg, rng)
+    channels = build_all_channels(world, np.arange(3), np.arange(2), cfg, rng)
     edge = np.zeros((5, 2))
     edge[0, 0] = edge[1, 0] = 5e9
     edge[2, 1] = 1e10
@@ -324,23 +330,34 @@ def test_design_links_rates_positive(cfg):
 
 
 def rows_of_every_mu(channels, alloc):
-    """The served MUs' draw [S, M, W_R, W_T] placed in their rows of a
-    [K, M, W_R, W_T] array, for the MU-indexed oracles; every unserved row is
-    NaN, so an oracle that reads one returns a NaN rate."""
-    every_mu = np.full((alloc.serving.size, *channels.shape[1:]), np.nan, dtype=complex)
-    every_mu[alloc.serving >= 0] = channels
+    """The draw [S, R, W_R, W_T] between the served MUs and the receiving UAVs
+    placed in its rows and columns of a [K, M, W_R, W_T] array, for the
+    MU- and UAV-indexed oracles; every unserved row and every column of a UAV
+    that receives nobody is NaN, so an oracle that reads one returns a NaN rate."""
+    served = alloc.serving >= 0
+    every_mu = np.full((alloc.serving.size, alloc.edge_cpu.shape[1], *channels.shape[2:]),
+                       np.nan, dtype=complex)
+    every_mu[np.ix_(served, np.unique(alloc.serving[served]))] = channels
     return every_mu
 
 
+def link_covariances(channels, alloc, leakage, cfg):
+    """`_link_covariances` of the served links, each link's UAV given as its
+    column among the receiving UAVs, the columns of the draw."""
+    receivers, columns = np.unique(alloc.serving[alloc.serving >= 0], return_inverse=True)
+    return _link_covariances(channels, columns, leakage[receivers], cfg)
+
+
 def served_world(serving, num_uavs, seed, **overrides):
-    """The served MUs' fresh channels [S, M, W_R, W_T] and the radar leakage,
-    with MU k associated with UAV serving[k] (-1: none): (cfg, channels,
-    alloc, leakage)."""
+    """The fresh channels [S, R, W_R, W_T] between the served MUs and the
+    receiving UAVs, and the radar leakage, with MU k associated with UAV
+    serving[k] (-1: none): (cfg, channels, alloc, leakage)."""
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(seed)
     world = reset_world(cfg, rng)
     serving = np.array(serving, dtype=int)
-    channels = build_all_channels(world, np.flatnonzero(serving >= 0), cfg, rng)
+    mus = np.flatnonzero(serving >= 0)
+    channels = build_all_channels(world, mus, np.unique(serving[mus]), cfg, rng)
     alloc = Allocation(serving=serving,
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
@@ -375,15 +392,20 @@ LINK_RATE_RTOL = 1e-5
 
 @pytest.mark.parametrize("case", list(LINK_CASES))
 def test_stacked_link_design_matches_per_link_loop(case):
-    # the loop reads the draw by MU index, with NaN in every unserved row: its
-    # rates stay finite, so neither side reads a channel that was not drawn
+    # the loop reads the draw by MU and UAV index, with NaN in every unserved
+    # row and in the column of every UAV that receives nobody: its rates stay
+    # finite, so neither side reads a channel that was not drawn, and every
+    # drawn column belongs to a UAV that serves a link, so none goes unread
     serving, num_uavs, overrides = LINK_CASES[case]
+    receivers = sorted({m for m in serving if m >= 0})
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
+        assert channels.shape[:2] == (len(serving) - serving.count(-1), len(receivers))
         links, link_rates = design_links(channels, alloc, leakage, cfg)
         rates = dict(zip(links.tolist(), link_rates.tolist()))
         every_mu = rows_of_every_mu(channels, alloc)
         assert np.all(np.isnan(every_mu[alloc.serving < 0]))
+        assert np.all(np.isnan(np.delete(every_mu, receivers, axis=1)))
         ref = oracles.design_links(every_mu, alloc, leakage, cfg)
         assert rates.keys() == ref.keys() == {k for k, m in enumerate(serving) if m >= 0}
         assert all(math.isfinite(r) for r in ref.values())
@@ -407,8 +429,7 @@ def test_leakage_and_link_covariances_exactly_hermitian(case):
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         assert_exactly_hermitian(leakage)
-        serving = alloc.serving[alloc.serving >= 0]
-        assert_exactly_hermitian(_link_covariances(channels, serving, leakage, cfg)[1])
+        assert_exactly_hermitian(link_covariances(channels, alloc, leakage, cfg)[1])
 
 
 @pytest.mark.parametrize("case", SERVED_CASES)
@@ -421,7 +442,7 @@ def test_no_unit_combiner_beats_the_link_rate(case):
     rng = np.random.default_rng(15)
     cfg, channels, alloc, leakage = served_world(serving, num_uavs, 0, **overrides)
     links, rates = design_links(channels, alloc, leakage, cfg)
-    h, n_cov = _link_covariances(channels, alloc.serving[links], leakage, cfg)
+    h, n_cov = link_covariances(channels, alloc, leakage, cfg)
     u = (h @ _principal_direction(h)[..., None])[..., 0]
     n_r = cfg.rx_antennas
     for i in range(links.size):
@@ -456,7 +477,7 @@ def test_link_covariances_no_farther_from_exact_sum_than_loop(case):
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         k = np.flatnonzero(alloc.serving >= 0)
-        h, n_cov = _link_covariances(channels, alloc.serving[k], leakage, cfg)
+        h, n_cov = link_covariances(channels, alloc, leakage, cfg)
         every_mu = rows_of_every_mu(channels, alloc)
         assert h.tobytes() == every_mu[k, alloc.serving[k]].tobytes()
         for i, mu in enumerate(k):
@@ -472,7 +493,7 @@ def test_principal_direction_is_svd_v1_up_to_phase(rx, tx, rician):
     cfg = ScenarioConfig(num_mus=10, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(13))
-    h = build_all_channels(world, np.arange(10), cfg, np.random.default_rng(14))
+    h = build_all_channels(world, np.arange(10), np.arange(3), cfg, np.random.default_rng(14))
     s = np.linalg.svd(h, compute_uv=False)
     assert math.isfinite(rician) or np.all(s[..., 1:] <= 1e-12 * s[..., :1])
     v = _principal_direction(h)
@@ -515,7 +536,7 @@ def test_design_links_rejects_a_draw_of_every_mu(serving):
     cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()
     rng = np.random.default_rng(12)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, np.arange(4), cfg, rng)
+    channels = build_all_channels(world, np.arange(4), np.arange(2), cfg, rng)
     alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
                        compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
     served = sum(m >= 0 for m in serving)
@@ -523,19 +544,34 @@ def test_design_links_rejects_a_draw_of_every_mu(serving):
         design_links(channels, alloc, build_radar_state(world, cfg)[2], cfg)
 
 
+def test_design_links_rejects_a_draw_to_every_uav():
+    # UAV 2 receives nobody, so a draw to all three UAVs has a column too many:
+    # read as the receivers' draw, UAV 1's links would take UAV 0's column
+    cfg = ScenarioConfig(num_mus=4, num_uavs=3).validate()
+    rng = np.random.default_rng(12)
+    world = reset_world(cfg, rng)
+    channels = build_all_channels(world, np.arange(3), np.arange(3), cfg, rng)
+    alloc = Allocation(serving=np.array([1, 0, 1, -1]), offload_ratio=np.full(4, 0.5),
+                       compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="channels hold 3 UAVs but 2 receive"):
+        design_links(channels, alloc, build_radar_state(world, cfg)[2], cfg)
+
+
 def test_singular_link_covariance_raises_with_link_and_condition(cfg):
-    # UAV 1's leakage cancels the noise on its second antenna, which no MU
-    # reaches, so the covariance of its only link, MU 1's, is exactly singular
-    cfg.num_mus, cfg.num_uavs, cfg.rx_antennas = 3, 2, 2
+    # UAV 0 receives nobody, so UAV 1 is the draw's column 0. UAV 1's leakage
+    # cancels the noise on its second antenna, which no MU reaches, so the
+    # covariance of its only link, MU 1's, is exactly singular; the error names
+    # the global UAV index, not the column
+    cfg.num_mus, cfg.num_uavs, cfg.rx_antennas = 3, 3, 2
     rng = np.random.default_rng(11)
     channels = rng.standard_normal((3, 2, 2, 4)) + 1j * rng.standard_normal((3, 2, 2, 4))
     channels *= 1e-5
-    channels[:, 1, 1, :] = 0.0
-    leakage = np.zeros((2, 2, 2), dtype=complex)
+    channels[:, 0, 1, :] = 0.0
+    leakage = np.zeros((3, 2, 2), dtype=complex)
     leakage[1, 1, 1] = -cfg.noise_power
-    alloc = Allocation(serving=np.array([0, 1, 0]), offload_ratio=np.zeros(3),
-                       compress_ratio=np.zeros(3), edge_cpu=np.zeros((3, 2)))
-    _, n_cov = _link_covariances(channels, alloc.serving, leakage, cfg)
+    alloc = Allocation(serving=np.array([2, 1, 2]), offload_ratio=np.zeros(3),
+                       compress_ratio=np.zeros(3), edge_cpu=np.zeros((3, 3)))
+    _, n_cov = link_covariances(channels, alloc, leakage, cfg)
     assert np.all(n_cov[1][1] == 0.0) and np.all(n_cov[1][:, 1] == 0.0)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"MU 1 at UAV 1 is singular \(condition number ") as info:

@@ -1,6 +1,7 @@
 """Autodiff core: gradients against central finite differences, Adam behavior."""
 
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,21 @@ def test_self_masked_attention_without_recording_keeps_no_closure(blocks, monkey
     assert recorded._backward is not None
     assert plain._backward is None and plain._parents == ()
     assert plain.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_self_masked_attention_nan_key_turns_its_block_to_nan(dtype):
+    # the row-max shift skips a NaN score (np.fmax), but that score still turns
+    # its row's exp, sum and weights to NaN, as a NaN-propagating max does; a
+    # NaN key reaches every query of its block, its own through the mask add
+    q, key, val, _ = attention_inputs((3,), 5, seed=26, dtype=dtype)
+    key.data[1, 2, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = self_masked_attention(q, key, val).data
+        chain = masked_attention_chain(q, key, val).data
+    assert np.all(np.isnan(out[1])) and np.all(np.isfinite(out[[0, 2]]))
+    assert np.array_equal(out, chain, equal_nan=True)
 
 
 @pytest.mark.parametrize("n_keys", [2, 4])

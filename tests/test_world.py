@@ -245,7 +245,8 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
         slot_rng = copy.deepcopy(rng)
         nxt, report = world_step(world, alloc, accels, cfg, rng)
         served = np.flatnonzero(alloc.serving >= 0)
-        channels = build_all_channels(world, served, cfg, slot_rng)
+        receivers = np.unique(alloc.serving[served])
+        channels = build_all_channels(world, served, receivers, cfg, slot_rng)
         leakage = build_radar_state(world, cfg)[2]
         links, link_rates = design_links(channels, alloc, leakage, cfg)
         rates = dict(zip(links.tolist(), link_rates.tolist()))
@@ -264,15 +265,15 @@ def test_slot_with_every_mu_local_draws_channels_once(monkeypatch):
     world = reset_world(cfg, rng)
     calls = []
 
-    def spy(world, mus, cfg, rng):
-        calls.append(mus)
-        return build_all_channels(world, mus, cfg, rng)
+    def spy(world, mus, uavs, cfg, rng):
+        calls.append((mus, uavs))
+        return build_all_channels(world, mus, uavs, cfg, rng)
 
     monkeypatch.setattr("uav_iscc.env.world.build_all_channels", spy)
     alloc = Allocation(serving=np.full(5, -1), offload_ratio=np.zeros(5),
                        compress_ratio=np.zeros(5), edge_cpu=np.zeros((5, 2)))
     report = world_step(world, alloc, np.zeros((2, 2)), cfg, rng)[1]
-    assert len(calls) == 1 and calls[0].shape == (0,)
+    assert len(calls) == 1 and calls[0][0].shape == calls[0][1].shape == (0,)
     assert np.all(report.rate == 0.0)
 
 
