@@ -4,7 +4,8 @@ All raw action entries live in the open unit interval (the policies' native
 support); only this module maps them onto physical ranges. MU agents emit M+1
 association scores (slot 0 means stay local) plus offload and compression
 ratios; UAV agents emit one CPU-share logit per roster slot plus a planar
-acceleration command.
+acceleration command. A slot's raw actions are one record per agent type, with
+one row per agent: `MuAction` [K] and `UavAction` [M].
 """
 
 from __future__ import annotations
@@ -20,19 +21,21 @@ from ..env.types import Allocation
 
 @dataclass
 class MuAction:
-    scores: np.ndarray        # M+1 association scores in (0, 1)
-    offload_ratio: float
-    compress_ratio: float
+    """Every MU's raw action, one row per MU."""
+
+    scores: np.ndarray          # [K, M+1] association scores in (0, 1)
+    offload_ratio: np.ndarray   # [K]
+    compress_ratio: np.ndarray  # [K]
 
     @staticmethod
     def dim(cfg: ScenarioConfig) -> int:
         return cfg.num_uavs + 1 + 2
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, cfg: ScenarioConfig) -> "MuAction":
-        """`vec` is one float64 row of unit actions; `scores` is a view of it."""
+    def from_vector(cls, vecs: np.ndarray, cfg: ScenarioConfig) -> "MuAction":
+        """Split the [K, dim] raw actions into column views."""
         m = cfg.num_uavs
-        return cls(vec[: m + 1], vec.item(m + 1), vec.item(m + 2))   # in field order
+        return cls(vecs[:, : m + 1], vecs[:, m + 1], vecs[:, m + 2])   # in field order
 
 
 @dataclass
@@ -54,28 +57,26 @@ class UavAction:
         return cls(share_logits=vecs[:, :cap], acceleration=vecs[:, cap:cap + 2])
 
 
-def decode_mu_action(raw: MuAction, cfg: ScenarioConfig) -> tuple[int, float, float]:
-    """Pick the association (argmax, lowest index on ties; -1 = stay local)
-    and pass the offload and compression ratios through, clamped to [0, 1]."""
-    choice = int(raw.scores.argmax()) - 1
-    rho = min(max(raw.offload_ratio, 0.0), 1.0)
-    eta = min(max(raw.compress_ratio, 0.0), 1.0)
-    return choice, rho, eta
+def decode_mu_action(scores: list[float], rho: float, eta: float) -> tuple[int, float, float]:
+    """One MU's row of `MuAction`: the association is the argmax of its M+1
+    scores (lowest index on ties; -1 = stay local), and the offload and
+    compression ratios pass through, clamped to [0, 1]."""
+    return scores.index(max(scores)) - 1, min(max(rho, 0.0), 1.0), min(max(eta, 0.0), 1.0)
 
 
-def build_allocation(mu_actions: list[MuAction], cfg: ScenarioConfig) -> Allocation:
-    """Joint association from all MU decisions with roster capacity enforced.
+def build_allocation(raw: MuAction, cfg: ScenarioConfig) -> Allocation:
+    """Joint association from the slot's [K]-row MU actions with roster
+    capacity enforced: each field becomes one list, decoded row by row.
 
     A UAV accepts at most k_cap MUs (lowest indices win); the surplus is
     demoted to local execution so every accepted MU can receive a CPU share.
     """
-    k = len(mu_actions)
-    m = cfg.num_uavs
-    cap = cfg.k_cap
+    k, m, cap = len(raw.offload_ratio), cfg.num_uavs, cfg.k_cap
     counts = [0] * m
     serving, rho, eta = [-1] * k, [0.0] * k, [0.0] * k
-    for i, raw in enumerate(mu_actions):
-        choice, r, e = decode_mu_action(raw, cfg)
+    rows = zip(raw.scores.tolist(), raw.offload_ratio.tolist(), raw.compress_ratio.tolist())
+    for i, (scores, r, e) in enumerate(rows):
+        choice, r, e = decode_mu_action(scores, r, e)
         if choice >= 0 and counts[choice] < cap:
             counts[choice] += 1
             serving[i], rho[i], eta[i] = choice, r, e

@@ -60,7 +60,8 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_edge: float
 
     `task` holds one task's five values in `TASK_FIELDS` order. The MU's CPU
     runs at f_mu = min(f_max, D*C/T), the least frequency for the whole task by
-    its deadline T; it minimises the energy only at rho = 0. The uplink
+    its deadline T, raised one float at a time below f_max until the rounded
+    D*C/f_mu meets T; it minimises the energy only at rho = 0. The uplink
     transmits at `mu_power_max`. A zero rate or zero edge share with pending
     work yields the infinite-delay sentinel. An infinite offload delay bills
     transmit energy for the slot only; the latency sentinel already triggers
@@ -68,6 +69,8 @@ def mu_slot_outcome(task: Sequence[float], rho: float, eta: float, f_edge: float
     """
     d, c, j, beta, deadline = task
     f_mu = min(cfg.mu_cpu_max, d * c / deadline)
+    while 0.0 < f_mu < cfg.mu_cpu_max and d * c / f_mu > deadline:
+        f_mu = math.nextafter(f_mu, math.inf)
     t_local = _safe_div((1.0 - rho) * d * c, f_mu)
     t_compress = _safe_div(rho * eta * d * j, f_mu)
     t_offload = _safe_div(transmitted_fraction(rho, eta, beta) * d, rate)

@@ -160,8 +160,7 @@ class Trainer:
         for t in range(t_len):
             mu_obs = build_mu_observations(world, cfg)
             mu_unit, mu_logp = self._act("mu", mu_obs, greedy)
-            mu_actions = [MuAction.from_vector(row, cfg) for row in mu_unit]
-            alloc = build_allocation(mu_actions, cfg)
+            alloc = build_allocation(MuAction.from_vector(mu_unit, cfg), cfg)
             rosters = uav_rosters(alloc, cfg)
 
             uav_obs = build_uav_observations(world, alloc, mu_obs, rosters, cfg)

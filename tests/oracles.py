@@ -340,23 +340,22 @@ def mu_reward(k: int, report: SlotReport, alloc: Allocation,
 # ----------------------------------------------------------------------
 # action decode with np.clip, one MU at a time
 # ----------------------------------------------------------------------
-def decode_mu_action(raw, cfg: ScenarioConfig) -> tuple[int, float, float]:
-    choice = int(np.argmax(raw.scores)) - 1
-    rho = float(np.clip(raw.offload_ratio, 0.0, 1.0))
-    eta = float(np.clip(raw.compress_ratio, 0.0, 1.0))
-    return choice, rho, eta
+def decode_mu_action(scores, rho, eta) -> tuple[int, float, float]:
+    choice = int(np.argmax(scores)) - 1
+    return choice, float(np.clip(rho, 0.0, 1.0)), float(np.clip(eta, 0.0, 1.0))
 
 
-def build_allocation(mu_actions: list, cfg: ScenarioConfig) -> Allocation:
-    """Capacity-enforced association written into preallocated arrays per MU."""
-    k = len(mu_actions)
+def build_allocation(raw, cfg: ScenarioConfig) -> Allocation:
+    """Capacity-enforced association written into preallocated arrays, one
+    row of the `MuAction` record at a time."""
+    k = len(raw.offload_ratio)
     m = cfg.num_uavs
     serving = np.full(k, -1)
     rho = np.zeros(k)
     eta = np.zeros(k)
     counts = np.zeros(m, dtype=int)
-    for i, raw in enumerate(mu_actions):
-        choice, r, e = decode_mu_action(raw, cfg)
+    for i in range(k):
+        choice, r, e = decode_mu_action(raw.scores[i], raw.offload_ratio[i], raw.compress_ratio[i])
         if choice >= 0 and counts[choice] < cfg.k_cap:
             serving[i] = choice
             counts[choice] += 1

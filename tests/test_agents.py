@@ -32,15 +32,22 @@ def cfg_of(**kw):
 
 
 def actions_choosing(serving, cfg, rng):
-    """MU actions whose association scores peak at UAV serving[k] (-1: local),
-    with ratios drawn on both sides of the unit interval."""
-    actions = []
-    for choice in serving:
-        vec = rng.uniform(0.01, 0.5, MuAction.dim(cfg))
+    """The slot's MU actions, whose association scores peak at UAV serving[k]
+    (-1: local), with ratios drawn on both sides of the unit interval."""
+    vecs = np.zeros((len(serving), MuAction.dim(cfg)))
+    for vec, choice in zip(vecs, serving):
+        vec[:] = rng.uniform(0.01, 0.5, MuAction.dim(cfg))
         vec[choice + 1] = 0.9
         vec[-2:] = rng.uniform(-0.5, 1.5, 2)
-        actions.append(MuAction.from_vector(vec, cfg))
-    return actions
+    return MuAction.from_vector(vecs, cfg)
+
+
+def decode_row(vec, cfg):
+    """`decode_mu_action` of one MU's raw action, fed as `build_allocation`
+    feeds it: its row of the one-MU record, as lists and floats."""
+    raw = MuAction.from_vector(np.asarray(vec)[None], cfg)
+    return decode_mu_action(raw.scores.tolist()[0], raw.offload_ratio.item(0),
+                            raw.compress_ratio.item(0))
 
 
 def observe(world, alloc, cfg):
@@ -79,18 +86,18 @@ def test_penalty_limits_below_two():
 def test_mu_decode_argmax_and_local_slot():
     cfg = cfg_of()
     vec = np.array([0.1, 0.2, 0.9, 0.3, 0.5, 0.6])
-    choice, rho, eta = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)
+    choice, rho, eta = decode_row(vec, cfg)
     assert choice == 1  # slot 2 -> UAV index 1
     assert rho == pytest.approx(0.5) and eta == pytest.approx(0.6)
     vec[0] = 0.99
-    choice, _, _ = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)
+    choice, _, _ = decode_row(vec, cfg)
     assert choice == -1  # slot 0 wins -> stay local
 
 
 def test_mu_decode_tie_breaks_to_lowest_index():
     cfg = cfg_of()
     vec = np.array([0.4, 0.8, 0.8, 0.8, 0.5, 0.5])
-    choice, _, _ = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)
+    choice, _, _ = decode_row(vec, cfg)
     assert choice == 0
 
 
@@ -99,10 +106,10 @@ def test_mu_decode_scale_invariant():
     rng = np.random.default_rng(1)
     for _ in range(100):
         vec = rng.uniform(0.01, 0.99, MuAction.dim(cfg))
-        a = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)[0]
+        a = decode_row(vec, cfg)[0]
         scaled = vec.copy()
         scaled[: cfg.num_uavs + 1] *= 0.37
-        b = decode_mu_action(MuAction.from_vector(scaled, cfg), cfg)[0]
+        b = decode_row(scaled, cfg)[0]
         assert a == b
 
 
@@ -199,7 +206,7 @@ def test_roster_capacity_demotes_surplus():
     vec = np.zeros(MuAction.dim(cfg))
     vec[1] = 0.9
     vec[-2:] = 0.5
-    alloc = build_allocation([MuAction.from_vector(vec, cfg) for _ in range(6)], cfg)
+    alloc = build_allocation(MuAction.from_vector(np.tile(vec, (6, 1)), cfg), cfg)
     assert alloc.association[:, 0].sum() == 2
     assert np.all(alloc.association[2:, :] == 0)
     assert np.all(alloc.offload_ratio[2:] == 0)
@@ -241,8 +248,7 @@ def test_observation_lengths_and_unit_range():
     cfg = cfg_of()
     rng = np.random.default_rng(3)
     world = reset_world(cfg, rng)
-    actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
-               for _ in range(cfg.num_mus)]
+    actions = MuAction.from_vector(rng.uniform(0.01, 0.99, (cfg.num_mus, MuAction.dim(cfg))), cfg)
     alloc = build_allocation(actions, cfg)
     mu_obs, uav_obs = observe(world, alloc, cfg)
     assert mu_obs.shape == (cfg.num_mus, mu_obs_dim(cfg))
@@ -259,7 +265,7 @@ def test_corner_mu_scales_to_zero():
     world.mu_positions[0] = 0.0
     world.tasks[0, 0] = cfg.data_bits_max
     alloc = build_allocation(
-        [MuAction.from_vector(np.full(MuAction.dim(cfg), 0.5), cfg)] * cfg.num_mus, cfg)
+        MuAction.from_vector(np.full((cfg.num_mus, MuAction.dim(cfg)), 0.5), cfg), cfg)
     vec = build_mu_observations(world, cfg)[0]
     assert vec[1] == pytest.approx(1.0)          # task size at the top of its range
     assert np.allclose(vec[-2:], 0.0)            # own position at the corner
@@ -270,14 +276,10 @@ def test_uav_roster_padding():
     rng = np.random.default_rng(5)
     world = reset_world(cfg, rng)
     # three MUs pick UAV 0
-    vecs = []
-    for k in range(cfg.num_mus):
-        v = np.zeros(MuAction.dim(cfg))
-        v[1] = 0.9 if k < 3 else 0.0
-        v[0] = 0.1 if k < 3 else 0.9
-        v[-2:] = 0.4
-        vecs.append(MuAction.from_vector(v, cfg))
-    alloc = build_allocation(vecs, cfg)
+    vecs = np.zeros((cfg.num_mus, MuAction.dim(cfg)))
+    vecs[:3, 1], vecs[:3, 0], vecs[3:, 0] = 0.9, 0.1, 0.9
+    vecs[:, -2:] = 0.4
+    alloc = build_allocation(MuAction.from_vector(vecs, cfg), cfg)
     roster = uav_rosters(alloc, cfg)[0]
     assert np.sum(roster >= 0) == 3
     assert np.all(roster[3:] == -1)
@@ -330,8 +332,7 @@ def test_array_observations_match_per_agent_builders(case):
 def episode_slot(cfg, seed):
     rng = np.random.default_rng(seed)
     world = reset_world(cfg, rng)
-    actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
-               for _ in range(cfg.num_mus)]
+    actions = MuAction.from_vector(rng.uniform(0.01, 0.99, (cfg.num_mus, MuAction.dim(cfg))), cfg)
     alloc = build_allocation(actions, cfg)
     uav_actions = UavAction.from_vector(
         rng.uniform(0.01, 0.99, (cfg.num_uavs, UavAction.dim(cfg))), cfg)

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from uav_iscc.env import (
     ScenarioConfig,
+    draw_task,
     flight_power,
     mu_slot_outcome,
     transmitted_fraction,
@@ -135,6 +136,84 @@ def test_pipeline_matches_oracle_on_random_tuples(cfg):
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9)
         assert out.t_edge_total == out.t_offload + out.t_decompress + out.t_edge_compute
+
+
+def outcome_at(task, f_mu, rho, eta, f_edge, rate, j_dec, cfg):
+    """The 13 outcome fields at MU frequency `f_mu`, in `mu_slot_outcome`'s
+    own operation order, so that equal frequencies give equal bits."""
+    d, c, j, beta, _ = task
+
+    def div(num, den):
+        return 0.0 if num <= 0.0 else math.inf if den <= 0.0 else num / den
+
+    t_local, t_compress = div((1.0 - rho) * d * c, f_mu), div(rho * eta * d * j, f_mu)
+    t_offload = div(rho * (eta * beta + 1.0 - eta) * d, rate)
+    t_decompress, t_edge_compute = div(rho * eta * d * j_dec, f_edge), div(rho * d * c, f_edge)
+    t_edge_total = t_offload + t_decompress + t_edge_compute
+    e_compress = cfg.kappa_mu * rho * eta * d * j * (f_mu * f_mu)
+    e_local = cfg.kappa_mu * (1.0 - rho) * d * c * (f_mu * f_mu)
+    e_offload = (t_offload if math.isfinite(t_offload) else cfg.slot_seconds) * cfg.mu_power_max
+    return (t_local, t_compress, t_offload, t_decompress, t_edge_compute, t_edge_total,
+            t_compress + max(t_local, t_edge_total), e_compress, e_local, e_offload,
+            e_compress + e_local + e_offload, cfg.kappa_uav * (f_edge * f_edge) * rho * d * c,
+            cfg.kappa_uav * (f_edge * f_edge) * rho * eta * d * j_dec)
+
+
+def least_frequency_meeting_deadline(d, c, deadline):
+    """The least float at or above D*C/T whose rounded D*C/f is at most T."""
+    f = d * c / deadline
+    while d * c / f > deadline:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def drawn_slots(cfg, local, count=4000):
+    """(task, rho, eta, f_edge, rate, j_dec) for `count` tasks from `draw_task`;
+    an all-local MU has rho = eta = 0."""
+    rng = np.random.default_rng(2)
+    for task in draw_task(cfg, rng, count).tolist():
+        rho, eta = (0.0, 0.0) if local else (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        yield task, rho, eta, rng.uniform(1e8, 1e10), rng.uniform(1e5, 1e9), rng.uniform(100, 300)
+
+
+LOCAL_OR_SPLIT = pytest.mark.parametrize("local", [True, False], ids=["all-local", "split"])
+
+
+@LOCAL_OR_SPLIT
+def test_mu_frequency_at_or_above_the_cap_is_the_cap(cfg, local):
+    # where D*C/T >= f_max every field equals the closed forms at f_max bit for bit
+    capped = 0
+    for task, *args in drawn_slots(cfg, local):
+        d, c, _, _, deadline = task
+        if d * c / deadline >= cfg.mu_cpu_max:
+            out = mu_slot_outcome(task, *args, cfg)
+            assert tuple(out) == outcome_at(task, cfg.mu_cpu_max, *args, cfg), task
+            capped += 1
+    assert capped > 1000
+
+
+@LOCAL_OR_SPLIT
+def test_mu_frequency_below_the_cap_is_the_least_float_meeting_the_deadline(cfg, local):
+    # below the cap the frequency starts at D*C/T and steps up one float while
+    # the rounded whole-task time D*C/f misses T: the float before it is below
+    # D*C/T or misses T, and the fields are the closed forms at it bit for bit
+    below = stepped = 0
+    for task, *args in drawn_slots(cfg, local):
+        d, c, _, _, deadline = task
+        if d * c / deadline >= cfg.mu_cpu_max:
+            continue
+        f_mu = least_frequency_meeting_deadline(d, c, deadline)
+        previous = math.nextafter(f_mu, 0.0)
+        assert previous < d * c / deadline or d * c / previous > deadline
+        assert d * c / f_mu <= deadline and f_mu <= cfg.mu_cpu_max
+        out = mu_slot_outcome(task, *args, cfg)
+        assert tuple(out) == outcome_at(task, f_mu, *args, cfg), task
+        if local:
+            assert out.latency <= deadline
+        below += 1
+        stepped += f_mu != d * c / deadline
+    # rounding moves the frequency off D*C/T for some of the tasks
+    assert below > 1000 and stepped > 0
 
 
 def test_hover_power(cfg):

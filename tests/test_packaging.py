@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import uav_iscc
-from uav_iscc.agents import MuAction, decode_mu_action
+from uav_iscc.agents import MuAction, build_allocation, decode_mu_action
 from uav_iscc.env import (
     Allocation,
     ScenarioConfig,
@@ -101,12 +101,21 @@ def test_benchmark_wrapped_functions_resolve(monkeypatch):
         assert callable(owner), f"{wrap.module}.{wrap.attr}"
 
 
-def test_benchmark_hooks_read_per_mu_scalars():
-    # the decode hook collects one int choice per MU, the delay hook one float latency
+def test_benchmark_hooks_read_per_mu_scalars(monkeypatch):
+    # the decode hook collects one int choice per MU from the calls that
+    # build_allocation makes, the delay hook one float latency
     cfg = ScenarioConfig(num_mus=2, num_uavs=2).validate()
-    vec = np.array([0.1, 0.8, 0.2, 0.5, 0.5])
-    choice = decode_mu_action(MuAction.from_vector(vec, cfg), cfg)[0]
-    assert type(choice) is int and choice == 0
+    choices = []
+
+    def spy(*args):
+        out = decode_mu_action(*args)
+        choices.append(out[0])
+        return out
+
+    monkeypatch.setattr("uav_iscc.agents.actions.decode_mu_action", spy)
+    vecs = np.array([[0.1, 0.8, 0.2, 0.5, 0.5], [0.9, 0.1, 0.2, 0.5, 0.5]])
+    build_allocation(MuAction.from_vector(vecs, cfg), cfg)
+    assert choices == [0, -1] and all(type(choice) is int for choice in choices)
     task = (1e6, 1000.0, 200.0, 0.5, 1.0)
     for rate in (1e7, 0.0):
         out = mu_slot_outcome(task, 0.5, 0.5, 1e10, rate, 200.0, cfg)

@@ -1,13 +1,16 @@
 """End-to-end trainer behavior at smoke scale."""
 
 import json
+import sys
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oracles import head_rows, in_float64
-from uav_iscc.env import ConfigError, ScenarioConfig
+from uav_iscc.agents import MuAction, decode_mu_action
+from uav_iscc.env import ConfigError, ScenarioConfig, mu_slot_outcome
 from uav_iscc.mappo import Trainer, TrainerConfig
 from uav_iscc.mappo.trainer import CHECKPOINT_VERSION, EvalResult
 
@@ -342,6 +345,49 @@ def test_defective_checkpoint_leaves_every_parameter_unchanged(tmp_path, defect,
         clone.load_checkpoint(path)
     assert last in str(info.value)
     assert all(p.data is before[name] for name, p in clone.named_parameters().items())
+
+
+PER_MU_CALLS = (decode_mu_action.__code__, mu_slot_outcome.__code__)
+
+
+def slot_calls(num_mus, num_uavs):
+    """Calls of each function in a one-slot sampled episode, by code object for
+    Python functions and by qualified name for builtins; the calls made inside
+    `decode_mu_action` and `mu_slot_outcome` are theirs, not counted apart."""
+    trainer = Trainer(TrainerConfig(episode_length=1, seed=0),
+                      ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs))
+    counts, depth = Counter(), [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += depth[0] == 0
+            depth[0] += frame.f_code in PER_MU_CALLS
+        elif event == "return":
+            depth[0] -= frame.f_code in PER_MU_CALLS
+        elif event == "c_call" and depth[0] == 0:
+            counts[getattr(arg, "__qualname__", repr(arg))] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trainer.collect_episode()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+@pytest.mark.parametrize("num_mus,num_uavs", [(6, 3), (40, 4)])
+def test_slot_decodes_one_mu_record_and_calls_only_two_functions_per_mu(num_mus, num_uavs):
+    # doubling K at the same M adds K calls to the two per-MU functions and
+    # none to anything else, and the MU record is split once per slot
+    calls, doubled = slot_calls(num_mus, num_uavs), slot_calls(2 * num_mus, num_uavs)
+    from_vector = MuAction.from_vector.__func__.__code__
+    assert calls[from_vector] == doubled[from_vector] == 1
+    for code in PER_MU_CALLS:
+        assert (calls[code], doubled[code]) == (num_mus, 2 * num_mus), code.co_name
+    grown = {key: (calls[key], doubled[key]) for key in calls.keys() | doubled.keys()
+             if key not in PER_MU_CALLS and doubled[key] != calls[key]}
+    assert grown == {}
 
 
 def test_actor_outputs_stay_above_one_through_training():

@@ -76,8 +76,8 @@ def test_nan_setting_rejected(name):
 
 
 def random_actions(cfg, rng):
-    mu_actions = [MuAction.from_vector(rng.uniform(0.01, 0.99, MuAction.dim(cfg)), cfg)
-                  for _ in range(cfg.num_mus)]
+    mu_actions = MuAction.from_vector(rng.uniform(0.01, 0.99, (cfg.num_mus, MuAction.dim(cfg))),
+                                      cfg)
     uav_actions = UavAction.from_vector(
         rng.uniform(0.01, 0.99, (cfg.num_uavs, UavAction.dim(cfg))), cfg)
     return mu_actions, uav_actions
@@ -275,6 +275,24 @@ def test_slot_with_every_mu_local_draws_channels_once(monkeypatch):
     report = world_step(world, alloc, np.zeros((2, 2)), cfg, rng)[1]
     assert len(calls) == 1 and calls[0][0].shape == calls[0][1].shape == (0,)
     assert np.all(report.rate == 0.0)
+
+
+def test_all_local_mu_on_its_deadline_meets_it():
+    # below the cap the MU runs at the least frequency that finishes its whole
+    # task by the deadline, so a latency within 1e-12 of the deadline is one
+    # that meets it once rounded, and deadline_met must count it as met
+    cfg = ScenarioConfig(num_mus=200, num_uavs=3).validate()
+    rng = np.random.default_rng(17)
+    world = reset_world(cfg, rng)
+    alloc = Allocation(serving=np.full(200, -1), offload_ratio=np.zeros(200),
+                       compress_ratio=np.zeros(200), edge_cpu=np.zeros((200, 3)))
+    on_deadline = 0
+    for _ in range(20):
+        world, report = world_step(world, alloc, np.zeros((3, 2)), cfg, rng)
+        near = np.abs(report.latency - report.deadline) <= 1e-12
+        on_deadline += near.sum()
+        assert np.all(report.deadline_met[near]), report.latency[near & ~report.deadline_met]
+    assert on_deadline > 1000
 
 
 @pytest.mark.parametrize("num_mus", [0, 1])
