@@ -2,15 +2,17 @@
 
 All receivers sit on the UAVs. Only a served MU (one that offloads) has an
 uplink, and only a UAV that serves at least one MU (a receiving UAV) hears
-the uplinks, so each slot draws channels between these two sets alone: one
-[S, R, W_R, W_T] array for the S served MUs and the R receiving UAVs, each
-axis in ascending index order, which link design reads whole. Each served
-MU sends one stream along its channel's principal direction, and its UAV
-receives it with the MMSE combiner against inter-MU interference plus the
-leakage of the radar waveform; the link rate is that receiver's closed form.
-Each UAV simultaneously steers a full-power sensing beam at its ground
-target and filters the echo for maximum sensing SINR.
-"""
+the uplinks. Each served MU sends one stream along its own channel's
+principal direction v, so a receiver hears it as the vector y = H v, and each
+slot draws only these: one [S, R, W_R] array for the S served MUs and the R
+receiving UAVs, each axis in ascending index order, which link design reads
+whole. The draw takes each MU's own channel in full, in MU order, then the
+W_R scatter normals of each cross vector, in (MU, receiver) order
+(`build_all_channels`). Each UAV receives its MUs with the MMSE combiner
+against the other MUs' streams plus the leakage of the radar waveform; the
+link rate is that receiver's closed form. Each UAV simultaneously steers a
+full-power sensing beam at its ground target and filters the echo for
+maximum sensing SINR."""
 
 from __future__ import annotations
 
@@ -44,41 +46,72 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def build_all_channels(world: WorldState, mus: np.ndarray, uavs: np.ndarray,
-                       cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Channels from the MUs `mus` to the UAVs `uavs` (both ascending
-    indices): complex [S, R, W_R, W_T] for S = len(mus) and R = len(uavs).
+def _principal_direction(channel: np.ndarray) -> np.ndarray:
+    """Unit principal right-singular direction [..., W_T] of `channel` [..., W_R, W_T],
+    as the last eigenvector of H^H H, up to a unit phase."""
+    return np.linalg.eigh(channel.conj().swapaxes(-1, -2) @ channel)[1][..., -1]
 
-    Only these entries draw: each entry's scatter takes two consecutive
-    standard normals (real, then imaginary), written straight into the output.
-    So a call takes 2 S R W_R W_T numbers from `rng`, and none when `mus` or
-    `uavs` is empty.
+
+def build_all_channels(world: WorldState, mus: np.ndarray, serving: np.ndarray,
+                       cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Received streams of the served MUs `mus` [S] (ascending indices), MU
+    `mus[i]` served by UAV `serving[i]`: complex [S, R, W_R] for the R
+    receiving UAVs, the distinct `serving` in ascending order.
+
+    MU s sends one stream along v_s, the principal right-singular direction of
+    its own channel H_s [W_R, W_T] to its UAV (`_principal_direction`), and
+    entry [s, r] is what receiver r hears of it, y = H_{s,r} v_s. The own
+    channel is drawn in full and its column holds H_s v_s. The scatter part of
+    any other H_{s,r} is independent of v_s, so its product with the unit v_s
+    is exactly CN(0, I_{W_R}): W_R normals, added to the exact line-of-sight
+    term a_r (a_t^H v_s).
+
+    Draw order: each entry's scatter takes two consecutive standard normals
+    (real, then imaginary). First every own channel, in MU order, row-major;
+    then the cross vectors, in (MU, receiver) order, skipping the own column.
+    So a call takes 2 S (W_R W_T + (R - 1) W_R) numbers from `rng`, and none
+    when `mus` is empty.
     """
+    n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
+    uavs = np.flatnonzero(np.bincount(serving))
+    if mus.size == 0:
+        return np.zeros((0, uavs.size, n_r), dtype=complex)
     mu_pos = world.mu_positions[mus]         # [S, 2]
     uav_pos = world.uav_positions[uavs]      # [R, 2]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
     horiz2 = np.sum(diff * diff, axis=-1)                    # [S, R]
-    d2 = horiz2 + cfg.altitude ** 2
+    gain = np.sqrt(cfg.ref_gain / (horiz2 + cfg.altitude ** 2))
     angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))        # [S, R]
-    sin_a = np.sin(angle)
     # one steering exponential for the larger array; each array takes a prefix
-    n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
-    steer = steering(sin_a, max(n_r, n_t))
-    channel = steer[..., :n_r, None] * steer[..., None, :n_t].conj()   # LOS, [S, R, W_R, W_T]
+    steer = steering(np.sin(angle), max(n_r, n_t))
+    a_r, a_t = steer[..., :n_r], steer[..., :n_t]
     eps = cfg.rician_factor
     if math.isinf(eps):
         w_los, w_nlos = 1.0, 0.0
     else:
         w_los = math.sqrt(eps / (eps + 1.0))
         w_nlos = math.sqrt(1.0 / (eps + 1.0))
+    rows, own = np.arange(mus.size), uavs.searchsorted(serving)
+    own_steer = steer[rows, own]
+    channel = own_steer[:, :n_r, None] * own_steer[:, None, :n_t].conj()     # LOS, [S, W_R, W_T]
     scatter = np.empty(channel.shape, dtype=complex)
     rng.standard_normal(out=scatter.view(np.float64))
     scatter /= math.sqrt(2.0)
     channel *= w_los
     scatter *= w_nlos
     channel += scatter
-    channel *= np.sqrt(cfg.ref_gain / d2)[..., None, None]
-    return channel
+    channel *= gain[rows, own][:, None, None]
+    v = _principal_direction(channel)                        # [S, W_T]
+    streams = a_r * (w_los * (a_t.conj() @ v[:, :, None]))   # LOS, [S, R, W_R]
+    cross = np.empty((mus.size, uavs.size - 1, n_r), dtype=complex)
+    rng.standard_normal(out=cross.view(np.float64))
+    cross *= w_nlos / math.sqrt(2.0)
+    others = np.ones(gain.shape, dtype=bool)
+    others[rows, own] = False
+    streams[others] += cross.reshape(-1, n_r)
+    streams *= gain[..., None]
+    streams[rows, own] = (channel @ v[:, :, None])[..., 0]
+    return streams
 
 
 def build_radar_state(world: WorldState, cfg: ScenarioConfig
@@ -116,74 +149,66 @@ def radar_rate(sinr: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return cfg.radar_duty / (2.0 * cfg.radar_pulse_s) * np.log2(1.0 + gain)
 
 
-def _principal_direction(channel: np.ndarray) -> np.ndarray:
-    """Unit principal right-singular direction [..., W_T] of `channel` [..., W_R, W_T],
-    as the last eigenvector of H^H H, up to a unit phase."""
-    return np.linalg.eigh(channel.conj().swapaxes(-1, -2) @ channel)[1][..., -1]
-
-
-def _link_covariances(channels: np.ndarray, columns: np.ndarray, leakage: np.ndarray,
+def _link_covariances(streams: np.ndarray, columns: np.ndarray, leakage: np.ndarray,
                       cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Each served link's channel and noise covariance: ([S, W_R, W_T], [S, W_R, W_R]).
+    """Each served link's received stream and noise covariance: ([S, W_R], [S, W_R, W_R]).
 
-    `channels` is the draw [S, R, W_R, W_T] between the served MUs and the
-    receiving UAVs, `columns` [S] each link's UAV as its column there, and
-    `leakage` [R, W_R, W_R] the receiving UAVs' radar leakage. Every receiving
-    UAV hears all S MUs: its interference P H_r H_r^H is one Gram of `wide`
-    [R, W_R, S*W_T], the UAV's channels side by side. A link drops its own
-    MU's P h h^H from that Gram, adds sigma^2 I and is symmetrised; the radar
+    `streams` is the draw [S, R, W_R] between the served MUs and the receiving
+    UAVs, `columns` [S] each link's UAV as its column there, and `leakage`
+    [R, W_R, W_R] the receiving UAVs' radar leakage. Every receiving UAV hears
+    all S streams: its interference P sum_s y_s y_s^H is one Gram of
+    [R, W_R, S], the UAV's streams side by side. A link drops its own MU's
+    P u u^H from that Gram, adds sigma^2 I and is symmetrised; the radar
     leakage, by far the largest term, is added last, so each covariance rounds
     once at the leakage's scale.
     """
-    num_uavs, n_r = channels.shape[1], channels.shape[2]
-    wide = channels.transpose(1, 2, 0, 3).reshape(num_uavs, n_r, -1)
+    n_r = streams.shape[2]
+    wide = streams.transpose(1, 2, 0)                                    # [R, W_R, S]
     interference = cfg.mu_power_max * (wide @ wide.conj().swapaxes(-1, -2))   # [R, W_R, W_R]
-    h = channels[np.arange(columns.size), columns]                      # [S, W_R, W_T]
-    own = cfg.mu_power_max * (h @ h.conj().swapaxes(-1, -2))
+    u = streams[np.arange(columns.size), columns]                      # [S, W_R]
+    own = cfg.mu_power_max * (u[:, :, None] @ u[:, None, :].conj())
     rest = cfg.noise_power * np.eye(n_r) + (interference[columns] - own)
-    return h, leakage[columns] + 0.5 * (rest + rest.conj().swapaxes(-1, -2))
+    return u, leakage[columns] + 0.5 * (rest + rest.conj().swapaxes(-1, -2))
 
 
-def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
+def design_links(streams: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Uplink rate of every associated MU: (served MUs [S] in ascending order,
     their rates [S] in bits/s).
 
-    `channels` is the draw [S, R, W_R, W_T] from `build_all_channels` between
-    the served MUs and the R receiving UAVs (those that serve at least one
-    MU), each axis in ascending index order, and `leakage` the [M, W_R, W_R]
-    radar leakage of every UAV from `build_radar_state`. Each receiving UAV's
-    covariance holds noise, its radar leakage and every associated MU's
-    P h h^H, formed as one Gram per UAV; a link's noise covariance N drops its
-    own MU's term (`_link_covariances`).
-    The MU sends one stream along its channel's principal right-singular
-    direction v1 (`_principal_direction`), so the UAV receives u = H v1. The
-    MMSE combiner N^-1 u maximises the output SINR for that stream, and its
-    rate is the closed form B log2(1 + P u^H N^-1 u) (Tse & Viswanath,
-    "Fundamentals of Wireless Communication", ch. 8), so one stacked solve
-    gives every link's SINR and no combiner is formed. A `channels` whose first
-    axis is not S or whose second is not R, or a non-finite channel or
-    leakage, raises ValueError; a covariance that the solve finds singular
-    raises LinAlgError naming the link's MU and UAV (global indices) and its
-    condition number.
+    `streams` is the draw [S, R, W_R] from `build_all_channels`: what each of
+    the R receiving UAVs (those that serve at least one MU) hears of each
+    served MU's one stream, y = H v with v the principal right-singular
+    direction of the MU's own channel, each axis in ascending index order.
+    `leakage` is the [M, W_R, W_R] radar leakage of every UAV from
+    `build_radar_state`. Each receiving UAV's covariance holds noise, its radar
+    leakage and every associated MU's rank-one P y y^H, formed as one Gram per
+    UAV; a link's noise covariance N drops its own MU's term
+    (`_link_covariances`). The UAV receives its own MU's stream as u, and the
+    MMSE combiner N^-1 u maximises the output SINR for it; the rate is the
+    closed form B log2(1 + P u^H N^-1 u) (Tse & Viswanath, "Fundamentals of
+    Wireless Communication", ch. 8), so one stacked solve gives every link's
+    SINR and no combiner is formed. A `streams` whose first axis is not S or
+    whose second is not R, or a non-finite stream or leakage, raises
+    ValueError; a covariance that the solve finds singular raises LinAlgError
+    naming the link's MU and UAV (global indices) and its condition number.
     """
     k = np.flatnonzero(alloc.serving >= 0)
-    if channels.shape[0] != k.size:
-        raise ValueError(f"channels hold {channels.shape[0]} MUs but {k.size} are served")
+    if streams.shape[0] != k.size:
+        raise ValueError(f"streams hold {streams.shape[0]} MUs but {k.size} are served")
     serving = alloc.serving[k]
     receivers = np.flatnonzero(np.bincount(serving))     # the UAVs that serve a link
-    if channels.shape[1] != receivers.size:
-        raise ValueError(f"channels hold {channels.shape[1]} UAVs but {receivers.size} receive")
+    if streams.shape[1] != receivers.size:
+        raise ValueError(f"streams hold {streams.shape[1]} UAVs but {receivers.size} receive")
     if k.size == 0:
         return k, np.zeros(0)
-    # a non-finite channel reaches its own covariance's diagonal through the Gram;
+    # a non-finite stream reaches its own covariance's diagonal through the Gram;
     # an infinite one makes the Gram's products invalid, which this check reports
     with np.errstate(invalid="ignore", over="ignore"):
-        h, n_cov = _link_covariances(channels, receivers.searchsorted(serving),
+        u, n_cov = _link_covariances(streams, receivers.searchsorted(serving),
                                      leakage[receivers], cfg)
     if not np.all(np.isfinite(n_cov)):
         raise ValueError("noise covariance contains non-finite entries")
-    u = (h @ _principal_direction(h)[..., None])[..., 0]
     try:
         x = np.linalg.solve(n_cov, u[..., None])[..., 0]
     except np.linalg.LinAlgError as err:

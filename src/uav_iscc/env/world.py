@@ -78,12 +78,11 @@ def world_step(world: WorldState, alloc: Allocation, accel_cmds: np.ndarray,
     k_count, m_count = world.num_mus, world.num_uavs
     serving = alloc.serving
     served = serving >= 0
-    # channels only between the served MUs and the UAVs that receive them
+    # streams only from the served MUs to the UAVs that receive them
     mus = np.flatnonzero(served)
-    receivers = np.flatnonzero(np.bincount(serving[mus], minlength=m_count))
-    channels = build_all_channels(world, mus, receivers, cfg, rng)
+    streams = build_all_channels(world, mus, serving[mus], cfg, rng)
     radar_sinr, radar_rates, leakage = build_radar_state(world, cfg)
-    links, link_rates = design_links(channels, alloc, leakage, cfg)
+    links, link_rates = design_links(streams, alloc, leakage, cfg)
 
     # task pipeline: one call per MU on Python floats, then one array per field
     rho = np.where(served, alloc.offload_ratio, 0.0)

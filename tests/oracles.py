@@ -365,14 +365,23 @@ def build_allocation(raw, cfg: ScenarioConfig) -> Allocation:
 
 
 # ----------------------------------------------------------------------
-# channel draw as one expression
+# channel draw as one expression; received streams one MU at a time
 # ----------------------------------------------------------------------
+def _rician_weights(cfg: ScenarioConfig) -> tuple[float, float]:
+    eps = cfg.rician_factor
+    if math.isinf(eps):
+        return 1.0, 0.0
+    return math.sqrt(eps / (eps + 1.0)), math.sqrt(1.0 / (eps + 1.0))
+
+
 def build_all_channels(world: WorldState, mus: np.ndarray, uavs: np.ndarray,
                        cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Rician channels [S, R, W_R, W_T] from the MUs `mus` [S] to the UAVs
+    """Full Rician channels [S, R, W_R, W_T] from the MUs `mus` [S] to the UAVs
     `uavs` [R] with a steering exponential per array, one interleaved (real,
-    imaginary) draw per entry and out-of-place arithmetic;
-    `uav_iscc.env.build_all_channels` must match it bit for bit."""
+    imaginary) draw per entry and out-of-place arithmetic: the full product
+    that the received streams of `uav_iscc.env.build_all_channels` stand for.
+    Its [k, m] entry matches that function's own channel of MU k at UAV m bit
+    for bit, drawn from the same numbers."""
     mu_pos = world.mu_positions[mus]
     uav_pos = world.uav_positions[uavs]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
@@ -383,59 +392,112 @@ def build_all_channels(world: WorldState, mus: np.ndarray, uavs: np.ndarray,
     a_r = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.rx_antennas))
     a_t = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.tx_antennas))
     los = a_r[..., :, None] * a_t[..., None, :].conj()
-    eps = cfg.rician_factor
-    if math.isinf(eps):
-        w_los, w_nlos = 1.0, 0.0
-    else:
-        w_los = math.sqrt(eps / (eps + 1.0))
-        w_nlos = math.sqrt(1.0 / (eps + 1.0))
+    w_los, w_nlos = _rician_weights(cfg)
     z = rng.standard_normal((*los.shape, 2))
     scatter = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
     scale = np.sqrt(cfg.ref_gain / d2)[..., None, None]
     return scale * (w_los * los + w_nlos * scatter)
 
 
+def principal_direction(h: np.ndarray) -> np.ndarray:
+    """Principal right-singular vector v1 [W_T] of one channel [W_R, W_T], by SVD."""
+    return np.linalg.svd(h)[2][0].conj()
+
+
+def received_streams(channels: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """y[s, r] = H[s, r] v_s [S, R, W_R] of the full channels [S, R, W_R, W_T],
+    with v_s the SVD principal direction of MU s's own channel H[s, own[s]]."""
+    streams = np.empty(channels.shape[:3], dtype=complex)
+    for s in range(channels.shape[0]):
+        v = principal_direction(channels[s, own[s]])
+        for r in range(channels.shape[1]):
+            streams[s, r] = channels[s, r] @ v
+    return streams
+
+
+def draw_streams(world: WorldState, mus: np.ndarray, serving: np.ndarray,
+                 cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """MU-by-MU twin of `uav_iscc.env.build_all_channels`: [S, R, W_R] for
+    the receivers R = the distinct `serving`, ascending.
+
+    Each own channel is the full-product draw of that one (MU, UAV) pair, in
+    MU order, and v is the last eigenvector of its H^H H, as in the stacked
+    code (an SVD could pick another phase, which would move the cross
+    vectors' line-of-sight terms). Then each cross vector takes W_R
+    interleaved normals, in (MU, receiver) order, and adds the line-of-sight
+    term a_r (a_t^H v) as a dot product."""
+    uavs = np.unique(serving)
+    n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
+    streams = np.empty((mus.size, uavs.size, n_r), dtype=complex)
+    directions = []
+    for i in range(mus.size):
+        h = build_all_channels(world, mus[i:i + 1], serving[i:i + 1], cfg, rng)[0, 0]
+        directions.append(np.linalg.eigh(h.conj().T @ h)[1][:, -1])
+        streams[i, uavs.searchsorted(serving[i])] = h @ directions[-1]
+    w_los, w_nlos = _rician_weights(cfg)
+    for i, k in enumerate(mus):
+        for j, m in enumerate(uavs):
+            if m == serving[i]:
+                continue
+            z = rng.standard_normal((n_r, 2))
+            diff = world.uav_positions[m] - world.mu_positions[k]
+            horiz2 = float(diff @ diff)
+            angle = math.atan2(cfg.altitude, math.sqrt(horiz2))
+            los = steering_vector(angle, n_r) * np.vdot(steering_vector(angle, n_t), directions[i])
+            scatter = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+            gain = math.sqrt(cfg.ref_gain / (horiz2 + cfg.altitude ** 2))
+            streams[i, j] = gain * (w_los * los + w_nlos * scatter)
+    return streams
+
+
 # ----------------------------------------------------------------------
 # link design, one (MU, UAV) link at a time
 # ----------------------------------------------------------------------
-def interference_covariance(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
+def interference_covariance(streams: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                             cfg: ScenarioConfig, uav_index: int) -> np.ndarray:
-    """Inter-MU plus radar-leakage plus noise covariance at one UAV's array."""
+    """Inter-MU plus radar-leakage plus noise covariance at one UAV's array,
+    from every MU's received stream [K, M, W_R] there: one rank-one
+    P y y^H per associated MU."""
     n = cfg.rx_antennas
     cov = cfg.noise_power * np.eye(n, dtype=complex)
     cov = cov + leakage[uav_index]
     active = np.flatnonzero(alloc.association.sum(axis=1) > 0)
     for i in active:
-        h = channels[i, uav_index]
-        cov = cov + cfg.mu_power_max * (h @ h.conj().T)
+        y = streams[i, uav_index]
+        cov = cov + cfg.mu_power_max * np.outer(y, y.conj())
     return 0.5 * (cov + cov.conj().T)
 
 
-def link_covariance(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
+def link_covariance(streams: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                     cfg: ScenarioConfig, k: int) -> np.ndarray:
     """Noise covariance of MU k's link: its UAV's covariance, built MU by MU,
-    minus k's own P h h^H."""
+    minus k's own P u u^H."""
     m = serving_uav(alloc, k)
-    h = channels[k, m]
-    n_cov = interference_covariance(channels, alloc, leakage, cfg, m) \
-        - cfg.mu_power_max * (h @ h.conj().T)
+    u = streams[k, m]
+    n_cov = interference_covariance(streams, alloc, leakage, cfg, m) \
+        - cfg.mu_power_max * np.outer(u, u.conj())
     return 0.5 * (n_cov + n_cov.conj().T)
 
 
 def design_links(channels: np.ndarray, alloc: Allocation, leakage: np.ndarray,
                  cfg: ScenarioConfig) -> dict:
     """Per-UAV, per-MU loop that `uav_iscc.env.design_links` is compared with:
-    {MU: rate in bits/s}, each rate the closed form B log2(1 + P u^H N^-1 u).
+    {MU: rate in bits/s} from the full channels [K, M, W_R, W_T], each rate
+    the closed form B log2(1 + P u^H N^-1 u).
 
-    v1 comes from an SVD of the link's channel, u = H v1, and N is solved one
-    link at a time. Each covariance adds the MUs one at a time onto noise plus
-    leakage, so it rounds differently from the per-UAV Gram of the stacked code."""
+    Every associated MU i sends along the SVD principal direction v_i of its
+    own channel, so UAV m hears it as the rank-one interferer y = H[i, m] v_i,
+    and its own UAV as u. N is solved one link at a time. Each covariance adds
+    the MUs one at a time onto noise plus leakage, so it rounds differently
+    from the per-UAV Gram of the stacked code."""
+    served = np.flatnonzero(alloc.serving >= 0)
+    streams = np.full(channels.shape[:3], np.nan, dtype=complex)
+    streams[served] = received_streams(channels[served], alloc.serving[served])
     rates: dict[int, float] = {}
     for m in range(alloc.edge_cpu.shape[1]):
         for k in served_by(alloc, m):
-            h = channels[k, m]
-            u = h @ np.linalg.svd(h)[2][0].conj()
-            n_cov = link_covariance(channels, alloc, leakage, cfg, k)
+            u = streams[k, m]
+            n_cov = link_covariance(streams, alloc, leakage, cfg, k)
             sinr = cfg.mu_power_max * float(np.real(np.vdot(u, np.linalg.solve(n_cov, u))))
             rates[int(k)] = cfg.bandwidth_hz * math.log2(1.0 + sinr)
     return rates

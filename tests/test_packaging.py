@@ -129,6 +129,7 @@ def test_benchmark_hooks_read_per_mu_scalars(monkeypatch):
         alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
                            compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
         mus = np.flatnonzero(alloc.serving >= 0)
-        channels = build_all_channels(world, mus, np.unique(alloc.serving[mus]), cfg, rng)
+        streams = build_all_channels(world, mus, alloc.serving[mus], cfg, rng)
         served = sum(m >= 0 for m in serving)
-        assert len(design_links(channels, alloc, leakage, cfg)[0]) == served
+        assert streams.shape == (served, len(set(serving) - {-1}), cfg.rx_antennas)
+        assert len(design_links(streams, alloc, leakage, cfg)[0]) == served

@@ -1,5 +1,6 @@
 """Channels, beamformers, uplink rates, and radar sensing."""
 
+import copy
 import itertools
 import math
 
@@ -60,19 +61,23 @@ def colocated_world(mu_xy, uav_xy, num_mus, cfg):
 
 
 def test_distance_under_uav_is_altitude(cfg):
-    # with line of sight only, every entry has power ref_gain / d^2 exactly
+    # with line of sight only, the stream H v1 = g a_r sqrt(W_T) has power
+    # W_T ref_gain / d^2 on every receive antenna exactly
     cfg.rician_factor = math.inf
     world = colocated_world([300.0, 400.0], [300.0, 400.0], 1, cfg)
-    h = build_all_channels(world, np.arange(1), np.arange(1), cfg, np.random.default_rng(0))
-    assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / 4.0e4, rtol=1e-12, atol=0.0)
+    y = build_all_channels(world, np.arange(1), np.zeros(1, int), cfg, np.random.default_rng(0))
+    assert np.allclose(np.abs(y) ** 2, cfg.tx_antennas * cfg.ref_gain / 4.0e4, rtol=1e-12, atol=0.0)
 
 
 def test_los_only_channel_entry_power_exact(cfg):
     cfg.rician_factor = math.inf
     world = colocated_world([100.0, 100.0], [160.0, 180.0], 1, cfg)
-    h = build_all_channels(world, np.arange(1), np.arange(1), cfg, np.random.default_rng(1))
+    h = oracles.build_all_channels(world, np.arange(1), np.arange(1), cfg,
+                                   np.random.default_rng(1))
+    y = build_all_channels(world, np.arange(1), np.zeros(1, int), cfg, np.random.default_rng(1))
     d2 = 60.0 ** 2 + 80.0 ** 2 + cfg.altitude ** 2
     assert np.allclose(np.abs(h) ** 2, cfg.ref_gain / d2, atol=1e-18)
+    assert np.allclose(np.abs(y) ** 2, cfg.tx_antennas * cfg.ref_gain / d2, atol=1e-18)
 
 
 def test_channel_monte_carlo_entry_power(cfg):
@@ -81,27 +86,47 @@ def test_channel_monte_carlo_entry_power(cfg):
     # directly overhead: d = altitude = 200; 100 MUs x 100 draws = 10k channels
     world = colocated_world([250.0, 250.0], [250.0, 250.0], 100, cfg)
     n_draws, mus, uavs = 100, np.arange(100), np.arange(1)
-    total = sum(np.mean(np.abs(build_all_channels(world, mus, uavs, cfg, rng)) ** 2)
+    total = sum(np.mean(np.abs(oracles.build_all_channels(world, mus, uavs, cfg, rng)) ** 2)
                 for _ in range(n_draws))
     expected = cfg.ref_gain / cfg.altitude ** 2
     assert abs(total / n_draws - expected) / expected < 0.05
 
 
 def test_batched_channels_match_statistics(cfg):
+    # given MU k's direction v_k, each cross vector y = H_{k,m} v_k has mean
+    # power ref_gain / d^2 (w_los^2 |a_t^H v_k|^2 + w_nlos^2) per receive
+    # antenna. v_k comes from the MU's own channel, which takes the draw's
+    # first numbers MU by MU, so the full-product oracle redraws it bit for bit
     cfg.num_mus, cfg.num_uavs = 6, 3
     world = reset_world(cfg, np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    mean_power = np.zeros((6, 3))
-    n_draws = 2000
+    serving = np.array([0, 1, 2, 0, 1, 2])
+    w_los2 = cfg.rician_factor / (cfg.rician_factor + 1.0)
+    diff = world.uav_positions[None, :, :] - world.mu_positions[:, None, :]    # [6, 3, 2]
+    horiz2 = np.sum(diff * diff, axis=-1)
+    a_t = steering(np.sin(np.arctan2(cfg.altitude, np.sqrt(horiz2))), cfg.tx_antennas)
+    gain2 = cfg.ref_gain / (horiz2 + cfg.altitude ** 2)
+    mean_power, want = np.zeros((6, 3)), np.zeros((6, 3))
+    n_draws = 500
     for _ in range(n_draws):
-        h = build_all_channels(world, np.arange(6), np.arange(3), cfg, rng)
-        mean_power += np.mean(np.abs(h) ** 2, axis=(2, 3))
-    mean_power /= n_draws
-    mu_pos, uav_pos = world.mu_positions, world.uav_positions
+        own_rng = copy.deepcopy(rng)
+        y = build_all_channels(world, np.arange(6), serving, cfg, rng)
+        mean_power += np.mean(np.abs(y) ** 2, axis=2)
+        h = np.stack([oracles.build_all_channels(world, np.array([k]), serving[k:k + 1], cfg,
+                                                 own_rng)[0, 0] for k in range(6)])
+        v = _principal_direction(h)                                           # [6, W_T]
+        coupling = np.abs(np.sum(a_t.conj() * v[:, None, :], axis=-1)) ** 2   # |a_t^H v|^2
+        want += gain2 * (w_los2 * coupling + 1.0 - w_los2)
     for k in range(6):
         for m in range(3):
-            d2 = np.sum((uav_pos[m] - mu_pos[k]) ** 2) + cfg.altitude ** 2
-            assert abs(mean_power[k, m] - cfg.ref_gain / d2) / (cfg.ref_gain / d2) < 0.1
+            if m != serving[k]:
+                assert abs(mean_power[k, m] - want[k, m]) / want[k, m] < 0.1
+
+
+def stream_normals(num_mus, num_receivers, cfg):
+    """The standard normals that a draw of S served MUs to R receivers takes."""
+    n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
+    return 2 * num_mus * (n_r * n_t + (num_receivers - 1) * n_r) if num_mus else 0
 
 
 @pytest.mark.parametrize("rx,tx,rician,num_mus", [
@@ -111,17 +136,22 @@ def test_channels_match_out_of_place_expression(rx, tx, rician, num_mus):
     cfg = ScenarioConfig(num_mus=num_mus, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(6))
-    # every MU, a proper subset (every other MU) and none, to every UAV, a
-    # proper subset and none: S MUs and R UAVs take 2 S R W_R W_T normals
-    for mus, uavs in itertools.product(
+    # every MU, a proper subset (every other MU) and none, served by all three
+    # UAVs, by two of them and by one: S MUs and R receivers take
+    # 2 S (W_R W_T + (R - 1) W_R) normals, own channels first
+    for mus, assign in itertools.product(
             (np.arange(num_mus), np.arange(1, num_mus, 2), np.arange(0)),
-            (np.arange(3), np.array([0, 2]), np.array([1]), np.arange(0))):
+            (lambda k: k % 3, lambda k: np.where(k % 2, 0, 2), lambda k: np.ones_like(k))):
+        serving = assign(mus)
         rng, ref_rng, count_rng = (np.random.default_rng(7) for _ in range(3))
-        got = build_all_channels(world, mus, uavs, cfg, rng)
-        want = oracles.build_all_channels(world, mus, uavs, cfg, ref_rng)
-        assert got.shape == want.shape == (mus.size, uavs.size, rx, tx)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        count_rng.standard_normal(2 * mus.size * uavs.size * rx * tx)
+        got = build_all_channels(world, mus, serving, cfg, rng)
+        want = oracles.draw_streams(world, mus, serving, cfg, ref_rng)
+        assert got.shape == want.shape == (mus.size, np.unique(serving).size, rx)
+        assert got.dtype == want.dtype == complex
+        # the loop's dot products and scalings round apart from the stacked ones
+        err = np.abs(got - want).max(axis=-1, initial=0.0)
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
+        count_rng.standard_normal(stream_normals(mus.size, np.unique(serving).size, cfg))
         assert rng.bit_generator.state == ref_rng.bit_generator.state \
             == count_rng.bit_generator.state
 
@@ -131,17 +161,98 @@ def test_channels_of_no_mu_draw_nothing(cfg):
     world = reset_world(cfg, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     state = rng.bit_generator.state
-    h = build_all_channels(world, np.arange(0), np.arange(0), cfg, rng)
-    assert h.shape == (0, 0, cfg.rx_antennas, cfg.tx_antennas)
+    y = build_all_channels(world, np.arange(0), np.arange(0), cfg, rng)
+    assert y.shape == (0, 0, cfg.rx_antennas)
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("num_mus,num_uavs", [(1, 1), (25, 5), (120, 20)])
+def test_draw_takes_own_channels_then_cross_normals(num_mus, num_uavs):
+    # the draw takes 2 S (W_R W_T + (R - 1) W_R) normals, the own channels
+    # first: each MU's own column is its full own channel, drawn MU by MU as
+    # the full-product oracle draws it, times its principal direction
+    cfg = ScenarioConfig(num_mus=num_mus, num_uavs=num_uavs).validate()
+    rng = np.random.default_rng(18)
+    world = reset_world(cfg, rng)
+    serving = rng.integers(-1, num_uavs, num_mus)
+    serving[0] = num_uavs - 1
+    mus = np.flatnonzero(serving >= 0)
+    receivers, own = np.unique(serving[mus], return_inverse=True)
+    draw_rng, ref_rng, count_rng = (copy.deepcopy(rng) for _ in range(3))
+    streams = build_all_channels(world, mus, serving[mus], cfg, draw_rng)
+    assert streams.shape == (mus.size, receivers.size, cfg.rx_antennas)
+    count_rng.standard_normal(stream_normals(mus.size, receivers.size, cfg))
+    assert draw_rng.bit_generator.state == count_rng.bit_generator.state
+    h = np.stack([oracles.build_all_channels(world, mus[i:i + 1], serving[mus[i:i + 1]],
+                                             cfg, ref_rng)[0, 0] for i in range(mus.size)])
+    u = (h @ _principal_direction(h)[..., None])[..., 0]
+    assert streams[np.arange(mus.size), own].tobytes() == u.tobytes()
+
+
+def test_los_only_cross_vectors_are_the_exact_los_product():
+    # with line of sight only the scatter weight is 0, so every cross vector
+    # is H_{s,r} v_s of the rank-one LOS channel: a_r (a_t^H v_s) scaled
+    cfg = ScenarioConfig(num_mus=30, num_uavs=4, rician_factor=math.inf).validate()
+    rng = np.random.default_rng(19)
+    world = reset_world(cfg, rng)
+    serving = np.arange(30) % 4
+    mus = np.arange(30)
+    streams = build_all_channels(world, mus, serving, cfg, copy.deepcopy(rng))
+    h = oracles.build_all_channels(world, mus, np.arange(4), cfg, rng)   # LOS, [30, 4, W_R, W_T]
+    v = _principal_direction(h[mus, serving])
+    want = (h @ v[:, None, :, None])[..., 0]
+    err = np.abs(streams - want).max(axis=-1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
+
+
+def stream_second_moments(streams):
+    """Per (group, other receiver) sample mean of y y^H over the cross vectors,
+    and the standard error of each entry's real and imaginary part: streams
+    [draws, groups, members, R, W_R], group g served by receiver g."""
+    groups, n_r = streams.shape[1], streams.shape[-1]
+    cross = streams.transpose(1, 3, 0, 2, 4).reshape(groups, groups, -1, n_r)
+    cross = cross[~np.eye(groups, dtype=bool)]                      # [pairs, samples, W_R]
+    outer = cross[..., :, None] * cross[..., None, :].conj()
+    stderr = (outer.real.std(axis=1) + 1j * outer.imag.std(axis=1)) / math.sqrt(outer.shape[1])
+    return outer.mean(axis=1), stderr
+
+
+def test_cross_vectors_match_full_product_in_distribution():
+    # three groups of 100 co-located MUs, group g served by UAV g; 100 draws
+    # give 10^4 cross vectors per (group, other receiver). Their second
+    # moment E[y y^H] matches that of the full product H_{s,r} v_s, v_s the
+    # principal direction of the MU's full own channel, within 4 sigma per
+    # entry (real and imaginary parts); E[y y^H] does not depend on v's phase
+    cfg = ScenarioConfig(num_mus=300, num_uavs=3).validate()
+    world = reset_world(cfg, np.random.default_rng(20))
+    world.uav_positions[:] = [[200.0, 200.0], [700.0, 300.0], [400.0, 800.0]]
+    groups = np.repeat(np.arange(3), 100)
+    world.mu_positions[:] = np.array([[250.0, 150.0], [650.0, 350.0], [450.0, 700.0]])[groups]
+    mus = np.arange(300)
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(22)
+    got, want = [], []
+    for _ in range(100):
+        got.append(build_all_channels(world, mus, groups, cfg, rng))
+        full = oracles.build_all_channels(world, mus, np.arange(3), cfg, ref_rng)
+        v = np.linalg.svd(full[mus, groups])[2][:, 0].conj()                 # [300, W_T]
+        want.append((full @ v[:, None, :, None])[..., 0])
+    got_mean, got_err = stream_second_moments(np.reshape(got, (100, 3, 100, 3, -1)))
+    want_mean, want_err = stream_second_moments(np.reshape(want, (100, 3, 100, 3, -1)))
+    diff = got_mean - want_mean
+    for part in (np.real, np.imag):
+        sigma = np.hypot(part(got_err), part(want_err))
+        # the diagonal's imaginary part is exactly 0 on both sides
+        assert np.all(np.abs(part(diff)) <= 4.0 * sigma)
+
+
 def single_link_rate(h, leakage, cfg):
-    """`design_links`'s rate for one MU served alone by one UAV, over the
-    channel h [W_R, W_T] against the noise covariance sigma^2 I + leakage."""
+    """`design_links`'s rate for one MU served alone by one UAV, sending along
+    the principal direction of the channel h [W_R, W_T], against the noise
+    covariance sigma^2 I + leakage."""
     alloc = Allocation(serving=np.array([0]), offload_ratio=np.zeros(1),
                        compress_ratio=np.zeros(1), edge_cpu=np.zeros((1, 1)))
-    links, rates = design_links(h[None, None], alloc, leakage[None], cfg)
+    u = h @ _principal_direction(h)
+    links, rates = design_links(u[None, None], alloc, leakage[None], cfg)
     assert links.tolist() == [0]
     return float(rates[0])
 
@@ -152,6 +263,85 @@ def combiner_rate(w, u, n_cov, cfg):
     signal = np.abs(np.sum(w.conj() * u, axis=-1)) ** 2
     noise = np.real(np.einsum("...i,ij,...j->...", w.conj(), n_cov, w))
     return cfg.bandwidth_hz * np.log2(1.0 + cfg.mu_power_max * signal / noise)
+
+
+def test_two_los_mus_at_one_uav_rate_is_the_rank_one_hand_formula(cfg):
+    # line of sight only: H = g a_r a_t^H, so v = a_t / sqrt(W_T) up to a
+    # phase and each MU's stream at the UAV is u = g sqrt(W_T) a_r. Each link's
+    # rate is B log2(1 + P u^H (sigma^2 I + L + P y y^H)^-1 u), with y the
+    # other MU's stream
+    cfg.rician_factor = math.inf
+    cfg.num_mus, cfg.num_uavs = 2, 1
+    world = reset_world(cfg, np.random.default_rng(23))
+    world.mu_positions[:] = [[100.0, 150.0], [420.0, 380.0]]
+    world.uav_positions[0] = [250.0, 300.0]
+    leakage = build_radar_state(world, cfg)[2]
+    alloc = Allocation(serving=np.zeros(2, int), offload_ratio=np.full(2, 0.5),
+                       compress_ratio=np.full(2, 0.5), edge_cpu=np.zeros((2, 1)))
+    streams = build_all_channels(world, np.arange(2), np.zeros(2, int), cfg,
+                                 np.random.default_rng(24))
+    links, rates = design_links(streams, alloc, leakage, cfg)
+    hand = []
+    for k in range(2):
+        horiz = np.linalg.norm(world.uav_positions[0] - world.mu_positions[k])
+        g = math.sqrt(cfg.ref_gain / (horiz ** 2 + cfg.altitude ** 2))
+        hand.append(g * math.sqrt(cfg.tx_antennas)
+                    * oracles.steering_vector(math.atan2(cfg.altitude, horiz), cfg.rx_antennas))
+    assert links.tolist() == [0, 1]
+    for k in range(2):
+        u, y = hand[k], hand[1 - k]
+        n_cov = cfg.noise_power * np.eye(cfg.rx_antennas) + leakage[0] \
+            + cfg.mu_power_max * np.outer(y, y.conj())
+        sinr = cfg.mu_power_max * np.real(np.vdot(u, np.linalg.solve(n_cov, u)))
+        assert rates[k] == pytest.approx(cfg.bandwidth_hz * math.log2(1.0 + sinr),
+                                         rel=LINK_RATE_RTOL)
+
+
+def test_two_rician_mus_interfere_as_their_streams_not_their_full_gram():
+    # with scatter the channels have full rank: the other MU interferes as its
+    # one stream y = H v, which leaves a higher rate than its full Gram P H H^H,
+    # W_T times the stream's power spread over every direction
+    cfg, channels, alloc, leakage = served_world([0, 0], 1, seed=25, full=True)
+    links, rates = design_links(oracles.received_streams(channels, np.zeros(2, int)),
+                                alloc, leakage, cfg)
+    assert links.tolist() == [0, 1]
+    for k in range(2):
+        h, other = channels[k, 0], channels[1 - k, 0]
+        u, y = h @ oracles.principal_direction(h), other @ oracles.principal_direction(other)
+        base = cfg.noise_power * np.eye(cfg.rx_antennas) + leakage[0]
+        rank_one, full_gram = (cfg.bandwidth_hz * math.log2(1.0 + cfg.mu_power_max * np.real(
+            np.vdot(u, np.linalg.solve(base + cfg.mu_power_max * cov, u))))
+            for cov in (np.outer(y, y.conj()), other @ other.conj().T))
+        assert rates[k] == pytest.approx(rank_one, rel=LINK_RATE_RTOL)
+        assert rates[k] > full_gram * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_one_mu_served_alone_keeps_its_full_channel_rate(seed):
+    # no other MU is served, so nothing interferes: the draw's own channel is
+    # the first 2 W_R W_T normals, as in the full-product draw before the
+    # received streams, and the rate equals that draw's, recorded as a float
+    # hex from the full-product design (the same for all three seeds, bit for bit)
+    cfg = ScenarioConfig(num_mus=3, num_uavs=2).validate()
+    rng = np.random.default_rng(seed)
+    world = reset_world(cfg, rng)
+    alloc = Allocation(serving=np.array([-1, 1, -1]), offload_ratio=np.full(3, 0.5),
+                       compress_ratio=np.full(3, 0.5), edge_cpu=np.zeros((3, 2)))
+    leakage = build_radar_state(world, cfg)[2]
+    h = oracles.build_all_channels(world, np.array([1]), np.array([1]), cfg,
+                                   copy.deepcopy(rng))[0, 0]
+    streams = build_all_channels(world, np.array([1]), np.array([1]), cfg, rng)
+    rate = float(design_links(streams, alloc, leakage, cfg)[1][0])
+    assert rate.hex() == FULL_CHANNEL_RATES[seed]
+    u = h @ oracles.principal_direction(h)
+    n_cov = cfg.noise_power * np.eye(cfg.rx_antennas) + leakage[1]
+    sinr = cfg.mu_power_max * np.real(np.vdot(u, np.linalg.solve(n_cov, u)))
+    assert rate == pytest.approx(cfg.bandwidth_hz * math.log2(1.0 + sinr), rel=LINK_RATE_RTOL)
+
+
+# `design_links` over the full-product draw [1, 1, W_R, W_T] of the MU alone
+FULL_CHANNEL_RATES = {21: "0x1.12e1f532ced3cp+26", 22: "0x1.674ef53b4698ap+25",
+                      23: "0x1.2fac582b1c1d5p+26"}
 
 
 def test_mmse_reduces_to_matched_filter_in_white_noise(cfg):
@@ -309,31 +499,33 @@ def test_design_links_rates_positive(cfg):
     cfg.num_mus, cfg.num_uavs = 5, 2
     rng = np.random.default_rng(8)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, np.arange(3), np.arange(2), cfg, rng)
+    serving = np.array([0, 0, 1, -1, -1])
+    streams = build_all_channels(world, np.arange(3), serving[:3], cfg, rng)
     edge = np.zeros((5, 2))
     edge[0, 0] = edge[1, 0] = 5e9
     edge[2, 1] = 1e10
-    alloc = Allocation(serving=np.array([0, 0, 1, -1, -1]), offload_ratio=np.full(5, 0.5),
+    alloc = Allocation(serving=serving, offload_ratio=np.full(5, 0.5),
                        compress_ratio=np.full(5, 0.5), edge_cpu=edge)
     leakage = build_radar_state(world, cfg)[2]
-    links, link_rates = design_links(channels, alloc, leakage, cfg)
+    links, link_rates = design_links(streams, alloc, leakage, cfg)
     rates = dict(zip(links.tolist(), link_rates.tolist()))
     assert set(rates) == {0, 1, 2}
-    every_mu = rows_of_every_mu(channels, alloc)
+    every_mu = rows_of_every_mu(streams, alloc)
     for k, rate in rates.items():
         assert np.isfinite(rate) and rate > 0.0
         m = alloc.serving[k]
-        h = every_mu[k, m]
+        u = every_mu[k, m]
         n_cov = interference_covariance(every_mu, alloc, leakage, cfg, m) \
-            - cfg.mu_power_max * (h @ h.conj().T)
+            - cfg.mu_power_max * np.outer(u, u.conj())
         assert np.all(np.linalg.eigvalsh(n_cov) > 0)
 
 
 def rows_of_every_mu(channels, alloc):
-    """The draw [S, R, W_R, W_T] between the served MUs and the receiving UAVs
-    placed in its rows and columns of a [K, M, W_R, W_T] array, for the
-    MU- and UAV-indexed oracles; every unserved row and every column of a UAV
-    that receives nobody is NaN, so an oracle that reads one returns a NaN rate."""
+    """A draw [S, R, ...] between the served MUs and the receiving UAVs (the
+    received streams, or the full channels) placed in its rows and columns of
+    a [K, M, ...] array, for the MU- and UAV-indexed oracles; every unserved
+    row and every column of a UAV that receives nobody is NaN, so an oracle
+    that reads one returns a NaN rate."""
     served = alloc.serving >= 0
     every_mu = np.full((alloc.serving.size, alloc.edge_cpu.shape[1], *channels.shape[2:]),
                        np.nan, dtype=complex)
@@ -348,16 +540,20 @@ def link_covariances(channels, alloc, leakage, cfg):
     return _link_covariances(channels, columns, leakage[receivers], cfg)
 
 
-def served_world(serving, num_uavs, seed, **overrides):
-    """The fresh channels [S, R, W_R, W_T] between the served MUs and the
-    receiving UAVs, and the radar leakage, with MU k associated with UAV
+def served_world(serving, num_uavs, seed, full=False, **overrides):
+    """The fresh received streams [S, R, W_R] between the served MUs and the
+    receiving UAVs (with `full`, the full-product channels [S, R, W_R, W_T] of
+    the oracle instead), and the radar leakage, with MU k associated with UAV
     serving[k] (-1: none): (cfg, channels, alloc, leakage)."""
     cfg = ScenarioConfig(num_mus=len(serving), num_uavs=num_uavs, **overrides).validate()
     rng = np.random.default_rng(seed)
     world = reset_world(cfg, rng)
     serving = np.array(serving, dtype=int)
     mus = np.flatnonzero(serving >= 0)
-    channels = build_all_channels(world, mus, np.unique(serving[mus]), cfg, rng)
+    if full:
+        channels = oracles.build_all_channels(world, mus, np.unique(serving[mus]), cfg, rng)
+    else:
+        channels = build_all_channels(world, mus, serving[mus], cfg, rng)
     alloc = Allocation(serving=serving,
                        offload_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
                        compress_ratio=rng.uniform(0.0, 1.0, cfg.num_mus),
@@ -386,22 +582,28 @@ LINK_CASES = {
 # the link covariances with condition numbers near 1e8-1e10, so a rate moves
 # by up to about 1e-6 relative when its covariance moves by an ulp of the
 # leakage. Over 20 seeds of every case the largest gap to the MU-by-MU loop
-# was 1.2e-6 (rx6-tx2).
+# was 1.2e-6 (rx6-tx2), with full-Gram interferers; rank-one interferers
+# stay within the same bound.
 LINK_RATE_RTOL = 1e-5
 
 
 @pytest.mark.parametrize("case", list(LINK_CASES))
 def test_stacked_link_design_matches_per_link_loop(case):
-    # the loop reads the draw by MU and UAV index, with NaN in every unserved
-    # row and in the column of every UAV that receives nobody: its rates stay
-    # finite, so neither side reads a channel that was not drawn, and every
-    # drawn column belongs to a UAV that serves a link, so none goes unread
+    # both sides start from the same full channels H: the stacked code is fed
+    # their streams y = H v, the loop forms them per link. The loop reads H by
+    # MU and UAV index, with NaN in every unserved row and in the column of
+    # every UAV that receives nobody: its rates stay finite, so neither side
+    # reads a channel that was not drawn, and every drawn column belongs to a
+    # UAV that serves a link, so none goes unread
     serving, num_uavs, overrides = LINK_CASES[case]
     receivers = sorted({m for m in serving if m >= 0})
     for seed in (0, 1):
-        cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
+        cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, full=True,
+                                                     **overrides)
         assert channels.shape[:2] == (len(serving) - serving.count(-1), len(receivers))
-        links, link_rates = design_links(channels, alloc, leakage, cfg)
+        own = np.searchsorted(receivers, alloc.serving[alloc.serving >= 0])
+        links, link_rates = design_links(oracles.received_streams(channels, own), alloc,
+                                         leakage, cfg)
         rates = dict(zip(links.tolist(), link_rates.tolist()))
         every_mu = rows_of_every_mu(channels, alloc)
         assert np.all(np.isnan(every_mu[alloc.serving < 0]))
@@ -440,10 +642,9 @@ def test_no_unit_combiner_beats_the_link_rate(case):
     # radar self-leakage), so it matches to 1e-6 only.
     serving, num_uavs, overrides = LINK_CASES[case]
     rng = np.random.default_rng(15)
-    cfg, channels, alloc, leakage = served_world(serving, num_uavs, 0, **overrides)
-    links, rates = design_links(channels, alloc, leakage, cfg)
-    h, n_cov = link_covariances(channels, alloc, leakage, cfg)
-    u = (h @ _principal_direction(h)[..., None])[..., 0]
+    cfg, streams, alloc, leakage = served_world(serving, num_uavs, 0, **overrides)
+    links, rates = design_links(streams, alloc, leakage, cfg)
+    u, n_cov = link_covariances(streams, alloc, leakage, cfg)
     n_r = cfg.rx_antennas
     for i in range(links.size):
         w = rng.standard_normal((1000, n_r)) + 1j * rng.standard_normal((1000, n_r))
@@ -454,16 +655,16 @@ def test_no_unit_combiner_beats_the_link_rate(case):
             == pytest.approx(rates[i], rel=1e-6)
 
 
-def exact_link_covariance(channels, alloc, leakage, cfg, k):
+def exact_link_covariance(streams, alloc, leakage, cfg, k):
     """MU k's noise covariance summed in np.clongdouble from the same double
-    inputs: sigma^2 I + leakage + P h h^H of every other associated MU."""
+    inputs: sigma^2 I + leakage + P y y^H of every other associated MU."""
     m = alloc.serving[k]
     cov = np.longdouble(cfg.noise_power) * np.eye(cfg.rx_antennas, dtype=np.clongdouble) \
         + leakage[m].astype(np.clongdouble)
     for i in np.flatnonzero(alloc.serving >= 0):
         if i != k:
-            h = channels[i, m].astype(np.clongdouble)
-            cov += np.longdouble(cfg.mu_power_max) * (h @ h.conj().T)
+            y = streams[i, m].astype(np.clongdouble)
+            cov += np.longdouble(cfg.mu_power_max) * np.outer(y, y.conj())
     return cov
 
 
@@ -477,9 +678,9 @@ def test_link_covariances_no_farther_from_exact_sum_than_loop(case):
     for seed in (0, 1):
         cfg, channels, alloc, leakage = served_world(serving, num_uavs, seed, **overrides)
         k = np.flatnonzero(alloc.serving >= 0)
-        h, n_cov = link_covariances(channels, alloc, leakage, cfg)
+        u, n_cov = link_covariances(channels, alloc, leakage, cfg)
         every_mu = rows_of_every_mu(channels, alloc)
-        assert h.tobytes() == every_mu[k, alloc.serving[k]].tobytes()
+        assert u.tobytes() == every_mu[k, alloc.serving[k]].tobytes()
         for i, mu in enumerate(k):
             exact = exact_link_covariance(every_mu, alloc, leakage, cfg, mu)
             loop = oracles.link_covariance(every_mu, alloc, leakage, cfg, mu)
@@ -493,7 +694,8 @@ def test_principal_direction_is_svd_v1_up_to_phase(rx, tx, rician):
     cfg = ScenarioConfig(num_mus=10, num_uavs=3, rx_antennas=rx, tx_antennas=tx,
                          rician_factor=rician).validate()
     world = reset_world(cfg, np.random.default_rng(13))
-    h = build_all_channels(world, np.arange(10), np.arange(3), cfg, np.random.default_rng(14))
+    h = oracles.build_all_channels(world, np.arange(10), np.arange(3), cfg,
+                                   np.random.default_rng(14))
     s = np.linalg.svd(h, compute_uv=False)
     assert math.isfinite(rician) or np.all(s[..., 1:] <= 1e-12 * s[..., :1])
     v = _principal_direction(h)
@@ -507,54 +709,57 @@ def test_non_finite_channel_rejected(cfg):
     alloc = Allocation(serving=np.zeros(3, dtype=int), offload_ratio=np.zeros(3),
                        compress_ratio=np.zeros(3), edge_cpu=np.zeros((3, 1)))
     leakage = np.zeros((1, 4, 4), dtype=complex)
-    channels = np.full((3, 1, 4, 4), 1e-5, dtype=complex)
-    channels[1, 0, 2, 0] = np.nan
+    streams = np.full((3, 1, 4), 1e-5, dtype=complex)
+    streams[1, 0, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        design_links(channels, alloc, leakage, cfg)
-    channels[1, 0, 2, 0] = 1e-5
+        design_links(streams, alloc, leakage, cfg)
+    streams[1, 0, 2] = 1e-5
     for bad in (np.nan, np.inf):
         leakage[0, 1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            design_links(channels, alloc, leakage, cfg)
+            design_links(streams, alloc, leakage, cfg)
 
 
 # MU 2 is served by UAV 0; MU 1 is served by UAV 1 and interferes at UAV 0
-@pytest.mark.parametrize("entry", [(2, 0, 1, 3), (1, 0, 1, 3)], ids=["own-link", "interferer"])
+@pytest.mark.parametrize("entry", [(2, 0, 1), (1, 0, 1)], ids=["own-link", "interferer"])
 def test_design_links_rejects_non_finite_channel(entry):
-    cfg, channels, alloc, leakage = served_world([0, 1, 0, -1], 2, seed=3)
+    cfg, streams, alloc, leakage = served_world([0, 1, 0, -1], 2, seed=3)
     # an infinite entry makes the Gram's products invalid; it must still reach the check
     for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0)):
-        channels[entry] = bad
+        streams[entry] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            design_links(channels, alloc, leakage, cfg)
+            design_links(streams, alloc, leakage, cfg)
 
 
 @pytest.mark.parametrize("serving", [[0, 1, 0, -1], [-1] * 4], ids=["some-local", "all-local"])
 def test_design_links_rejects_a_draw_of_every_mu(serving):
     # rows of a [K, ...] draw are MUs, not links: read as the served draw,
-    # link i would take MU i's channel whichever MU it serves
+    # link i would take MU i's stream whichever MU it serves
     cfg = ScenarioConfig(num_mus=4, num_uavs=2).validate()
     rng = np.random.default_rng(12)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, np.arange(4), np.arange(2), cfg, rng)
+    streams = build_all_channels(world, np.arange(4), np.array([0, 1, 0, 1]), cfg, rng)
+    assert streams.shape == (4, 2, cfg.rx_antennas)
     alloc = Allocation(serving=np.array(serving), offload_ratio=np.full(4, 0.5),
                        compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 2)))
     served = sum(m >= 0 for m in serving)
-    with pytest.raises(ValueError, match=f"channels hold 4 MUs but {served} are served"):
-        design_links(channels, alloc, build_radar_state(world, cfg)[2], cfg)
+    with pytest.raises(ValueError, match=f"streams hold 4 MUs but {served} are served"):
+        design_links(streams, alloc, build_radar_state(world, cfg)[2], cfg)
 
 
 def test_design_links_rejects_a_draw_to_every_uav():
-    # UAV 2 receives nobody, so a draw to all three UAVs has a column too many:
-    # read as the receivers' draw, UAV 1's links would take UAV 0's column
+    # UAV 2 receives nobody, so a draw to all three UAVs (here one that has
+    # MU 2 served by UAV 2) has a column too many: read as the receivers'
+    # draw, UAV 1's links would take UAV 0's column
     cfg = ScenarioConfig(num_mus=4, num_uavs=3).validate()
     rng = np.random.default_rng(12)
     world = reset_world(cfg, rng)
-    channels = build_all_channels(world, np.arange(3), np.arange(3), cfg, rng)
+    streams = build_all_channels(world, np.arange(3), np.array([1, 0, 2]), cfg, rng)
+    assert streams.shape == (3, 3, cfg.rx_antennas)
     alloc = Allocation(serving=np.array([1, 0, 1, -1]), offload_ratio=np.full(4, 0.5),
                        compress_ratio=np.full(4, 0.5), edge_cpu=np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="channels hold 3 UAVs but 2 receive"):
-        design_links(channels, alloc, build_radar_state(world, cfg)[2], cfg)
+    with pytest.raises(ValueError, match="streams hold 3 UAVs but 2 receive"):
+        design_links(streams, alloc, build_radar_state(world, cfg)[2], cfg)
 
 
 def test_singular_link_covariance_raises_with_link_and_condition(cfg):
@@ -564,17 +769,17 @@ def test_singular_link_covariance_raises_with_link_and_condition(cfg):
     # the global UAV index, not the column
     cfg.num_mus, cfg.num_uavs, cfg.rx_antennas = 3, 3, 2
     rng = np.random.default_rng(11)
-    channels = rng.standard_normal((3, 2, 2, 4)) + 1j * rng.standard_normal((3, 2, 2, 4))
-    channels *= 1e-5
-    channels[:, 0, 1, :] = 0.0
+    streams = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    streams *= 1e-5
+    streams[:, 0, 1] = 0.0
     leakage = np.zeros((3, 2, 2), dtype=complex)
     leakage[1, 1, 1] = -cfg.noise_power
     alloc = Allocation(serving=np.array([2, 1, 2]), offload_ratio=np.zeros(3),
                        compress_ratio=np.zeros(3), edge_cpu=np.zeros((3, 3)))
-    _, n_cov = link_covariances(channels, alloc, leakage, cfg)
+    _, n_cov = link_covariances(streams, alloc, leakage, cfg)
     assert np.all(n_cov[1][1] == 0.0) and np.all(n_cov[1][:, 1] == 0.0)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"MU 1 at UAV 1 is singular \(condition number ") as info:
-        design_links(channels, alloc, leakage, cfg)
+        design_links(streams, alloc, leakage, cfg)
     # inf where the SVD finds the zero singular value exactly
     assert float(str(info.value).rsplit(" ", 1)[1].rstrip(")")) > 1e15

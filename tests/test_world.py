@@ -245,10 +245,9 @@ def test_pipeline_matches_per_mu_loop(num_mus, num_uavs, seed):
         slot_rng = copy.deepcopy(rng)
         nxt, report = world_step(world, alloc, accels, cfg, rng)
         served = np.flatnonzero(alloc.serving >= 0)
-        receivers = np.unique(alloc.serving[served])
-        channels = build_all_channels(world, served, receivers, cfg, slot_rng)
+        streams = build_all_channels(world, served, alloc.serving[served], cfg, slot_rng)
         leakage = build_radar_state(world, cfg)[2]
-        links, link_rates = design_links(channels, alloc, leakage, cfg)
+        links, link_rates = design_links(streams, alloc, leakage, cfg)
         rates = dict(zip(links.tolist(), link_rates.tolist()))
         want = oracles.task_pipeline(world, alloc, rates, cfg)
         for name, value in want.items():
@@ -265,9 +264,9 @@ def test_slot_with_every_mu_local_draws_channels_once(monkeypatch):
     world = reset_world(cfg, rng)
     calls = []
 
-    def spy(world, mus, uavs, cfg, rng):
-        calls.append((mus, uavs))
-        return build_all_channels(world, mus, uavs, cfg, rng)
+    def spy(world, mus, serving, cfg, rng):
+        calls.append((mus, serving))
+        return build_all_channels(world, mus, serving, cfg, rng)
 
     monkeypatch.setattr("uav_iscc.env.world.build_all_channels", spy)
     alloc = Allocation(serving=np.full(5, -1), offload_ratio=np.zeros(5),
