@@ -8,11 +8,12 @@ slot draws only these: one [S, R, W_R] array for the S served MUs and the R
 receiving UAVs, each axis in ascending index order, which link design reads
 whole. The draw takes each MU's own channel in full, in MU order, then the
 W_R scatter normals of each cross vector, in (MU, receiver) order
-(`build_all_channels`). Each UAV receives its MUs with the MMSE combiner
-against the other MUs' streams plus the leakage of the radar waveform; the
-link rate is that receiver's closed form. Each UAV simultaneously steers a
-full-power sensing beam at its ground target and filters the echo for
-maximum sensing SINR."""
+(`build_all_channels`). The arrays are uniform linear arrays: the response
+to an elevation is the sequence of powers of one phasor (`steering`). Each
+UAV receives its MUs with the MMSE combiner against the other MUs' streams
+plus the leakage of the radar waveform; the link rate is that receiver's
+closed form. Each UAV simultaneously steers a full-power sensing beam at its
+ground target and filters the echo for maximum sensing SINR."""
 
 from __future__ import annotations
 
@@ -25,8 +26,20 @@ from .types import Allocation, WorldState
 
 def steering(sin_angle: np.ndarray, n: int) -> np.ndarray:
     """Uniform linear array responses at half-wavelength spacing: [..., n] for
-    the sines of the angles [...]."""
-    return np.exp(1j * np.pi * sin_angle[..., None] * np.arange(n))
+    the sines of the angles [...].
+
+    The response to sin(theta) is 1, z, z^2, ... with z = exp(j pi sin(theta)):
+    one complex exponential per angle, then one product with z per entry, each
+    on a contiguous [...] plane; the result is a view [..., n] of those planes.
+    Entry k is within about 2k ulps of exp(j pi k sin(theta)).
+    """
+    powers = np.empty((n, *sin_angle.shape), dtype=complex)
+    powers[0] = 1.0
+    if n > 1:
+        z = np.exp(1j * np.pi * sin_angle, out=powers[1, ...])
+        for k in range(2, n):
+            np.multiply(powers[k - 1], z, out=powers[k, ...])
+    return powers.transpose((*range(1, powers.ndim), 0))
 
 
 def row_norm(x: np.ndarray) -> np.ndarray:
@@ -66,24 +79,30 @@ def build_all_channels(world: WorldState, mus: np.ndarray, serving: np.ndarray,
     is exactly CN(0, I_{W_R}): W_R normals, added to the exact line-of-sight
     term a_r (a_t^H v_s).
 
+    Each (MU, receiver) pair's 1 / d gives both the path amplitude
+    sqrt(g0) / d and the elevation's sine h / d, whose phasor powers are a_r
+    and a_t (`steering`). The cross vectors are drawn as one [S, R - 1, W_R]
+    block and placed around each own column by one gather.
+
     Draw order: each entry's scatter takes two consecutive standard normals
     (real, then imaginary). First every own channel, in MU order, row-major;
     then the cross vectors, in (MU, receiver) order, skipping the own column.
     So a call takes 2 S (W_R W_T + (R - 1) W_R) numbers from `rng`, and none
-    when `mus` is empty.
+    when `mus` is empty, whatever arithmetic forms the responses.
     """
     n_r, n_t = cfg.rx_antennas, cfg.tx_antennas
     uavs = np.flatnonzero(np.bincount(serving))
     if mus.size == 0:
         return np.zeros((0, uavs.size, n_r), dtype=complex)
-    mu_pos = world.mu_positions[mus]         # [S, 2]
-    uav_pos = world.uav_positions[uavs]      # [R, 2]
-    diff = uav_pos[None, :, :] - mu_pos[:, None, :]
-    horiz2 = np.sum(diff * diff, axis=-1)                    # [S, R]
-    gain = np.sqrt(cfg.ref_gain / (horiz2 + cfg.altitude ** 2))
-    angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))        # [S, R]
-    # one steering exponential for the larger array; each array takes a prefix
-    steer = steering(np.sin(angle), max(n_r, n_t))
+    # coordinate-major, so that each difference runs along the R receivers
+    mu_xy = world.mu_positions[mus].T.copy()     # [2, S]
+    uav_xy = world.uav_positions[uavs].T         # [2, R]
+    diff = uav_xy[:, None, :] - mu_xy[:, :, None]
+    diff *= diff
+    inv_d = 1.0 / np.sqrt(diff[0] + diff[1] + cfg.altitude ** 2)     # [S, R], d >= h > 0
+    gain = math.sqrt(cfg.ref_gain) * inv_d
+    # one response for the larger array; each array takes a prefix
+    steer = steering(cfg.altitude * inv_d, max(n_r, n_t))
     a_r, a_t = steer[..., :n_r], steer[..., :n_t]
     eps = cfg.rician_factor
     if math.isinf(eps):
@@ -102,13 +121,19 @@ def build_all_channels(world: WorldState, mus: np.ndarray, serving: np.ndarray,
     channel += scatter
     channel *= gain[rows, own][:, None, None]
     v = _principal_direction(channel)                        # [S, W_T]
-    streams = a_r * (w_los * (a_t.conj() @ v[:, :, None]))   # LOS, [S, R, W_R]
-    cross = np.empty((mus.size, uavs.size - 1, n_r), dtype=complex)
-    rng.standard_normal(out=cross.view(np.float64))
-    cross *= w_nlos / math.sqrt(2.0)
-    others = np.ones(gain.shape, dtype=bool)
-    others[rows, own] = False
-    streams[others] += cross.reshape(-1, n_r)
+    # LOS, [S, R, W_R], in C order whatever the layout of the responses
+    streams = np.multiply(a_r, w_los * (a_t.conj() @ v[:, :, None]),
+                          out=np.empty((mus.size, uavs.size, n_r), dtype=complex))
+    if uavs.size > 1:
+        cross = np.empty((mus.size, uavs.size - 1, n_r), dtype=complex)
+        rng.standard_normal(out=cross.view(np.float64))
+        cross *= w_nlos / math.sqrt(2.0)
+        # receiver column c reads cross column c - (c >= own); the own column
+        # reads the row before it (the last row for MU 0 at column 0) and is
+        # overwritten below
+        cols = np.arange(uavs.size)
+        source = (uavs.size - 1) * rows[:, None] + (cols - (cols >= own[:, None]))
+        streams += np.take(cross.reshape(-1, n_r), source, axis=0)
     streams *= gain[..., None]
     streams[rows, own] = (channel @ v[:, :, None])[..., 0]
     return streams
@@ -132,8 +157,8 @@ def build_radar_state(world: WorldState, cfg: ScenarioConfig
     """
     n = cfg.rx_antennas
     power = cfg.uav_power_max
-    horiz = row_norm(world.uav_positions - world.uav_targets)
-    a = steering(np.sin(np.arctan2(cfg.altitude, horiz)), n)     # [M, n]
+    diff = world.uav_positions - world.uav_targets
+    a = steering(cfg.altitude / np.sqrt(_dot(diff, diff) + cfg.altitude ** 2), n)     # [M, n]
     w = math.sqrt(power) * a / row_norm(a)[:, None]
     sinr = n * n * power / (np.abs(world.uav_clutter) ** 2 * power + cfg.noise_power)
     response = world.uav_doppler[:, None, None] * (a[:, :, None] * a.conj()[:, None, :])

@@ -377,25 +377,24 @@ def _rician_weights(cfg: ScenarioConfig) -> tuple[float, float]:
 def build_all_channels(world: WorldState, mus: np.ndarray, uavs: np.ndarray,
                        cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Full Rician channels [S, R, W_R, W_T] from the MUs `mus` [S] to the UAVs
-    `uavs` [R] with a steering exponential per array, one interleaved (real,
+    `uavs` [R] with the phasor powers per array, one interleaved (real,
     imaginary) draw per entry and out-of-place arithmetic: the full product
     that the received streams of `uav_iscc.env.build_all_channels` stand for.
-    Its [k, m] entry matches that function's own channel of MU k at UAV m bit
-    for bit, drawn from the same numbers."""
+    Path amplitude sqrt(g0) / d and elevation sine h / d share one 1 / d. Its
+    [k, m] entry matches that function's own channel of MU k at UAV m bit for
+    bit, drawn from the same numbers."""
     mu_pos = world.mu_positions[mus]
     uav_pos = world.uav_positions[uavs]
     diff = uav_pos[None, :, :] - mu_pos[:, None, :]
-    horiz2 = np.sum(diff * diff, axis=-1)
-    d2 = horiz2 + cfg.altitude ** 2
-    angle = np.arctan2(cfg.altitude, np.sqrt(horiz2))
-    sin_a = np.sin(angle)
-    a_r = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.rx_antennas))
-    a_t = np.exp(1j * np.pi * sin_a[..., None] * np.arange(cfg.tx_antennas))
+    inv_d = 1.0 / np.sqrt(np.sum(diff * diff, axis=-1) + cfg.altitude ** 2)
+    z = np.exp(1j * np.pi * (cfg.altitude * inv_d))
+    a_r = phasor_powers(z, cfg.rx_antennas)
+    a_t = phasor_powers(z, cfg.tx_antennas)
     los = a_r[..., :, None] * a_t[..., None, :].conj()
     w_los, w_nlos = _rician_weights(cfg)
-    z = rng.standard_normal((*los.shape, 2))
-    scatter = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-    scale = np.sqrt(cfg.ref_gain / d2)[..., None, None]
+    normals = rng.standard_normal((*los.shape, 2))
+    scatter = (normals[..., 0] + 1j * normals[..., 1]) / math.sqrt(2.0)
+    scale = (math.sqrt(cfg.ref_gain) * inv_d)[..., None, None]
     return scale * (w_los * los + w_nlos * scatter)
 
 
@@ -629,9 +628,25 @@ def flight_power(speed: float, cfg: ScenarioConfig) -> float:
     return blade + parasite + induced
 
 
+def phasor_powers(z: np.ndarray, n: int) -> np.ndarray:
+    """[..., n]: 1, z, z^2, ..., each power the product of the one before and
+    z, taken on contiguous arrays the shape of z and stacked last."""
+    powers = [np.ones_like(z), z][:n]
+    while len(powers) < n:
+        powers.append(powers[-1] * z)
+    return np.stack(powers, axis=-1)
+
+
+def closed_form_response(sin_angle: float, n: int) -> np.ndarray:
+    """Uniform linear array response exp(j pi k sin(theta)), k < n, each entry
+    its own exponential: the closed form that the phasor powers approximate."""
+    return np.exp(1j * np.pi * sin_angle * np.arange(n))
+
+
 def steering_vector(angle: float, n: int) -> np.ndarray:
-    """Uniform linear array response at half-wavelength spacing."""
-    return np.exp(1j * np.pi * math.sin(angle) * np.arange(n))
+    """Uniform linear array response at half-wavelength spacing: the powers of
+    z = exp(j pi sin(angle)), one angle at a time."""
+    return phasor_powers(np.exp(1j * np.pi * np.array([math.sin(angle)])), n)[0]
 
 
 def _solve_hpd_one(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig):
@@ -642,12 +657,12 @@ def _solve_hpd_one(mat: np.ndarray, rhs: np.ndarray, cfg: ScenarioConfig):
 
 
 def build_radar_state(world: WorldState, m: int, cfg: ScenarioConfig) -> dict:
-    """One UAV's sensing, with `math.atan2` and `math.log2` and the max-SINR
-    filter solved from the clutter-plus-noise covariance: a dict of sinr, rate,
-    leakage and that covariance."""
+    """One UAV's sensing, with `math.atan2`, the closed-form array response
+    and `math.log2`, and the max-SINR filter solved from the clutter-plus-noise
+    covariance: a dict of sinr, rate, leakage and that covariance."""
     n = cfg.rx_antennas
     horiz = float(np.linalg.norm(world.uav_positions[m] - world.uav_targets[m]))
-    a = steering_vector(math.atan2(cfg.altitude, horiz), n)
+    a = closed_form_response(math.sin(math.atan2(cfg.altitude, horiz)), n)
     w = math.sqrt(cfg.uav_power_max) * a / np.linalg.norm(a)
     response = complex(world.uav_doppler[m]) * np.outer(a, a.conj())
     clutter = complex(world.uav_clutter[m])

@@ -44,6 +44,27 @@ def test_steering_vector_broadside_pair():
     assert np.allclose(v, [1.0, -1.0], atol=1e-12)
 
 
+PI = np.longdouble("3.141592653589793238462643383279502884")
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_steering_is_the_closed_form_within_k_ulps(n):
+    # entry k is z^k, z = exp(j pi sin(theta)), by running products: z carries
+    # the rounding of pi sin(theta) and each product about an ulp, so entry k
+    # stays within 4 k ulps of exp(j pi k sin(theta)) taken in extended
+    # precision, and its modulus within as much of 1 (measured over 4e4 sines:
+    # 1.8 k and 0.6 k ulps). Entry 0 is exactly 1
+    sines = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(0).uniform(-1.0, 1.0, 2000)])
+    k = np.arange(n)
+    bound = 4.0 * k * np.finfo(float).eps
+    for sin_angle in (sines, np.array(sines[3])):
+        got = steering(sin_angle, n)
+        assert got.shape == (*sin_angle.shape, n) and got.dtype == complex
+        want = np.exp(1j * PI * (sin_angle[..., None].astype(np.longdouble) * k))
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(np.abs(got.astype(np.clongdouble)) - 1.0) <= bound)
+
+
 def test_steering_matches_per_angle_vector():
     angles = np.random.default_rng(0).uniform(-np.pi, np.pi, 50)
     got = steering(np.sin(angles), 4)
@@ -154,6 +175,27 @@ def test_channels_match_out_of_place_expression(rx, tx, rician, num_mus):
         count_rng.standard_normal(stream_normals(mus.size, np.unique(serving).size, cfg))
         assert rng.bit_generator.state == ref_rng.bit_generator.state \
             == count_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("serving", [[3, 3, 3], [0, 4, 0, 4], [4, 1, 2, 0, 4, 0, 2, 4]])
+def test_cross_vectors_fill_the_columns_around_the_own_one(serving):
+    # MU s's R - 1 cross vectors fill the receiver columns before and after its
+    # own one, in order. The edge cases of that placement: the own column is
+    # the first receiving column, the last (also for the last MU, whose cross
+    # vectors end the block), or the only one (R = 1, no cross vectors)
+    cfg = ScenarioConfig(num_mus=len(serving), num_uavs=5).validate()
+    world = reset_world(cfg, np.random.default_rng(26))
+    serving = np.array(serving)
+    mus = np.arange(serving.size)
+    receivers, own = np.unique(serving, return_inverse=True)
+    assert {0, receivers.size - 1} <= set(own.tolist())
+    rng, ref_rng = np.random.default_rng(27), np.random.default_rng(27)
+    got = build_all_channels(world, mus, serving, cfg, rng)
+    want = oracles.draw_streams(world, mus, serving, cfg, ref_rng)
+    assert got.shape == want.shape == (mus.size, receivers.size, cfg.rx_antennas)
+    err = np.abs(got - want).max(axis=-1)
+    assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_channels_of_no_mu_draw_nothing(cfg):
@@ -340,8 +382,8 @@ def test_one_mu_served_alone_keeps_its_full_channel_rate(seed):
 
 
 # `design_links` over the full-product draw [1, 1, W_R, W_T] of the MU alone
-FULL_CHANNEL_RATES = {21: "0x1.12e1f532ced3cp+26", 22: "0x1.674ef53b4698ap+25",
-                      23: "0x1.2fac582b1c1d5p+26"}
+FULL_CHANNEL_RATES = {21: "0x1.12e1f92fb17dcp+26", 22: "0x1.674ef30b1af91p+25",
+                      23: "0x1.2fac582036312p+26"}
 
 
 def test_mmse_reduces_to_matched_filter_in_white_noise(cfg):
@@ -463,13 +505,14 @@ def assert_radar_matches_oracle(world, cfg):
 
 
 # The batched radar rounds a few steps differently from the oracle: the
-# elevation angle (np.arctan2 for math.atan2), the complex magnitudes (numpy's
+# elevation's sine (h / d for sin(math.atan2)), the array response (powers of
+# one phasor for one exponential per entry), the complex magnitudes (numpy's
 # vectorized absolute value for Python's hypot-based abs), their squares
 # (numpy's square for Python's pow) and the rate's log2. Each moves its result
-# by at most an ulp, and the steering phases carry that on. The batched SINR is
-# the closed form, the oracle's the covariance solve. Over 200 seeds at
+# by a few ulps at most, and the steering phases carry that on. The batched
+# SINR is the closed form, the oracle's the covariance solve. Over 200 seeds at
 # M = 1, 2, 5 and 20 (-65 dBm) the largest gaps measured were 10 ulps (SINR),
-# 1 (rate) and 18 (leakage, in ulps of its largest entry). At -200 dBm the
+# 1 (rate) and 29 (leakage, in ulps of its largest entry). At -200 dBm the
 # covariance is numerically rank one and the solve loses digits as |c|^2 P / sigma^2
 # grows: the seeds below stay within 11 ulps, but at M = 20 other seeds raise
 # LinAlgError in the oracle or miss the closed form by millions of ulps.
@@ -637,9 +680,13 @@ def test_leakage_and_link_covariances_exactly_hermitian(case):
 @pytest.mark.parametrize("case", SERVED_CASES)
 def test_no_unit_combiner_beats_the_link_rate(case):
     # the rate is the MMSE receiver's: no combiner w does better for the stream
-    # u = H v1, and w = N^-1 u reaches it. That combiner's own quadratic forms
-    # round at the covariance's condition number (about 1e8-1e10, from the
-    # radar self-leakage), so it matches to 1e-6 only.
+    # u = H v1, and w = N^-1 u reaches it. The covariance's condition number
+    # (about 1e8-6e10, from the radar self-leakage) makes that combiner's
+    # quadratic forms cancel: summed in double they miss the rate by up to
+    # 1.5e-6 over 30 seeds of these cases. So they are summed in
+    # np.clongdouble from the same double w, u and N (w's own rounding moves
+    # the SINR only to second order, at its maximum), and the rate matches
+    # them to 1e-6 (at most 8.6e-7 seen).
     serving, num_uavs, overrides = LINK_CASES[case]
     rng = np.random.default_rng(15)
     cfg, streams, alloc, leakage = served_world(serving, num_uavs, 0, **overrides)
@@ -651,8 +698,8 @@ def test_no_unit_combiner_beats_the_link_rate(case):
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         assert np.all(combiner_rate(w, u[i], n_cov[i], cfg) <= rates[i] * (1.0 + 1e-12))
         mmse = np.linalg.solve(n_cov[i], u[i])
-        assert combiner_rate(mmse / np.linalg.norm(mmse), u[i], n_cov[i], cfg) \
-            == pytest.approx(rates[i], rel=1e-6)
+        wide = (x.astype(np.clongdouble) for x in (mmse / np.linalg.norm(mmse), u[i], n_cov[i]))
+        assert float(combiner_rate(*wide, cfg)) == pytest.approx(rates[i], rel=1e-6)
 
 
 def exact_link_covariance(streams, alloc, leakage, cfg, k):
