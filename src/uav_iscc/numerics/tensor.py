@@ -10,14 +10,17 @@ Plain numpy arrays and Python scalars are promoted to constant tensors on the
 fly, in the dtype of the tensor they meet, so no result rests on numpy's scalar
 promotion rules; a constant (neither ``requires_grad`` nor recorded parents)
 gets no gradient.
-On glibc, ``_retain_heap`` keeps freed pages for the next minibatch's graph to reuse.
+
+The critic's attention node, ``self_masked_attention``, normalises after
+pooling: one GEMM E [val | 1] of the exponentiated scores gives the pooled
+values and their row sums r, and the division by r runs on the [U, dv] side.
+Its backward rests on D_i = Σ_j W_ij (g valᵀ)_ij = g_i · out_i (W = E / r), a
+sum over dv instead of U.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,18 +34,6 @@ _recording = True
 
 _MASK = -1e30                # a query's own score: exp gives exactly 0, no inf arithmetic
 _CHUNK_ELEMENTS = 1 << 18    # scores per self_masked_attention chunk: 2 MiB, an L2 cache
-
-
-def _retain_heap() -> None:
-    """Set both malloc thresholds: setting either one turns glibc's dynamic ones off."""
-    if platform.libc_ver()[0] == "glibc":
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
-        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD: return the heap top only past 64 MiB
-
-
-_retain_heap()
 
 
 @contextmanager
@@ -313,18 +304,20 @@ def dense(x, w: Tensor, b: Tensor | None = None, tanh: bool = False) -> Tensor:
     bias-less attention maps).
 
     x [..., n], w [n, m], b [m] -> [..., m], with `b` no wider than `x @ w`
-    (an MLP's layers share one dtype). The forward is the batched `x @ w`,
-    with the bias add and the tanh done in place on its result. The
-    backward repeats the unfused chain's arithmetic in the same order (tanh's
-    g * (1 - y*y), the bias's sum over the leading axes, then the product's two
-    GEMMs over the folded rows), so values and gradients equal that chain's bit
-    for bit. With one output (m = 1) the input gradient is the broadcast product
-    g_rows * wᵀ, the same single products as the K=1 GEMM at a fraction of its
-    cost. A constant `x` or `w` gets no gradient and costs no GEMM.
+    (an MLP's layers share one dtype). The forward is the batched `x @ w` on
+    a C-ordered copy of a transposed `w` (the critic's maps, whose GEMM runs
+    about three times faster so), with the bias add and the tanh done in place
+    on its result. The backward repeats the unfused chain's arithmetic in the
+    same order (tanh's g * (1 - y*y), the bias's sum over the leading axes,
+    then the product's two GEMMs over the folded rows), so values and
+    gradients equal that chain's bit for bit. With one output (m = 1) the
+    input gradient is the broadcast product g_rows * wᵀ, the same single
+    products as the K=1 GEMM at a fraction of its cost. A constant `x` or `w`
+    gets no gradient and costs no GEMM.
     """
     x = Tensor._lift(x, w)
     a = x.data
-    out = a @ w.data
+    out = a @ np.ascontiguousarray(w.data)
     if b is not None:
         np.add(out, b.data, out=out, casting="safe")   # a bias wider than x @ w raises
     if tanh:
@@ -349,17 +342,21 @@ def self_masked_attention(q, key, val) -> Tensor:
     """softmax(q @ keyᵀ / sqrt(d)) @ val, with query i blind to key i.
 
     q, key [..., U, d], val [..., U, dv] -> [..., U, dv]; the leading axes are
-    a stack of independent attentions. One recorded node: the scores of each
-    chunk of the stack (at most _CHUNK_ELEMENTS entries, or one [U, U] block)
-    go into one buffer that the scale, the mask, the row-max shift, the exp
-    and the normalisation overwrite in place, so a chunk stays in cache. The
-    scale 1/sqrt(d) is taken in the scores' dtype, as the chain lifts it, so
-    float32 scores are scaled in float32, forward and backward. A
-    stack that fits one chunk is read as given; a larger one is flattened
-    first, which copies a strided input. The backward keeps only the weights
-    and repeats the unfused chain's arithmetic (matmul, scale, mask add,
-    softmax, matmul) in the same order, so values and gradients equal that
-    chain's bit for bit.
+    a stack of independent attentions. One recorded node, run over chunks of
+    the stack (at most _CHUNK_ELEMENTS scores, or one [U, U] block) so that a
+    chunk's scores stay in cache. Per chunk, the scale s = 1/sqrt(d), in the
+    scores' dtype, is folded into the queries: S = (s q) keyᵀ is masked on its
+    diagonal, shifted by its row max and exponentiated in place to E. One GEMM
+    E [val | 1] gives the pooled values and, in its last column, the row sums
+    r; the output is (E val) / r, divided in place on the [U, dv] side, a
+    view of the pooled [..., U, dv + 1] buffer whose last column stays r.
+
+    The backward keeps E and r. With W = E / r, the softmax's row term
+    D_i = Σ_j W_ij (g valᵀ)_ij equals g_i · out_i; so with g' = g / r and
+    δ = rowsum(g' ⊙ out), the gradients are Eᵀ g' for val, G (s key) for q and
+    (s q)ᵀ G for key, where G = (g' valᵀ − δ) ⊙ E. A stack that fits one chunk
+    is read as given; a larger one is flattened first, which copies a strided
+    input. Without recording, no E or closure is kept.
     """
     q, key, val = Tensor._lift(q), Tensor._lift(key), Tensor._lift(val)
     n_u, d = q.shape[-2:]
@@ -372,40 +369,43 @@ def self_masked_attention(q, key, val) -> Tensor:
     else:                       # chunks of the flattened stack
         qs, ks, vs = (t.data.reshape(-1, *t.shape[-2:]) for t in (q, key, val))
         chunks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    stack = qs.shape[:-2]
+    stack, dv = qs.shape[:-2], vs.shape[-1]
     dtype = np.result_type(qs, ks, vs)
     scale = dtype.type(1.0 / np.sqrt(d))
     own = np.arange(n_u)
-    # the backward needs every chunk's weights; without it each chunk is scratch
-    weights = np.empty((*stack, n_u, n_u), dtype) if Tensor._records((q, key, val)) else None
-    out = np.empty((*stack, n_u, vs.shape[-1]), dtype)
+    # the backward needs every chunk's E; without it each chunk is scratch
+    exps = np.empty((*stack, n_u, n_u), dtype) if Tensor._records((q, key, val)) else None
+    pooled = np.empty((*stack, n_u, dv + 1), dtype)     # E [val | 1], then out | r
     for c in chunks:
-        w = np.matmul(qs[c], ks[c].swapaxes(-1, -2), out=None if weights is None else weights[c])
-        w *= scale
-        w[..., own, own] += _MASK
+        e = np.matmul(qs[c] * scale, ks[c].swapaxes(-1, -2), out=None if exps is None else exps[c])
+        e[..., own, own] += _MASK
         # faster than max on short rows; a NaN it skips still turns its row to NaN
-        w -= np.fmax.reduce(w, axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, vs[c], out=out[c])
+        e -= np.fmax.reduce(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        v_one = np.empty((*vs[c].shape[:-1], dv + 1), dtype)
+        v_one[..., :dv], v_one[..., dv] = vs[c], 1.0
+        np.matmul(e, v_one, out=pooled[c])
+    out, sums = pooled[..., :dv], pooled[..., dv:]
+    out /= sums
 
     def backward(g):
         g = g.reshape(out.shape)
         gq, gkey_t, gval = (np.empty(shape, dtype) for shape in (qs.shape, (*stack, d, n_u), vs.shape))
         for c in chunks:
-            w = weights[c]
-            np.matmul(w.swapaxes(-1, -2), g[c], out=gval[c])
-            gw = g[c] @ vs[c].swapaxes(-1, -2)
-            gw *= w
-            gw -= w * gw.sum(axis=-1, keepdims=True)
-            gw *= scale
-            np.matmul(gw, ks[c], out=gq[c])
-            np.matmul(qs[c].swapaxes(-1, -2), gw, out=gkey_t[c])
+            e = exps[c]
+            g_r = g[c] / sums[c]
+            delta = np.einsum("...j,...j->...", g_r, out[c])[..., None]
+            np.matmul(e.swapaxes(-1, -2), g_r, out=gval[c])
+            gs = g_r @ vs[c].swapaxes(-1, -2)
+            gs -= delta
+            gs *= e
+            np.matmul(gs, ks[c] * scale, out=gq[c])
+            np.matmul((qs[c] * scale).swapaxes(-1, -2), gs, out=gkey_t[c])
         q._accumulate(gq.reshape(q.shape))
         key._accumulate(gkey_t.swapaxes(-1, -2).reshape(key.shape))
         val._accumulate(gval.reshape(val.shape))
 
-    return Tensor._make(out.reshape(*q.shape[:-1], vs.shape[-1]), (q, key, val), backward)
+    return Tensor._make(out.reshape(*q.shape[:-1], dv), (q, key, val), backward)
 
 
 def parameter(data, rng: np.random.Generator | None = None) -> Tensor:

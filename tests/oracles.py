@@ -94,8 +94,23 @@ def dense_chain(x, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
 
 
 def masked_attention_chain(q, key, val) -> Tensor:
-    """Unfused `self_masked_attention`: scale, dense diagonal mask, softmax and
-    pool, each a recorded node of its own."""
+    """`self_masked_attention`'s forward as unfused steps over the whole stack,
+    in the node's order: the scale folded into the queries, the dense diagonal
+    mask, the row-max shift and exp, the pool of [val | 1] whose last column
+    holds the row sums, and the division by them. The result is a constant;
+    the node's gradient is checked against `softmax_attention_chain`."""
+    q, key, val = (Tensor._lift(t).data for t in (q, key, val))
+    scores = (q * q.dtype.type(1.0 / np.sqrt(q.shape[-1]))) @ key.swapaxes(-1, -2)
+    scores += np.diag(np.full(key.shape[-2], _MASK)).astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    pooled = e @ np.concatenate([val, np.ones((*val.shape[:-1], 1), val.dtype)], axis=-1)
+    return Tensor(pooled[..., :-1] / pooled[..., -1:])
+
+
+def softmax_attention_chain(q, key, val) -> Tensor:
+    """Masked attention in the textbook order: scores, scale, dense diagonal
+    mask, softmax and pool, each a recorded node of its own, so its gradient
+    is the softmax's, g*y - y * sum(g*y)."""
     q, key = Tensor._lift(q), Tensor._lift(key)
     mask = np.diag(np.full(key.shape[-2], _MASK))                 # [U, U]
     scores = matmul(q, key.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask

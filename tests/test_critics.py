@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import attention_weights, critic_forward, in_float64, masked_attention_chain
+from oracles import (
+    attention_weights,
+    critic_forward,
+    in_float64,
+    masked_attention_chain,
+    softmax_attention_chain,
+)
 from uav_iscc.mappo import CriticParams, critic_values_batch
 from uav_iscc.mappo import critics as critics_module
 from uav_iscc.numerics import Tensor, mlp_forward, no_grad
@@ -40,7 +46,9 @@ def test_batched_matches_reference_forward():
                 assert values[t, u] == pytest.approx(ref, abs=1e-10)
 
 
-# the loss reads one type's columns, so the other type's query rows get no gradient
+# the loss reads one type's columns, so the other type's query rows get no
+# gradient. Values equal the chain of the node's own steps bit for bit;
+# gradients equal a float64 critic's with the softmax chain, to float32 rounding
 @pytest.mark.parametrize("columns", ["mu", "uav"])
 @pytest.mark.parametrize("k, m, chunk", [(3, 2, None), (30, 6, 2 * 30 * 36)])
 def test_values_and_gradients_equal_unfused_attention(columns, k, m, chunk, monkeypatch):
@@ -48,17 +56,23 @@ def test_values_and_gradients_equal_unfused_attention(columns, k, m, chunk, monk
         monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", chunk)
     targets = np.random.default_rng(18).normal(size=(4, k if columns == "mu" else m))
     runs = []
-    for attention in (None, masked_attention_chain):
+    for attention, float64 in ((None, False), (masked_attention_chain, False),
+                               (softmax_attention_chain, True)):
         if attention is not None:
             monkeypatch.setattr(critics_module, "self_masked_attention", attention)
         critic = make_critic(seed=17)
+        if float64:
+            in_float64(*critic.parameters())
         values = critic_values_batch(critic, *random_instance(critic, k=k, m=m, t=4, seed=19))
         values = values[:, :k] if columns == "mu" else values[:, k:]
         diff = values - Tensor(targets)
         (diff * diff).mean().backward()
-        runs.append([values.data] + [p.grad for p in critic.parameters()])
-    for fused, chain in zip(*runs):
-        assert fused.tobytes() == chain.tobytes()
+        runs.append((values.data, [p.grad for p in critic.parameters()]))
+    (values, grads), (chain_values, _), (_, ref_grads) = runs
+    assert values.dtype == np.float32 and values.tobytes() == chain_values.tobytes()
+    for got, ref in zip(grads, ref_grads):
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 def test_uav_critic_loss_gradient_matches_finite_differences():
@@ -73,7 +87,7 @@ def test_uav_critic_loss_gradient_matches_finite_differences():
 
     loss().backward()
     h = 1e-6
-    for p in (critic.w_que, critic.w_key):
+    for p in (critic.w_que, critic.w_key, critic.w_val, critic.w_mix):
         flat = p.data.ravel()
         for i in range(flat.size):
             old = flat[i]

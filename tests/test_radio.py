@@ -3,6 +3,11 @@
 import copy
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -830,3 +835,32 @@ def test_singular_link_covariance_raises_with_link_and_condition(cfg):
         design_links(streams, alloc, leakage, cfg)
     # inf where the SVD finds the zero singular value exactly
     assert float(str(info.value).rsplit(" ", 1)[1].rstrip(")")) > 1e15
+
+
+ENV_ONLY_DRAWS = """
+import resource
+import numpy as np
+from uav_iscc.env import ScenarioConfig, build_all_channels, reset_world
+cfg = ScenarioConfig(num_mus=400, num_uavs=20).validate()
+rng = np.random.default_rng(0)
+world = reset_world(cfg, rng)
+mus = np.arange(380)
+serving = mus % 20                      # 380 served MUs, 20 receiving UAVs
+for _ in range(5):
+    build_all_channels(world, mus, serving, cfg, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    build_all_channels(world, mus, serving, cfg, rng)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
+def test_env_only_process_reuses_the_heap_across_draws():
+    # importing uav_iscc.env alone keeps freed heap pages: a 400x20 draw reuses
+    # the previous draw's buffers (about 600 minor faults a draw without it)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", ENV_ONLY_DRAWS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(run.stdout) < 60

@@ -24,7 +24,15 @@ from uav_iscc.numerics import (
 from uav_iscc.numerics import tensor as tensor_module
 from uav_iscc.numerics.distributions import _trigamma
 
-from oracles import dense_chain, in_float64, masked_attention_chain, matmul, softmax, tanh_node
+from oracles import (
+    dense_chain,
+    in_float64,
+    masked_attention_chain,
+    matmul,
+    softmax,
+    softmax_attention_chain,
+    tanh_node,
+)
 
 
 def finite_diff_grad(loss_fn, params, h=1e-5):
@@ -367,7 +375,7 @@ def test_softmax_gradient_matches_finite_differences(axis):
 
 # (leading axes, U, score budget per chunk in [U, U] blocks (None: the default),
 # head width, dtype); 1/sqrt(3) and 1/sqrt(5) are inexact in float32, so the
-# node must scale float32 scores by the float32 constant the chain lifts
+# node must scale float32 queries by the float32 constant the chain takes
 ATTENTION_CASES = {
     "one-chunk": ((2, 3), 7, None, 5, np.float64),
     "several-chunks": ((3, 2), 7, 2, 5, np.float64),
@@ -392,23 +400,24 @@ def attention_inputs(lead, n_u, seed, dv=3, width=5, dtype=np.float64):
 
 @pytest.mark.parametrize("case", list(ATTENTION_CASES))
 def test_self_masked_attention_equals_unfused_chain(case, monkeypatch):
+    # values equal the chain of the node's own steps bit for bit; gradients
+    # equal the softmax chain's, taken in float64, up to the inputs' rounding
     lead, n_u, blocks, width, dtype = ATTENTION_CASES[case]
     if blocks is not None:
         monkeypatch.setattr(tensor_module, "_CHUNK_ELEMENTS", blocks * n_u * n_u)
     if case == "420x420":
         assert np.prod(lead) * n_u * n_u > tensor_module._CHUNK_ELEMENTS   # several chunks
-    fused_in = attention_inputs(lead, n_u, seed=20, width=width, dtype=dtype)
-    chain_in = attention_inputs(lead, n_u, seed=20, width=width, dtype=dtype)
-    outs = []
-    for fn, (q, key, val, c) in ((self_masked_attention, fused_in),
-                                 (masked_attention_chain, chain_in)):
-        out = fn(q, key, val)
-        (out * c).sum().backward()
-        outs.append(out.data)
-    assert outs[0].shape == (*lead, n_u, 3) and outs[0].dtype == dtype
-    assert outs[0].tobytes() == outs[1].tobytes()
-    for fused, chain in zip(fused_in[:3], chain_in[:3]):
-        assert fused.grad.tobytes() == chain.grad.tobytes()
+    q, key, val, c = attention_inputs(lead, n_u, seed=20, width=width, dtype=dtype)
+    out = self_masked_attention(q, key, val)
+    (out * c).sum().backward()
+    assert out.data.shape == (*lead, n_u, 3) and out.data.dtype == dtype
+    assert out.data.tobytes() == masked_attention_chain(q, key, val).data.tobytes()
+    ref_in = [parameter(t.data.astype(np.float64)) for t in (q, key, val)]
+    (softmax_attention_chain(*ref_in) * c.astype(np.float64)).sum().backward()
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, ref in zip((q, key, val), ref_in):
+        assert got.grad.dtype == dtype
+        assert np.max(np.abs(got.grad - ref.grad)) <= tol * np.max(np.abs(ref.grad))
 
 
 @pytest.mark.parametrize("blocks", [5, 2])     # one chunk; chunks of 2, 2 and 1
@@ -457,8 +466,8 @@ def test_self_masked_attention_without_recording_keeps_no_closure(blocks, monkey
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_self_masked_attention_nan_key_turns_its_block_to_nan(dtype):
     # the row-max shift skips a NaN score (np.fmax), but that score still turns
-    # its row's exp, sum and weights to NaN, as a NaN-propagating max does; a
-    # NaN key reaches every query of its block, its own through the mask add
+    # its row's exp, pooled values and row sum to NaN, as a NaN-propagating max
+    # does; a NaN key reaches every query of its block, its own through the mask
     q, key, val, _ = attention_inputs((3,), 5, seed=26, dtype=dtype)
     key.data[1, 2, 0] = np.nan
     with warnings.catch_warnings():
@@ -626,7 +635,7 @@ def test_adam_descends_convex_quadratic():
 def test_freed_heap_is_reused_without_page_faults():
     import resource  # Unix only, as glibc is
 
-    # importing the engine keeps freed memory in the process: a second 16 MiB
+    # importing the package keeps freed memory in the process: a second 16 MiB
     # array reuses the first one's pages instead of faulting in 4096 new ones
     first = np.ones(1 << 21)
     del first
